@@ -11,7 +11,7 @@ as regular or singular from its touchdown asymptotics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -330,7 +330,7 @@ def _resampled_mu1(profile: RadialField, lam: float) -> float:
     """mu1 on a uniform moderate grid (interpolated profile).
 
     Eigen solves on fine graded grids are dominated by roundoff; the uniform
-    resample keeps the value meaningful and the dense solve fast.
+    resample keeps the value meaningful.
     """
     from .stability import mu1
 

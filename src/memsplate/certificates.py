@@ -21,13 +21,12 @@ beta = inf of the cond2 ratio, enclosed rigorously on request.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .exprs import Const, Power, Prod, RadialExpr, Signomial, _frac, signomial_expr
+from .exprs import Prod, RadialExpr, Signomial, _frac, signomial_expr
 from .grid import InvalidArgument
 from .hardy import hr_weight
 from .operators import hardy_rellich_constant, lambda_bar, power_bilaplacian_coeff

@@ -34,7 +34,7 @@ from .branch import (ContinuationConfig, NonConvergence, pullin_bounds,
                      sandwich_check, sweep_branch)
 from .certificates import (CandidateW, certify_dimension, table1_rows,
                            table_candidate, threshold_relation)
-from .grid import BoundaryData, InvalidArgument, build_grid
+from .grid import BoundaryData, InvalidArgument
 from .hardy import (discrete_form_check, hr2_leading_identity, hr_weight,
                     _prove_expr_nonneg)
 from .stability import nu1

@@ -25,11 +25,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exprs import Const, Power, Prod, Quot, RadialExpr, Signomial, Sum
+from .exprs import Const, Power, Prod, Quot, RadialExpr, Sum
 from .grid import InvalidArgument, RadialGrid, build_grid
-from .intervals import Interval
 from .operators import bilaplacian_form, hardy_rellich_constant
-from .verify import SignReport, prove_signomial_nonneg, sampled_min
+from .verify import prove_signomial_nonneg, sampled_min
 
 
 def radial_laplacian(expr: RadialExpr, dim) -> RadialExpr:
@@ -368,7 +367,7 @@ def discrete_form_check(variant: str, N: int, grid: RadialGrid | None = None,
     w_vals[1:] = np.asarray(W(r_int[1:]), dtype=float)
 
     rng = np.random.default_rng(seed)
-    min_gap, violations, best_c = math.inf, 0, math.inf
+    min_gap, violations = math.inf, 0
     for _ in range(trials):
         phi = _random_clamped(rng, grid.r)[: len(m)]
         lhs = float(phi @ (A @ phi))
@@ -376,12 +375,11 @@ def discrete_form_check(variant: str, N: int, grid: RadialGrid | None = None,
         mass = float(np.sum(m * phi ** 2))
         gap = (lhs - rhs) / mass
         min_gap = min(min_gap, gap)
-        best_c = min(best_c, gap)
         if gap < -tol:
             violations += 1
     return FormCheckReport(variant=variant.upper(), N=N, trials=trials,
                            min_relative_gap=min_gap, violations=violations,
-                           tol=tol, remainder_estimate=best_c)
+                           tol=tol, remainder_estimate=min_gap)
 
 
 def hr2_leading_identity(N: int) -> bool:

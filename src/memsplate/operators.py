@@ -66,7 +66,11 @@ _WIDE = np.longdouble
 
 
 def _quad_fit_weights(xs, xe):
-    """(value', value'') weights at xe of the quadratic through (xs[0..2], .)."""
+    """(value', value'') weights at xe of the quadratic through (xs[0..2], .).
+
+    Elementwise: with xs three equal-length arrays and xe an array, row k of
+    each result holds the weight of xs[k] for every evaluation point.
+    """
     x0, x1, x2 = (_WIDE(x) for x in xs)
     xe = _WIDE(xe)
     d0 = (x0 - x1) * (x0 - x2)
@@ -78,50 +82,45 @@ def _quad_fit_weights(xs, xe):
 
 
 def _laplacian_rows(grid: RadialGrid):
-    """Stencil data for Delta_N at every node, as (cols, weights) lists.
+    """Stencil of Delta_N at nodes 0..M-2 as COO triplets (rows, cols, weights).
 
-    The last node's stencil involves the boundary ghost; it is returned
-    separately as (cols, weights, ghost_weight) where the ghost value is
+    Entries come row by row with ascending columns.  The last node's stencil
+    involves the boundary ghost; it is returned separately as
+    (cols, weights, ghost_weight) where the ghost value is
     u[M-2] + 2 beta (1 - r[M-2]).
     """
     r, N, M = grid.r, grid.N, grid.M
     r = r.astype(_WIDE)
-    rows = []
     if N == 1:
         # origin closure: u'' through the mirror node -r_1, whose value u[0]
         # folds onto node 0 (see the module docstring)
         _, w2 = _quad_fit_weights((-r[0], r[0], r[1]), r[0])
-        rows.append((np.array([0, 1]), np.array([w2[0] + w2[1], w2[2]])))
+        cols0, w0 = [0, 1], [w2[0] + w2[1], w2[2]]
     else:
         # origin closure: even quadratic in x = r^2 through nodes 0..2
         x = r[:3] ** 2
         w1, w2 = _quad_fit_weights(x, x[0])
-        rows.append((np.array([0, 1, 2]), 4.0 * x[0] * w2 + 2.0 * N * w1))
-    for i in range(1, M - 1):
-        w1, w2 = _quad_fit_weights(r[i - 1:i + 2], r[i])
-        rows.append((np.array([i - 1, i, i + 1]), w2 + (N - 1) / r[i] * w1))
+        cols0, w0 = [0, 1, 2], 4.0 * x[0] * w2 + 2.0 * N * w1
+    # interior nodes i = 1..M-2, all at once: columns i-1, i, i+1
+    ri = r[1:M - 1]
+    w1, w2 = _quad_fit_weights((r[:M - 2], ri, r[2:]), ri)
+    w = w2 + (N - 1) / ri * w1
+    i = np.arange(1, M - 1)
+    rows = np.concatenate([np.zeros(len(cols0), dtype=int), np.repeat(i, 3)])
+    cols = np.concatenate([cols0, (i[:, None] + np.arange(-1, 2)).ravel()])
+    weights = np.concatenate([np.array(w0, dtype=_WIDE), w.T.ravel()])
     # boundary node stencil across the ghost at 2 - r[M-2]
     rg = 2.0 - r[M - 2]
     w1, w2 = _quad_fit_weights((r[M - 2], 1.0, rg), 1.0)
     w = w2 + (N - 1) * w1
     boundary = (np.array([M - 2, M - 1]), np.array([w[0], w[1]]), w[2])
-    return rows, boundary
+    return (rows, cols, weights), boundary
 
 
-def _assemble(rows, M):
-    # COO assembly: lil_matrix setitem would silently round the float128
-    # stencil weights through float64
-    ri, ci, data = [], [], []
-    for i, (cols, weights) in enumerate(rows):
-        for c, w in zip(cols, weights):
-            ri.append(i)
-            ci.append(int(c))
-            data.append(w)
-    mat = sp.coo_matrix(
-        (np.array(data, dtype=_WIDE), (np.array(ri), np.array(ci))),
-        shape=(len(rows), M),
-    )
-    return mat.tocsr()
+def _assemble(rows, cols, weights, shape):
+    # COO assembly keeps the float128 stencil weights; lil_matrix setitem
+    # would silently round them through float64
+    return sp.coo_matrix((np.asarray(weights, dtype=_WIDE), (rows, cols)), shape=shape).tocsr()
 
 
 def laplacian_op(grid: RadialGrid) -> "RadialOperator":
@@ -130,13 +129,13 @@ def laplacian_op(grid: RadialGrid) -> "RadialOperator":
     The last row uses a one-sided interior stencil (no boundary data needed),
     so only rows 0..M-2 should be trusted for clamped problems.
     """
-    rows, _ = _laplacian_rows(grid)
+    (rows, cols, weights), _ = _laplacian_rows(grid)
     r, N, M = grid.r, grid.N, grid.M
     w1, w2 = _quad_fit_weights(r[M - 3:M], 1.0)
-    rows.append((np.array([M - 3, M - 2, M - 1]), w2 + (N - 1) * w1))
     return RadialOperator(
         grid=grid,
-        matrix=_assemble(rows, M),
+        matrix=_assemble(np.append(rows, [M - 1] * 3), np.append(cols, [M - 3, M - 2, M - 1]),
+                         np.append(weights, w2 + (N - 1) * w1), (M, M)),
         offset=np.zeros(M),
         closure="origin: even fit; r=1: one-sided",
     )
@@ -148,26 +147,15 @@ def laplacian_with_bc(grid: RadialGrid, bc: BoundaryData):
     u_interior are the M-1 unknowns at nodes 0..M-2; the boundary value
     alpha and the ghost reflection carrying beta enter through o.
     """
-    rows, (bcols, bweights, wg) = _laplacian_rows(grid)
+    (rows, cols, weights), (bcols, bweights, wg) = _laplacian_rows(grid)
     M = grid.M
-    ri, ci, data = [], [], []
     o = np.zeros(M, dtype=_WIDE)
-    for i, (cols, weights) in enumerate(rows):
-        for c, w in zip(cols, weights):
-            if c == M - 1:
-                o[i] += w * _WIDE(bc.alpha)
-            else:
-                ri.append(i)
-                ci.append(int(c))
-                data.append(w)
+    # the last stencil entry is node M-2 reaching u[M-1] = alpha
+    o[M - 2] += weights[-1] * _WIDE(bc.alpha)
     # last row: u[M-2], u[M-1] = alpha, ghost = u[M-2] + 2 beta (1 - r[M-2])
-    ri.append(M - 1)
-    ci.append(M - 2)
-    data.append(bweights[0] + wg)
     o[M - 1] += bweights[1] * _WIDE(bc.alpha) + wg * 2.0 * _WIDE(bc.beta) * (1.0 - _WIDE(grid.r[M - 2]))
-    L = sp.coo_matrix(
-        (np.array(data, dtype=_WIDE), (np.array(ri), np.array(ci))), shape=(M, M - 1)
-    ).tocsr()
+    L = _assemble(np.append(rows[:-1], M - 1), np.append(cols[:-1], M - 2),
+                  np.append(weights[:-1], bweights[0] + wg), (M, M - 1))
     return L, o
 
 
@@ -195,8 +183,8 @@ def bilaplacian_clamped(grid: RadialGrid, bc: BoundaryData) -> RadialOperator:
     boundary data, the second needs none (it sees Delta u at every node).
     """
     L1, o1 = laplacian_with_bc(grid, bc)
-    rows, _ = _laplacian_rows(grid)
-    L2 = _assemble(rows[: grid.M - 1], grid.M)
+    stencil, _ = _laplacian_rows(grid)
+    L2 = _assemble(*stencil, (grid.M - 1, grid.M))
     return RadialOperator(
         grid=grid,
         matrix=(L2 @ L1).tocsr(),

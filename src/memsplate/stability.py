@@ -3,10 +3,12 @@
 Both are smallest eigenvalues of generalized symmetric problems
 A phi = mu M phi in the radial sector, with A the quadratic form
 integral (Delta phi)^2 - 2 lambda integral phi^2/(1-u)^3 (the second term
-absent for the plate problem) and M the r^(N-1)-weighted mass.  Only radial
-test functions are used; minimal solutions are radial, so this matches the
-certificates, but whether the unrestricted infimum coincides is recorded as
-a limitation, not assumed.
+absent for the plate problem) and M the r^(N-1)-weighted mass.  A is
+pentadiagonal and M diagonal, so both are solved on the band: a banded
+Cholesky factorization of A + s M and inverse iteration, O(M) per step.
+Only radial test functions are used; minimal solutions are radial, so this
+matches the certificates, but whether the unrestricted infimum coincides is
+recorded as a limitation, not assumed.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grid import InvalidArgument, RadialField, RadialGrid, build_grid, sphere_area
 from .operators import bilaplacian_form
@@ -31,58 +33,88 @@ class EigenResult:
     A_hat = M^(-1/2) A M^(-1/2), it is ||A_hat y - value y|| divided by
     ||A_hat||_inf ||y||.  The raw residual of a fourth-order operator scales
     with eps * ||A|| ~ eps / h^4 and is not a meaningful accuracy measure.
+    `method` names the solver and the form it ran on; `iterations` is the
+    number of inverse-iteration steps it took to converge.
     """
 
     value: float
     eigenfunction: RadialField
     residual: float
     method: str
+    iterations: int
+
+
+#: inverse iteration stops once the Rayleigh quotient of the shifted pencil
+#: changes by at most this much, relative, between two steps
+_RQ_TOL = 1e-12
+#: cap on inverse-iteration steps; reaching it raises
+_MAX_ITER = 500
 
 
 def _smallest_generalized(A: sp.csr_matrix, m: np.ndarray, lower_bound: float | None = None):
-    """Smallest eigenpair of A x = mu diag(m) x for symmetric A, m > 0.
+    """Smallest eigenpair of A x = mu diag(m) x for pentadiagonal symmetric A, m > 0.
 
-    Solves the inverted pencil diag(m) x = theta (A + s diag(m)) x for its
-    largest theta (dense LAPACK).  Inverting through the stiffness side is
-    what makes this robust: the r^(N-1) mass spans many orders of magnitude
-    and the fourth-order
-    stiffness is ill-conditioned, a combination on which sparse shift-invert
-    Lanczos misconverges for larger N.
+    Returns (value, vector, iterations).  Inverse iteration on the inverted
+    pencil, x <- (A + s diag(m))^(-1) diag(m) x, converges to its largest
+    theta = 1 / (mu1 + s), with A + s diag(m) factored once by banded
+    Cholesky (LAPACK upper band storage of A's diagonals 0..2).  Inverting
+    through the stiffness side is what makes this robust: the r^(N-1) mass
+    spans many orders of magnitude and the fourth-order stiffness is
+    ill-conditioned, a combination on which sparse shift-invert Lanczos
+    misconverges for larger N.  The start vector is positive; the ground
+    state has one sign where the mass lies, so the start has a component
+    along it.
 
     The shift s must make A + s diag(m) positive definite; s = 0 is tried
     first (maximal accuracy on the stable branch), then a shift derived from
     `lower_bound` (for the linearized form, minus the potential maximum),
-    then geometric escalation.
+    then geometric escalation while the Cholesky factorization fails.
+
+    The iteration stops when the pencil's Rayleigh quotient
+    y^T (A + s diag(m)) y / y^T diag(m) y, which equals
+    y^T diag(m) x / y^T diag(m) y for the new iterate y, changes by at most
+    _RQ_TOL relative to itself.  Reaching _MAX_ITER raises RuntimeError.
 
     The value returned with the eigenvector is its Rayleigh quotient
     x^T A x / sum(m x^2) in A's own precision (extended for the forms of
-    this package), not 1/theta - s.  The float64 eigenvalue carries rounding
-    of order eps * ||A|| ~ eps / h^4 that varies with the BLAS thread count
-    and overtakes the discretization error on fine grids; the quotient's
-    error is quadratic in the eigenvector's.
+    this package), not 1/theta - s.  The float64 pencil carries rounding of
+    order eps * ||A|| ~ eps / h^4, which would overtake the discretization
+    error on fine grids; the quotient's error is quadratic in the
+    eigenvector's.
     """
-    import scipy.linalg as sla
-
-    Ad = A.astype(np.float64).toarray()
     n = len(m)
+    band = np.zeros((3, n))
+    for k in range(3):
+        band[2 - k, k:] = A.diagonal(k)
     shifts = [0.0]
     if lower_bound is not None and lower_bound < 0:
         shifts.append(-float(lower_bound) + 1.0)
     while len(shifts) < 10:
         shifts.append(2.0 * shifts[-1] + 1.0)
     for s in shifts:
-        B = Ad + np.diag(s * m) if s != 0.0 else Ad
+        shifted = band.copy()
+        shifted[2] += s * m
         try:
-            _, vecs = sla.eigh(np.diag(m), B, subset_by_index=[n - 1, n - 1])
+            chol = sla.cholesky_banded(shifted, lower=False)
         except sla.LinAlgError:
             continue
-        vec = vecs[:, 0]
-        v = vec.astype(np.longdouble)
-        return float((v @ (A @ v)) / np.sum(m * v ** 2)), vec
+        x = np.ones(n)
+        rho_prev = np.inf
+        for it in range(1, _MAX_ITER + 1):
+            mx = m * x
+            y = sla.cho_solve_banded((chol, False), mx)
+            my = m * y
+            rho = (y @ mx) / (y @ my)
+            x = y / np.sqrt(y @ my)
+            if abs(rho - rho_prev) <= _RQ_TOL * abs(rho):
+                v = x.astype(np.longdouble)
+                return float((v @ (A @ v)) / np.sum(m * v ** 2)), x, it
+            rho_prev = rho
+        raise RuntimeError(f"inverse iteration did not converge in {_MAX_ITER} steps at shift {s}")
     raise RuntimeError("could not find a positive-definite shift for the pencil")
 
 
-def _finish(grid: RadialGrid, A, m, value, vec, method) -> EigenResult:
+def _finish(grid: RadialGrid, A, m, value, vec, iterations, method) -> EigenResult:
     A64 = A.astype(np.float64)
     s = 1.0 / np.sqrt(m)
     y = vec / s
@@ -95,7 +127,8 @@ def _finish(grid: RadialGrid, A, m, value, vec, method) -> EigenResult:
     if vec[np.argmax(np.abs(vec))] < 0:
         vec = -vec
     phi = RadialField(grid, np.concatenate([vec, [0.0]]))
-    return EigenResult(value=value, eigenfunction=phi, residual=residual, method=method)
+    return EigenResult(value=value, eigenfunction=phi, residual=residual, method=method,
+                       iterations=iterations)
 
 
 def nu1_discrete(grid: RadialGrid) -> EigenResult:
@@ -106,8 +139,9 @@ def nu1_discrete(grid: RadialGrid) -> EigenResult:
     second order in 1/M at every N.
     """
     A, m = bilaplacian_form(grid)
-    value, vec = _smallest_generalized(A, m)
-    return _finish(grid, A, m, value, vec, "shift-invert plate form")
+    value, vec, iterations = _smallest_generalized(A, m)
+    return _finish(grid, A, m, value, vec, iterations,
+                   "banded Cholesky inverse iteration, plate form")
 
 
 def nu1(N: int, grid: RadialGrid | None = None) -> float:
@@ -139,8 +173,9 @@ def mu1(profile: RadialField, lam: float) -> EigenResult:
     A, m = bilaplacian_form(grid)
     weight = 2.0 * lam / (1.0 - u[:-1]) ** 3
     A_mu = (A - sp.diags(weight * m)).tocsr()
-    value, vec = _smallest_generalized(A_mu, m, lower_bound=-float(np.max(weight, initial=0.0)))
-    return _finish(grid, A_mu, m, value, vec, "shift-invert linearized form")
+    value, vec, iterations = _smallest_generalized(A_mu, m, lower_bound=-float(np.max(weight, initial=0.0)))
+    return _finish(grid, A_mu, m, value, vec, iterations,
+                   "banded Cholesky inverse iteration, linearized form")
 
 
 def stability_along_branch(points) -> list[float]:

@@ -3,9 +3,9 @@ import pytest
 from fractions import Fraction
 
 from memsplate.grid import BoundaryData, build_grid
-from memsplate.operators import (bilaplacian_clamped, bilaplacian_form,
-                                 hardy_rellich_constant, lambda_bar,
-                                 laplacian_op, laplacian_with_bc,
+from memsplate.operators import (_quad_fit_weights, bilaplacian_clamped,
+                                 bilaplacian_form, hardy_rellich_constant,
+                                 lambda_bar, laplacian_op, laplacian_with_bc,
                                  power_bilaplacian_coeff, power_laplacian_coeff)
 
 
@@ -92,3 +92,20 @@ def test_form_matches_composition():
         direct = float(np.sum(q * lap ** 2))
         viaA = float(phi @ (A.astype(np.float64) @ phi))
         assert viaA == pytest.approx(direct, rel=1e-9)
+
+
+def test_assembled_rows_equal_the_scalar_stencil():
+    # the whole-grid assembly reproduces, bit for bit, the per-node quadratic
+    # fit at interior nodes of a graded grid with nonzero boundary data
+    for N in (1, 3, 9):
+        g = build_grid(N, 64, 2.0)
+        L, _ = laplacian_with_bc(g, BoundaryData(0.3, -0.7))
+        r = g.r.astype(np.longdouble)
+        for i in (1, 2, 17, 40, g.M - 3):
+            w1, w2 = _quad_fit_weights(r[i - 1:i + 2], r[i])
+            expected = np.zeros(g.M - 1, dtype=np.longdouble)
+            expected[i - 1:i + 2] = w2 + (N - 1) / r[i] * w1
+            assert np.array_equal(L[[i]].toarray()[0], expected), (N, i)
+        # the banded eigensolver stores only the diagonals |i - j| <= 2
+        coo = bilaplacian_form(g)[0].tocoo()
+        assert np.max(np.abs(coo.row - coo.col)) == 2

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 
 from memsplate.grid import RadialField, build_grid
 from memsplate.operators import bilaplacian_form
@@ -86,6 +88,71 @@ def test_nu1_discrete_observed_order():
                 for M in (128, 256, 512)]
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders >= 1.9), (N, orders)
+
+
+def _dense_reference(A, m, shift):
+    """Smallest eigenpair value by dense LAPACK eigh on the inverted pencil.
+
+    diag(m) x = theta (A + shift diag(m)) x for its largest theta; the value is
+    the extended-precision Rayleigh quotient of the eigenvector, as in the
+    package, since the float64 eigenvalue has a rounding floor of order eps/h^4.
+    """
+    n = len(m)
+    B = A.astype(np.float64).toarray() + np.diag(shift * m)
+    _, vecs = sla.eigh(np.diag(m), B, subset_by_index=[n - 1, n - 1])
+    v = vecs[:, 0].astype(np.longdouble)
+    return float((v @ (A @ v)) / np.sum(m * v ** 2))
+
+
+def _linearized_form(profile, lam):
+    A, m = bilaplacian_form(profile.grid)
+    weight = 2.0 * lam / (1.0 - profile.values[:-1]) ** 3
+    return (A - sp.diags(weight * m)).tocsr(), m, weight
+
+
+def test_nu1_discrete_matches_dense_eigh():
+    for N in (1, 2, 9, 16):
+        g = build_grid(N, 128, 1.0)
+        A, m = bilaplacian_form(g)
+        res = nu1_discrete(g)
+        assert res.value == pytest.approx(_dense_reference(A, m, 0.0), rel=1e-9), N
+        assert res.method == "banded Cholesky inverse iteration, plate form"
+        assert res.iterations >= 2
+
+
+def test_mu1_matches_dense_eigh_on_a_stable_profile():
+    g = build_grid(3, 128, 1.0)
+    u = RadialField(g, 0.4 * (1.0 - g.r ** 2) ** 2)
+    lam = 20.0
+    A_mu, m, _ = _linearized_form(u, lam)
+    res = mu1(u, lam)
+    assert res.value > 0
+    assert res.value == pytest.approx(_dense_reference(A_mu, m, 0.0), rel=1e-9)
+    assert res.method == "banded Cholesky inverse iteration, linearized form"
+
+
+def test_mu1_shift_fallback_on_an_indefinite_form():
+    # past the fold of u = 0 at N = 2 (lambda > nu1/2): the unshifted form is
+    # indefinite, so the s = 0 factorization fails and a shift must take over
+    g = build_grid(2, 128, 1.0)
+    u = RadialField(g, np.zeros(g.M))
+    lam = 60.0
+    A_mu, m, weight = _linearized_form(u, lam)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(A_mu.astype(np.float64).toarray())
+    res = mu1(u, lam)
+    assert res.value < 0
+    ref = _dense_reference(A_mu, m, float(np.max(weight)) + 1.0)
+    assert res.value == pytest.approx(ref, rel=1e-9)
+
+
+def test_nu1_discrete_three_grid_observed_order():
+    # no oracle: the observed order from three grids backs the second-order
+    # Richardson step of nu1 at every N it is used for
+    for N in range(1, 17):
+        e1, e2, e3 = (nu1_discrete(build_grid(N, M, 1.0)).value for M in (256, 512, 1024))
+        order = np.log2((e1 - e2) / (e2 - e3))
+        assert order >= 1.9, (N, order)
 
 
 def test_stability_along_branch_requires_stable_points():
