@@ -130,6 +130,7 @@ class CondReport:
     sharpest_enclosure: tuple | None
     proved: bool | None    # interval tier only: the cleared claim holds on (0,1)
     rigor: str
+    boxes: int | None = None  # interval tier: boxes the cleared-claim proof evaluated
     notes: list = field(default_factory=list)
 
 
@@ -171,10 +172,10 @@ def check_cond1(candidate: CandidateW, rigor: str = "sampled",
     notes = []
     if argmin > 1 - 1e-4:
         notes.append("boundary-limit: the slack minimizer sits at r -> 1")
-    proved, enc = None, None
+    proved, enc, boxes = None, None, None
     if rigor == "interval":
         rep = prove_signomial_nonneg(claim)
-        proved = rep.proved
+        proved, boxes = rep.proved, rep.boxes
         if not rep.proved:
             notes.append(f"cond1 claim not proved: {rep.reason}")
             if rep.counterexample is not None:
@@ -187,7 +188,8 @@ def check_cond1(candidate: CandidateW, rigor: str = "sampled",
                 hi = min(hi, ch)
         enc = (lo, hi)
     return CondReport(margin=margin, argmin=argmin, sharpest=sharp,
-                      sharpest_enclosure=enc, proved=proved, rigor=rigor, notes=notes)
+                      sharpest_enclosure=enc, proved=proved, rigor=rigor, boxes=boxes,
+                      notes=notes)
 
 
 def _cond2_parts(candidate: CandidateW, weight: RadialExpr):
@@ -223,7 +225,7 @@ def check_cond2(candidate: CandidateW, weight: RadialExpr | None = None,
     if end is not None:
         sharp = min(sharp, float(end))
     notes = []
-    proved, enc = None, None
+    proved, enc, boxes = None, None, None
     if rigor == "interval":
         dpos = prove_signomial_nonneg(den)
         if not dpos.proved:
@@ -231,7 +233,7 @@ def check_cond2(candidate: CandidateW, weight: RadialExpr | None = None,
             proved = False
         else:
             rep = prove_signomial_nonneg(claim)
-            proved = rep.proved
+            proved, boxes = rep.proved, rep.boxes
             if not rep.proved:
                 notes.append(f"cond2 claim not proved: {rep.reason}")
                 if rep.counterexample is not None:
@@ -244,7 +246,8 @@ def check_cond2(candidate: CandidateW, weight: RadialExpr | None = None,
                 lo = max(lo, cl)
         enc = (lo, hi)
     return CondReport(margin=margin, argmin=argmin, sharpest=sharp,
-                      sharpest_enclosure=enc, proved=proved, rigor=rigor, notes=notes)
+                      sharpest_enclosure=enc, proved=proved, rigor=rigor, boxes=boxes,
+                      notes=notes)
 
 
 # --------------------------------------------------------------------------

@@ -199,6 +199,12 @@ def cmd_table1(args) -> int:
     return EXIT_OK
 
 
+def _cond_doc(c) -> dict:
+    return {"margin": c.margin, "argmin": c.argmin, "proved": c.proved,
+            "sharpest_enclosure": c.sharpest_enclosure, "boxes": c.boxes,
+            "notes": c.notes}
+
+
 def cmd_certify(args) -> int:
     out = _outdir(args)
     N = args.dim
@@ -221,10 +227,8 @@ def cmd_certify(args) -> int:
                       "lambda_prime": float(rep.candidate.lam_prime),
                       "beta": float(rep.candidate.beta),
                       "hr_variant": rep.candidate.hr_variant},
-        "cond1": {"margin": rep.cond1.margin, "argmin": rep.cond1.argmin,
-                  "proved": rep.cond1.proved, "notes": rep.cond1.notes},
-        "cond2": {"margin": rep.cond2.margin, "argmin": rep.cond2.argmin,
-                  "proved": rep.cond2.proved, "notes": rep.cond2.notes},
+        "cond1": _cond_doc(rep.cond1),
+        "cond2": _cond_doc(rep.cond2),
         "sharpest_lambda_prime": rep.sharpest_lam_prime,
         "sharpest_beta": rep.sharpest_beta,
         "rigor": rep.rigor,

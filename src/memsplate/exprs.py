@@ -13,6 +13,12 @@ coefficients.  Two representations cooperate:
 Floats are converted to Fraction exactly (every float is a dyadic rational),
 so tree manipulation and differentiation introduce no rounding at all;
 rounding enters only in numeric/interval evaluation.
+
+A Signomial does its exact-rational interval work once: on first use it
+compiles its terms into a table of floats (coefficient bounds, float
+exponent, exponent-rounding coefficient, value at r = 0), kept on the object.
+Each box enclosure after that is floats only, and bit-identical to the
+term-by-term `frac_bounds`/`pow_bounds`/`Interval` evaluation.
 """
 
 from __future__ import annotations
@@ -22,7 +28,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .intervals import Interval, down, frac_bounds, pow_bounds, up
+from .intervals import (Interval, down, exponent_rounding, frac_bounds, mul_bounds,
+                        padded_pow, pow_bounds, up)
 
 
 def _frac(x) -> Fraction:
@@ -46,7 +53,7 @@ def _dirsum(values, direction: int) -> float:
 class Signomial:
     """sum of c * r^p terms with exact rational c, p; immutable by convention."""
 
-    __slots__ = ("terms", "_diff")
+    __slots__ = ("terms", "_diff", "_table")
 
     def __init__(self, terms=None):
         merged: dict[Fraction, Fraction] = {}
@@ -55,6 +62,7 @@ class Signomial:
             merged[p] = merged.get(p, Fraction(0)) + c
         self.terms = {p: c for p, c in merged.items() if c != 0}
         self._diff = None
+        self._table = None
 
     @classmethod
     def constant(cls, c) -> "Signomial":
@@ -86,7 +94,6 @@ class Signomial:
         if not isinstance(other, Signomial):
             other = Signomial.constant(other)
         t = dict(self.terms)
-        out = {}
         for p, c in other.terms.items():
             t[p] = t.get(p, Fraction(0)) + c
         return Signomial(t)
@@ -148,16 +155,32 @@ class Signomial:
             out += float(c) * r ** float(p)
         return out
 
+    def _compile(self) -> tuple:
+        """Per-term float data: the exact-rational work, done once per signomial.
+
+        Each row is (coefficient lower/upper bound, float(p), the exponent
+        rounding coefficient of `padded_pow`, the enclosure of 0**p).
+        """
+        self._table = tuple(
+            (*frac_bounds(c), float(p), exponent_rounding(p), pow_bounds(0.0, p))
+            for p, c in self.terms.items())
+        return self._table
+
     def _termwise(self, a: float, b: float) -> Interval:
+        """Natural enclosure on [a, b]: per term, coefficient bounds times the
+        hull of the padded endpoint powers, then a directed sum.  Floats only."""
+        table = self._table if self._table is not None else self._compile()
+        la = abs(math.log(a)) if a != 0.0 else 0.0
+        lb = abs(math.log(b)) if b != 0.0 else 0.0
         los, his = [], []
-        for p, c in self.terms.items():
-            cl, ch = frac_bounds(c)
-            la, ha = pow_bounds(a, p)
-            lb, hb = pow_bounds(b, p)
-            x = Interval(min(la, lb), max(ha, hb))
-            iv = Interval(cl, ch) * x
-            los.append(iv.lo)
-            his.append(iv.hi)
+        for cl, ch, pf, k, at_zero in table:
+            xl, xh = padded_pow(a, pf, k, la) if a != 0.0 else at_zero
+            if b != a:
+                bl, bh = padded_pow(b, pf, k, lb) if b != 0.0 else at_zero
+                xl, xh = min(xl, bl), max(xh, bh)
+            lo, hi = mul_bounds(cl, ch, xl, xh)
+            los.append(lo)
+            his.append(hi)
         return Interval(_dirsum(los, -1), _dirsum(his, +1))
 
     def enclosure(self, a: float, b: float) -> Interval:

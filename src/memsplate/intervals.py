@@ -4,6 +4,15 @@ The "interval" rigor tier of the certificate checks runs on this engine.
 Bounds are padded with `math.nextafter` after every operation; libm's pow/log
 are assumed correct to a couple of ulps, and every use pads accordingly, so
 enclosures are conservative up to that standard-library contract.
+
+The padding of a power is defined once, in `padded_pow`: a relative 5e-16
+for libm `pow`, plus 1.1 |p - float(p)| |ln x| when the exponent is not a
+float.  `exponent_rounding` does the exact-rational part of that rule, so a
+caller that evaluates the same exponent on many boxes (the compiled
+`Signomial`) calls it once and then works on floats only.  `mul_bounds` is
+the product rule shared by `Interval` and that compiled path.  Python's
+`float ** float` (libm) is used deliberately: numpy's SIMD `power` may differ
+from it by an ulp, which would eat into the pad and change enclosures.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 _INF = math.inf
+_next = math.nextafter  # down/up inlined in the per-term helpers below
 
 
 def down(x: float) -> float:
@@ -31,6 +41,29 @@ def frac_bounds(c) -> tuple[float, float]:
     return (down(f), f) if Fraction(f) > Fraction(c) else (f, up(f))
 
 
+_POW_REL = 5e-16   # libm pow: <= ~1 ulp, padded
+_EXP_ROUND = 1.1   # x**p / x**float(p) = exp((p - float(p)) ln x), padded
+
+
+def exponent_rounding(p: Fraction | float) -> float:
+    """k with x**p within relative k*|ln x| of x**float(p); 0 when float(p) == p."""
+    if isinstance(p, float):
+        return 0.0
+    err = abs(Fraction(p) - Fraction(float(p)))
+    return _EXP_ROUND * float(err) if err else 0.0
+
+
+def padded_pow(x: float, pf: float, k: float, abslog: float) -> tuple[float, float]:
+    """Enclosure of x**p for x > 0, given pf = float(p), k = exponent_rounding(p)
+    and abslog = |ln x| (read only when k != 0)."""
+    v = x ** pf
+    rel = _POW_REL
+    if k:
+        rel += k * abslog
+    return (_next(v * _next(1.0 - rel, -_INF), -_INF),
+            _next(v * _next(1.0 + rel, _INF), _INF))
+
+
 def pow_bounds(x: float, p: Fraction | float) -> tuple[float, float]:
     """Enclosure of x**p for x >= 0, including exponent-rounding error."""
     if x == 0.0:
@@ -39,13 +72,16 @@ def pow_bounds(x: float, p: Fraction | float) -> tuple[float, float]:
         if p == 0:
             return 1.0, 1.0
         return _INF, _INF
-    pf = float(p)
-    v = x ** pf
-    rel = 5e-16  # libm pow: <= ~1 ulp, padded
-    if not isinstance(p, float) and Fraction(pf) != Fraction(p):
-        # x**p vs x**float(p): ratio exp((p - pf) ln x)
-        rel += 1.1 * float(abs(Fraction(p) - Fraction(pf))) * abs(math.log(x))
-    return down(v * down(1.0 - rel)), up(v * up(1.0 + rel))
+    k = exponent_rounding(p)
+    return padded_pow(x, float(p), k, abs(math.log(x)) if k else 0.0)
+
+
+def mul_bounds(al: float, ah: float, bl: float, bh: float) -> tuple[float, float]:
+    """Outward-rounded bounds of [al, ah] * [bl, bh], taking 0 * inf as 0."""
+    c1, c2, c3, c4 = al * bl, al * bh, ah * bl, ah * bh
+    if c1 != c1 or c2 != c2 or c3 != c3 or c4 != c4:  # NaN only from 0 * inf
+        c1, c2, c3, c4 = (0.0 if c != c else c for c in (c1, c2, c3, c4))
+    return _next(min(c1, c2, c3, c4), -_INF), _next(max(c1, c2, c3, c4), _INF)
 
 
 @dataclass(frozen=True)
@@ -92,11 +128,7 @@ class Interval:
 
     def __mul__(self, other) -> "Interval":
         other = _coerce(other)
-        cands = [
-            _dmul(self.lo, other.lo), _dmul(self.lo, other.hi),
-            _dmul(self.hi, other.lo), _dmul(self.hi, other.hi),
-        ]
-        return Interval(down(min(c[0] for c in cands)), up(max(c[1] for c in cands)))
+        return Interval(*mul_bounds(self.lo, self.hi, other.lo, other.hi))
 
     __rmul__ = __mul__
 
@@ -121,13 +153,6 @@ class Interval:
 
 def _coerce(x) -> Interval:
     return x if isinstance(x, Interval) else Interval.point(x)
-
-
-def _dmul(a: float, b: float) -> tuple[float, float]:
-    if (a == 0 and math.isinf(b)) or (b == 0 and math.isinf(a)):
-        return 0.0, 0.0
-    v = a * b
-    return v, v
 
 
 @dataclass

@@ -66,25 +66,28 @@ def _prove_upper(sig: Signomial, a: float, depth: int, min_width: float,
     d = -sig.diff()
     a2 = a
     attempt_boxes = max(max_boxes // 8, 10_000)
+    boxes = 0  # every derivative-window attempt, failed ones included
     for _ in range(45):
         drep = _prove_upper(d, a2, depth - 1, min_width, attempt_boxes)
+        boxes += drep.boxes
         if drep.proved:
             if a2 <= a:
                 return SignReport(True, reason=f"non-increasing into zero ({drep.reason})",
-                                  boxes=drep.boxes)
+                                  boxes=boxes)
             rep = prove_nonneg(sig.enclosure, a, a2,
                                min_width=min_width, max_boxes=max_boxes)
             return SignReport(rep.proved,
                               reason=("non-increasing collar + bisection" if rep.proved
                                       else "not sign-definite left of the collar"),
                               counterexample=rep.counterexample,
-                              boxes=rep.boxes + drep.boxes,
+                              boxes=rep.boxes + boxes,
                               inconclusive=rep.inconclusive)
         if drep.counterexample == 1.0:
             # a genuinely negative derivative value at 1 cannot improve
-            return SignReport(False, reason=f"zero at r=1; {drep.reason}")
+            return SignReport(False, reason=f"zero at r=1; {drep.reason}", boxes=boxes)
         a2 = 1.0 - 0.5 * (1.0 - a2) if a2 > a else max(a, 1.0 - 1e-2)
-    return SignReport(False, reason="no provable non-increasing window at r=1")
+    return SignReport(False, reason="no provable non-increasing window at r=1",
+                      boxes=boxes)
 
 
 def prove_signomial_nonneg(sig: Signomial, min_width: float = 1e-12,
@@ -96,27 +99,29 @@ def prove_signomial_nonneg(sig: Signomial, min_width: float = 1e-12,
     c0 = g.terms.get(Fraction(0), Fraction(0))
     if c0 < 0:
         # the limit at r -> 0+ is negative; exhibit a concrete witness
-        for k in range(2, 300):
+        for boxes, k in enumerate(range(2, 300), start=1):
             r = 2.0 ** -k
             if g.enclosure(r, r).hi < 0:
                 return SignReport(False, reason="negative limit at r=0",
-                                  counterexample=r)
-        return SignReport(False, reason="negative limit at r=0")
+                                  counterexample=r, boxes=boxes)
+        return SignReport(False, reason="negative limit at r=0", boxes=boxes)
     if c0 == 0:
         # cannot happen after factoring unless sig == 0, handled above
         raise AssertionError("minimal-power coefficient vanished")
 
     # collar at r = 0: the enclosure converges to c0 > 0 as the width shrinks
     eps0 = 0.25
-    for _ in range(200):
+    for collar_boxes in range(1, 201):
         if g.enclosure(0.0, eps0).lo >= 0:
             break
         eps0 *= 0.5
     else:
         return SignReport(False, reason="no sign-definite collar at r=0",
-                          inconclusive=[(0.0, eps0)])
+                          boxes=collar_boxes, inconclusive=[(0.0, eps0)])
 
-    return _prove_upper(g, eps0, depth, min_width, max_boxes)
+    rep = _prove_upper(g, eps0, depth, min_width, max_boxes)
+    rep.boxes += collar_boxes
+    return rep
 
 
 def _log_uniform_points(n: int, lo: float = 1e-9) -> np.ndarray:

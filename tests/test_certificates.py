@@ -3,12 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from memsplate.certificates import (CandidateW, certify_dimension, check_cond1,
-                                    check_cond2, table1_rows, table_candidate,
-                                    threshold_relation, wm_bilaplacian,
-                                    wm_value)
+from memsplate.certificates import (CandidateW, _cond2_parts, certify_dimension,
+                                    check_cond1, check_cond2, table1_rows,
+                                    table_candidate, threshold_relation,
+                                    wm_bilaplacian, wm_value)
 from memsplate.grid import InvalidArgument
+from memsplate.hardy import hr_weight
 from memsplate.operators import hardy_rellich_constant, lambda_bar
+from memsplate.verify import prove_signomial_nonneg
 
 
 def test_wm_domain():
@@ -95,6 +97,20 @@ def test_certify_dimensions_interval(N):
     rep = certify_dimension(N, rigor="interval")
     assert rep.verdict == "Pass"
     assert rep.cond1.proved and rep.cond2.proved
+
+
+def test_n9_cleared_claim_box_counts():
+    # frozen: every box a proof evaluates is counted, the r = 0 collar search
+    # and the failed derivative windows at r = 1 included; the same counts
+    # show that the enclosures walk the same bisection tree
+    cand = table_candidate(9)
+    assert check_cond1(cand, rigor="interval").boxes == 24
+    assert check_cond2(cand, rigor="interval").boxes == 366
+    assert check_cond1(cand, rigor="sampled").boxes is None
+    _, den = _cond2_parts(cand, hr_weight(cand.hr_variant, 9))
+    rep = prove_signomial_nonneg(den)
+    assert rep.proved and rep.reason.startswith("non-increasing collar")
+    assert rep.boxes == 143
 
 
 def test_certify_rejects_subcritical_dim():

@@ -44,6 +44,17 @@ def test_certify_default_candidate(tmp_path, capsys):
     assert doc["candidate"]["m"] == 3.0
 
 
+def test_certify_interval_writes_enclosures_and_boxes(tmp_path):
+    assert run(tmp_path, "certify", "--dim", "20", "--rigor", "interval") == 0
+    doc = json.loads((tmp_path / "certify_N20.json").read_text())
+    assert doc["verdict"] == "Pass"
+    for cond, sharpest in (("cond1", "sharpest_lambda_prime"),
+                           ("cond2", "sharpest_beta")):
+        lo, hi = doc[cond]["sharpest_enclosure"]
+        assert lo <= doc[sharpest] <= hi
+        assert doc[cond]["boxes"] > 0
+
+
 def test_certify_custom_candidate(tmp_path):
     assert run(tmp_path, "certify", "--dim", "9", "--m", "14/5",
                "--lambda-prime", "366", "--beta-cert", "733/2",

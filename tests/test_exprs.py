@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from memsplate.exprs import (Const, Neg, Power, Prod, Quot, RadialExpr,
-                             Signomial, Sum, signomial_expr)
+                             Signomial, Sum, _dirsum, signomial_expr)
+from memsplate.intervals import Interval, frac_bounds, pow_bounds, up
 
 
 def test_signomial_merge_and_zero():
@@ -125,3 +126,69 @@ def test_signomial_expr_roundtrip():
     num, den = e.as_ratio()
     assert den.terms == {Fraction(0): Fraction(1)}
     assert num.terms == s.terms
+
+
+# --------------------------------------------------------------------------
+# the compiled float path of Signomial against its term-by-term definition
+
+
+def _reference_termwise(sig, a, b):
+    los, his = [], []
+    for p, c in sig.terms.items():
+        la, ha = pow_bounds(a, p)
+        lb, hb = pow_bounds(b, p)
+        iv = Interval(*frac_bounds(c)) * Interval(min(la, lb), max(ha, hb))
+        los.append(iv.lo)
+        his.append(iv.hi)
+    return Interval(_dirsum(los, -1), _dirsum(his, +1))
+
+
+def _reference_enclosure(sig, a, b):
+    nat = _reference_termwise(sig, a, b)
+    if a == b or a <= 0.0:
+        return nat
+    c = 0.5 * (a + b)
+    h = up(max(c - a, b - c))
+    cen = (_reference_termwise(sig, c, c)
+           + _reference_termwise(sig.diff(), a, b) * Interval(-h, h))
+    lo, hi = max(nat.lo, cen.lo), min(nat.hi, cen.hi)
+    return Interval(lo, hi) if lo <= hi else nat
+
+
+_EXPONENTS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(4, 3), Fraction(8, 3),
+                     Fraction(-1, 3), Fraction(-8, 3), Fraction(22, 15)]),
+    st.fractions(min_value=-3, max_value=6, max_denominator=15))
+_COEFFS = st.one_of(
+    st.sampled_from([Fraction(1, 3), Fraction(3661, 10), Fraction(-2, 7),
+                     Fraction(3, 4), Fraction(-5)]),
+    st.fractions(min_value=-1000, max_value=1000, max_denominator=99)
+    .filter(lambda c: c != 0))
+
+
+@st.composite
+def _boxes(draw):
+    a = draw(st.one_of(st.just(0.0),
+                       st.floats(min_value=1e-9, max_value=1.0),
+                       st.integers(1, 30).map(lambda k: 2.0 ** -k)))
+    if draw(st.booleans()):
+        return a, a
+    width = draw(st.floats(min_value=1e-14, max_value=1.0))
+    return a, min(1.0, a + width)
+
+
+def _bits(enclose, *args):
+    """Enclosure endpoints as exact hex strings, or the exception it raised."""
+    try:
+        iv = enclose(*args)
+    except (OverflowError, ValueError) as exc:  # e.g. r = 0 with negative powers
+        return type(exc).__name__
+    return iv.lo.hex(), iv.hi.hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_EXPONENTS, _COEFFS, min_size=1, max_size=6), _boxes())
+def test_compiled_enclosure_is_bit_identical_to_termwise_definition(terms, box):
+    sig = Signomial(terms)
+    assert _bits(sig._termwise, *box) == _bits(_reference_termwise, sig, *box)
+    assert _bits(sig.enclosure, *box) == _bits(_reference_enclosure, sig, *box)

@@ -117,7 +117,6 @@ def test_gm2_supersolution():
     assert rep.confirmed
 
 
-@pytest.mark.slow
 def test_gm3_psi_supersolution():
     P, Q = pq_functions(9)
     rep = supersolution_check(_psi_expr(), BesselPairSpec(V=P, W=Prod(P, Q), N=9))

@@ -34,6 +34,29 @@ def test_pow_bounds_encloses():
         assert (hi - lo) <= 1e-9 * max(abs(v), 1e-300) + 1e-300 or hi - lo < abs(v) * 1e-6
 
 
+def test_pow_bounds_padding_contract():
+    # relative pad 5e-16 (libm pow) plus 1.1 |p - float(p)| |ln x| (exponent
+    # rounding), applied with nextafter outward on both the factor and product
+    for x, p in ((0.3, Fraction(3, 4)), (0.3, Fraction(1, 3)), (1e-7, Fraction(-8, 3))):
+        pf = float(p)
+        v = x ** pf
+        rel = 5e-16
+        if Fraction(pf) != p:
+            rel += 1.1 * float(abs(p - Fraction(pf))) * abs(math.log(x))
+        assert pow_bounds(x, p) == (down(v * down(1.0 - rel)), up(v * up(1.0 + rel)))
+
+
+def test_pow_bounds_covers_exponent_rounding():
+    # exact powers of two: x**float(p) misses x**p by far more than libm's
+    # ulp, so only the exponent-rounding term keeps the true value enclosed
+    for x, p, exact in ((2.0 ** -996, Fraction(1, 3), 2.0 ** -332),
+                        (2.0 ** -300, Fraction(8, 3), 2.0 ** -800),
+                        (2.0 ** -600, Fraction(-1, 3), 2.0 ** 200)):
+        assert abs(x ** float(p) / exact - 1.0) > 1e-15  # pad is 5e-16
+        lo, hi = pow_bounds(x, p)
+        assert lo <= exact <= hi
+
+
 def test_pow_bounds_zero_edge():
     assert pow_bounds(0.0, Fraction(2)) == (0.0, 0.0)
     assert pow_bounds(0.0, Fraction(0)) == (1.0, 1.0)
