@@ -2,10 +2,12 @@
 
 Two solvers share the discrete clamped bilaplacian: the classical monotone
 fixed-point scheme (iterates rise from the biharmonic lift and stay below
-the minimal solution) and a damped Newton iteration for speed.  A sweep
-raises lambda with warm starts, brackets the pull-in voltage by bisecting
-the solvable/unsolvable boundary, and classifies the last converged profile
-as regular or singular from its touchdown asymptotics.
+the minimal solution) and a damped Newton iteration for speed.  Both solve
+their linear systems with a float64 banded LU of the mixed form
+v = Delta u, Delta v = f (see `_ClampedSolver`).  A sweep raises lambda with
+warm starts, brackets the pull-in voltage by bisecting the
+solvable/unsolvable boundary, and classifies the last converged profile as
+regular or singular from its touchdown asymptotics.
 """
 
 from __future__ import annotations
@@ -15,11 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .grid import BoundaryData, InvalidArgument, RadialField, RadialGrid, build_grid, phi_lift
-from .operators import bilaplacian_clamped, lambda_bar
+from .operators import bilaplacian_clamped, lambda_bar, mixed_bilaplacian
 
 
 class NonConvergence(Exception):
@@ -59,9 +60,10 @@ class ContinuationConfig:
 
     def __post_init__(self):
         if self.gamma is None:
-            # grading resolves the r^(4/3) touchdown layer; at N = 1 there is
-            # no volume weight to tame the center rows and a graded fine grid
-            # exceeds even extended-precision conditioning, so stay uniform
+            # grading resolves the r^(4/3) touchdown layer; at N = 1 the
+            # profile stays regular and graded grids solve as accurately, but
+            # the default stays uniform so that the N = 1 brackets keep their
+            # values
             object.__setattr__(self, "gamma", 2.0 if self.N >= 2 else 1.0)
         if not (0 < self.tau < 1):
             raise InvalidArgument("touchdown threshold must lie in (0, 1)")
@@ -89,70 +91,20 @@ class BranchResult:
     classification: str  # "Regular" | "Singular"
     C0_fit: float
     exponent_fit: float
+    solve_accuracy: float  # the solver's construction-time probe error
     warnings: tuple = ()
 
 
-class _BandedLU:
-    """Extended-precision LU with partial pivoting for a banded matrix.
-
-    The clamped bilaplacian rows span offsets [-2, +3]; hardware longdouble
-    keeps roughly four more decimal digits than float64, which is what rescues
-    strongly graded grids whose condition number exceeds 1/eps(float64).
-    """
-
-    def __init__(self, K, kl: int = 2, ku: int = 3):
-        K = K.tocoo()
-        n = K.shape[0]
-        ut = kl + ku  # upper bandwidth after pivoting fill-in
-        A = np.zeros((ut + kl + 1, n), dtype=np.longdouble)
-        A[ut + K.row - K.col, K.col] = K.data
-        piv = np.zeros(n, dtype=np.int64)
-        for k in range(n):
-            m = min(kl, n - 1 - k)
-            p = int(np.argmax(np.abs(A[ut:ut + m + 1, k])))
-            piv[k] = k + p
-            if p:
-                js = np.arange(k, min(k + ut + 1, n))
-                a, b = ut + k - js, ut + k + p - js
-                A[a, js], A[b, js] = A[b, js].copy(), A[a, js].copy()
-            pv = A[ut, k]
-            if pv == 0:
-                raise NonConvergence("singular clamped operator", touched=False)
-            js = np.arange(k + 1, min(k + ut + 1, n))
-            for i in range(1, m + 1):
-                fac = A[ut + i, k] / pv
-                A[ut + i, k] = fac
-                if len(js):
-                    A[ut + k + i - js, js] -= fac * A[ut + k - js, js]
-        self.A, self.piv, self.kl, self.ut, self.n = A, piv, kl, ut, n
-
-    def solve(self, b) -> np.ndarray:
-        A, piv, kl, ut, n = self.A, self.piv, self.kl, self.ut, self.n
-        x = np.array(b, dtype=np.longdouble)
-        for k in range(n):
-            p = piv[k]
-            if p != k:
-                x[k], x[p] = x[p], x[k]
-            m = min(kl, n - 1 - k)
-            if m:
-                x[k + 1:k + m + 1] -= A[ut + 1:ut + m + 1, k] * x[k]
-        for k in range(n - 1, -1, -1):
-            jend = min(k + ut, n - 1)
-            if jend > k:
-                js = np.arange(k + 1, jend + 1)
-                x[k] -= np.dot(A[ut + k - js, js], x[js])
-            x[k] /= A[ut, k]
-        return x
-
-
 class _ClampedSolver:
-    """Shared factorized clamped bilaplacian on one grid with one boundary data.
+    """Factorized clamped bilaplacian on one grid with one boundary data.
 
-    A known-solution probe at construction measures the achievable linear
-    accuracy; when float64 factorization plus refinement cannot deliver, the
-    solver switches to an extended-precision banded factorization, and when
-    even that fails (condition number beyond longdouble) it raises instead of
-    returning garbage.
+    Every solve is one float64 LAPACK banded LU solve of the mixed system
+    v = Delta u, Delta v = f (`mixed_bilaplacian`), whose rows scale like
+    1/h^2 where those of the composed operator scale like 1/h^4.  The
+    operator is factored once; a Jacobian differs from it only on the u
+    diagonal and is factored once per Newton step.  A known-solution probe at
+    construction measures the achievable solve accuracy (`solve_accuracy`)
+    and raises instead of returning garbage when it is too poor.
     """
 
     _PROBE_LIMIT = 1e-2
@@ -162,60 +114,57 @@ class _ClampedSolver:
             raise InvalidArgument("boundary data must be admissible (beta <= 0, alpha - beta/2 < 1)")
         self.grid = grid
         self.bc = bc
+        # the composed extended-precision operator measures Newton residuals
         self.op = bilaplacian_clamped(grid, bc)
-        self.K64 = self.op.matrix.astype(np.float64).tocsc()
+        self.absK = abs(self.op.matrix).astype(np.float64)
         self.offset64 = np.asarray(self.op.offset, dtype=np.float64)
-        self.lu = spla.splu(self.K64)
+        A, o1 = mixed_bilaplacian(grid, bc)
+        self.ku, self.kl = int(A.offsets[0]), -int(A.offsets[-1])
+        # dgbtrf wants kl spare rows on top for the pivoting fill-in
+        self.ab = np.vstack([np.zeros((self.kl, A.shape[0])), A.data])
+        self.b0 = np.zeros(A.shape[0])
+        self.b0[0::2] = o1
+        self.lu = self._factor(self.ab)
         self.phi = phi_lift(bc, grid.r[:-1])
-        self.mode = "float64"
-        self.solve_accuracy = self._probe()
-        if self.solve_accuracy > self._PROBE_LIMIT:
-            self.blu = _BandedLU(self.op.matrix)
-            self.mode = "extended"
-            self.solve_accuracy = self._probe()
-            if self.solve_accuracy > self._PROBE_LIMIT:
-                raise InvalidArgument(
-                    "clamped bilaplacian too ill-conditioned for this grid "
-                    f"(probe error {self.solve_accuracy:.1e}); lower gamma or M")
+        self.solve_accuracy = self._probe(A)
+        if not self.solve_accuracy <= self._PROBE_LIMIT:
+            raise InvalidArgument(
+                "clamped bilaplacian too ill-conditioned for this grid "
+                f"(probe error {self.solve_accuracy:.1e}); lower gamma or M")
 
-    def _probe(self) -> float:
-        """Relative solve error on the known clamped profile (1 - r^2)^2."""
+    def _factor(self, ab: np.ndarray):
+        lu, piv, info = dgbtrf(ab, self.kl, self.ku)
+        if info > 0:
+            raise NonConvergence(f"singular banded matrix (zero pivot at {info})", touched=False)
+        return lu, piv
+
+    def _solve(self, lu, b: np.ndarray) -> np.ndarray:
+        """u entries of the mixed solution for the interleaved right-hand side b."""
+        return dgbtrs(lu[0], self.kl, self.ku, b, lu[1])[0][1::2]
+
+    def _probe(self, A) -> float:
+        """Max solve error of the homogeneous mixed system A for u = (1 - r^2)^2."""
         v = (1.0 - self.grid.r[:-1] ** 2) ** 2
-        b = np.asarray(self.op.matrix @ v.astype(np.longdouble), dtype=np.float64)
-        u = self._linsolve(b)
-        return float(np.max(np.abs(u - v)))
-
-    def _linsolve(self, f: np.ndarray) -> np.ndarray:
-        """Solve matrix @ u = f with the active factorization."""
-        if self.mode == "extended":
-            return np.asarray(self.blu.solve(f.astype(np.longdouble)), dtype=np.float64)
-        u = self.lu.solve(f)
-        fld = f.astype(np.longdouble)
-        for _ in range(2):  # refinement stagnates quickly; two steps suffice
-            resid = np.asarray(self.op.matrix @ u.astype(np.longdouble) - fld,
-                               dtype=np.float64)
-            du = self.lu.solve(resid)
-            u = u - du
-            if np.max(np.abs(du)) < 1e-14 * (1.0 + np.max(np.abs(u))):
-                break
-        return u
+        x = np.zeros(A.shape[0])
+        x[1::2] = v
+        x[0::2] = -(A @ x)[0::2]  # Delta u = L1 @ u
+        b = np.zeros_like(x)
+        b[1::2] = (A @ x)[1::2]  # L2 @ (L1 @ u)
+        return float(np.max(np.abs(self._solve(self.lu, b) - v)))
 
     def solve_rhs(self, f: np.ndarray) -> np.ndarray:
         """Solve Delta^2 u = f (interior nodes) including the boundary offset."""
-        return self._linsolve(f - self.offset64)
+        b = self.b0.copy()
+        b[1::2] = f
+        return self._solve(self.lu, b)
 
     def jacobian_solve(self, u: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
         """Solve (Delta^2 - 2 lam/(1-u)^3) du = rhs at the current iterate."""
-        w = 2.0 * lam / (1.0 - u) ** 3
-        if self.mode == "extended":
-            J = self.op.matrix - sp.diags(w.astype(np.longdouble))
-            return np.asarray(_BandedLU(J).solve(rhs.astype(np.longdouble)),
-                              dtype=np.float64)
-        J = (self.K64 - sp.diags(w)).tocsc()
-        try:
-            return spla.splu(J).solve(rhs)
-        except RuntimeError as exc:
-            raise NonConvergence(f"singular Jacobian: {exc}", touched=False)
+        ab = self.ab.copy()
+        ab[self.kl + self.ku, 1::2] -= 2.0 * lam / (1.0 - u) ** 3
+        b = np.zeros_like(self.b0)
+        b[1::2] = rhs
+        return self._solve(self._factor(ab), b)
 
     def field(self, u_int: np.ndarray) -> RadialField:
         return RadialField(self.grid, np.concatenate([u_int, [self.bc.alpha]]), self.bc)
@@ -238,9 +187,9 @@ def monotone_solve(lam: float, bc: BoundaryData, grid: RadialGrid,
     u = s.phi.copy()
     if np.max(u) >= tau:
         raise NonConvergence("biharmonic lift already beyond the threshold", touched=True)
-    # The linear-solver noise floor grows with the grid's condition number
-    # (reaching ~5e-9 on fine strongly graded grids), so convergence below it
-    # is detected by stagnation: increments that stop decreasing while small.
+    # With one fixed factorization the increments fall to ~1e-15 on fine
+    # graded grids, well below tol; the stagnation exit (increments that stop
+    # decreasing while small) only guards grids whose solve noise is larger.
     band = lambda v: 1e-6 * (1.0 + float(np.max(np.abs(v))))
     best, stall = math.inf, 0
     for it in range(1, max_iter + 1):
@@ -280,7 +229,6 @@ def newton_solve(lam: float, guess: RadialField, bc: BoundaryData, grid: RadialG
     s = _solver if _solver is not None else _ClampedSolver(grid, bc)
     u = np.asarray(guess.values[:-1], dtype=np.float64).copy()
     u = np.minimum(u, tau - 1e-6)
-    absK = abs(s.K64)
 
     def residual(v):
         # extended precision: in float64 the cancellation noise at the
@@ -292,7 +240,7 @@ def newton_solve(lam: float, guess: RadialField, bc: BoundaryData, grid: RadialG
     def res_scale(v):
         # rows of the composed operator scale like 1/h^4: measure the
         # residual relative to the magnitudes actually summed per row
-        return absK @ np.abs(v) + np.abs(s.offset64) + lam / (1.0 - v) ** 2 + 1.0
+        return s.absK @ np.abs(v) + np.abs(s.offset64) + lam / (1.0 - v) ** 2 + 1.0
 
     res = residual(u)
     res_norm = np.max(np.abs(res) / res_scale(u))
@@ -446,6 +394,7 @@ def sweep_branch(config: ContinuationConfig) -> BranchResult:
         classification="Singular" if singular else "Regular",
         C0_fit=C0_fit,
         exponent_fit=exponent_fit,
+        solve_accuracy=solver.solve_accuracy,
         warnings=tuple(warnings),
     )
 

@@ -43,7 +43,10 @@ def _frac(x) -> Fraction:
 def _dirsum(values, direction: int) -> float:
     """Directed-rounded sum: fsum padded one ulp toward `direction` (+1/-1)."""
     if all(math.isfinite(v) for v in values):
-        s = math.fsum(values)
+        try:
+            s = math.fsum(values)
+        except OverflowError:  # the exact sum leaves the float range
+            return direction * math.inf
         return up(s) if direction > 0 else down(s)
     if direction > 0:
         return math.inf if math.inf in values else -math.inf

@@ -175,22 +175,54 @@ class RadialOperator:
         return np.asarray(out, dtype=float)
 
 
+def _clamped_laplacians(grid: RadialGrid, bc: BoundaryData):
+    """(L1, o1, L2): Delta u = L1 @ u + o1 at all M nodes, Delta v = L2 @ v at 0..M-2.
+
+    The first Laplacian carries the boundary data; the second needs none,
+    since it sees Delta u at every node.
+    """
+    L1, o1 = laplacian_with_bc(grid, bc)
+    stencil, _ = _laplacian_rows(grid)
+    return L1, o1, _assemble(*stencil, (grid.M - 1, grid.M))
+
+
 def bilaplacian_clamped(grid: RadialGrid, bc: BoundaryData) -> RadialOperator:
     """Delta^2 with u(1) = alpha, u'(1) = beta folded into the closure.
 
     Acts on the M-1 interior unknowns and returns Delta^2 u at nodes 0..M-2.
-    Assembled as Delta_N composed with itself: the first Laplacian carries the
-    boundary data, the second needs none (it sees Delta u at every node).
+    Assembled as Delta_N composed with itself (see `_clamped_laplacians`).
     """
-    L1, o1 = laplacian_with_bc(grid, bc)
-    stencil, _ = _laplacian_rows(grid)
-    L2 = _assemble(*stencil, (grid.M - 1, grid.M))
+    L1, o1, L2 = _clamped_laplacians(grid, bc)
     return RadialOperator(
         grid=grid,
         matrix=(L2 @ L1).tocsr(),
         offset=L2 @ o1,
         closure=f"clamped alpha={bc.alpha} beta={bc.beta}; Delta o Delta",
     )
+
+
+def mixed_bilaplacian(grid: RadialGrid, bc: BoundaryData):
+    """(A, o1): `bilaplacian_clamped` split into v = Delta u, Delta v = f, banded.
+
+    The 2M-1 unknowns interleave as [v0, u0, v1, u1, ..., v_{M-2}, u_{M-2},
+    v_{M-1}], v being Delta u at all M nodes.  Row 2i holds
+    v_i - (L1 @ u)_i = o1_i and row 2i+1 holds (L2 @ v)_i = f_i, so with o1
+    on the even rows and f on the odd ones the u entries solve
+    bilaplacian_clamped(grid, bc).apply(u) = f in exact arithmetic, while
+    every row scales like 1/h^2 instead of 1/h^4.  A is a float64
+    `dia_matrix` with offsets u, u-1, ..., -l, so A.data is LAPACK band
+    storage; (l, u) = (3, 5), or (3, 3) at N = 1.
+    """
+    L1, o1, L2 = _clamped_laplacians(grid, bc)
+    L1, L2, M = L1.tocoo(), L2.tocoo(), grid.M
+    rows = np.concatenate([2 * np.arange(M), 2 * L1.row, 2 * L2.row + 1])
+    cols = np.concatenate([2 * np.arange(M), 2 * L1.col + 1, 2 * L2.col])
+    vals = np.concatenate([np.ones(M), -L1.data, L2.data]).astype(np.float64)
+    lo, up = int(np.max(rows - cols)), int(np.max(cols - rows))
+    ab = np.zeros((lo + up + 1, 2 * M - 1))
+    ab[up + rows - cols, cols] = vals
+    A = sp.dia_matrix((ab, np.arange(up, -lo - 1, -1)), shape=(2 * M - 1, 2 * M - 1))
+    return A, np.asarray(o1, dtype=np.float64)
 
 
 def bilaplacian_form(grid: RadialGrid):

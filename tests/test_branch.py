@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from memsplate import branch
 from memsplate.branch import (ContinuationConfig, NonConvergence,
-                              monotone_solve, newton_solve, pullin_bounds,
-                              sandwich_check, sweep_branch)
+                              _ClampedSolver, _solve_at, monotone_solve,
+                              newton_solve, pullin_bounds, sandwich_check,
+                              sweep_branch)
 from memsplate.grid import (BoundaryData, InvalidArgument, RadialField,
                             build_grid, phi_lift)
 from memsplate.stability import nu1
@@ -75,10 +77,68 @@ def test_sandwich_flags_flat_profile():
         sandwich_check(RadialField(build_grid(3, 64, 1.0), np.zeros(64)), 1.0, 1.0)
 
 
-def test_graded_fine_grid_unusable_at_n1():
-    cfg = ContinuationConfig(N=1, M=2048, gamma=2.0)
-    with pytest.raises(InvalidArgument):
-        sweep_branch(cfg)
+def test_graded_fine_grid_solves_at_n1():
+    # the mixed solve keeps the strongly graded N = 1 grid well conditioned
+    bc = BoundaryData(0.0, 0.0)
+    graded = build_grid(1, 2048, 2.0)
+    assert _ClampedSolver(graded, bc).solve_accuracy <= 1e-8
+    pg, _ = monotone_solve(2.0, bc, graded)
+    pu, _ = monotone_solve(2.0, bc, build_grid(1, 2048, 1.0))
+    assert abs(pg.sup_norm - pu.sup_norm) <= 1e-5
+
+
+@pytest.mark.parametrize("N, M, bc", [
+    (1, 2048, BoundaryData(0.0, 0.0)),
+    (2, 512, BoundaryData(0.0, 0.0)),
+    (9, 2048, BoundaryData(0.1, -0.3)),
+    (16, 4096, BoundaryData(0.0, 0.0)),
+])
+def test_mixed_solves_satisfy_composed_operator(N, M, bc):
+    # residuals against the extended-precision composed bilaplacian, relative
+    # to the magnitudes summed in each row
+    g = build_grid(N, M, 2.0)
+    s = _ClampedSolver(g, bc)
+    K, absK = s.op.matrix, abs(s.op.matrix)
+    r = g.r[:-1].astype(np.longdouble)
+
+    def rel_residual(u, diag, o, f):
+        # |K u - diag u + o - f| / (|K| |u| + |diag u| + |o| + |f|)
+        u = u.astype(np.longdouble)
+        res = K @ u - diag * u + o - f
+        scale = absK @ np.abs(u) + np.abs(diag * u) + np.abs(o) + np.abs(f)
+        return float(np.max(np.abs(res) / scale))
+
+    f = 50.0 * (1.0 + r * r)
+    u = s.solve_rhs(np.asarray(f, dtype=float))
+    assert rel_residual(u, 0.0, s.op.offset, f) <= 1e-11
+    lam = 100.0
+    u = s.phi + 0.5 * (1.0 - g.r[:-1] ** 2) ** 2
+    w = 2.0 * lam / (1.0 - u.astype(np.longdouble)) ** 3
+    rhs = np.cos(3.0 * g.r[:-1])
+    du = s.jacobian_solve(u, rhs, lam)
+    assert rel_residual(du, w, 0.0, rhs.astype(np.longdouble)) <= 1e-11
+
+
+def test_singular_jacobian_falls_back_to_monotone(monkeypatch):
+    cfg = ContinuationConfig(N=3, M=512)
+    g = build_grid(3, 512, cfg.gamma)
+    s = _ClampedSolver(g, cfg.bc)
+    warm, _ = monotone_solve(5.0, cfg.bc, g, _solver=s)
+    newton, _ = newton_solve(10.0, warm, cfg.bc, g, _solver=s)
+    calls = []
+
+    def zero_pivot(ab, kl, ku):
+        calls.append(ab.shape)
+        return ab, np.arange(1, ab.shape[1] + 1, dtype=np.int32), 1
+
+    monkeypatch.setattr(branch, "dgbtrf", zero_pivot)
+    with pytest.raises(NonConvergence) as e:
+        s.jacobian_solve(warm.values[:-1], np.ones(g.M - 1), 10.0)
+    assert not e.value.touched
+    calls.clear()
+    prof, _, tag = _solve_at(10.0, cfg.bc, g, cfg, warm=warm, solver=s)
+    assert calls and tag == "monotone"  # Newton was tried, then fell back
+    assert np.max(np.abs(prof.values - newton.values)) < 1e-8
 
 
 def test_config_defaults():
@@ -116,6 +176,7 @@ def test_sweep_branch_regular_small_dim():
     blo, bhi = pullin_bounds(2, nu1(2))
     assert blo <= lo < hi <= bhi
     assert hi - lo <= 1e-2 + 1e-12
+    assert res.solve_accuracy <= 1e-8
     sups = [p.sup_norm for p in res.points]
     lams = [p.lam for p in res.points]
     assert lams == sorted(lams)

@@ -186,6 +186,16 @@ def _bits(enclose, *args):
     return iv.lo.hex(), iv.hi.hex()
 
 
+def test_enclosure_with_overflowing_sum_is_unbounded():
+    # at r = 0 each negative power's lower bound is the largest float, so the
+    # exact sum leaves the float range and the directed sums go infinite
+    iv = Signomial({Fraction(-1, 3): Fraction(1, 3), -1: Fraction(1, 3)}).enclosure(0.0, 0.0)
+    assert isinstance(iv, Interval)
+    assert iv.hi == math.inf
+    assert _dirsum([1.7e308, 1.7e308], -1) == -math.inf
+    assert _dirsum([-1.7e308, -1.7e308], +1) == math.inf
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.dictionaries(_EXPONENTS, _COEFFS, min_size=1, max_size=6), _boxes())
 def test_compiled_enclosure_is_bit_identical_to_termwise_definition(terms, box):
