@@ -4,7 +4,9 @@ Two solvers share the discrete clamped bilaplacian: the classical monotone
 fixed-point scheme (iterates rise from the biharmonic lift and stay below
 the minimal solution) and a damped Newton iteration for speed.  Both solve
 their linear systems with a float64 banded LU of the mixed form
-v = Delta u, Delta v = f (see `_ClampedSolver`).  A sweep raises lambda with
+v = Delta u, Delta v = f (see `_ClampedSolver`); Newton iterates on the
+interleaved (v, u) unknown itself and stops at the float64 rounding floor
+of its row-scaled mixed residual.  A sweep raises lambda with
 warm starts, brackets the pull-in voltage by bisecting the
 solvable/unsolvable boundary, and classifies the last converged profile as
 regular or singular from its touchdown asymptotics.
@@ -20,7 +22,8 @@ import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .grid import BoundaryData, InvalidArgument, RadialField, RadialGrid, build_grid, phi_lift
-from .operators import bilaplacian_clamped, lambda_bar, mixed_bilaplacian
+# bilaplacian_clamped is unused here; perfbench/test_harness.py's BINDINGS lists it
+from .operators import bilaplacian_clamped, lambda_bar, mixed_bilaplacian  # noqa: F401
 
 
 class NonConvergence(Exception):
@@ -52,7 +55,7 @@ class ContinuationConfig:
     M: int = 2048
     gamma: float | None = None  # default 2.0; 1.0 for N = 1 (see __post_init__)
     dlam: float | None = None  # default lambda_bar/20, or 0.25 when that is <= 0
-    tol: float = 1e-10
+    tol: float = 1e-10  # monotone_solve increment tolerance; Newton stops at NEWTON_FLOOR
     max_iter: int = 600
     tau: float = 1.0 - 1e-3
     eps_lam: float | None = None  # bracket width; default dlam / 256
@@ -92,6 +95,8 @@ class BranchResult:
     C0_fit: float
     exponent_fit: float
     solve_accuracy: float  # the solver's construction-time probe error
+    factorizations: int  # banded LU factorizations of the fine-grid solver
+    failed_solves: int  # Newton or monotone calls that raised NonConvergence
     warnings: tuple = ()
 
 
@@ -101,10 +106,12 @@ class _ClampedSolver:
     Every solve is one float64 LAPACK banded LU solve of the mixed system
     v = Delta u, Delta v = f (`mixed_bilaplacian`), whose rows scale like
     1/h^2 where those of the composed operator scale like 1/h^4.  The
-    operator is factored once; a Jacobian differs from it only on the u
-    diagonal and is factored once per Newton step.  A known-solution probe at
-    construction measures the achievable solve accuracy (`solve_accuracy`)
-    and raises instead of returning garbage when it is too poor.
+    operator is factored once; a Newton Jacobian differs from it only on the
+    u diagonal and is factored once per step, and Newton measures its
+    residual on the same mixed rows.  A known-solution probe at construction
+    measures the achievable solve accuracy (`solve_accuracy`) and raises
+    instead of returning garbage when it is too poor.  `factorizations`
+    counts the banded LU factorizations made so far.
     """
 
     _PROBE_LIMIT = 1e-2
@@ -114,11 +121,10 @@ class _ClampedSolver:
             raise InvalidArgument("boundary data must be admissible (beta <= 0, alpha - beta/2 < 1)")
         self.grid = grid
         self.bc = bc
-        # the composed extended-precision operator measures Newton residuals
-        self.op = bilaplacian_clamped(grid, bc)
-        self.absK = abs(self.op.matrix).astype(np.float64)
-        self.offset64 = np.asarray(self.op.offset, dtype=np.float64)
+        self.factorizations = 0
+        self.failed_solves = 0  # NonConvergence raised through `_solve_at`
         A, o1 = mixed_bilaplacian(grid, bc)
+        self.A, self.absA = A, abs(A)
         self.ku, self.kl = int(A.offsets[0]), -int(A.offsets[-1])
         # dgbtrf wants kl spare rows on top for the pivoting fill-in
         self.ab = np.vstack([np.zeros((self.kl, A.shape[0])), A.data])
@@ -133,14 +139,15 @@ class _ClampedSolver:
                 f"(probe error {self.solve_accuracy:.1e}); lower gamma or M")
 
     def _factor(self, ab: np.ndarray):
+        self.factorizations += 1
         lu, piv, info = dgbtrf(ab, self.kl, self.ku)
         if info > 0:
             raise NonConvergence(f"singular banded matrix (zero pivot at {info})", touched=False)
         return lu, piv
 
     def _solve(self, lu, b: np.ndarray) -> np.ndarray:
-        """u entries of the mixed solution for the interleaved right-hand side b."""
-        return dgbtrs(lu[0], self.kl, self.ku, b, lu[1])[0][1::2]
+        """Interleaved mixed solution [v0, u0, v1, ...] for the right-hand side b."""
+        return dgbtrs(lu[0], self.kl, self.ku, b, lu[1])[0]
 
     def _probe(self, A) -> float:
         """Max solve error of the homogeneous mixed system A for u = (1 - r^2)^2."""
@@ -150,21 +157,42 @@ class _ClampedSolver:
         x[0::2] = -(A @ x)[0::2]  # Delta u = L1 @ u
         b = np.zeros_like(x)
         b[1::2] = (A @ x)[1::2]  # L2 @ (L1 @ u)
-        return float(np.max(np.abs(self._solve(self.lu, b) - v)))
+        return float(np.max(np.abs(self._solve(self.lu, b)[1::2] - v)))
 
     def solve_rhs(self, f: np.ndarray) -> np.ndarray:
         """Solve Delta^2 u = f (interior nodes) including the boundary offset."""
         b = self.b0.copy()
         b[1::2] = f
-        return self._solve(self.lu, b)
+        return self._solve(self.lu, b)[1::2]
 
     def jacobian_solve(self, u: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
-        """Solve (Delta^2 - 2 lam/(1-u)^3) du = rhs at the current iterate."""
+        """Solve J dx = rhs, J the mixed band minus 2 lam/(1-u)^3 on the u diagonal.
+
+        rhs and dx interleave like the mixed unknown; with rhs zero on the v
+        rows, the u entries of dx solve (Delta^2 - 2 lam/(1-u)^3) du = rhs.
+        """
         ab = self.ab.copy()
         ab[self.kl + self.ku, 1::2] -= 2.0 * lam / (1.0 - u) ** 3
-        b = np.zeros_like(self.b0)
-        b[1::2] = rhs
-        return self._solve(self._factor(ab), b)
+        return self._solve(self._factor(ab), rhs)
+
+    def mixed_state(self, u: np.ndarray) -> np.ndarray:
+        """Interleaved [v0, u0, v1, ...] with v = Delta u from the even rows."""
+        x = np.zeros_like(self.b0)
+        x[1::2] = u
+        x[0::2] = self.b0[0::2] - (self.A @ x)[0::2]
+        return x
+
+    def residual(self, x: np.ndarray, lam: float):
+        """(F, max |F| / (|A||x| + |b| + 1)) for F(x) = A x - b(u).
+
+        b(u) holds o1 on the even rows and lam/(1-u)^2 on the odd ones; the
+        row scale is what float64 rounds when it forms each row, so the
+        scaled residual of an exact solution is a few eps.
+        """
+        b = self.b0.copy()
+        b[1::2] = lam / (1.0 - x[1::2]) ** 2
+        F = self.A @ x - b
+        return F, float(np.max(np.abs(F) / (self.absA @ np.abs(x) + np.abs(b) + 1.0)))
 
     def field(self, u_int: np.ndarray) -> RadialField:
         return RadialField(self.grid, np.concatenate([u_int, [self.bc.alpha]]), self.bc)
@@ -215,63 +243,52 @@ def monotone_solve(lam: float, bc: BoundaryData, grid: RadialGrid,
     raise NonConvergence(f"no contraction after {max_iter} iterations", touched=False)
 
 
-def newton_solve(lam: float, guess: RadialField, bc: BoundaryData, grid: RadialGrid,
-                 tol: float = 1e-10, max_iter: int = 50,
-                 tau: float = 1.0 - 1e-3, _solver: _ClampedSolver | None = None):
-    """Damped Newton iteration on Delta^2 u - lambda/(1-u)^2 = 0.
+#: Newton stops once the row-scaled mixed residual reaches this floor
+NEWTON_FLOOR = 8.0 * np.finfo(np.float64).eps
+#: step lengths 1, 1/2, 1/4, 1/8 are tried before Newton gives up
+_DAMPING_TRIALS = 4
 
-    The Jacobian is the clamped bilaplacian minus 2 lambda/(1-u)^3; steps are
-    halved until the new iterate stays below the touchdown threshold and does
-    not increase the residual.  Returns (profile, iterations).
+
+def newton_solve(lam: float, guess: RadialField, bc: BoundaryData, grid: RadialGrid,
+                 max_iter: int = 50, tau: float = 1.0 - 1e-3,
+                 _solver: _ClampedSolver | None = None):
+    """Damped Newton iteration on the mixed system A x = b(u), x = [v0, u0, ...].
+
+    F(x) = A x - b(u) with A the mixed clamped bilaplacian and b(u) holding
+    o1 on the v rows and lambda/(1-u)^2 on the u rows; the Jacobian is A
+    minus 2 lambda/(1-u)^3 on the u diagonal.  Iteration stops when
+    max |F| / (|A||x| + |b| + 1) reaches `NEWTON_FLOOR`.  Each step takes
+    the first of `_DAMPING_TRIALS` halved step lengths that stays below the
+    touchdown threshold and lowers the scaled residual or reaches the floor;
+    when none does (above the fold) it raises NonConvergence at once.
+    Returns (profile, Newton steps).
     """
     if np.max(guess.values) >= 1.0:
         raise InvalidArgument("initial guess touches the ceiling")
     s = _solver if _solver is not None else _ClampedSolver(grid, bc)
-    u = np.asarray(guess.values[:-1], dtype=np.float64).copy()
-    u = np.minimum(u, tau - 1e-6)
-
-    def residual(v):
-        # extended precision: in float64 the cancellation noise at the
-        # 1/h^4 row scale feeds ~1e-8 wander back into the Newton steps
-        vld = v.astype(np.longdouble)
-        return np.asarray((s.op.matrix @ vld + s.op.offset) - lam / (1.0 - vld) ** 2,
-                          dtype=np.float64)
-
-    def res_scale(v):
-        # rows of the composed operator scale like 1/h^4: measure the
-        # residual relative to the magnitudes actually summed per row
-        return s.absK @ np.abs(v) + np.abs(s.offset64) + lam / (1.0 - v) ** 2 + 1.0
-
-    res = residual(u)
-    res_norm = np.max(np.abs(res) / res_scale(u))
-    band = lambda v: 1e-6 * (1.0 + float(np.max(np.abs(v))))
-    best, stall = math.inf, 0
-    for it in range(1, max_iter + 1):
-        du = s.jacobian_solve(u, -res, lam)
-        dmax = float(np.max(np.abs(du)))
-        if np.max(u + du) < tau:
-            if dmax < tol:
-                return s.field(u + du), it
-            if dmax < 0.99 * best:
-                best, stall = dmax, 0
-            else:
-                stall += 1
-            if stall >= 6 and dmax < band(u):
-                return s.field(u + du), it  # converged to the solver noise floor
+    u = np.minimum(np.asarray(guess.values[:-1], dtype=np.float64), tau - 1e-6)
+    x = s.mixed_state(u)
+    res, res_norm = s.residual(x, lam)
+    it = 0
+    while res_norm > NEWTON_FLOOR:
+        if it == max_iter:
+            raise NonConvergence(f"Newton did not converge in {max_iter} iterations",
+                                 touched=False)
+        it += 1
+        dx = s.jacobian_solve(x[1::2], -res, lam)
         step = 1.0
-        for _ in range(60):
-            u_try = u + step * du
-            if np.max(u_try) < tau:
-                res_try = residual(u_try)
-                res_try_norm = np.max(np.abs(res_try) / res_scale(u_try))
-                if res_try_norm < res_norm or step < 1e-6:
+        for _ in range(_DAMPING_TRIALS):
+            x_try = x + step * dx
+            if np.max(x_try[1::2]) < tau:
+                res_try, norm_try = s.residual(x_try, lam)
+                if norm_try < res_norm or norm_try <= NEWTON_FLOOR:
                     break
             step *= 0.5
         else:
-            raise NonConvergence("Newton damping failed to find an admissible step",
-                                 touched=bool(np.max(u + du) >= tau))
-        u, res, res_norm = u_try, res_try, res_try_norm
-    raise NonConvergence(f"Newton did not converge in {max_iter} iterations", touched=False)
+            raise NonConvergence("Newton damping found no step that lowers the residual",
+                                 touched=bool(np.max(x[1::2] + dx[1::2]) >= tau))
+        x, res, res_norm = x_try, res_try, norm_try
+    return s.field(x[1::2]), it
 
 
 def _resampled_mu1(profile: RadialField, lam: float) -> float:
@@ -304,12 +321,15 @@ def _solve_at(lam, bc, grid, cfg, warm=None, solver=None):
     s = solver if solver is not None else _ClampedSolver(grid, bc)
     if warm is not None:
         try:
-            return newton_solve(lam, warm, bc, grid, tol=cfg.tol, tau=cfg.tau, _solver=s) + ("newton",)
+            return newton_solve(lam, warm, bc, grid, tau=cfg.tau, _solver=s) + ("newton",)
         except NonConvergence:
-            pass
-    prof, it = monotone_solve(lam, bc, grid, tol=cfg.tol, max_iter=cfg.max_iter,
-                              tau=cfg.tau, _solver=s)
-    return prof, it, "monotone"
+            s.failed_solves += 1
+    try:
+        return monotone_solve(lam, bc, grid, tol=cfg.tol, max_iter=cfg.max_iter,
+                              tau=cfg.tau, _solver=s) + ("monotone",)
+    except NonConvergence:
+        s.failed_solves += 1
+        raise
 
 
 def sweep_branch(config: ContinuationConfig) -> BranchResult:
@@ -365,11 +385,13 @@ def sweep_branch(config: ContinuationConfig) -> BranchResult:
     sups = [good.sup_norm]
     p2 = None
     g2 = build_grid(config.N, config.M // 2, config.gamma)
+    coarse = _ClampedSolver(g2, config.bc)
     # the coarse grid's own fold may sit marginally below lam_lo; back off a
     # few bracket widths before giving up
     for back in (0.0, 2.0, 8.0, 64.0, 256.0):
         try:
-            p2, _, _ = _solve_at(lam_lo - back * config.bracket_tol(), config.bc, g2, config)
+            p2, _, _ = _solve_at(lam_lo - back * config.bracket_tol(), config.bc, g2, config,
+                                 solver=coarse)
             sups.append(p2.sup_norm)
             break
         except NonConvergence:
@@ -395,6 +417,8 @@ def sweep_branch(config: ContinuationConfig) -> BranchResult:
         C0_fit=C0_fit,
         exponent_fit=exponent_fit,
         solve_accuracy=solver.solve_accuracy,
+        factorizations=solver.factorizations,
+        failed_solves=solver.failed_solves + coarse.failed_solves,
         warnings=tuple(warnings),
     )
 

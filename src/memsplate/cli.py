@@ -124,6 +124,10 @@ def cmd_branch(args) -> int:
             "C0_fit": res.C0_fit,
             "exponent_fit": res.exponent_fit,
             "warnings": list(res.warnings),
+            # deterministic solver counts; no wall time, so identical
+            # manifests still give identical outputs
+            "counters": {"factorizations": res.factorizations,
+                         "failed_solves": res.failed_solves},
         }
         if N >= 9 and res.classification == "Singular":
             sw = sandwich_check(res.extremal_profile, res.points[-1].lam,

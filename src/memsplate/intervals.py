@@ -180,13 +180,13 @@ def prove_nonneg(enclosure, a: float, b: float, min_width: float = 1e-12,
     stack = [(a, b)]
     report = ProofReport(proved=True)
     while stack:
-        lo, hi = stack.pop()
-        report.boxes += 1
-        if report.boxes > max_boxes:
+        if report.boxes >= max_boxes:
             report.proved = False
-            report.inconclusive.append((lo, hi))
+            report.inconclusive.append(stack.pop())
             report.inconclusive.extend(stack)
             return report
+        lo, hi = stack.pop()
+        report.boxes += 1
         enc = enclosure(lo, hi)
         if enc.lo >= 0:
             continue
@@ -194,6 +194,7 @@ def prove_nonneg(enclosure, a: float, b: float, min_width: float = 1e-12,
         if hi - lo < min_width or mid <= lo or mid >= hi:
             # try to disprove by a point evaluation
             pt = enclosure(mid, mid)
+            report.boxes += 1
             if pt.hi < 0:
                 report.proved = False
                 report.counterexample = mid

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from memsplate import branch
-from memsplate.branch import (ContinuationConfig, NonConvergence,
-                              _ClampedSolver, _solve_at, monotone_solve,
-                              newton_solve, pullin_bounds, sandwich_check,
-                              sweep_branch)
+from memsplate.branch import (NEWTON_FLOOR, ContinuationConfig,
+                              NonConvergence, _ClampedSolver, _solve_at,
+                              monotone_solve, newton_solve, pullin_bounds,
+                              sandwich_check, sweep_branch)
 from memsplate.grid import (BoundaryData, InvalidArgument, RadialField,
                             build_grid, phi_lift)
+from memsplate.operators import bilaplacian_clamped, mixed_bilaplacian
 from memsplate.stability import nu1
 
 
@@ -98,7 +99,8 @@ def test_mixed_solves_satisfy_composed_operator(N, M, bc):
     # to the magnitudes summed in each row
     g = build_grid(N, M, 2.0)
     s = _ClampedSolver(g, bc)
-    K, absK = s.op.matrix, abs(s.op.matrix)
+    op = bilaplacian_clamped(g, bc)
+    K, absK = op.matrix, abs(op.matrix)
     r = g.r[:-1].astype(np.longdouble)
 
     def rel_residual(u, diag, o, f):
@@ -110,13 +112,73 @@ def test_mixed_solves_satisfy_composed_operator(N, M, bc):
 
     f = 50.0 * (1.0 + r * r)
     u = s.solve_rhs(np.asarray(f, dtype=float))
-    assert rel_residual(u, 0.0, s.op.offset, f) <= 1e-11
+    assert rel_residual(u, 0.0, op.offset, f) <= 1e-11
     lam = 100.0
     u = s.phi + 0.5 * (1.0 - g.r[:-1] ** 2) ** 2
     w = 2.0 * lam / (1.0 - u.astype(np.longdouble)) ** 3
     rhs = np.cos(3.0 * g.r[:-1])
-    du = s.jacobian_solve(u, rhs, lam)
+    b = np.zeros(2 * g.M - 1)
+    b[1::2] = rhs
+    du = s.jacobian_solve(u, b, lam)[1::2]
     assert rel_residual(du, w, 0.0, rhs.astype(np.longdouble)) <= 1e-11
+
+
+@pytest.mark.parametrize("N, M, lam", [(3, 512, 25.0), (9, 2048, 300.0), (12, 1024, 600.0)])
+def test_newton_stops_at_the_mixed_residual_floor(N, M, lam, monkeypatch):
+    g = build_grid(N, M, 2.0)
+    bc = BoundaryData(0.0, 0.0)
+    s = _ClampedSolver(g, bc)
+    warm, _ = monotone_solve(0.97 * lam, bc, g, _solver=s)
+    seen = []
+    residual = s.residual
+
+    def spy(x, at_lam):
+        seen.append(x.copy())
+        return residual(x, at_lam)
+
+    monkeypatch.setattr(s, "residual", spy)
+    prof, it = newton_solve(lam, warm, bc, g, _solver=s)
+    x = seen[-1]  # the iterate Newton returned
+    assert np.array_equal(prof.values[:-1], x[1::2])
+    # the row-scaled residual, recomputed from the assembled mixed system
+    A, o1 = mixed_bilaplacian(g, bc)
+    b = np.zeros_like(x)
+    b[0::2], b[1::2] = o1, lam / (1.0 - x[1::2]) ** 2
+    scaled = np.abs(A @ x - b) / (abs(A) @ np.abs(x) + np.abs(b) + 1.0)
+    assert np.max(scaled) <= NEWTON_FLOOR == 8.0 * np.finfo(np.float64).eps
+    assert it <= 5  # quadratic convergence from a nearby start
+
+
+def test_newton_above_the_fold_fails_fast():
+    # the N = 3 fold lies near lambda = 30.154: from the lambda = 30 profile,
+    # Newton at 30.5 soon finds no step length that lowers the residual
+    g = build_grid(3, 512, 2.0)
+    bc = BoundaryData(0.0, 0.0)
+    s = _ClampedSolver(g, bc)
+    warm, _ = monotone_solve(20.0, bc, g, _solver=s)
+    warm, _ = newton_solve(30.0, warm, bc, g, _solver=s)
+    before = s.factorizations
+    with pytest.raises(NonConvergence):
+        newton_solve(30.5, warm, bc, g, _solver=s)
+    assert s.factorizations - before <= 8
+    # in a sweep both solvers fail there, and both failures are counted
+    cfg = ContinuationConfig(N=3, M=512)
+    with pytest.raises(NonConvergence):
+        _solve_at(30.5, bc, g, cfg, warm=warm, solver=s)
+    assert s.failed_solves == 2
+
+
+@pytest.mark.parametrize("N, M, bracket", [
+    (3, 512, (30.15434992283933, 30.15441743827143)),
+    (9, 2048, (340.9114583333327, 340.92062114197466)),
+])
+def test_sweep_reproduces_frozen_brackets(N, M, bracket):
+    # frozen: the brackets the earlier composed-operator Newton gave, also
+    # stored in perfbench/reference.json
+    res = sweep_branch(ContinuationConfig(N=N, M=M))
+    assert res.lam_star_bracket == pytest.approx(bracket, rel=1e-12, abs=0.0)
+    assert res.factorizations > len(res.points)
+    assert res.failed_solves >= 2  # Newton and monotone past the fold
 
 
 def test_singular_jacobian_falls_back_to_monotone(monkeypatch):
@@ -133,7 +195,7 @@ def test_singular_jacobian_falls_back_to_monotone(monkeypatch):
 
     monkeypatch.setattr(branch, "dgbtrf", zero_pivot)
     with pytest.raises(NonConvergence) as e:
-        s.jacobian_solve(warm.values[:-1], np.ones(g.M - 1), 10.0)
+        s.jacobian_solve(warm.values[:-1], np.ones(2 * g.M - 1), 10.0)
     assert not e.value.touched
     calls.clear()
     prof, _, tag = _solve_at(10.0, cfg.bc, g, cfg, warm=warm, solver=s)

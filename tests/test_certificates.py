@@ -100,9 +100,10 @@ def test_certify_dimensions_interval(N):
 
 
 def test_n9_cleared_claim_box_counts():
-    # frozen: every box a proof evaluates is counted, the r = 0 collar search
-    # and the failed derivative windows at r = 1 included; the same counts
-    # show that the enclosures walk the same bisection tree
+    # frozen: every box a proof evaluates is counted, the r = 0 collar search,
+    # the failed derivative windows at r = 1 and the point evaluations of
+    # boxes narrower than min_width included; the same counts show that the
+    # enclosures walk the same bisection tree
     cand = table_candidate(9)
     assert check_cond1(cand, rigor="interval").boxes == 24
     assert check_cond2(cand, rigor="interval").boxes == 366
@@ -110,7 +111,7 @@ def test_n9_cleared_claim_box_counts():
     _, den = _cond2_parts(cand, hr_weight(cand.hr_variant, 9))
     rep = prove_signomial_nonneg(den)
     assert rep.proved and rep.reason.startswith("non-increasing collar")
-    assert rep.boxes == 143
+    assert rep.boxes == 144
 
 
 def test_certify_rejects_subcritical_dim():

@@ -106,6 +106,15 @@ def test_branch_outputs(tmp_path):
     lo, hi = doc["lambda_star_bracket"]
     assert 128.0 / 27.0 <= lo < hi
     assert doc["points"][0]["mu1"] is None  # --with-mu1 not given
+    counters = doc["counters"]
+    assert set(counters) == {"factorizations", "failed_solves"}
+    assert counters["factorizations"] > len(doc["points"])  # one per Newton step
+    assert counters["failed_solves"] >= 2  # the first lambda past the fold fails twice
+    # the counters are deterministic: a rerun writes the same bytes
+    again = tmp_path / "again"
+    again.mkdir()
+    assert run(again, "branch", "--dim", "2", "--M", "256") == 0
+    assert (again / "branch_N2.json").read_bytes() == (tmp_path / "branch_N2.json").read_bytes()
     lams = [p["lambda"] for p in doc["points"]]
     assert lams == sorted(lams)
     assert (tmp_path / "profile_N2.csv").exists()

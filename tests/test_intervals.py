@@ -105,3 +105,20 @@ def test_prove_nonneg_box_budget():
     g = lambda a, b: Interval(a, b) * Interval(a, b)  # x^2 >= 0 but enclosure loose
     rep = prove_nonneg(g, -1.0, 1.0, max_boxes=10_000)
     assert rep.boxes <= 10_001
+
+
+def test_prove_nonneg_counts_exactly_the_enclosure_evaluations():
+    # the loose x^2 enclosure never proves a box around 0, so the proof runs
+    # into the box budget or into min_width with point evaluations
+    calls = []
+
+    def square(a, b):
+        calls.append((a, b))
+        return Interval(a, b) * Interval(a, b)
+
+    rep = prove_nonneg(square, -1.0, 1.0, max_boxes=50)
+    assert not rep.proved and rep.boxes == len(calls) == 50
+    calls.clear()
+    rep = prove_nonneg(square, -1.0, 1.0, min_width=1e-3)
+    assert not rep.proved and rep.inconclusive
+    assert rep.boxes == len(calls) == 45
