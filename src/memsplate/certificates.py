@@ -31,7 +31,7 @@ from .grid import InvalidArgument
 from .hardy import hr_weight
 from .operators import hardy_rellich_constant, lambda_bar, power_bilaplacian_coeff
 from .intervals import frac_bounds
-from .verify import (inf_enclosure, prove_signomial_nonneg, sampled_min,
+from .verify import (inf_enclosure, prove_signomial_nonneg, sampled_mins,
                      sup_enclosure)
 
 _RIGOR_TIERS = ("sampled", "interval")
@@ -144,8 +144,7 @@ def _cond1_parts(m: Fraction, N: int):
     return fnum, fden
 
 
-def check_cond1(candidate: CandidateW, rigor: str = "sampled",
-                samples: int = 200_001) -> CondReport:
+def check_cond1(candidate: CandidateW, rigor: str = "sampled") -> CondReport:
     """Verify Delta^2 w_m <= lambda'/(1-w_m)^2 and compute the sharpest lambda'.
 
     The slack lambda'/(1-w)^2 - Delta^2 w equals
@@ -162,8 +161,8 @@ def check_cond1(candidate: CandidateW, rigor: str = "sampled",
     lamp = _frac(candidate.lam_prime)
     claim = Signomial.constant(lamp * d ** 3) - fnum
     slack_den = Signomial({Fraction(8, 3): d}) * q_signomial(m) ** 2
-    margin, argmin = sampled_min(claim, slack_den, n=samples)
-    sharp, arg_s = sampled_min(-fnum, fden, n=samples)
+    (margin, argmin), (sharp, arg_sharp) = sampled_mins([(claim, slack_den),
+                                                         (-fnum, fden)])
     sharp = -sharp
     lims = _endpoint_limits(fnum, fden)
     end = max(lims) if lims else None
@@ -180,7 +179,7 @@ def check_cond1(candidate: CandidateW, rigor: str = "sampled",
             notes.append(f"cond1 claim not proved: {rep.reason}")
             if rep.counterexample is not None:
                 notes.append(f"counterexample near r={rep.counterexample}")
-        lo, hi, _ = sup_enclosure(fnum, fden)
+        lo, hi, _ = sup_enclosure(fnum, fden, argmin=arg_sharp)
         if end is not None:
             cl, ch = frac_bounds(end)
             lo = max(lo, cl)  # the limit is approached from inside (0,1)
@@ -204,7 +203,7 @@ def _cond2_parts(candidate: CandidateW, weight: RadialExpr):
 
 
 def check_cond2(candidate: CandidateW, weight: RadialExpr | None = None,
-                rigor: str = "sampled", samples: int = 200_001) -> CondReport:
+                rigor: str = "sampled") -> CondReport:
     """Verify 2 beta/(1-w_m)^3 <= W(r) and compute the sharpest beta.
 
     The slack W(1-w)^3/2 - beta clears to G_num - beta G_den over the
@@ -218,8 +217,7 @@ def check_cond2(candidate: CandidateW, weight: RadialExpr | None = None,
     num, den = _cond2_parts(candidate, weight)
     beta = _frac(candidate.beta)
     claim = num - Signomial.constant(beta) * den
-    margin, argmin = sampled_min(claim, den, n=samples)
-    sharp, arg_s = sampled_min(num, den, n=samples)
+    (margin, argmin), (sharp, arg_sharp) = sampled_mins([(claim, den), (num, den)])
     lims = _endpoint_limits(num, den)
     end = min(lims) if lims else None
     if end is not None:
@@ -238,7 +236,7 @@ def check_cond2(candidate: CandidateW, weight: RadialExpr | None = None,
                 notes.append(f"cond2 claim not proved: {rep.reason}")
                 if rep.counterexample is not None:
                     notes.append(f"counterexample near r={rep.counterexample}")
-        lo, hi, _ = inf_enclosure(num, den)
+        lo, hi, _ = inf_enclosure(num, den, argmin=arg_sharp)
         if end is not None:
             cl, ch = frac_bounds(end)
             hi = min(hi, ch)  # the limit is approached from inside (0,1)

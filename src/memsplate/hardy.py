@@ -238,7 +238,7 @@ class RatioSignReport:
 def _prove_expr_nonneg(expr: RadialExpr, max_boxes: int = 2_000_000) -> RatioSignReport:
     """Prove expr >= 0 on (0,1): clear the denominator, fix its sign, prove."""
     num, den = expr.as_ratio()
-    smin, amin = sampled_min(num, den, n=200_001)
+    smin, amin = sampled_min(num, den)
     if prove_signomial_nonneg(den, max_boxes=max_boxes).proved:
         rep = prove_signomial_nonneg(num, max_boxes=max_boxes)
     elif prove_signomial_nonneg(-den, max_boxes=max_boxes).proved:

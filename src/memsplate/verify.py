@@ -18,6 +18,7 @@ evaluations (upper/lower bound) plus a bisection over levels c of the claim
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -124,22 +125,66 @@ def prove_signomial_nonneg(sig: Signomial, min_width: float = 1e-12,
     return rep
 
 
+SAMPLES = 200_001  # points of the sampled tier's grid on (0, 1)
+_CHUNK = 8192       # grid points per block of the sampling pass
+
+
+@functools.lru_cache(maxsize=4)
 def _log_uniform_points(n: int, lo: float = 1e-9) -> np.ndarray:
-    """Deterministic sampling of (0,1): log-uniform plus uniform points."""
+    """Deterministic sampling of (0,1): log-uniform plus uniform points.
+
+    Built once per n and shared, so the array is read-only.
+    """
     k = n // 2
     a = np.exp(np.linspace(math.log(lo), 0.0, k, endpoint=False))
     b = np.linspace(0.0, 1.0, n - k, endpoint=False)[1:]
-    return np.unique(np.concatenate([a, b]))
+    r = np.unique(np.concatenate([a, b]))
+    r.flags.writeable = False
+    return r
 
 
-def sampled_min(num: Signomial, den: Signomial | None, n: int = 1_000_000):
-    """(min value, argmin) of num/den over a dense deterministic sample of (0,1)."""
+def sampled_mins(pairs, n: int = SAMPLES) -> list[tuple[float, float]]:
+    """(min value, argmin) of each num/den over a dense deterministic sample of (0,1).
+
+    `pairs` is a sequence of (num, den) with den None for a bare signomial.
+    One pass over the grid in blocks of `_CHUNK` points computes each
+    distinct power r**p once per block for all the pairs, then sums each
+    signomial in its own term order, so every value equals
+    `num(r) / den(r)` bit for bit.  The argmin is the first occurrence of
+    the minimum, NaNs ignored, as `np.nanargmin` over the whole grid; an
+    all-NaN ratio raises ValueError as it does.  Memory is one block per
+    distinct exponent and per signomial, never a grid-length array per
+    exponent.
+    """
     r = _log_uniform_points(n)
-    v = num(r)
-    if den is not None:
-        v = v / den(r)
-    i = int(np.nanargmin(v))
-    return float(v[i]), float(r[i])
+    rows = {id(s): [(float(c), float(p)) for p, c in s.terms.items()]
+            for pair in pairs for s in pair if s is not None}
+    exps = {p for row in rows.values() for _, p in row}
+    best = [None] * len(pairs)
+    for start in range(0, len(r), _CHUNK):
+        x = r[start:start + _CHUNK]
+        pows = {p: x ** p for p in exps}
+        vals = {}
+        for key, row in rows.items():
+            vals[key] = out = np.zeros_like(x)
+            for c, p in row:
+                out += c * pows[p]
+        for k, (num, den) in enumerate(pairs):
+            v = vals[id(num)] if den is None else vals[id(num)] / vals[id(den)]
+            try:
+                i = int(np.nanargmin(v))
+            except ValueError:  # every ratio in this block is NaN
+                continue
+            if best[k] is None or v[i] < best[k][0]:
+                best[k] = (float(v[i]), start + i)
+    if None in best:
+        raise ValueError("All-NaN slice encountered")
+    return [(v, float(r[i])) for v, i in best]
+
+
+def sampled_min(num: Signomial, den: Signomial | None, n: int = SAMPLES):
+    """(min value, argmin) of num/den over a dense deterministic sample of (0,1)."""
+    return sampled_mins([(num, den)], n)[0]
 
 
 def _point_enclosure(num: Signomial, den: Signomial | None, r: float) -> Interval:
@@ -150,18 +195,23 @@ def _point_enclosure(num: Signomial, den: Signomial | None, r: float) -> Interva
 
 
 def inf_enclosure(num: Signomial, den: Signomial | None = None,
-                  rel_tol: float = 1e-5, samples: int = 200_001,
-                  min_width: float = 1e-10, max_boxes: int = 400_000):
+                  rel_tol: float = 1e-5, samples: int = SAMPLES,
+                  min_width: float = 1e-10, max_boxes: int = 400_000,
+                  argmin: float | None = None):
     """Certified enclosure (lo, hi, argmin) of inf over (0,1) of num/den.
 
     Requires den > 0 on (0,1) (the caller's responsibility).  The upper bound
-    is a verified point evaluation at the sampled argmin; the lower bound is
-    the largest level c for which "num - c*den >= 0 on (0,1)" is proved.
+    is a verified point evaluation at the sampled argmin (pass `argmin` when
+    the caller has already sampled num/den); the lower bound is the largest
+    level c for which "num - c*den >= 0 on (0,1)" is proved.  When the point
+    evaluation is unbounded, or no level is provable, the lower bound is -inf.
     """
-    est, r_hat = sampled_min(num, den, samples)
+    r_hat = argmin if argmin is not None else sampled_min(num, den, samples)[1]
     hi = _point_enclosure(num, den, r_hat).hi
+    if not math.isfinite(hi):
+        return -math.inf, hi, r_hat
 
-    scale = abs(hi) if hi not in (0.0, math.inf, -math.inf) else 1.0
+    scale = abs(hi) if hi != 0.0 else 1.0
 
     def provable(c: float) -> bool:
         claim = num - Signomial.constant(_frac(c)) * (den if den is not None

@@ -3,6 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import memsplate.certificates as certificates
+import memsplate.verify as verify
 from memsplate.certificates import (CandidateW, _cond2_parts, certify_dimension,
                                     check_cond1, check_cond2, table1_rows,
                                     table_candidate, threshold_relation,
@@ -112,6 +114,25 @@ def test_n9_cleared_claim_box_counts():
     rep = prove_signomial_nonneg(den)
     assert rep.proved and rep.reason.startswith("non-increasing collar")
     assert rep.boxes == 144
+
+
+@pytest.mark.parametrize("rigor", ["sampled", "interval"])
+@pytest.mark.parametrize("check", [check_cond1, check_cond2])
+def test_each_check_samples_the_grid_once(monkeypatch, check, rigor):
+    # the margin and sharpest ratios share one pass; the interval tier's
+    # sharpest-value enclosure reuses that pass's argmin instead of resampling
+    passes = []
+    real = verify.sampled_mins
+
+    def spy(pairs, n=verify.SAMPLES):
+        passes.append(len(pairs))
+        return real(pairs, n)
+
+    monkeypatch.setattr(certificates, "sampled_mins", spy)
+    monkeypatch.setattr(verify, "sampled_mins", spy)
+    rep = check(table_candidate(17), rigor=rigor)
+    assert passes == [2]
+    assert (rep.sharpest_enclosure is not None) == (rigor == "interval")
 
 
 def test_certify_rejects_subcritical_dim():

@@ -3,9 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import memsplate.verify as verify
 from memsplate.exprs import Signomial
-from memsplate.verify import (inf_enclosure, prove_signomial_nonneg,
-                              sampled_min, sup_enclosure)
+from memsplate.verify import (SAMPLES, _log_uniform_points, inf_enclosure,
+                              prove_signomial_nonneg, sampled_min, sampled_mins,
+                              sup_enclosure)
 
 # q(r) = 9 - 4 r^(5/3) appears in the m = 3 candidate profile; q >= 5 on [0, 1]
 # with equality only at r = 1, so q^3 >= 125 is tight at the endpoint.
@@ -92,3 +94,66 @@ def test_enclosure_orders():
     lo, hi, _ = inf_enclosure(num, None, rel_tol=1e-6, samples=20_001)
     assert lo <= hi
     assert lo <= 2.0 <= hi + 1e-6
+
+
+def _whole_grid_min(num, den, r):
+    v = num(r) if den is None else num(r) / den(r)
+    i = int(np.nanargmin(v))
+    return float(v[i]).hex(), float(r[i])
+
+
+def test_shared_pass_equals_termwise_evaluation_bit_for_bit():
+    n = 20_001
+    r = _log_uniform_points(n)
+    assert len(r) % verify._CHUNK != 0 and len(r) > 2 * verify._CHUNK
+    a = Signomial({0: 3, Fraction(5, 3): -4, Fraction(10, 3): Fraction(7, 9)})
+    b = Signomial({Fraction(5, 3): 2, 4: 1, Fraction(1, 7): Fraction(1, 3)})
+    c = Signomial({Fraction(-1, 3): 1, Fraction(11, 5): -2})
+    pairs = [(a, b), (b, a), (c, None), (-a, None), (a - b, c * c)]
+    got = sampled_mins(pairs, n)
+    assert [(v.hex(), arg) for v, arg in got] == [
+        _whole_grid_min(num, den, r) for num, den in pairs]
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+def test_tie_across_a_block_boundary_keeps_the_first_occurrence(monkeypatch, shift):
+    # r^400 / r^400 is 0/0 = NaN where r^400 underflows and exactly 1 after;
+    # with shift 0 every block before the first 1 is all NaN, with shift 1
+    # the first 1 ends a block and the next block starts with a tie
+    n = 20_001
+    r = _log_uniform_points(n)
+    sig = Signomial({400: 1})
+    i0 = int(np.flatnonzero(sig(r) > 0)[0])
+    monkeypatch.setattr(verify, "_CHUNK", i0 + shift)
+    with np.errstate(invalid="ignore"):
+        v, arg = sampled_min(sig, sig, n)
+        expected = _whole_grid_min(sig, sig, r)
+    assert (v, arg) == (1.0, float(r[i0]))
+    assert (v.hex(), arg) == expected
+
+
+def test_all_nan_ratio_raises_like_nanargmin():
+    zero = Signomial()  # 0/0 at every point
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError):
+            _whole_grid_min(zero, zero, _log_uniform_points(SAMPLES))
+        with pytest.raises(ValueError):
+            sampled_min(zero, zero)
+
+
+def test_grid_is_cached_and_read_only():
+    r = _log_uniform_points(SAMPLES)
+    assert _log_uniform_points(SAMPLES) is r
+    with pytest.raises(ValueError):
+        r[0] = 0.5
+
+
+def test_unbounded_point_enclosure_gives_an_uninformative_bound():
+    # the ratio is 1 on (0, 1), but r^400 underflows at the sampled argmin,
+    # so the verified point enclosure there is unbounded
+    p400 = Signomial({400: 1})
+    with np.errstate(all="ignore"):
+        lo, hi, _ = inf_enclosure(p400, p400)
+        assert lo == -np.inf and hi >= 1.0
+        lo, hi, _ = sup_enclosure(Signomial({0: 1, 400: 1}), p400)
+        assert hi == np.inf
