@@ -6,10 +6,11 @@ the minimal solution) and a damped Newton iteration for speed.  Both solve
 their linear systems with a float64 banded LU of the mixed form
 v = Delta u, Delta v = f (see `_ClampedSolver`); Newton iterates on the
 interleaved (v, u) unknown itself and stops at the float64 rounding floor
-of its row-scaled mixed residual.  A sweep raises lambda with
-warm starts, brackets the pull-in voltage by bisecting the
-solvable/unsolvable boundary, and classifies the last converged profile as
-regular or singular from its touchdown asymptotics.
+of its row-scaled mixed residual.  A sweep raises lambda with Newton alone,
+started from the secant extrapolation of the last two converged profiles,
+brackets the pull-in voltage by bisecting the solvable/unsolvable boundary,
+and classifies the last converged profile as regular or singular from its
+touchdown asymptotics.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ class BranchPoint:
     profile: RadialField
     sup_norm: float
     mu1: float | None
-    solver: str
     iterations: int
 
 
@@ -54,11 +54,7 @@ class ContinuationConfig:
     bc: BoundaryData = BoundaryData(0.0, 0.0)
     M: int = 2048
     gamma: float | None = None  # default 2.0; 1.0 for N = 1 (see __post_init__)
-    dlam: float | None = None  # default lambda_bar/20, or 0.25 when that is <= 0
-    tol: float = 1e-10  # monotone_solve increment tolerance; Newton stops at NEWTON_FLOOR
-    max_iter: int = 600
     tau: float = 1.0 - 1e-3
-    eps_lam: float | None = None  # bracket width; default dlam / 256
     compute_mu1: bool = False
 
     def __post_init__(self):
@@ -70,17 +66,15 @@ class ContinuationConfig:
             object.__setattr__(self, "gamma", 2.0 if self.N >= 2 else 1.0)
         if not (0 < self.tau < 1):
             raise InvalidArgument("touchdown threshold must lie in (0, 1)")
-        if self.tol <= 0 or (self.eps_lam is not None and self.eps_lam <= 0):
-            raise InvalidArgument("tolerances must be positive")
 
     def step(self) -> float:
-        if self.dlam is not None:
-            return self.dlam
+        """lambda step: lambda_bar/20, or 0.25 when lambda_bar <= 0."""
         lb = float(lambda_bar(self.N))
         return lb / 20.0 if lb > 0 else 0.25
 
     def bracket_tol(self) -> float:
-        return self.eps_lam if self.eps_lam is not None else self.step() / 256.0
+        """Width at which bisection of the pull-in bracket stops."""
+        return self.step() / 256.0
 
 
 @dataclass(frozen=True)
@@ -96,7 +90,7 @@ class BranchResult:
     exponent_fit: float
     solve_accuracy: float  # the solver's construction-time probe error
     factorizations: int  # banded LU factorizations of the fine-grid solver
-    failed_solves: int  # Newton or monotone calls that raised NonConvergence
+    failed_solves: int  # fine Newton and coarse monotone solves that raised NonConvergence
     warnings: tuple = ()
 
 
@@ -122,7 +116,6 @@ class _ClampedSolver:
         self.grid = grid
         self.bc = bc
         self.factorizations = 0
-        self.failed_solves = 0  # NonConvergence raised through `_solve_at`
         A, o1 = mixed_bilaplacian(grid, bc)
         self.A, self.absA = A, abs(A)
         self.ku, self.kl = int(A.offsets[0]), -int(A.offsets[-1])
@@ -317,66 +310,49 @@ def _touchdown_fit(profile: RadialField):
     return float(math.exp(intercept)), float(slope)
 
 
-def _solve_at(lam, bc, grid, cfg, warm=None, solver=None):
-    s = solver if solver is not None else _ClampedSolver(grid, bc)
-    if warm is not None:
-        try:
-            return newton_solve(lam, warm, bc, grid, tau=cfg.tau, _solver=s) + ("newton",)
-        except NonConvergence:
-            s.failed_solves += 1
-    try:
-        return monotone_solve(lam, bc, grid, tol=cfg.tol, max_iter=cfg.max_iter,
-                              tau=cfg.tau, _solver=s) + ("monotone",)
-    except NonConvergence:
-        s.failed_solves += 1
-        raise
-
-
 def sweep_branch(config: ContinuationConfig) -> BranchResult:
     """Trace the minimal branch and bracket the pull-in voltage.
 
-    lambda rises from 0 in steps of `config.step()` with warm-started Newton
-    solves (monotone fallback); the first failure triggers bisection of the
-    solvable/unsolvable boundary down to `config.bracket_tol()`.  The last
-    converged profile is classified Singular when its touchdown fit has
-    exponent within 0.15 of 4/3 and its sup norm Richardson-extrapolates to 1
-    within 2e-2 under grid refinement, else Regular.
+    lambda rises from 0 in steps of `config.step()`; the first failure
+    triggers bisection of the solvable/unsolvable boundary down to
+    `config.bracket_tol()`.  Every lambda is one Newton solve: the lift at
+    lambda = 0, then the last profile for the first step, then the secant
+    extrapolation of the last two converged profiles.  The last converged
+    profile is classified Singular when its touchdown fit has exponent
+    within 0.15 of 4/3 and its sup norm Richardson-extrapolates to 1 within
+    2e-2 under grid refinement (a monotone solve on the half grid), else
+    Regular.
     """
     grid = build_grid(config.N, config.M, config.gamma)
     solver = _ClampedSolver(grid, config.bc)
-    dlam = config.step()
+    dlam, width = config.step(), config.bracket_tol()
+    points, failed = [], 0
 
-    points = []
-    lam = 0.0
-    profile, it, tag = _solve_at(0.0, config.bc, grid, config, solver=solver)
-    points.append(BranchPoint(0.0, profile, profile.sup_norm,
-                              _resampled_mu1(profile, 0.0) if config.compute_mu1 else None,
-                              tag, it))
-    lam_lo, good = 0.0, profile
-    lam_hi = None
-    while lam_hi is None:
-        lam = lam_lo + dlam
-        try:
-            profile, it, tag = _solve_at(lam, config.bc, grid, config, warm=good, solver=solver)
-        except NonConvergence:
-            lam_hi = lam
-            break
+    def accept(lam, guess):
+        profile, it = newton_solve(lam, guess, config.bc, grid, tau=config.tau,
+                                   _solver=solver)
         points.append(BranchPoint(lam, profile, profile.sup_norm,
                                   _resampled_mu1(profile, lam) if config.compute_mu1 else None,
-                                  tag, it))
-        lam_lo, good = lam, profile
+                                  it))
+        return profile
 
-    while lam_hi - lam_lo > config.bracket_tol():
-        mid = 0.5 * (lam_lo + lam_hi)
+    good = accept(0.0, solver.field(solver.phi))
+    lam_lo, lam_hi, prev = 0.0, None, None
+    while lam_hi is None or lam_hi - lam_lo > width:
+        lam = lam_lo + dlam if lam_hi is None else 0.5 * (lam_lo + lam_hi)
+        guess = good.values
+        if prev is not None:
+            lam_prev, u_prev = prev
+            guess = guess + (lam - lam_lo) * (guess - u_prev) / (lam_lo - lam_prev)
         try:
-            profile, it, tag = _solve_at(mid, config.bc, grid, config, warm=good, solver=solver)
+            # near touchdown the secant can reach 1, which Newton rejects
+            profile = accept(lam, RadialField(grid, np.minimum(guess, config.tau - 1e-6),
+                                              config.bc))
         except NonConvergence:
-            lam_hi = mid
+            failed += 1
+            lam_hi = lam
             continue
-        points.append(BranchPoint(mid, profile, profile.sup_norm,
-                                  _resampled_mu1(profile, mid) if config.compute_mu1 else None,
-                                  tag, it))
-        lam_lo, good = mid, profile
+        prev, lam_lo, good = (lam_lo, good.values), lam, profile
 
     C0_fit, exponent_fit = _touchdown_fit(good)
 
@@ -390,12 +366,12 @@ def sweep_branch(config: ContinuationConfig) -> BranchResult:
     # few bracket widths before giving up
     for back in (0.0, 2.0, 8.0, 64.0, 256.0):
         try:
-            p2, _, _ = _solve_at(lam_lo - back * config.bracket_tol(), config.bc, g2, config,
-                                 solver=coarse)
+            p2, _ = monotone_solve(lam_lo - back * width, config.bc, g2, tau=config.tau,
+                                   _solver=coarse)
             sups.append(p2.sup_norm)
             break
         except NonConvergence:
-            continue
+            failed += 1
     else:
         warnings.append("coarse grid does not converge at the bracketed lambda")
         sups.append(sups[0])
@@ -418,7 +394,7 @@ def sweep_branch(config: ContinuationConfig) -> BranchResult:
         exponent_fit=exponent_fit,
         solve_accuracy=solver.solve_accuracy,
         factorizations=solver.factorizations,
-        failed_solves=solver.failed_solves + coarse.failed_solves,
+        failed_solves=failed,
         warnings=tuple(warnings),
     )
 

@@ -18,10 +18,12 @@ from it by an ulp, which would eat into the pad and change enclosures.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 _INF = math.inf
+_MAX = sys.float_info.max
 _next = math.nextafter  # down/up inlined in the per-term helpers below
 
 
@@ -55,11 +57,16 @@ def exponent_rounding(p: Fraction | float) -> float:
 
 def padded_pow(x: float, pf: float, k: float, abslog: float) -> tuple[float, float]:
     """Enclosure of x**p for x > 0, given pf = float(p), k = exponent_rounding(p)
-    and abslog = |ln x| (read only when k != 0)."""
-    v = x ** pf
+    and abslog = |ln x| (read only when k != 0).  When x**pf overflows, the
+    largest float, padded down like any other value, is the lower bound and
+    the upper bound is inf."""
     rel = _POW_REL
     if k:
         rel += k * abslog
+    try:
+        v = x ** pf
+    except OverflowError:
+        return _next(_MAX * _next(1.0 - rel, -_INF), -_INF), _INF
     return (_next(v * _next(1.0 - rel, -_INF), -_INF),
             _next(v * _next(1.0 + rel, _INF), _INF))
 

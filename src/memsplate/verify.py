@@ -221,12 +221,13 @@ def inf_enclosure(num: Signomial, den: Signomial | None = None,
 
     # find a provable anchor below the sampled minimum
     step = max(rel_tol, 1e-6) * scale
-    lo = hi - step
     for _ in range(60):
+        lo = hi - step
+        if lo == -math.inf:  # hi is near -DBL_MAX: no float level is left below it
+            return lo, hi, r_hat
         if provable(lo):
             break
         step *= 4.0
-        lo = hi - step
     else:
         return -math.inf, hi, r_hat
 

@@ -109,7 +109,8 @@ def test_branch_outputs(tmp_path):
     counters = doc["counters"]
     assert set(counters) == {"factorizations", "failed_solves"}
     assert counters["factorizations"] > len(doc["points"])  # one per Newton step
-    assert counters["failed_solves"] >= 2  # the first lambda past the fold fails twice
+    # the first lambda past the fold fails, and so do bisection points above it
+    assert counters["failed_solves"] >= 2
     # the counters are deterministic: a rerun writes the same bytes
     again = tmp_path / "again"
     again.mkdir()

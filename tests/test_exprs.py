@@ -196,6 +196,16 @@ def test_enclosure_with_overflowing_sum_is_unbounded():
     assert _dirsum([-1.7e308, -1.7e308], +1) == math.inf
 
 
+def test_enclosure_of_an_overflowing_power_is_unbounded_above():
+    # 1e-9 ** -400 overflows a float: the enclosure is [a huge lower bound, inf]
+    # instead of an OverflowError
+    sig = Signomial({-400: 1})
+    point = sig.enclosure(1e-9, 1e-9)
+    assert point.hi == math.inf and point.lo > 1e308
+    box = sig.enclosure(1e-9, 0.5)  # the minimum 0.5^-400 sits at b
+    assert box.hi == math.inf and 1e120 < box.lo <= 0.5 ** -400
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.dictionaries(_EXPONENTS, _COEFFS, min_size=1, max_size=6), _boxes())
 def test_compiled_enclosure_is_bit_identical_to_termwise_definition(terms, box):

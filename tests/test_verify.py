@@ -157,3 +157,13 @@ def test_unbounded_point_enclosure_gives_an_uninformative_bound():
         assert lo == -np.inf and hi >= 1.0
         lo, hi, _ = sup_enclosure(Signomial({0: 1, 400: 1}), p400)
         assert hi == np.inf
+
+
+def test_overflowing_point_enclosure_gives_an_infinite_lower_bound():
+    # -r^-400 has inf -inf on (0, 1); at the sampled argmin 1e-9 the power
+    # overflows, so the verified upper bound is about -DBL_MAX and no finite
+    # level lies below it
+    with np.errstate(over="ignore"):
+        lo, hi, arg = inf_enclosure(-Signomial({-400: 1}))
+    assert lo == -np.inf
+    assert hi <= -1e308 and arg == pytest.approx(1e-9)
