@@ -321,7 +321,8 @@ def sweep_branch(config: ContinuationConfig) -> BranchResult:
     profile is classified Singular when its touchdown fit has exponent
     within 0.15 of 4/3 and its sup norm Richardson-extrapolates to 1 within
     2e-2 under grid refinement (a monotone solve on the half grid), else
-    Regular.
+    Regular.  With zero data, a bracket below lambda_bar (a failure short of
+    the fold) is reported in `warnings`.
     """
     grid = build_grid(config.N, config.M, config.gamma)
     solver = _ClampedSolver(grid, config.bc)
@@ -356,8 +357,13 @@ def sweep_branch(config: ContinuationConfig) -> BranchResult:
 
     C0_fit, exponent_fit = _touchdown_fit(good)
 
-    # sup-norm Richardson over a coarser companion grid at the same lambda
     warnings = []
+    # lambda_bar bounds lambda* from below for zero data (see pullin_bounds):
+    # a bracket ending under it was cut short by a failed solve below the fold
+    if config.bc == BoundaryData(0.0, 0.0) and lam_hi < lambda_bar(config.N):
+        warnings.append("bracket lies below the analytic lower bound lambda_bar")
+
+    # sup-norm Richardson over a coarser companion grid at the same lambda
     sups = [good.sup_norm]
     p2 = None
     g2 = build_grid(config.N, config.M // 2, config.gamma)

@@ -66,7 +66,7 @@ def padded_pow(x: float, pf: float, k: float, abslog: float) -> tuple[float, flo
     try:
         v = x ** pf
     except OverflowError:
-        return _next(_MAX * _next(1.0 - rel, -_INF), -_INF), _INF
+        v = _MAX  # the padded upper bound then overflows to inf
     return (_next(v * _next(1.0 - rel, -_INF), -_INF),
             _next(v * _next(1.0 + rel, _INF), _INF))
 

@@ -10,7 +10,7 @@ from memsplate.branch import (NEWTON_FLOOR, ContinuationConfig,
                               sweep_branch)
 from memsplate.grid import (BoundaryData, InvalidArgument, RadialField,
                             build_grid, phi_lift)
-from memsplate.operators import bilaplacian_clamped, mixed_bilaplacian
+from memsplate.operators import bilaplacian_clamped, lambda_bar, mixed_bilaplacian
 from memsplate.stability import nu1
 
 
@@ -211,7 +211,8 @@ def test_sweep_reproduces_frozen_brackets(N, M, bracket):
     res = _sweep(N, M)
     assert res.lam_star_bracket == pytest.approx(bracket, rel=1e-12, abs=0.0)
     assert res.factorizations > len(res.points)
-    assert res.failed_solves >= 1  # Newton past the fold or touchdown
+    # the first lambda past the fold fails, and so do bisection points above it
+    assert res.failed_solves >= 2
 
 
 @pytest.mark.parametrize("N, M, pick, tol", [
@@ -245,7 +246,8 @@ def test_zero_pivot_is_a_failed_newton_solve(monkeypatch):
     assert not e.value.touched
     # in a sweep, one zero pivot (the 10th factorization, a Newton Jacobian
     # early on the branch) fails that Newton solve; no fallback solves that
-    # lambda, so it becomes the upper end of the bracket
+    # lambda, so it ends the bracket far below the fold, which the sweep
+    # reports because the bracket lies under the analytic lower bound
     factorizations = []
 
     def tenth_fails(ab, kl, ku):
@@ -259,7 +261,8 @@ def test_zero_pivot_is_a_failed_newton_solve(monkeypatch):
     res = sweep_branch(cfg)
     failed = [lam for lam, _, ok in newton if not ok]
     assert len(failed) == 1 and res.failed_solves == 1
-    assert res.lam_star_bracket[1] == failed[0] < 1.0
+    assert res.lam_star_bracket[1] == failed[0] < float(lambda_bar(3))
+    assert "bracket lies below the analytic lower bound lambda_bar" in res.warnings
     assert {M for _, M, _ in monotone} == {256}
 
 
