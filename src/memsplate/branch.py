@@ -191,16 +191,20 @@ class _ClampedSolver:
         return RadialField(self.grid, np.concatenate([u_int, [self.bc.alpha]]), self.bc)
 
 
+#: the monotone iteration stops once its largest increment falls below this
+MONOTONE_TOL = 1e-10
+_MONOTONE_MAX_ITER = 600
+
+
 def monotone_solve(lam: float, bc: BoundaryData, grid: RadialGrid,
-                   tol: float = 1e-10, max_iter: int = 600,
                    tau: float = 1.0 - 1e-3, _solver: _ClampedSolver | None = None):
     """Monotone fixed-point iteration from the biharmonic lift.
 
     u_0 = Phi, then Delta^2 u_(n+1) = lambda/(1 - u_n)^2 with the clamped
     data.  Iterates are verified non-decreasing; returns (profile, iterations).
     Raises NonConvergence with touched=True when an iterate crosses `tau`
-    (lambda above pull-in) and touched=False when max_iter hits first
-    (lambda near pull-in: caller should bisect).
+    (lambda above pull-in) and touched=False when `_MONOTONE_MAX_ITER`
+    iterations pass first (lambda near pull-in: caller should bisect).
     """
     if lam < 0:
         raise InvalidArgument("lambda must be nonnegative")
@@ -209,11 +213,12 @@ def monotone_solve(lam: float, bc: BoundaryData, grid: RadialGrid,
     if np.max(u) >= tau:
         raise NonConvergence("biharmonic lift already beyond the threshold", touched=True)
     # With one fixed factorization the increments fall to ~1e-15 on fine
-    # graded grids, well below tol; the stagnation exit (increments that stop
-    # decreasing while small) only guards grids whose solve noise is larger.
+    # graded grids, well below MONOTONE_TOL; the stagnation exit (increments
+    # that stop decreasing while small) only guards grids whose solve noise
+    # is larger.
     band = lambda v: 1e-6 * (1.0 + float(np.max(np.abs(v))))
     best, stall = math.inf, 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MONOTONE_MAX_ITER + 1):
         rhs = lam / (1.0 - u) ** 2
         u_new = s.solve_rhs(rhs)
         if np.max(u_new) >= tau:
@@ -221,7 +226,7 @@ def monotone_solve(lam: float, bc: BoundaryData, grid: RadialGrid,
         d = u_new - u
         u = u_new
         dmax = float(np.max(np.abs(d)))
-        if dmax < tol:
+        if dmax < MONOTONE_TOL:
             return s.field(u), it
         if dmax < 0.99 * best:
             best, stall = dmax, 0
@@ -233,18 +238,19 @@ def monotone_solve(lam: float, bc: BoundaryData, grid: RadialGrid,
             raise NonConvergence("iteration stalled above the noise band", touched=False)
         if np.min(d) < -band(u):
             raise NonConvergence("monotonicity of the scheme violated", touched=False)
-    raise NonConvergence(f"no contraction after {max_iter} iterations", touched=False)
+    raise NonConvergence(f"no contraction after {_MONOTONE_MAX_ITER} iterations",
+                         touched=False)
 
 
 #: Newton stops once the row-scaled mixed residual reaches this floor
 NEWTON_FLOOR = 8.0 * np.finfo(np.float64).eps
 #: step lengths 1, 1/2, 1/4, 1/8 are tried before Newton gives up
 _DAMPING_TRIALS = 4
+_NEWTON_MAX_ITER = 50
 
 
 def newton_solve(lam: float, guess: RadialField, bc: BoundaryData, grid: RadialGrid,
-                 max_iter: int = 50, tau: float = 1.0 - 1e-3,
-                 _solver: _ClampedSolver | None = None):
+                 tau: float = 1.0 - 1e-3, _solver: _ClampedSolver | None = None):
     """Damped Newton iteration on the mixed system A x = b(u), x = [v0, u0, ...].
 
     F(x) = A x - b(u) with A the mixed clamped bilaplacian and b(u) holding
@@ -264,9 +270,9 @@ def newton_solve(lam: float, guess: RadialField, bc: BoundaryData, grid: RadialG
     res, res_norm = s.residual(x, lam)
     it = 0
     while res_norm > NEWTON_FLOOR:
-        if it == max_iter:
-            raise NonConvergence(f"Newton did not converge in {max_iter} iterations",
-                                 touched=False)
+        if it == _NEWTON_MAX_ITER:
+            raise NonConvergence(
+                f"Newton did not converge in {_NEWTON_MAX_ITER} iterations", touched=False)
         it += 1
         dx = s.jacobian_solve(x[1::2], -res, lam)
         step = 1.0

@@ -16,7 +16,9 @@ Both conditions clear to signomial inequalities via
   cond2  <=>  W(r) r^4 q^3 / (3m-4)^3 >= 2 beta  (denominators cleared).
 
 The sharpest admissible values are lambda' = sup of the cond1 ratio and
-beta = inf of the cond2 ratio, enclosed rigorously on request.
+beta = inf of the cond2 ratio, enclosed rigorously on request.  One checker
+serves both conditions on the infimum side: cond1 runs as the infimum of
+-F = -F_num/F_den (sup F = -inf(-F)) and is negated back.
 """
 
 from __future__ import annotations
@@ -31,8 +33,7 @@ from .grid import InvalidArgument
 from .hardy import hr_weight
 from .operators import hardy_rellich_constant, lambda_bar, power_bilaplacian_coeff
 from .intervals import frac_bounds
-from .verify import (inf_enclosure, prove_signomial_nonneg, sampled_mins,
-                     sup_enclosure)
+from .verify import inf_enclosure, prove_signomial_nonneg, sampled_mins
 
 _RIGOR_TIERS = ("sampled", "interval")
 
@@ -144,6 +145,51 @@ def _cond1_parts(m: Fraction, N: int):
     return fnum, fden
 
 
+def _check_inf(label: str, claim: Signomial, slack_den: Signomial,
+               num: Signomial, den: Signomial, rigor: str) -> CondReport:
+    """Shared body of the two checks, on the infimum side.
+
+    The margin is the sampled minimum of claim/slack_den, and `sharpest` the
+    sampled inf of num/den folded with its exact endpoint limits.  The
+    interval tier proves den > 0 and then the cleared claim, and encloses
+    the inf of num/den.  An exact endpoint limit caps the enclosure's upper
+    bound, since the limit is approached from inside (0,1).  It raises the
+    lower bound when num - limit * den >= 0 is proved.
+    """
+    if rigor not in _RIGOR_TIERS:
+        raise InvalidArgument(f"unknown rigor tier {rigor!r}")
+    (margin, argmin), (sharp, arg_sharp) = sampled_mins([(claim, slack_den),
+                                                         (num, den)])
+    lims = _endpoint_limits(num, den)
+    end = min(lims) if lims else None
+    if end is not None:
+        sharp = min(sharp, float(end))
+    notes = []
+    proved, enc, boxes = None, None, None
+    if rigor == "interval":
+        dpos = prove_signomial_nonneg(den)
+        if not dpos.proved:
+            notes.append(f"{label} denominator sign not proved: {dpos.reason}")
+            proved = False
+        else:
+            rep = prove_signomial_nonneg(claim)
+            proved, boxes = rep.proved, rep.boxes
+            if not rep.proved:
+                notes.append(f"{label} claim not proved: {rep.reason}")
+                if rep.counterexample is not None:
+                    notes.append(f"counterexample near r={rep.counterexample}")
+        lo, hi, _ = inf_enclosure(num, den, argmin=arg_sharp)
+        if end is not None:
+            cl, ch = frac_bounds(end)
+            hi = min(hi, ch)
+            if prove_signomial_nonneg(num - Signomial.constant(end) * den).proved:
+                lo = max(lo, cl)
+        enc = (lo, hi)
+    return CondReport(margin=margin, argmin=argmin, sharpest=sharp,
+                      sharpest_enclosure=enc, proved=proved, rigor=rigor, boxes=boxes,
+                      notes=notes)
+
+
 def check_cond1(candidate: CandidateW, rigor: str = "sampled") -> CondReport:
     """Verify Delta^2 w_m <= lambda'/(1-w_m)^2 and compute the sharpest lambda'.
 
@@ -151,44 +197,23 @@ def check_cond1(candidate: CandidateW, rigor: str = "sampled") -> CondReport:
     [lambda'(3m-4)^3 - F_num] / [(3m-4) r^(8/3) q^2] with a positive
     denominator, so its sign is that of the cleared numerator.  The reported
     margin is the sampled minimum of the slack itself; the interval tier
-    proves the cleared numerator nonnegative.
+    proves the cleared numerator nonnegative.  The sharpest lambda' is
+    sup F = -inf(-F), so the shared infimum check runs on -F_num / F_den
+    and its value and enclosure are negated back.
     """
-    if rigor not in _RIGOR_TIERS:
-        raise InvalidArgument(f"unknown rigor tier {rigor!r}")
     m, N = candidate.m, candidate.N
     d = 3 * m - 4
     fnum, fden = _cond1_parts(m, N)
-    lamp = _frac(candidate.lam_prime)
-    claim = Signomial.constant(lamp * d ** 3) - fnum
+    claim = Signomial.constant(_frac(candidate.lam_prime) * d ** 3) - fnum
     slack_den = Signomial({Fraction(8, 3): d}) * q_signomial(m) ** 2
-    (margin, argmin), (sharp, arg_sharp) = sampled_mins([(claim, slack_den),
-                                                         (-fnum, fden)])
-    sharp = -sharp
-    lims = _endpoint_limits(fnum, fden)
-    end = max(lims) if lims else None
-    if end is not None:
-        sharp = max(sharp, float(end))
-    notes = []
-    if argmin > 1 - 1e-4:
-        notes.append("boundary-limit: the slack minimizer sits at r -> 1")
-    proved, enc, boxes = None, None, None
-    if rigor == "interval":
-        rep = prove_signomial_nonneg(claim)
-        proved, boxes = rep.proved, rep.boxes
-        if not rep.proved:
-            notes.append(f"cond1 claim not proved: {rep.reason}")
-            if rep.counterexample is not None:
-                notes.append(f"counterexample near r={rep.counterexample}")
-        lo, hi, _ = sup_enclosure(fnum, fden, argmin=arg_sharp)
-        if end is not None:
-            cl, ch = frac_bounds(end)
-            lo = max(lo, cl)  # the limit is approached from inside (0,1)
-            if prove_signomial_nonneg(Signomial.constant(end) * fden - fnum).proved:
-                hi = min(hi, ch)
-        enc = (lo, hi)
-    return CondReport(margin=margin, argmin=argmin, sharpest=sharp,
-                      sharpest_enclosure=enc, proved=proved, rigor=rigor, boxes=boxes,
-                      notes=notes)
+    rep = _check_inf("cond1", claim, slack_den, -fnum, fden, rigor)
+    rep.sharpest = -rep.sharpest
+    if rep.sharpest_enclosure is not None:
+        lo, hi = rep.sharpest_enclosure
+        rep.sharpest_enclosure = (-hi, -lo)
+    if rep.argmin > 1 - 1e-4:
+        rep.notes.insert(0, "boundary-limit: the slack minimizer sits at r -> 1")
+    return rep
 
 
 def _cond2_parts(candidate: CandidateW, weight: RadialExpr):
@@ -210,42 +235,11 @@ def check_cond2(candidate: CandidateW, weight: RadialExpr | None = None,
     positive denominator G_den; the interval tier proves both the
     denominator sign and the cleared claim.
     """
-    if rigor not in _RIGOR_TIERS:
-        raise InvalidArgument(f"unknown rigor tier {rigor!r}")
     if weight is None:
         weight = hr_weight(candidate.hr_variant, candidate.N)
     num, den = _cond2_parts(candidate, weight)
-    beta = _frac(candidate.beta)
-    claim = num - Signomial.constant(beta) * den
-    (margin, argmin), (sharp, arg_sharp) = sampled_mins([(claim, den), (num, den)])
-    lims = _endpoint_limits(num, den)
-    end = min(lims) if lims else None
-    if end is not None:
-        sharp = min(sharp, float(end))
-    notes = []
-    proved, enc, boxes = None, None, None
-    if rigor == "interval":
-        dpos = prove_signomial_nonneg(den)
-        if not dpos.proved:
-            notes.append(f"cond2 denominator sign not proved: {dpos.reason}")
-            proved = False
-        else:
-            rep = prove_signomial_nonneg(claim)
-            proved, boxes = rep.proved, rep.boxes
-            if not rep.proved:
-                notes.append(f"cond2 claim not proved: {rep.reason}")
-                if rep.counterexample is not None:
-                    notes.append(f"counterexample near r={rep.counterexample}")
-        lo, hi, _ = inf_enclosure(num, den, argmin=arg_sharp)
-        if end is not None:
-            cl, ch = frac_bounds(end)
-            hi = min(hi, ch)  # the limit is approached from inside (0,1)
-            if prove_signomial_nonneg(num - Signomial.constant(end) * den).proved:
-                lo = max(lo, cl)
-        enc = (lo, hi)
-    return CondReport(margin=margin, argmin=argmin, sharpest=sharp,
-                      sharpest_enclosure=enc, proved=proved, rigor=rigor, boxes=boxes,
-                      notes=notes)
+    claim = num - Signomial.constant(_frac(candidate.beta)) * den
+    return _check_inf("cond2", claim, den, num, den, rigor)
 
 
 # --------------------------------------------------------------------------
@@ -296,14 +290,6 @@ class CertificateReport:
     sharpest_beta: float
     rigor: str
     notes: list = field(default_factory=list)
-
-    @property
-    def cond1_margin(self):
-        return self.cond1.margin
-
-    @property
-    def cond2_margin(self):
-        return self.cond2.margin
 
 
 _SAMPLED_TOL = 1e-9

@@ -55,13 +55,25 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_dims(spec: str) -> list[int]:
     """Parse '9..16' or a comma list '9,12,31' into a list of dimensions."""
-    if ".." in spec:
-        a, b = spec.split("..", 1)
-        lo, hi = int(a), int(b)
-        if hi < lo:
-            raise InvalidArgument(f"empty dimension range {spec!r}")
-        return list(range(lo, hi + 1))
-    return [int(x) for x in spec.split(",") if x]
+    try:
+        if ".." not in spec:
+            return [int(x) for x in spec.split(",")]
+        lo, hi = (int(x) for x in spec.split("..", 1))
+    except ValueError:
+        raise InvalidArgument(f"malformed dimension list {spec!r}") from None
+    if hi < lo:
+        raise InvalidArgument(f"empty dimension range {spec!r}")
+    return list(range(lo, hi + 1))
+
+
+def _parse_fraction(flag: str, value: str | None, default: Fraction) -> Fraction:
+    """An exact rational flag value such as '14/5' or '366.5'; `default` when unset."""
+    if value is None:
+        return default
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidArgument(f"{flag} needs a rational number, got {value!r}") from None
 
 
 def _json_default(o):
@@ -215,11 +227,11 @@ def cmd_certify(args) -> int:
     if args.m is not None or args.lambda_prime is not None or args.beta_cert is not None:
         base = table_candidate(N)
         cand = CandidateW(
-            m=Fraction(args.m) if args.m is not None else base.m,
+            m=_parse_fraction("--m", args.m, base.m),
             N=N,
-            lam_prime=(Fraction(args.lambda_prime) if args.lambda_prime is not None
-                       else base.lam_prime),
-            beta=Fraction(args.beta_cert) if args.beta_cert is not None else base.beta,
+            lam_prime=_parse_fraction("--lambda-prime", args.lambda_prime,
+                                      base.lam_prime),
+            beta=_parse_fraction("--beta-cert", args.beta_cert, base.beta),
             hr_variant=args.variant.upper() if args.variant else base.hr_variant,
         )
     else:

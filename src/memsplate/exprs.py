@@ -5,10 +5,13 @@ supersolutions) are finite combinations of real powers of r with rational
 coefficients.  Two representations cooperate:
 
 * :class:`RadialExpr` trees (constants, powers, sums, products, quotients,
-  negation) with exact symbolic differentiation and direct evaluation;
+  negation) with exact symbolic differentiation and direct float evaluation;
+  a tree has no interval enclosure of its own, and reaches the prover only
+  through `as_ratio`;
 * :class:`Signomial`, the expanded normal form sum_k c_k r^(p_k) with exact
   rational coefficients and exponents, on which the interval positivity
-  prover operates after denominators have been cleared.
+  prover operates after denominators have been cleared.  It is the package's
+  one interval evaluator.
 
 Floats are converted to Fraction exactly (every float is a dyadic rational),
 so tree manipulation and differentiation introduce no rounding at all;
@@ -223,15 +226,12 @@ def _expr(x) -> "RadialExpr":
 
 
 class RadialExpr:
-    """Base expression node.  Subclasses implement diff/__call__/enclosure/as_ratio."""
+    """Base expression node.  Subclasses implement diff/__call__/as_ratio."""
 
     def diff(self) -> "RadialExpr":
         raise NotImplementedError
 
     def __call__(self, r):
-        raise NotImplementedError
-
-    def enclosure(self, a: float, b: float) -> Interval:
         raise NotImplementedError
 
     def as_ratio(self) -> tuple[Signomial, Signomial]:
@@ -286,9 +286,6 @@ class Const(RadialExpr):
     def __call__(self, r):
         return np.full_like(np.asarray(r, dtype=float), float(self.c))
 
-    def enclosure(self, a, b):
-        return Interval.point(self.c)
-
     def as_ratio(self):
         return Signomial.constant(self.c), Signomial.constant(1)
 
@@ -311,11 +308,6 @@ class Power(RadialExpr):
     def __call__(self, r):
         return float(self.c) * np.asarray(r, dtype=float) ** float(self.p)
 
-    def enclosure(self, a, b):
-        la, ha = pow_bounds(a, self.p)
-        lb, hb = pow_bounds(b, self.p)
-        return Interval.point(self.c) * Interval(min(la, lb), max(ha, hb))
-
     def as_ratio(self):
         return Signomial.term(self.c, self.p), Signomial.constant(1)
 
@@ -332,12 +324,6 @@ class Sum(RadialExpr):
 
     def __call__(self, r):
         return sum(t(r) for t in self.terms)
-
-    def enclosure(self, a, b):
-        out = Interval(0.0, 0.0)
-        for t in self.terms:
-            out = out + t.enclosure(a, b)
-        return out
 
     def as_ratio(self):
         num, den = Signomial.constant(0), Signomial.constant(1)
@@ -362,9 +348,6 @@ class Prod(RadialExpr):
     def __call__(self, r):
         return self.a(r) * self.b(r)
 
-    def enclosure(self, a, b):
-        return self.a.enclosure(a, b) * self.b.enclosure(a, b)
-
     def as_ratio(self):
         na, da = self.a.as_ratio()
         nb, db = self.b.as_ratio()
@@ -388,9 +371,6 @@ class Quot(RadialExpr):
     def __call__(self, r):
         return self.num(r) / self.den(r)
 
-    def enclosure(self, a, b):
-        return self.num.enclosure(a, b) / self.den.enclosure(a, b)
-
     def as_ratio(self):
         nn, dn = self.num.as_ratio()
         nd, dd = self.den.as_ratio()
@@ -409,9 +389,6 @@ class Neg(RadialExpr):
 
     def __call__(self, r):
         return -self.a(r)
-
-    def enclosure(self, a, b):
-        return -self.a.enclosure(a, b)
 
     def as_ratio(self):
         n, d = self.a.as_ratio()

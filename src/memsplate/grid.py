@@ -116,8 +116,9 @@ class RadialField:
 
 def build_grid(N: int, M: int, gamma: float = 2.0) -> RadialGrid:
     """Graded grid with nodes (i/M)**gamma; gamma > 1 clusters nodes at the origin."""
-    if N < 1 or M < 4 or gamma < 1:
-        raise InvalidArgument(f"need N >= 1, M >= 4, gamma >= 1, got {N=} {M=} {gamma=}")
+    if N < 1 or M < 4 or not (math.isfinite(gamma) and gamma >= 1):
+        raise InvalidArgument(
+            f"need N >= 1, M >= 4, finite gamma >= 1, got {N=} {M=} {gamma=}")
     i = np.arange(1, M + 1, dtype=float)
     r = (i / M) ** gamma
     r[-1] = 1.0

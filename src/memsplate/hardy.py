@@ -235,14 +235,14 @@ class RatioSignReport:
     counterexample: float | None = None
 
 
-def _prove_expr_nonneg(expr: RadialExpr, max_boxes: int = 2_000_000) -> RatioSignReport:
+def _prove_expr_nonneg(expr: RadialExpr) -> RatioSignReport:
     """Prove expr >= 0 on (0,1): clear the denominator, fix its sign, prove."""
     num, den = expr.as_ratio()
     smin, amin = sampled_min(num, den)
-    if prove_signomial_nonneg(den, max_boxes=max_boxes).proved:
-        rep = prove_signomial_nonneg(num, max_boxes=max_boxes)
-    elif prove_signomial_nonneg(-den, max_boxes=max_boxes).proved:
-        rep = prove_signomial_nonneg(-num, max_boxes=max_boxes)
+    if prove_signomial_nonneg(den).proved:
+        rep = prove_signomial_nonneg(num)
+    elif prove_signomial_nonneg(-den).proved:
+        rep = prove_signomial_nonneg(-num)
     else:
         return RatioSignReport(False, smin, amin, reason="denominator sign undetermined")
     return RatioSignReport(rep.proved, smin, amin, reason=rep.reason,
@@ -331,7 +331,6 @@ class FormCheckReport:
     min_relative_gap: float
     violations: int
     tol: float
-    remainder_estimate: float  # best discrete constant C in gap >= C int phi^2
 
     @property
     def passed(self) -> bool:
@@ -379,7 +378,7 @@ def discrete_form_check(variant: str, N: int, grid: RadialGrid | None = None,
             violations += 1
     return FormCheckReport(variant=variant.upper(), N=N, trials=trials,
                            min_relative_gap=min_gap, violations=violations,
-                           tol=tol, remainder_estimate=min_gap)
+                           tol=tol)
 
 
 def hr2_leading_identity(N: int) -> bool:

@@ -11,9 +11,10 @@ sum c_k r^(p_k) on the open interval (0,1), which is decided here by:
   applied recursively;
 * adaptive outward-rounded interval bisection on the remaining compact core.
 
-Suprema/infima of ratios of signomials are enclosed by certified point
-evaluations (upper/lower bound) plus a bisection over levels c of the claim
-"num - c*den >= 0 on (0,1)" (lower/upper bound).
+The infimum of a ratio of signomials is enclosed by a certified point
+evaluation (upper bound) plus a bisection over levels c of the claim
+"num - c*den >= 0 on (0,1)" (lower bound).  A supremum is the negated
+infimum of -num/den; the caller negates.
 """
 
 from __future__ import annotations
@@ -91,8 +92,12 @@ def _prove_upper(sig: Signomial, a: float, depth: int, min_width: float,
                       boxes=boxes)
 
 
+#: nested derivative claims `_prove_upper` may try at a zero at r = 1
+_DERIVATIVE_DEPTH = 4
+
+
 def prove_signomial_nonneg(sig: Signomial, min_width: float = 1e-12,
-                           depth: int = 4, max_boxes: int = 2_000_000) -> SignReport:
+                           max_boxes: int = 2_000_000) -> SignReport:
     """Prove sig(r) >= 0 for all r in the open interval (0, 1)."""
     if not sig.terms:
         return SignReport(True, reason="identically zero")
@@ -120,7 +125,7 @@ def prove_signomial_nonneg(sig: Signomial, min_width: float = 1e-12,
         return SignReport(False, reason="no sign-definite collar at r=0",
                           boxes=collar_boxes, inconclusive=[(0.0, eps0)])
 
-    rep = _prove_upper(g, eps0, depth, min_width, max_boxes)
+    rep = _prove_upper(g, eps0, _DERIVATIVE_DEPTH, min_width, max_boxes)
     rep.boxes += collar_boxes
     return rep
 
@@ -240,9 +245,3 @@ def inf_enclosure(num: Signomial, den: Signomial | None = None,
         else:
             bad = mid
     return lo, hi, r_hat
-
-
-def sup_enclosure(num: Signomial, den: Signomial | None = None, **kw):
-    """Certified enclosure (lo, hi, argmax) of sup over (0,1) of num/den."""
-    lo, hi, r_hat = inf_enclosure(-num, den, **kw)
-    return -hi, -lo, r_hat

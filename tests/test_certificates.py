@@ -9,6 +9,7 @@ from memsplate.certificates import (CandidateW, _cond2_parts, certify_dimension,
                                     check_cond1, check_cond2, table1_rows,
                                     table_candidate, threshold_relation,
                                     wm_bilaplacian, wm_value)
+from memsplate.exprs import Const, Quot
 from memsplate.grid import InvalidArgument
 from memsplate.hardy import hr_weight
 from memsplate.operators import hardy_rellich_constant, lambda_bar
@@ -146,6 +147,37 @@ def test_certify_refutes_bad_multiplier():
                       hr_variant="HR3")
     rep = check_cond2(cand, rigor="sampled")
     assert rep.margin < 0
+
+
+@pytest.mark.parametrize("check,label", [(check_cond1, "cond1"), (check_cond2, "cond2")])
+def test_interval_tier_refutes_a_negative_limit_at_the_origin(check, label):
+    # lambda' = 300 and beta = 500 both leave a cleared claim that is
+    # negative as r -> 0, so the proof stops at its first witness
+    cand = CandidateW(Fraction(14, 5), 9, 300, 500, "HR3")
+    rep = check(cand, rigor="interval")
+    assert rep.proved is False and rep.boxes == 1
+    assert rep.notes == [f"{label} claim not proved: negative limit at r=0",
+                         "counterexample near r=0.25"]
+
+
+def test_interval_tier_refutes_an_interior_dip():
+    # lambda' = 600 lies below the sharpest lambda' ~ 671.69 for (m = 3,
+    # N = 12), and the cleared cond1 claim goes negative inside (0, 1)
+    rep = check_cond1(CandidateW(3, 12, 600, 2000, "HR2"), rigor="interval")
+    assert rep.proved is False
+    assert rep.notes[0] == "cond1 claim not proved: not sign-definite"
+    assert rep.notes[1].startswith("counterexample near r=")
+    lo, hi = rep.sharpest_enclosure
+    assert 600 < lo <= rep.sharpest <= hi
+
+
+def test_interval_tier_refuses_an_unproved_denominator():
+    # W = (-1)/(-1) is the constant 1, but its cleared denominator is
+    # negative, so the cond2 claim is never attempted
+    cand = table_candidate(12)
+    rep = check_cond2(cand, weight=Quot(Const(-1), Const(-1)), rigor="interval")
+    assert rep.proved is False and rep.boxes is None
+    assert rep.notes == ["cond2 denominator sign not proved: negative limit at r=0"]
 
 
 def test_n9_computed_sharpest_values():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from memsplate.cli import _parse_dims, main
+from memsplate.grid import InvalidArgument
 
 
 def run(tmp_path, *argv):
@@ -12,6 +13,8 @@ def run(tmp_path, *argv):
 def test_parse_dims():
     assert _parse_dims("9..12") == [9, 10, 11, 12]
     assert _parse_dims("9,12,31") == [9, 12, 31]
+    with pytest.raises(InvalidArgument, match="empty dimension range"):
+        _parse_dims("12..9")
 
 
 def test_threshold_json(tmp_path):
@@ -74,6 +77,22 @@ def test_bad_flags_exit_config(tmp_path):
     with pytest.raises(SystemExit) as e:
         main(["nosuchcommand"])
     assert e.value.code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["branch", "--dims", "9,x"],
+    ["branch", "--dims", "9.."],
+    ["branch", "--dims", ","],
+    ["table1", "--dims", "9..x"],
+    ["certify", "--dim", "9", "--m", "abc"],
+    ["certify", "--dim", "9", "--m", "1/0"],
+    ["branch", "--dim", "9", "--gamma", "nan"],
+    ["branch", "--dim", "9", "--gamma", "inf"],
+])
+def test_malformed_values_exit_config_with_a_reason(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
 
 
 def test_bad_grid_is_config_error(tmp_path):

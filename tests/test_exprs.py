@@ -94,13 +94,6 @@ def test_as_signomial():
         Quot(Const(1), Sum((Const(1), Power(1, 1)))).as_signomial()
 
 
-def test_expr_enclosure_contains_values():
-    e = Quot(Const(1), Sum((Const(2), Power(-1, 2))))  # 1/(2 - r^2)
-    enc = e.enclosure(0.1, 0.9)
-    for r in np.linspace(0.1, 0.9, 9):
-        assert enc.lo <= 1.0 / (2.0 - r * r) <= enc.hi
-
-
 @st.composite
 def simple_exprs(draw):
     terms = draw(st.lists(

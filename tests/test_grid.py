@@ -25,8 +25,9 @@ def test_build_grid_validation():
         build_grid(0, 100)
     with pytest.raises(InvalidArgument):
         build_grid(2, 3)
-    with pytest.raises(InvalidArgument):
-        build_grid(2, 100, 0.5)
+    for gamma in (0.5, math.nan, math.inf):
+        with pytest.raises(InvalidArgument):
+            build_grid(2, 100, gamma)
 
 
 def test_refine_doubles():

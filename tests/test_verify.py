@@ -6,8 +6,7 @@ import pytest
 import memsplate.verify as verify
 from memsplate.exprs import Signomial
 from memsplate.verify import (SAMPLES, _log_uniform_points, inf_enclosure,
-                              prove_signomial_nonneg, sampled_min, sampled_mins,
-                              sup_enclosure)
+                              prove_signomial_nonneg, sampled_min, sampled_mins)
 
 # q(r) = 9 - 4 r^(5/3) appears in the m = 3 candidate profile; q >= 5 on [0, 1]
 # with equality only at r = 1, so q^3 >= 125 is tight at the endpoint.
@@ -80,11 +79,11 @@ def test_inf_enclosure_brackets_true_min():
     assert hi - lo < 1e-4
 
 
-def test_sup_enclosure_brackets_true_max():
-    # sup of r(1-r)*4 on (0,1) is 1 at r = 1/2
+def test_inf_enclosure_of_the_negation_brackets_true_max():
+    # sup of r(1-r)*4 on (0,1) is 1 at r = 1/2, so inf of its negation is -1
     num = Signomial({1: 4, 2: -4})
-    lo, hi, arg = sup_enclosure(num, None, rel_tol=1e-6, samples=50_001)
-    assert lo <= 1.0 <= hi
+    lo, hi, arg = inf_enclosure(-num, None, rel_tol=1e-6, samples=50_001)
+    assert lo <= -1.0 <= hi
     assert hi - lo < 1e-4
     assert arg == pytest.approx(0.5, abs=1e-3)
 
@@ -155,8 +154,8 @@ def test_unbounded_point_enclosure_gives_an_uninformative_bound():
     with np.errstate(all="ignore"):
         lo, hi, _ = inf_enclosure(p400, p400)
         assert lo == -np.inf and hi >= 1.0
-        lo, hi, _ = sup_enclosure(Signomial({0: 1, 400: 1}), p400)
-        assert hi == np.inf
+        lo, hi, _ = inf_enclosure(-Signomial({0: 1, 400: 1}), p400)
+        assert lo == -np.inf
 
 
 def test_overflowing_point_enclosure_gives_an_infinite_lower_bound():
