@@ -145,6 +145,19 @@ def _cond1_parts(m: Fraction, N: int):
     return fnum, fden
 
 
+def _require_floats(label: str, *sigs: Signomial) -> None:
+    """Reject a condition whose signomials have a coefficient or exponent
+    with no finite float: every numeric tier evaluates them in floats."""
+    for sig in sigs:
+        for p, c in sig.terms.items():
+            try:
+                float(p), float(c)
+            except OverflowError:
+                raise InvalidArgument(
+                    f"the {label} signomials of this candidate leave the float "
+                    "range (a coefficient or exponent has no finite float)") from None
+
+
 def _check_inf(label: str, claim: Signomial, slack_den: Signomial,
                num: Signomial, den: Signomial, rigor: str) -> CondReport:
     """Shared body of the two checks, on the infimum side.
@@ -158,6 +171,7 @@ def _check_inf(label: str, claim: Signomial, slack_den: Signomial,
     """
     if rigor not in _RIGOR_TIERS:
         raise InvalidArgument(f"unknown rigor tier {rigor!r}")
+    _require_floats(label, claim, slack_den, num, den)
     (margin, argmin), (sharp, arg_sharp) = sampled_mins([(claim, slack_den),
                                                          (num, den)])
     lims = _endpoint_limits(num, den)

@@ -20,8 +20,12 @@ rounding enters only in numeric/interval evaluation.
 A Signomial does its exact-rational interval work once: on first use it
 compiles its terms into a table of floats (coefficient bounds, float
 exponent, exponent-rounding coefficient, value at r = 0), kept on the object.
-Each box enclosure after that is floats only, and bit-identical to the
-term-by-term `frac_bounds`/`pow_bounds`/`Interval` evaluation.
+Its float work is done once per point: the outward bounds of every term at
+a point x (its "row") are kept on the object too, up to `_MAX_ROWS` points,
+so a bisection, whose boxes end where earlier boxes ended or were centred,
+computes each power once.  A box enclosure is the directed sum of the
+termwise hull of its two endpoint rows, bit-identical to the term-by-term
+`frac_bounds`/`pow_bounds`/`Interval` evaluation.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ def _frac(x) -> Fraction:
 
 def _dirsum(values, direction: int) -> float:
     """Directed-rounded sum: fsum padded one ulp toward `direction` (+1/-1)."""
-    if all(math.isfinite(v) for v in values):
+    if all(map(math.isfinite, values)):
         try:
             s = math.fsum(values)
         except OverflowError:  # the exact sum leaves the float range
@@ -56,10 +60,16 @@ def _dirsum(values, direction: int) -> float:
     return -math.inf if -math.inf in values else math.inf
 
 
+#: rows a signomial keeps before it drops them all.  A bisection needs the
+#: rows of O(depth) points at a time, so this bounds the memory of a long
+#: proof (a row of n terms is about 64 n bytes) and costs it little.
+_MAX_ROWS = 1024
+
+
 class Signomial:
     """sum of c * r^p terms with exact rational c, p; immutable by convention."""
 
-    __slots__ = ("terms", "_diff", "_table")
+    __slots__ = ("terms", "_diff", "_table", "_rows")
 
     def __init__(self, terms=None):
         merged: dict[Fraction, Fraction] = {}
@@ -69,6 +79,7 @@ class Signomial:
         self.terms = {p: c for p, c in merged.items() if c != 0}
         self._diff = None
         self._table = None
+        self._rows = {}
 
     @classmethod
     def constant(cls, c) -> "Signomial":
@@ -172,21 +183,40 @@ class Signomial:
             for p, c in self.terms.items())
         return self._table
 
+    def _row(self, x: float) -> tuple[list, list]:
+        """Per-term outward bounds (lows, highs) of c * x**p at the point x.
+
+        Computed on the first request for x and kept on the object (up to
+        `_MAX_ROWS` points), so each term's power is evaluated once per
+        point.  Floats only.
+        """
+        row = self._rows.get(x)
+        if row is None:
+            if len(self._rows) >= _MAX_ROWS:
+                self._rows.clear()
+            table = self._table if self._table is not None else self._compile()
+            if x == 0.0:
+                bounds = [mul_bounds(cl, ch, *at_zero) for cl, ch, _, _, at_zero in table]
+            else:
+                lx = abs(math.log(x))
+                bounds = [mul_bounds(cl, ch, *padded_pow(x, pf, k, lx))
+                          for cl, ch, pf, k, _ in table]
+            self._rows[x] = row = ([lo for lo, _ in bounds], [hi for _, hi in bounds])
+        return row
+
     def _termwise(self, a: float, b: float) -> Interval:
-        """Natural enclosure on [a, b]: per term, coefficient bounds times the
-        hull of the padded endpoint powers, then a directed sum.  Floats only."""
-        table = self._table if self._table is not None else self._compile()
-        la = abs(math.log(a)) if a != 0.0 else 0.0
-        lb = abs(math.log(b)) if b != 0.0 else 0.0
-        los, his = [], []
-        for cl, ch, pf, k, at_zero in table:
-            xl, xh = padded_pow(a, pf, k, la) if a != 0.0 else at_zero
-            if b != a:
-                bl, bh = padded_pow(b, pf, k, lb) if b != 0.0 else at_zero
-                xl, xh = min(xl, bl), max(xh, bh)
-            lo, hi = mul_bounds(cl, ch, xl, xh)
-            los.append(lo)
-            his.append(hi)
+        """Natural enclosure on [a, b]: per term, the hull of the endpoint rows,
+        then a directed sum.
+
+        This equals coefficient bounds times the hull of the padded endpoint
+        powers bit for bit: c * x is monotone in x for a fixed c, and so are
+        its rounding, the `nextafter` pad and the 0 * inf = 0 rule, so each
+        extreme product over the hull lies at an endpoint's corner.
+        """
+        los, his = self._row(a)
+        if b != a:
+            lb, hb = self._row(b)
+            los, his = list(map(min, los, lb)), list(map(max, his, hb))
         return Interval(_dirsum(los, -1), _dirsum(his, +1))
 
     def enclosure(self, a: float, b: float) -> Interval:

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import memsplate.certificates as certificates
+import memsplate.exprs as exprs
 import memsplate.verify as verify
 from memsplate.certificates import (CandidateW, _cond2_parts, certify_dimension,
                                     check_cond1, check_cond2, table1_rows,
                                     table_candidate, threshold_relation,
                                     wm_bilaplacian, wm_value)
-from memsplate.exprs import Const, Quot
+from memsplate.exprs import Const, Quot, Signomial
 from memsplate.grid import InvalidArgument
 from memsplate.hardy import hr_weight
 from memsplate.operators import hardy_rellich_constant, lambda_bar
@@ -115,6 +116,65 @@ def test_n9_cleared_claim_box_counts():
     rep = prove_signomial_nonneg(den)
     assert rep.proved and rep.reason.startswith("non-increasing collar")
     assert rep.boxes == 144
+
+
+def test_each_point_evaluates_each_term_power_once(monkeypatch):
+    # one proof of the N = 9 cleared cond2 claim: an enclosure calls
+    # padded_pow once per term for each endpoint that its signomial (the
+    # factored claim or its derivative) has not met before, and never again
+    # for that point
+    cand = table_candidate(9)
+    num, den = _cond2_parts(cand, hr_weight(cand.hr_variant, 9))
+    claim = num - Signomial.constant(cand.beta) * den
+    calls = 0
+    real_pow, real_termwise = exprs.padded_pow, Signomial._termwise
+
+    def pow_spy(*args):
+        nonlocal calls
+        calls += 1
+        return real_pow(*args)
+
+    met = {}  # id -> (signomial, points met); holding it keeps the id unique
+    surplus = []
+
+    def termwise_spy(sig, a, b):
+        points = met.setdefault(id(sig), (sig, set()))[1]
+        new = {x for x in (a, b) if x != 0.0 and x not in points}
+        points.update((a, b))
+        before = calls
+        out = real_termwise(sig, a, b)
+        if calls - before != len(new) * len(sig.terms):
+            surplus.append((sig, a, b, calls - before))
+        return out
+
+    monkeypatch.setattr(exprs, "padded_pow", pow_spy)
+    monkeypatch.setattr(Signomial, "_termwise", termwise_spy)
+    rep = prove_signomial_nonneg(claim)
+    assert rep.proved and rep.boxes == 366
+    assert surplus == []
+    assert calls == sum(len(sig.terms) * len(points - {0.0})
+                        for sig, points in met.values())
+    # the centred forms' derivative rows are counted too
+    derivatives = [sig._diff for sig, _ in met.values() if sig._diff is not None]
+    assert derivatives and all(id(d) in met for d in derivatives)
+
+
+@pytest.mark.parametrize("N,check,sharpest,enclosure,boxes", [
+    (9, check_cond1, "0x1.6cf48f8423893p+8",
+     ("0x1.6cf48f8423880p+8", "0x1.6cf57eb17af35p+8"), 24),
+    (9, check_cond2, "0x1.6ee7a19f55d76p+8",
+     ("0x1.6ee72965210f5p+8", "0x1.6ee7a19f55db4p+8"), 366),
+    (12, check_cond1, "0x1.4fd7b2551d848p+9",
+     ("0x1.4fd7b2551d835p+9", "0x1.4fd88e6e25d74p+9"), 18),
+    (12, check_cond2, "0x1.0beac24b22d5bp+10",
+     ("0x1.0bea6a80a07f4p+10", "0x1.0beac24b22d8ap+10"), 155),
+])
+def test_interval_tier_answers_are_frozen(N, check, sharpest, enclosure, boxes):
+    # frozen as float hex: the prover's enclosures must not move by one ulp
+    rep = check(table_candidate(N), rigor="interval")
+    assert rep.sharpest.hex() == sharpest
+    assert tuple(x.hex() for x in rep.sharpest_enclosure) == enclosure
+    assert rep.boxes == boxes
 
 
 @pytest.mark.parametrize("rigor", ["sampled", "interval"])

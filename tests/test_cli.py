@@ -95,6 +95,25 @@ def test_malformed_values_exit_config_with_a_reason(tmp_path, capsys, argv):
     assert err.startswith("configuration error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("rigor", ["sampled", "interval"])
+@pytest.mark.parametrize("flag,value,label", [
+    ("--m", "1e100", "cond1"),
+    ("--m", "1e400", "cond1"),
+    ("--lambda-prime", "1e400", "cond1"),
+    ("--beta-cert", "1e400", "cond2"),
+])
+def test_candidate_beyond_the_float_range_exits_config(tmp_path, capsys, flag,
+                                                      value, label, rigor):
+    # the cleared condition signomials would have coefficients that no float
+    # holds; the check refuses them before any tier evaluates them
+    assert run(tmp_path, "certify", "--dim", "9", flag, value, "--rigor", rigor) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: the {label} signomials of this "
+                          "candidate leave the float range")
+    assert "Traceback" not in err
+    assert not (tmp_path / "certify_N9.json").exists()
+
+
 def test_bad_grid_is_config_error(tmp_path):
     assert run(tmp_path, "pullin", "--dim", "2", "--M", "0") == 3
 

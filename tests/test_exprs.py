@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import memsplate.exprs as exprs
 from memsplate.exprs import (Const, Neg, Power, Prod, Quot, RadialExpr,
                              Signomial, Sum, _dirsum, signomial_expr)
 from memsplate.intervals import Interval, frac_bounds, pow_bounds, up
@@ -148,13 +149,17 @@ def _reference_enclosure(sig, a, b):
     return Interval(lo, hi) if lo <= hi else nat
 
 
+# +-400: x ** pf underflows to 0 (lower bound -5e-324) or overflows on (0, 1)
 _EXPONENTS = st.one_of(
     st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(4, 3), Fraction(8, 3),
-                     Fraction(-1, 3), Fraction(-8, 3), Fraction(22, 15)]),
+                     Fraction(-1, 3), Fraction(-8, 3), Fraction(22, 15),
+                     Fraction(400), Fraction(-400)]),
     st.fractions(min_value=-3, max_value=6, max_denominator=15))
+# 10**-330 has the float bounds (0, 5e-324): its lower bound cl is 0
 _COEFFS = st.one_of(
     st.sampled_from([Fraction(1, 3), Fraction(3661, 10), Fraction(-2, 7),
-                     Fraction(3, 4), Fraction(-5)]),
+                     Fraction(3, 4), Fraction(-5), Fraction(1, 10 ** 330),
+                     Fraction(-1, 10 ** 330)]),
     st.fractions(min_value=-1000, max_value=1000, max_denominator=99)
     .filter(lambda c: c != 0))
 
@@ -199,9 +204,33 @@ def test_enclosure_of_an_overflowing_power_is_unbounded_above():
     assert box.hi == math.inf and 1e120 < box.lo <= 0.5 ** -400
 
 
+def _bisection_walk(a, b):
+    """A box, its two children and the children's midpoints, in proof order."""
+    if a == b:
+        return [(a, b)]
+    c = 0.5 * (a + b)
+    left, right = 0.5 * (a + c), 0.5 * (c + b)
+    return [(a, b), (a, c), (c, b), (left, left), (right, right)]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.dictionaries(_EXPONENTS, _COEFFS, min_size=1, max_size=6), _boxes())
 def test_compiled_enclosure_is_bit_identical_to_termwise_definition(terms, box):
+    # one signomial walks the whole tree, so later boxes read the endpoint
+    # rows that earlier boxes (and their centred forms) left on it
     sig = Signomial(terms)
-    assert _bits(sig._termwise, *box) == _bits(_reference_termwise, sig, *box)
-    assert _bits(sig.enclosure, *box) == _bits(_reference_enclosure, sig, *box)
+    for sub in _bisection_walk(*box):
+        assert _bits(sig._termwise, *sub) == _bits(_reference_termwise, sig, *sub)
+        assert _bits(sig.enclosure, *sub) == _bits(_reference_enclosure, sig, *sub)
+
+
+def test_a_long_walk_keeps_a_bounded_memo_with_the_same_bits(monkeypatch):
+    # past _MAX_ROWS new points a signomial drops its rows; the enclosures
+    # after each drop recompute them and give the same bits
+    monkeypatch.setattr(exprs, "_MAX_ROWS", 5)
+    sig = Signomial({Fraction(-1, 3): 2, Fraction(4, 3): -3, Fraction(22, 15): 1, 0: 1})
+    for k in range(40):
+        a, b = k / 40, (k + 1) / 40
+        for sub in _bisection_walk(a, b):
+            assert _bits(sig.enclosure, *sub) == _bits(_reference_enclosure, sig, *sub)
+            assert len(sig._rows) <= 5
