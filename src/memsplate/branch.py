@@ -2,15 +2,21 @@
 
 Two solvers share the discrete clamped bilaplacian: the classical monotone
 fixed-point scheme (iterates rise from the biharmonic lift and stay below
-the minimal solution) and a damped Newton iteration for speed.  Both solve
-their linear systems with a float64 banded LU of the mixed form
-v = Delta u, Delta v = f (see `_ClampedSolver`); Newton iterates on the
-interleaved (v, u) unknown itself and stops at the float64 rounding floor
-of its row-scaled mixed residual.  A sweep raises lambda with Newton alone,
-started from the secant extrapolation of the last two converged profiles,
-brackets the pull-in voltage by bisecting the solvable/unsolvable boundary,
-and classifies the last converged profile as regular or singular from its
-touchdown asymptotics.
+the minimal solution) and a damped Newton iteration.  Both solve their
+linear systems with a float64 banded LU of the mixed form v = Delta u,
+Delta v = f (see `_ClampedSolver`); Newton iterates on the interleaved
+(v, u) unknown itself and stops at the float64 rounding floor of its
+row-scaled mixed residual.
+
+A sweep traces the branch in s = u(0), which stays a regular parameter
+through the fold (Keller's pseudo-arclength bordering with the arclength
+replaced by u(0)).  Each point is a bordered Newton solve for (u, lambda)
+with u(0) = s, and its Jacobian factorization gives the tangent
+(du/ds, dlambda/ds), which predicts the next point.  The trace stops at the
+fold of the minimal branch, the root of dlambda/ds, where lambda* is a
+maximum of lambda(s), or at the touchdown threshold s = tau, where it
+reports lambda(tau).  A fold before tau classifies the dimension as regular;
+reaching tau with the touchdown profile 1 - C0 r^(4/3) as singular.
 """
 
 from __future__ import annotations
@@ -37,13 +43,15 @@ class NonConvergence(Exception):
 
 @dataclass(frozen=True)
 class BranchPoint:
-    """One converged point of the minimal branch."""
+    """One converged point of the minimal branch, at s = u(0) with slope dlambda/ds."""
 
     lam: float
     profile: RadialField
     sup_norm: float
     mu1: float | None
     iterations: int
+    s: float
+    slope: float
 
 
 @dataclass(frozen=True)
@@ -67,31 +75,72 @@ class ContinuationConfig:
         if not (0 < self.tau < 1):
             raise InvalidArgument("touchdown threshold must lie in (0, 1)")
 
-    def step(self) -> float:
-        """lambda step: lambda_bar/20, or 0.25 when lambda_bar <= 0."""
-        lb = float(lambda_bar(self.N))
-        return lb / 20.0 if lb > 0 else 0.25
 
-    def bracket_tol(self) -> float:
-        """Width at which bisection of the pull-in bracket stops."""
-        return self.step() / 256.0
+@dataclass(frozen=True)
+class GridEvidence:
+    """lambda*_h of one sweep on M, M/2 and M/4, with its observed order.
+
+    The order is log2((l4 - l2) / (l2 - l1)) for the values l1, l2, l4 on M,
+    M/2 and M/4; None when the differences change sign.
+    """
+
+    M: tuple
+    lam_star: tuple
+    observed_order: float | None
 
 
 @dataclass(frozen=True)
 class BranchResult:
-    """Output of a sweep: branch points, pull-in bracket, and classification."""
+    """Output of a sweep: branch points, lambda*_h, its bracket and evidence, classification.
+
+    `points` holds the minimal-branch points in increasing s, up to the fold
+    or to s = tau.  At a fold, `lam_star_bracket` is the root finder's
+    bracket: the largest lambda solved and the meeting point of the tangents
+    at the two ends of the final s-bracket, an upper bound for the concave
+    lambda(s) near the fold.  At s = tau it is lambda(tau) and its tangent
+    extension to touchdown, lambda(tau) + (1 - tau) dlambda/ds.  The
+    counters cover the sweep's own grid: converged bordered solves
+    (`trace_points`), Newton steps, halved Newton steps, solves at secant
+    roots of dlambda/ds, banded factorizations, and failed solves, each
+    followed by a halved s-step.
+    """
 
     points: tuple
     lam_star_estimate: float
     lam_star_bracket: tuple
     extremal_profile: RadialField
     classification: str  # "Regular" | "Singular"
+    fold: bool  # the trace turned at a fold before s = tau
     C0_fit: float
     exponent_fit: float
     solve_accuracy: float  # the solver's construction-time probe error
-    factorizations: int  # banded LU factorizations of the fine-grid solver
-    failed_solves: int  # fine Newton and coarse monotone solves that raised NonConvergence
+    grid_evidence: GridEvidence | None
+    factorizations: int
+    failed_solves: int
+    trace_points: int
+    newton_steps: int
+    halvings: int
+    fold_secant_steps: int
     warnings: tuple = ()
+
+    def curve(self, samples: int = 201):
+        """(lambda, sup u) at `samples` values of s evenly spaced over the points.
+
+        lambda(s) is the cubic Hermite interpolant of the points' lambda and
+        dlambda/ds; sup u is interpolated linearly in s (it equals s when
+        the profiles decrease radially).
+        """
+        S = np.array([p.s for p in self.points])
+        lam = np.array([p.lam for p in self.points])
+        slope = np.array([p.slope for p in self.points])
+        sup = np.array([p.sup_norm for p in self.points])
+        s = np.linspace(S[0], S[-1], samples)
+        i = np.clip(np.searchsorted(S, s, side="right") - 1, 0, len(S) - 2)
+        h = S[i + 1] - S[i]
+        t = (s - S[i]) / h
+        lam_s = ((2 * t ** 3 - 3 * t ** 2 + 1) * lam[i] + (t ** 3 - 2 * t ** 2 + t) * h * slope[i]
+                 + (3 * t ** 2 - 2 * t ** 3) * lam[i + 1] + (t ** 3 - t ** 2) * h * slope[i + 1])
+        return lam_s, sup[i] + t * (sup[i + 1] - sup[i])
 
 
 class _ClampedSolver:
@@ -104,8 +153,9 @@ class _ClampedSolver:
     u diagonal and is factored once per step, and Newton measures its
     residual on the same mixed rows.  A known-solution probe at construction
     measures the achievable solve accuracy (`solve_accuracy`) and raises
-    instead of returning garbage when it is too poor.  `factorizations`
-    counts the banded LU factorizations made so far.
+    instead of returning garbage when it is too poor.  `factorizations`,
+    `newton_steps` and `halvings` count the banded LU factorizations, the
+    Newton steps and the halved Newton steps made so far.
     """
 
     _PROBE_LIMIT = 1e-2
@@ -115,7 +165,7 @@ class _ClampedSolver:
             raise InvalidArgument("boundary data must be admissible (beta <= 0, alpha - beta/2 < 1)")
         self.grid = grid
         self.bc = bc
-        self.factorizations = 0
+        self.factorizations = self.newton_steps = self.halvings = 0
         A, o1 = mixed_bilaplacian(grid, bc)
         self.A, self.absA = A, abs(A)
         self.ku, self.kl = int(A.offsets[0]), -int(A.offsets[-1])
@@ -139,7 +189,7 @@ class _ClampedSolver:
         return lu, piv
 
     def _solve(self, lu, b: np.ndarray) -> np.ndarray:
-        """Interleaved mixed solution [v0, u0, v1, ...] for the right-hand side b."""
+        """Interleaved mixed solution [v0, u0, v1, ...] for the right-hand side(s) b."""
         return dgbtrs(lu[0], self.kl, self.ku, b, lu[1])[0]
 
     def _probe(self, A) -> float:
@@ -158,15 +208,29 @@ class _ClampedSolver:
         b[1::2] = f
         return self._solve(self.lu, b)[1::2]
 
+    def factor_shifted(self, d: np.ndarray):
+        """LU of the mixed band minus diag(d) on the u rows."""
+        ab = self.ab.copy()
+        ab[self.kl + self.ku, 1::2] -= d
+        return self._factor(ab)
+
+    def factor_jacobian(self, u: np.ndarray, lam: float):
+        """LU of the Newton Jacobian J: the mixed band minus 2 lam/(1-u)^3 on the u diagonal."""
+        return self.factor_shifted(2.0 * lam / (1.0 - u) ** 3)
+
     def jacobian_solve(self, u: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
-        """Solve J dx = rhs, J the mixed band minus 2 lam/(1-u)^3 on the u diagonal.
+        """Solve J dx = rhs.
 
         rhs and dx interleave like the mixed unknown; with rhs zero on the v
         rows, the u entries of dx solve (Delta^2 - 2 lam/(1-u)^3) du = rhs.
         """
-        ab = self.ab.copy()
-        ab[self.kl + self.ku, 1::2] -= 2.0 * lam / (1.0 - u) ** 3
-        return self._solve(self._factor(ab), rhs)
+        return self._solve(self.factor_jacobian(u, lam), rhs)
+
+    def load(self, u: np.ndarray) -> np.ndarray:
+        """dF/dlambda with the sign flipped: (1-u)^-2 on the u rows, 0 on the v rows."""
+        g = np.zeros_like(self.b0)
+        g[1::2] = 1.0 / (1.0 - u) ** 2
+        return g
 
     def mixed_state(self, u: np.ndarray) -> np.ndarray:
         """Interleaved [v0, u0, v1, ...] with v = Delta u from the even rows."""
@@ -176,16 +240,22 @@ class _ClampedSolver:
         return x
 
     def residual(self, x: np.ndarray, lam: float):
-        """(F, max |F| / (|A||x| + |b| + 1)) for F(x) = A x - b(u).
+        """(F, max |F| / scale) for F(x) = A x - b(u).
 
-        b(u) holds o1 on the even rows and lam/(1-u)^2 on the odd ones; the
-        row scale is what float64 rounds when it forms each row, so the
-        scaled residual of an exact solution is a few eps.
+        b(u) holds o1 on the even rows and lam/(1-u)^2 on the odd ones.  The
+        row scale |A||x| + |b| + 1, plus 2 |b| |u| / (1-u) on the u rows, is
+        what float64 rounds when it stores x and forms each row, so the
+        scaled residual of the correctly rounded solution is a few eps.  The
+        last term is the change of b under a one-ulp change of u; near
+        touchdown on coarse grids it exceeds the others, and without it no
+        float iterate reaches `NEWTON_FLOOR` there.
         """
         b = self.b0.copy()
         b[1::2] = lam / (1.0 - x[1::2]) ** 2
         F = self.A @ x - b
-        return F, float(np.max(np.abs(F) / (self.absA @ np.abs(x) + np.abs(b) + 1.0)))
+        scale = self.absA @ np.abs(x) + np.abs(b) + 1.0
+        scale[1::2] += 2.0 * np.abs(b[1::2] * x[1::2]) / (1.0 - x[1::2])
+        return F, float(np.max(np.abs(F) / scale))
 
     def field(self, u_int: np.ndarray) -> RadialField:
         return RadialField(self.grid, np.concatenate([u_int, [self.bc.alpha]]), self.bc)
@@ -201,10 +271,11 @@ def monotone_solve(lam: float, bc: BoundaryData, grid: RadialGrid,
     """Monotone fixed-point iteration from the biharmonic lift.
 
     u_0 = Phi, then Delta^2 u_(n+1) = lambda/(1 - u_n)^2 with the clamped
-    data.  Iterates are verified non-decreasing; returns (profile, iterations).
-    Raises NonConvergence with touched=True when an iterate crosses `tau`
-    (lambda above pull-in) and touched=False when `_MONOTONE_MAX_ITER`
-    iterations pass first (lambda near pull-in: caller should bisect).
+    data, until the largest increment falls below `MONOTONE_TOL`.  Iterates
+    are verified non-decreasing; returns (profile, iterations).  Raises
+    NonConvergence with touched=True when an iterate crosses `tau` (lambda
+    above pull-in) and touched=False when `_MONOTONE_MAX_ITER` iterations
+    pass first (lambda near pull-in, where the contraction factor nears 1).
     """
     if lam < 0:
         raise InvalidArgument("lambda must be nonnegative")
@@ -212,31 +283,15 @@ def monotone_solve(lam: float, bc: BoundaryData, grid: RadialGrid,
     u = s.phi.copy()
     if np.max(u) >= tau:
         raise NonConvergence("biharmonic lift already beyond the threshold", touched=True)
-    # With one fixed factorization the increments fall to ~1e-15 on fine
-    # graded grids, well below MONOTONE_TOL; the stagnation exit (increments
-    # that stop decreasing while small) only guards grids whose solve noise
-    # is larger.
-    band = lambda v: 1e-6 * (1.0 + float(np.max(np.abs(v))))
-    best, stall = math.inf, 0
     for it in range(1, _MONOTONE_MAX_ITER + 1):
-        rhs = lam / (1.0 - u) ** 2
-        u_new = s.solve_rhs(rhs)
+        u_new = s.solve_rhs(lam / (1.0 - u) ** 2)
         if np.max(u_new) >= tau:
             raise NonConvergence("iterate crossed the touchdown threshold", touched=True)
         d = u_new - u
         u = u_new
-        dmax = float(np.max(np.abs(d)))
-        if dmax < MONOTONE_TOL:
+        if np.max(np.abs(d)) < MONOTONE_TOL:
             return s.field(u), it
-        if dmax < 0.99 * best:
-            best, stall = dmax, 0
-        else:
-            stall += 1
-        if stall >= 8:
-            if dmax < band(u):
-                return s.field(u), it  # converged to the solver noise floor
-            raise NonConvergence("iteration stalled above the noise band", touched=False)
-        if np.min(d) < -band(u):
+        if np.min(d) < -1e-6 * (1.0 + float(np.max(np.abs(u)))):
             raise NonConvergence("monotonicity of the scheme violated", touched=False)
     raise NonConvergence(f"no contraction after {_MONOTONE_MAX_ITER} iterations",
                          touched=False)
@@ -249,24 +304,16 @@ _DAMPING_TRIALS = 4
 _NEWTON_MAX_ITER = 50
 
 
-def newton_solve(lam: float, guess: RadialField, bc: BoundaryData, grid: RadialGrid,
-                 tau: float = 1.0 - 1e-3, _solver: _ClampedSolver | None = None):
-    """Damped Newton iteration on the mixed system A x = b(u), x = [v0, u0, ...].
+def _damped_newton(s: _ClampedSolver, x: np.ndarray, lam: float, ceiling: float, direction):
+    """Damped Newton loop on F(x, lam) = A x - b(u); returns (x, lam, steps).
 
-    F(x) = A x - b(u) with A the mixed clamped bilaplacian and b(u) holding
-    o1 on the v rows and lambda/(1-u)^2 on the u rows; the Jacobian is A
-    minus 2 lambda/(1-u)^3 on the u diagonal.  Iteration stops when
-    max |F| / (|A||x| + |b| + 1) reaches `NEWTON_FLOOR`.  Each step takes
-    the first of `_DAMPING_TRIALS` halved step lengths that stays below the
-    touchdown threshold and lowers the scaled residual or reaches the floor;
-    when none does (above the fold) it raises NonConvergence at once.
-    Returns (profile, Newton steps).
+    `direction(x, lam, F)` gives the step (dx, dlam).  Iteration stops when
+    the scaled residual (`_ClampedSolver.residual`) reaches `NEWTON_FLOOR`.
+    Each step takes the first of `_DAMPING_TRIALS` halved step lengths whose
+    iterate stays below `ceiling` and lowers the scaled residual or reaches
+    the floor; when none does (above the fold) it raises NonConvergence at
+    once.
     """
-    if np.max(guess.values) >= 1.0:
-        raise InvalidArgument("initial guess touches the ceiling")
-    s = _solver if _solver is not None else _ClampedSolver(grid, bc)
-    u = np.minimum(np.asarray(guess.values[:-1], dtype=np.float64), tau - 1e-6)
-    x = s.mixed_state(u)
     res, res_norm = s.residual(x, lam)
     it = 0
     while res_norm > NEWTON_FLOOR:
@@ -274,34 +321,177 @@ def newton_solve(lam: float, guess: RadialField, bc: BoundaryData, grid: RadialG
             raise NonConvergence(
                 f"Newton did not converge in {_NEWTON_MAX_ITER} iterations", touched=False)
         it += 1
-        dx = s.jacobian_solve(x[1::2], -res, lam)
-        step = 1.0
-        for _ in range(_DAMPING_TRIALS):
-            x_try = x + step * dx
-            if np.max(x_try[1::2]) < tau:
-                res_try, norm_try = s.residual(x_try, lam)
+        s.newton_steps += 1
+        dx, dlam = direction(x, lam, res)
+        for k in range(_DAMPING_TRIALS):
+            x_try, lam_try = x + 0.5 ** k * dx, lam + 0.5 ** k * dlam
+            if np.max(x_try[1::2]) < ceiling:
+                res_try, norm_try = s.residual(x_try, lam_try)
                 if norm_try < res_norm or norm_try <= NEWTON_FLOOR:
                     break
-            step *= 0.5
         else:
             raise NonConvergence("Newton damping found no step that lowers the residual",
-                                 touched=bool(np.max(x[1::2] + dx[1::2]) >= tau))
-        x, res, res_norm = x_try, res_try, norm_try
+                                 touched=bool(np.max(x[1::2] + dx[1::2]) >= ceiling))
+        s.halvings += k
+        x, lam, res, res_norm = x_try, lam_try, res_try, norm_try
+    return x, lam, it
+
+
+def newton_solve(lam: float, guess: RadialField, bc: BoundaryData, grid: RadialGrid,
+                 tau: float = 1.0 - 1e-3, _solver: _ClampedSolver | None = None):
+    """Damped Newton iteration on the mixed system A x = b(u), x = [v0, u0, ...].
+
+    F(x) = A x - b(u) with A the mixed clamped bilaplacian and b(u) holding
+    o1 on the v rows and lambda/(1-u)^2 on the u rows; the Jacobian is A
+    minus 2 lambda/(1-u)^3 on the u diagonal.  Iterates stay below the
+    touchdown threshold `tau` (see `_damped_newton`).  Returns
+    (profile, Newton steps).
+    """
+    if np.max(guess.values) >= 1.0:
+        raise InvalidArgument("initial guess touches the ceiling")
+    s = _solver if _solver is not None else _ClampedSolver(grid, bc)
+    u = np.minimum(np.asarray(guess.values[:-1], dtype=np.float64), tau - 1e-6)
+    x, _, it = _damped_newton(s, s.mixed_state(u), lam, tau,
+                              lambda x, lam, F: (s.jacobian_solve(x[1::2], -F, lam), 0.0))
     return s.field(x[1::2]), it
 
 
-def _resampled_mu1(profile: RadialField, lam: float) -> float:
-    """mu1 on a uniform moderate grid (interpolated profile).
+def _bordered_solve(s: _ClampedSolver, x: np.ndarray, lam: float):
+    """Newton for (x, lambda) with u(0) = x[1] held fixed; returns (x, lam, steps).
 
-    Eigen solves on fine graded grids are dominated by roundoff; the uniform
-    resample keeps the value meaningful.
+    Block elimination of the bordered system: a = J^-1(-F) and b = J^-1 g,
+    g = (1-u)^-2 on the u rows, from one factorization; then
+    dlambda = -a_0 / b_0 keeps u(0) and dx = a + dlambda b.
     """
-    from .stability import mu1
+    def direction(x, lam, F):
+        w = 2.0 * lam / (1.0 - x[1::2]) ** 3
+        lu = s.factor_shifted(w)
+        g = s.load(x[1::2])
+        a, b = s._solve(lu, np.column_stack([-F, g])).T
+        dlam = -a[1] / b[1]
+        dx = a + dlam * b
+        # one step of iterative refinement on the bordered system
+        r = -F - (s.A @ dx) + dlam * g
+        r[1::2] += w * dx[1::2]
+        a2 = s._solve(lu, r)
+        dlam2 = (-dx[1] - a2[1]) / b[1]
+        return dx + a2 + dlam2 * b, dlam + dlam2
 
-    g = build_grid(profile.grid.N, 384, 1.0)
-    vals = np.interp(g.r, profile.grid.r, profile.values, left=profile.values[0])
-    vals[-1] = profile.boundary.alpha
-    return mu1(RadialField(g, np.minimum(vals, 1.0 - 1e-12), profile.boundary), lam).value
+    return _damped_newton(s, x, lam, 1.0, direction)
+
+
+@dataclass(frozen=True)
+class _TracePoint:
+    s: float
+    lam: float
+    x: np.ndarray  # interleaved [v0, u0, v1, ...]
+    tangent: np.ndarray  # dx/ds
+    slope: float  # dlambda/ds
+    iterations: int
+    mu1: float | None
+
+
+@dataclass(frozen=True)
+class _Trace:
+    points: list  # minimal-branch _TracePoints in increasing s
+    fold: bool
+    lam_star: float
+    bracket: tuple
+    converged: int  # every converged bordered solve, past the fold included
+    secant_steps: int
+    failed: int
+
+
+#: first s-step of a trace
+_DS0 = 0.05
+#: the s-step is sized so that the tangent predictor misses u by about this
+_PREDICTOR_TOL = 1e-2
+#: a failed solve halves the s-step; below this width the trace gives up
+_DS_MIN = 1e-9
+#: the fold search stops when its lambda bracket is this narrow, relative
+_FOLD_RTOL = 1e-10
+_FOLD_MAX_STEPS = 50
+
+
+def _trace(s: _ClampedSolver, tau: float, mu1=None) -> _Trace:
+    """Trace the minimal branch in s = u(0) from the lift to the fold or s = tau.
+
+    Each point is a `_bordered_solve` started from the tangent predictor of
+    the last point; its tangent comes from the Jacobian factored at the
+    converged point, which `mu1` (when given) reuses.  A failed solve halves
+    the s-step.  After the first point with dlambda/ds <= 0, the fold is
+    sought by regula falsi (Illinois) on dlambda/ds over the s-bracket, until
+    the bracket between the largest lambda solved and the meeting point of
+    the end tangents is `_FOLD_RTOL` narrow; lambda*_h is its midpoint.
+    The first point is the lift's discrete solution at lambda = 0.
+    """
+    failed = secant_steps = 0
+    trace = []
+
+    def converge(x, lam):
+        x, lam, it = _bordered_solve(s, x, lam)
+        lu = s.factor_jacobian(x[1::2], lam)
+        b = s._solve(lu, s.load(x[1::2]))
+        slope = 1.0 / b[1]
+        mu = (mu1(s.field(x[1::2]), lam, _solver=s, _lu=lu).value
+              if mu1 is not None and slope > 0 else None)
+        trace.append(_TracePoint(x[1], lam, x, b * slope, slope, it, mu))
+        return trace[-1]
+
+    def predict(p, s_new):
+        x = p.x + (s_new - p.s) * p.tangent
+        x[1] = s_new
+        if np.max(x[1::2]) >= 1.0:
+            raise NonConvergence("predictor crosses the ceiling", touched=True)
+        return x, p.lam + (s_new - p.s) * p.slope
+
+    p = converge(s.mixed_state(s.solve_rhs(np.zeros_like(s.phi))), 0.0)
+    ds = _DS0
+    while p.slope > 0 and p.s < tau:
+        s_new = min(p.s + ds, tau)
+        try:
+            x, lam = predict(p, s_new)
+            q = converge(x, lam)
+        except NonConvergence:
+            failed += 1
+            ds = 0.5 * (s_new - p.s)
+            if ds < _DS_MIN:
+                raise NonConvergence(f"s-step fell below {_DS_MIN} at s = {p.s}",
+                                     touched=False) from None
+            continue
+        miss = float(np.max(np.abs(q.x[1::2] - x[1::2])))
+        ds = (s_new - p.s) * min(2.0, max(0.5, math.sqrt(_PREDICTOR_TOL / max(miss, 1e-300))))
+        p = q
+    if p.slope > 0:
+        return _Trace(trace, False, p.lam, (p.lam, p.lam + (1.0 - p.s) * p.slope),
+                      len(trace), 0, failed)
+
+    # fold: dlambda/ds > 0 at a, <= 0 at b
+    a, b = trace[-2], trace[-1]
+    fa, fb, side = a.slope, b.slope, 0
+    while True:
+        lo = max(a.lam, b.lam)
+        s_meet = (b.lam - a.lam + a.slope * a.s - b.slope * b.s) / (a.slope - b.slope)
+        hi = max(a.lam + a.slope * (s_meet - a.s), np.nextafter(lo, np.inf))
+        if hi - lo <= _FOLD_RTOL * lo:
+            break
+        if secant_steps == _FOLD_MAX_STEPS:
+            raise NonConvergence(f"fold search stalled at lambda in ({lo}, {hi})", touched=False)
+        s_new = (a.s * fb - b.s * fa) / (fb - fa)
+        secant_steps += 1
+        c = converge(*predict(a if s_new - a.s <= b.s - s_new else b, s_new))
+        if c.slope > 0:
+            a, fa = c, c.slope
+            if side == 1:
+                fb *= 0.5
+            side = 1
+        else:
+            b, fb = c, c.slope
+            if side == -1:
+                fa *= 0.5
+            side = -1
+    points = sorted((p for p in trace if p.slope > 0), key=lambda p: p.s)
+    return _Trace(points, True, 0.5 * (lo + hi), (lo, hi), len(trace), secant_steps, failed)
 
 
 def _touchdown_fit(profile: RadialField):
@@ -312,101 +502,70 @@ def _touchdown_fit(profile: RadialField):
     w = 1.0 - profile.values[mask]
     r = grid.r[mask]
     good = w > 0
+    if np.count_nonzero(good) < 2:
+        raise InvalidArgument(f"M = {grid.M} leaves fewer than two nodes in the touchdown "
+                              f"fit window [{rlo:.3g}, 0.3]")
     slope, intercept = np.polyfit(np.log(r[good]), np.log(w[good]), 1)
     return float(math.exp(intercept)), float(slope)
 
 
 def sweep_branch(config: ContinuationConfig) -> BranchResult:
-    """Trace the minimal branch and bracket the pull-in voltage.
+    """Trace the minimal branch in s = u(0) and locate the pull-in voltage.
 
-    lambda rises from 0 in steps of `config.step()`; the first failure
-    triggers bisection of the solvable/unsolvable boundary down to
-    `config.bracket_tol()`.  Every lambda is one Newton solve: the lift at
-    lambda = 0, then the last profile for the first step, then the secant
-    extrapolation of the last two converged profiles.  The last converged
-    profile is classified Singular when its touchdown fit has exponent
-    within 0.15 of 4/3 and its sup norm Richardson-extrapolates to 1 within
-    2e-2 under grid refinement (a monotone solve on the half grid), else
-    Regular.  With zero data, a bracket below lambda_bar (a failure short of
-    the fold) is reported in `warnings`.
+    The trace (see `_trace`) runs on the grid of `config` and, as grid
+    evidence for lambda*_h, on the grids with M/2 and M/4 cells.  The
+    sweep is Singular when its trace reaches s = tau without a fold and the
+    touchdown fit of the last profile has exponent within 0.15 of 4/3, else
+    Regular.  A coarse grid that turns at a fold when the sweep's grid does
+    not, or the reverse, is reported in `warnings`; so is a coarse trace
+    that fails.  With `compute_mu1`, mu1 is evaluated at every point.
     """
-    grid = build_grid(config.N, config.M, config.gamma)
-    solver = _ClampedSolver(grid, config.bc)
-    dlam, width = config.step(), config.bracket_tol()
-    points, failed = [], 0
+    from .stability import mu1  # stability builds on _ClampedSolver
 
-    def accept(lam, guess):
-        profile, it = newton_solve(lam, guess, config.bc, grid, tau=config.tau,
-                                   _solver=solver)
-        points.append(BranchPoint(lam, profile, profile.sup_norm,
-                                  _resampled_mu1(profile, lam) if config.compute_mu1 else None,
-                                  it))
-        return profile
+    solver = _ClampedSolver(build_grid(config.N, config.M, config.gamma), config.bc)
+    main = _trace(solver, config.tau, mu1 if config.compute_mu1 else None)
+    traces, warnings = [main], []
+    try:
+        for M in (config.M // 2, config.M // 4):
+            coarse = _ClampedSolver(build_grid(config.N, M, config.gamma), config.bc)
+            traces.append(_trace(coarse, config.tau))
+    except (InvalidArgument, NonConvergence) as exc:
+        warnings.append(f"no grid evidence for lambda*: {exc}")
+    evidence = None
+    if len(traces) == 3:
+        l1, l2, l4 = (t.lam_star for t in traces)
+        ratio = (l4 - l2) / (l2 - l1) if l2 != l1 else math.nan
+        evidence = GridEvidence((config.M, config.M // 2, config.M // 4), (l1, l2, l4),
+                                math.log2(ratio) if ratio > 0 else None)
+    if any(t.fold != main.fold for t in traces):
+        warnings.append("grid-resolution warning: classifications disagree between grids")
 
-    good = accept(0.0, solver.field(solver.phi))
-    lam_lo, lam_hi, prev = 0.0, None, None
-    while lam_hi is None or lam_hi - lam_lo > width:
-        lam = lam_lo + dlam if lam_hi is None else 0.5 * (lam_lo + lam_hi)
-        guess = good.values
-        if prev is not None:
-            lam_prev, u_prev = prev
-            guess = guess + (lam - lam_lo) * (guess - u_prev) / (lam_lo - lam_prev)
-        try:
-            # near touchdown the secant can reach 1, which Newton rejects
-            profile = accept(lam, RadialField(grid, np.minimum(guess, config.tau - 1e-6),
-                                              config.bc))
-        except NonConvergence:
-            failed += 1
-            lam_hi = lam
-            continue
-        prev, lam_lo, good = (lam_lo, good.values), lam, profile
-
-    C0_fit, exponent_fit = _touchdown_fit(good)
-
-    warnings = []
-    # lambda_bar bounds lambda* from below for zero data (see pullin_bounds):
-    # a bracket ending under it was cut short by a failed solve below the fold
-    if config.bc == BoundaryData(0.0, 0.0) and lam_hi < lambda_bar(config.N):
-        warnings.append("bracket lies below the analytic lower bound lambda_bar")
-
-    # sup-norm Richardson over a coarser companion grid at the same lambda
-    sups = [good.sup_norm]
-    p2 = None
-    g2 = build_grid(config.N, config.M // 2, config.gamma)
-    coarse = _ClampedSolver(g2, config.bc)
-    # the coarse grid's own fold may sit marginally below lam_lo; back off a
-    # few bracket widths before giving up
-    for back in (0.0, 2.0, 8.0, 64.0, 256.0):
-        try:
-            p2, _ = monotone_solve(lam_lo - back * width, config.bc, g2, tau=config.tau,
-                                   _solver=coarse)
-            sups.append(p2.sup_norm)
-            break
-        except NonConvergence:
-            failed += 1
-    else:
-        warnings.append("coarse grid does not converge at the bracketed lambda")
-        sups.append(sups[0])
-    sup_extrap = sups[0] + (sups[0] - sups[1]) / 3.0
-
-    exponent_ok = abs(exponent_fit - 4.0 / 3.0) <= 0.15
-    singular = exponent_ok and abs(sup_extrap - 1.0) <= 2e-2
-    if p2 is not None:
-        _, e2 = _touchdown_fit(p2)
-        if (abs(e2 - 4.0 / 3.0) <= 0.15) != exponent_ok:
-            warnings.append("grid-resolution warning: classifications disagree between grids")
-
+    last = max(main.points, key=lambda p: p.lam) if main.fold else main.points[-1]
+    extremal = solver.field(last.x[1::2])
+    C0_fit, exponent_fit = _touchdown_fit(extremal)
+    singular = not main.fold and abs(exponent_fit - 4.0 / 3.0) <= 0.15
+    points = []
+    for p in main.points:
+        profile = solver.field(p.x[1::2])
+        points.append(BranchPoint(p.lam, profile, profile.sup_norm, p.mu1, p.iterations,
+                                  p.s, p.slope))
     return BranchResult(
         points=tuple(points),
-        lam_star_estimate=0.5 * (lam_lo + lam_hi),
-        lam_star_bracket=(lam_lo, lam_hi),
-        extremal_profile=good,
+        lam_star_estimate=main.lam_star,
+        lam_star_bracket=main.bracket,
+        extremal_profile=extremal,
         classification="Singular" if singular else "Regular",
+        fold=main.fold,
         C0_fit=C0_fit,
         exponent_fit=exponent_fit,
         solve_accuracy=solver.solve_accuracy,
+        grid_evidence=evidence,
         factorizations=solver.factorizations,
-        failed_solves=failed,
+        failed_solves=main.failed,
+        trace_points=main.converged,
+        newton_steps=solver.newton_steps,
+        halvings=solver.halvings,
+        fold_secant_steps=main.secant_steps,
         warnings=tuple(warnings),
     )
 

@@ -2,8 +2,8 @@
 
 Subcommands
 -----------
-branch     minimal-branch sweep for one dimension: JSON summary, profile CSV,
-           and a gnuplot-ready (lambda, sup u) curve
+branch     minimal-branch trace for one dimension: JSON summary, profile CSV,
+           and a gnuplot-ready (lambda, sup u) curve sampled on s = u(0)
 pullin     pull-in voltage bounds and the computed bracket for one dimension
 table1     per-dimension certificate summary (Markdown or CSV)
 certify    certificate check for one dimension (optionally a custom candidate)
@@ -126,11 +126,17 @@ def cmd_branch(args) -> int:
         cfg = ContinuationConfig(N=N, bc=bc, M=args.M, gamma=args.gamma,
                                  compute_mu1=args.with_mu1)
         res = sweep_branch(cfg)
+        ev = res.grid_evidence
         doc = {
             "N": N,
             "bc": {"alpha": bc.alpha, "beta": bc.beta},
+            "lambda_star": res.lam_star_estimate,
             "lambda_star_bracket": list(res.lam_star_bracket),
-            "points": [{"lambda": p.lam, "sup_norm": p.sup_norm, "mu1": p.mu1}
+            "fold": res.fold,
+            "grid_evidence": None if ev is None else {
+                "M": list(ev.M), "lambda_star": list(ev.lam_star),
+                "observed_order": ev.observed_order},
+            "points": [{"s": p.s, "lambda": p.lam, "sup_norm": p.sup_norm, "mu1": p.mu1}
                        for p in res.points],
             "classification": res.classification,
             "C0_fit": res.C0_fit,
@@ -139,7 +145,11 @@ def cmd_branch(args) -> int:
             # deterministic solver counts; no wall time, so identical
             # manifests still give identical outputs
             "counters": {"factorizations": res.factorizations,
-                         "failed_solves": res.failed_solves},
+                         "failed_solves": res.failed_solves,
+                         "points": res.trace_points,
+                         "newton_steps": res.newton_steps,
+                         "halvings": res.halvings,
+                         "fold_secant_steps": res.fold_secant_steps},
         }
         if N >= 9 and res.classification == "Singular":
             sw = sandwich_check(res.extremal_profile, res.points[-1].lam,
@@ -151,8 +161,8 @@ def cmd_branch(args) -> int:
         with open(out / f"curve_N{N}.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["lambda", "sup_u"])
-            for p in res.points:
-                w.writerow([repr(float(p.lam)), repr(float(p.sup_norm))])
+            for lam, sup in zip(*res.curve()):
+                w.writerow([repr(float(lam)), repr(float(sup))])
     _emit_manifest(out, "branch", {"dims": dims, **_grid_params(args),
                                    "alpha": args.alpha, "beta": args.beta,
                                    "with_mu1": args.with_mu1})

@@ -353,6 +353,14 @@ def discrete_form_check(variant: str, N: int, grid: RadialGrid | None = None,
     the grid's quadrature; a violation is a gap below -tol * int phi^2.  The
     node at r = 0 is excluded from the weight quadrature (the integrand
     r^(N-1) W phi^2 vanishes there for N > 5 and the first cell is tiny).
+
+    The first term is the plate form phi^T A phi of `bilaplacian_form`.
+    That form breaks the discrete Rellich inequality near the origin: with
+    node 0 eliminated, the smallest theta of A phi = theta H_N diag(m/r^4) phi
+    at M = 256 is 5.7e-8, 1.5e-11 and 5.2e-11 at N = 9, 12 and 16 on gamma = 2
+    grids, where the continuum value is 1.  The check stays meaningful
+    because its random profiles are smooth and never excite the origin
+    nodes; the stability eigenvalues use the mixed pencil instead.
     """
     if grid is None:
         grid = build_grid(N, 512, 2.0)

@@ -1,11 +1,23 @@
 """Stability eigenvalue mu1 of the linearized operator and the clamped-plate nu1.
 
-Both are smallest eigenvalues of generalized symmetric problems
-A phi = mu M phi in the radial sector, with A the quadratic form
-integral (Delta phi)^2 - 2 lambda integral phi^2/(1-u)^3 (the second term
-absent for the plate problem) and M the r^(N-1)-weighted mass.  A is
-pentadiagonal and M diagonal, so both are solved on the band: a banded
-Cholesky factorization of A + s M and inverse iteration, O(M) per step.
+Both are eigenvalues of the mixed pencil J x = mu B x on the interleaved
+unknown x = [v0, u0, v1, u1, ...] of the branch solver
+(`branch._ClampedSolver`).  J is the mixed clamped bilaplacian of
+`operators.mixed_bilaplacian` (rows v - Delta u and Delta v) minus
+2 lambda/(1-u)^3 on the u diagonal; B is the identity on the u rows and
+zero on the v rows.  So the u entries of an eigenvector solve
+(Delta^2 - 2 lambda/(1-u)^3) phi = mu phi with homogeneous clamped data,
+and nu1 is the lambda = 0 case.  Both come from inverse iteration
+x <- (J - sigma B)^(-1) B x on one float64 LAPACK banded LU, O(M) per step.
+At a branch point mu1 reuses the Jacobian that the trace factored for its
+tangent.
+
+The pencil is the operator the branch solver inverts.  The plate form
+L^T diag(w r^(N-1)) L of `operators.bilaplacian_form` is not: it breaks the
+discrete Rellich inequality near the origin, which gave it a spurious low
+mode (5715 against nu1 = 19616 at N = 16, M = 128) and a negative mu1 near
+touchdown.  The pencil is not symmetric, and eigenvalues at the top of its
+spectrum can be complex; the smallest one was real in every case measured.
 Only radial test functions are used; minimal solutions are radial, so this
 matches the certificates, but whether the unrestricted infimum coincides is
 recorded as a limitation, not assumed.
@@ -16,25 +28,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
 
-from .grid import InvalidArgument, RadialField, RadialGrid, build_grid, sphere_area
-from .operators import bilaplacian_form
+from .branch import _ClampedSolver
+from .grid import BoundaryData, InvalidArgument, RadialField, RadialGrid, build_grid, sphere_area
 
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Smallest eigenpair of a generalized symmetric radial problem.
+    """One eigenpair of the mixed pencil J x = mu B x.
 
-    The eigenfunction is normalized to unit L^2(B) norm (discrete, including
-    the sphere-area factor).  `residual` is the backward error of the pair in
-    the mass-scaled standard form: with y = M^(1/2) phi and
-    A_hat = M^(-1/2) A M^(-1/2), it is ||A_hat y - value y|| divided by
-    ||A_hat||_inf ||y||.  The raw residual of a fourth-order operator scales
-    with eps * ||A|| ~ eps / h^4 and is not a meaningful accuracy measure.
-    `method` names the solver and the form it ran on; `iterations` is the
-    number of inverse-iteration steps it took to converge.
+    The eigenfunction is the u part of x, normalized to unit L^2(B) norm
+    (discrete, including the sphere-area factor).  `residual` is the
+    row-scaled backward error max |J x - mu B x| / (|J||x| + |mu||B x|),
+    the scale Newton measures its residual on; `iterations` is the number
+    of inverse-iteration steps it took to converge.
     """
 
     value: float
@@ -44,104 +51,85 @@ class EigenResult:
     iterations: int
 
 
-#: inverse iteration stops once the Rayleigh quotient of the shifted pencil
-#: changes by at most this much, relative, between two steps
+#: inverse iteration stops once the eigenvalue estimate changes by at most
+#: this much, relative, between two steps
 _RQ_TOL = 1e-12
 #: cap on inverse-iteration steps; reaching it raises
 _MAX_ITER = 500
 
 
-def _smallest_generalized(A: sp.csr_matrix, m: np.ndarray, lower_bound: float | None = None):
-    """Smallest eigenpair of A x = mu diag(m) x for pentadiagonal symmetric A, m > 0.
+def _inverse_iteration(solver: _ClampedSolver, lu, shift: float = 0.0):
+    """Eigenvalue of the pencil nearest `shift`; returns (value, x, iterations).
 
-    Returns (value, vector, iterations).  Inverse iteration on the inverted
-    pencil, x <- (A + s diag(m))^(-1) diag(m) x, converges to its largest
-    theta = 1 / (mu1 + s), with A + s diag(m) factored once by banded
-    Cholesky (LAPACK upper band storage of A's diagonals 0..2).  Inverting
-    through the stiffness side is what makes this robust: the r^(N-1) mass
-    spans many orders of magnitude and the fourth-order stiffness is
-    ill-conditioned, a combination on which sparse shift-invert Lanczos
-    misconverges for larger N.  The start vector is positive; the ground
-    state has one sign where the mass lies, so the start has a component
-    along it.
-
-    The shift s must make A + s diag(m) positive definite; s = 0 is tried
-    first (maximal accuracy on the stable branch), then a shift derived from
-    `lower_bound` (for the linearized form, minus the potential maximum),
-    then geometric escalation while the Cholesky factorization fails.
-
-    The iteration stops when the pencil's Rayleigh quotient
-    y^T (A + s diag(m)) y / y^T diag(m) y, which equals
-    y^T diag(m) x / y^T diag(m) y for the new iterate y, changes by at most
-    _RQ_TOL relative to itself.  Reaching _MAX_ITER raises RuntimeError.
-
-    The value returned with the eigenvector is its Rayleigh quotient
-    x^T A x / sum(m x^2) in A's own precision (extended for the forms of
-    this package), not 1/theta - s.  The float64 pencil carries rounding of
-    order eps * ||A|| ~ eps / h^4, which would overtake the discretization
-    error on fine grids; the quotient's error is quadratic in the
-    eigenvector's.
+    `lu` factors J - shift B.  Each step solves y = (J - shift B)^(-1) B x
+    and estimates mu - shift by the least-squares fit x_u ~ (mu - shift) y_u
+    on the u entries.  The start vector is positive on the u rows, where the
+    ground state has one sign.  Reaching `_MAX_ITER` raises RuntimeError.
     """
-    n = len(m)
-    band = np.zeros((3, n))
-    for k in range(3):
-        band[2 - k, k:] = A.diagonal(k)
-    shifts = [0.0]
-    if lower_bound is not None and lower_bound < 0:
-        shifts.append(-float(lower_bound) + 1.0)
-    while len(shifts) < 10:
-        shifts.append(2.0 * shifts[-1] + 1.0)
-    for s in shifts:
-        shifted = band.copy()
-        shifted[2] += s * m
-        try:
-            chol = sla.cholesky_banded(shifted, lower=False)
-        except sla.LinAlgError:
-            continue
-        x = np.ones(n)
-        rho_prev = np.inf
-        for it in range(1, _MAX_ITER + 1):
-            mx = m * x
-            y = sla.cho_solve_banded((chol, False), mx)
-            my = m * y
-            rho = (y @ mx) / (y @ my)
-            x = y / np.sqrt(y @ my)
-            if abs(rho - rho_prev) <= _RQ_TOL * abs(rho):
-                v = x.astype(np.longdouble)
-                return float((v @ (A @ v)) / np.sum(m * v ** 2)), x, it
-            rho_prev = rho
-        raise RuntimeError(f"inverse iteration did not converge in {_MAX_ITER} steps at shift {s}")
-    raise RuntimeError("could not find a positive-definite shift for the pencil")
+    x = np.zeros(solver.b0.size)
+    x[1::2] = 1.0
+    theta_prev = np.inf
+    for it in range(1, _MAX_ITER + 1):
+        Bx = np.zeros_like(x)
+        Bx[1::2] = x[1::2]
+        y = solver._solve(lu, Bx)
+        theta = (x[1::2] @ y[1::2]) / (y[1::2] @ y[1::2])
+        x = y / np.linalg.norm(y[1::2])
+        if abs(theta - theta_prev) <= _RQ_TOL * abs(theta):
+            return shift + theta, x, it
+        theta_prev = theta
+    raise RuntimeError(f"inverse iteration did not converge in {_MAX_ITER} steps at shift {shift}")
 
 
-def _finish(grid: RadialGrid, A, m, value, vec, iterations, method) -> EigenResult:
-    A64 = A.astype(np.float64)
-    s = 1.0 / np.sqrt(m)
-    y = vec / s
-    res = s * (A64 @ vec) - value * y
-    norm_ahat = float(np.max(s * np.abs(A64) @ s))
-    residual = float(np.linalg.norm(res) / (norm_ahat * np.linalg.norm(y)))
+def _det_sign(solver: _ClampedSolver, lu) -> float:
+    """Sign of the determinant of a `dgbtrf` factorization: U's diagonal and the row swaps."""
+    ab, piv = lu
+    swaps = np.count_nonzero(piv != np.arange(piv.size))
+    return (-1.0) ** swaps * float(np.prod(np.sign(ab[solver.kl + solver.ku])))
+
+
+def _pencil_eigen(solver: _ClampedSolver, weight: np.ndarray, method: str,
+                  lu=None) -> EigenResult:
+    """Smallest eigenvalue of the pencil with J = mixed band - diag(weight) on the u rows.
+
+    The iteration runs unshifted first, on `lu` when given (the factored J),
+    and finds the eigenvalue nearest 0.  That is the smallest one unless it
+    is negative, or the determinant of J and of the mixed band (whose
+    eigenvalues are nu_k > 0) differ in sign, which counts an odd number of
+    negative eigenvalues.  Then it runs again with the shift -max(weight),
+    which lies below mu1 >= nu1 - max(weight).
+    """
+    if lu is None:
+        lu = solver.factor_shifted(weight)
+    value, x, iterations = _inverse_iteration(solver, lu)
+    if value < 0 or _det_sign(solver, lu) != _det_sign(solver, solver.lu):
+        shift = -float(np.max(weight))
+        value, x, more = _inverse_iteration(solver, solver.factor_shifted(weight + shift), shift)
+        iterations += more
+    grid, u = solver.grid, x[1::2]
+    r = solver.A @ x
+    r[1::2] -= (weight + value) * u
+    scale = solver.absA @ np.abs(x)
+    scale[1::2] += (np.abs(weight) + abs(value)) * np.abs(u)
+    residual = float(np.max(np.abs(r) / scale))
     # normalize to integral_B phi^2 = 1, including the sphere area
-    mass = sphere_area(grid.N) * float(np.sum(m * vec ** 2))
-    vec = vec / np.sqrt(mass)
-    if vec[np.argmax(np.abs(vec))] < 0:
-        vec = -vec
-    phi = RadialField(grid, np.concatenate([vec, [0.0]]))
-    return EigenResult(value=value, eigenfunction=phi, residual=residual, method=method,
-                       iterations=iterations)
+    mass = (grid.quad_weights() * grid.r ** (grid.N - 1))[:-1]
+    u = u / np.sqrt(sphere_area(grid.N) * float(np.sum(mass * u ** 2)))
+    if u[np.argmax(np.abs(u))] < 0:
+        u = -u
+    return EigenResult(value=value, eigenfunction=RadialField(grid, np.concatenate([u, [0.0]])),
+                       residual=residual, method=method, iterations=iterations)
 
 
 def nu1_discrete(grid: RadialGrid) -> EigenResult:
     """Smallest clamped-plate eigenvalue of Delta^2 on the radial grid.
 
-    The value is the extended-precision Rayleigh quotient of the computed
-    eigenvector (see :func:`_smallest_generalized`), and it converges at
-    second order in 1/M at every N.
+    The mixed pencil at lambda = 0, on the solver's own factorization of the
+    mixed band; it converges at second order in 1/M at every N.
     """
-    A, m = bilaplacian_form(grid)
-    value, vec, iterations = _smallest_generalized(A, m)
-    return _finish(grid, A, m, value, vec, iterations,
-                   "banded Cholesky inverse iteration, plate form")
+    solver = _ClampedSolver(grid, BoundaryData(0.0, 0.0))
+    return _pencil_eigen(solver, np.zeros(grid.M - 1), "inverse iteration, mixed pencil",
+                         lu=solver.lu)
 
 
 def nu1(N: int, grid: RadialGrid | None = None) -> float:
@@ -151,7 +139,7 @@ def nu1(N: int, grid: RadialGrid | None = None) -> float:
     origin closure is described in :mod:`memsplate.operators`), so the
     refined value e2 is corrected by (e2 - e1)/3.  The default grid is
     uniform: eigenfunctions are smooth, and grading only inflates the
-    condition number of the form matrix.
+    condition number.
     """
     if grid is None:
         grid = build_grid(N, 512, 1.0)
@@ -160,22 +148,22 @@ def nu1(N: int, grid: RadialGrid | None = None) -> float:
     return e2 + (e2 - e1) / 3.0
 
 
-def mu1(profile: RadialField, lam: float) -> EigenResult:
-    """Smallest eigenvalue of the second variation at `profile` and voltage `lam`.
+def mu1(profile: RadialField, lam: float, _solver: _ClampedSolver | None = None,
+        _lu=None) -> EigenResult:
+    """Smallest eigenvalue of the linearization at `profile` and voltage `lam`.
 
-    The form is integral (Delta phi)^2 - 2 lam integral phi^2 / (1-u)^3 over
-    radial phi with homogeneous clamped closure and unit L^2 norm.
+    That is the smallest mu of Delta^2 phi - 2 lam phi / (1-u)^3 = mu phi on
+    radial phi with homogeneous clamped data, from the mixed pencil (see
+    :func:`_pencil_eigen`).  A branch trace passes its solver and the
+    Jacobian it factored at this point.
     """
     u = profile.values
     if np.max(u) >= 1.0:
         raise InvalidArgument("profile touches the ceiling: the form is undefined")
-    grid = profile.grid
-    A, m = bilaplacian_form(grid)
-    weight = 2.0 * lam / (1.0 - u[:-1]) ** 3
-    A_mu = (A - sp.diags(weight * m)).tocsr()
-    value, vec, iterations = _smallest_generalized(A_mu, m, lower_bound=-float(np.max(weight, initial=0.0)))
-    return _finish(grid, A_mu, m, value, vec, iterations,
-                   "banded Cholesky inverse iteration, linearized form")
+    solver = _solver if _solver is not None else _ClampedSolver(profile.grid,
+                                                                BoundaryData(0.0, 0.0))
+    return _pencil_eigen(solver, 2.0 * lam / (1.0 - u[:-1]) ** 3,
+                         "inverse iteration, linearized mixed pencil", lu=_lu)
 
 
 def stability_along_branch(points) -> list[float]:

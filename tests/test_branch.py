@@ -156,7 +156,7 @@ def _spy(monkeypatch, name, calls):
     solve = getattr(branch, name)
 
     def spy(lam, guess_or_bc, *args, **kw):
-        grid = kw["_solver"].grid
+        grid = kw["_solver"].grid if "_solver" in kw else args[-1]
         try:
             out = solve(lam, guess_or_bc, *args, **kw)
         except NonConvergence:
@@ -173,6 +173,12 @@ def _sweep(N, M):
     return sweep_branch(ContinuationConfig(N=N, M=M))
 
 
+def _bracket_tol(N):
+    """Width at which the earlier lambda-stepping sweep stopped bisecting."""
+    lb = float(lambda_bar(N))
+    return (lb / 20.0 if lb > 0 else 0.25) / 256.0
+
+
 def test_newton_above_the_fold_fails_fast(monkeypatch):
     # the N = 3 fold lies near lambda = 30.154: from the lambda = 30 profile,
     # Newton at 30.5 soon finds no step length that lowers the residual
@@ -185,18 +191,19 @@ def test_newton_above_the_fold_fails_fast(monkeypatch):
     with pytest.raises(NonConvergence):
         newton_solve(30.5, warm, bc, g, _solver=s)
     assert s.factorizations - before <= 8
-    # in a sweep the first lambda past the fold is 1 failed Newton solve, with
-    # no monotone fallback; monotone runs only on the coarse companion grid,
-    # and every failure of either is counted
+    # the trace in s = u(0) never asks for a lambda above the fold: it passes
+    # the fold, every bordered solve converges, and it calls neither
+    # lambda-parametrized solver
     newton, monotone = [], []
     _spy(monkeypatch, "newton_solve", newton)
     _spy(monkeypatch, "monotone_solve", monotone)
     res = sweep_branch(ContinuationConfig(N=3, M=512))
-    lam_past = next(lam for lam, _, ok in newton if not ok)
-    assert [c for c in newton if c[0] == lam_past] == [(lam_past, 512, False)]
-    assert {M for _, M, _ in monotone} == {256}
-    assert res.failed_solves == sum(not ok for *_, ok in newton + monotone)
-    assert len(newton) == len(res.points) + sum(not ok for *_, ok in newton)
+    assert newton == monotone == []
+    assert res.fold and res.failed_solves == 0
+    # the points past the fold (dlambda/ds <= 0) are solved but not kept
+    assert res.trace_points > len(res.points)
+    assert all(p.slope > 0 and p.lam < res.lam_star_bracket[0] + 1e-12 for p in res.points)
+    assert res.factorizations == 1 + res.newton_steps + res.trace_points
 
 
 @pytest.mark.parametrize("N, M, bracket", [
@@ -205,28 +212,32 @@ def test_newton_above_the_fold_fails_fast(monkeypatch):
     (12, 1024, (641.5073302469127, 641.5165123456782)),
 ])
 def test_sweep_reproduces_frozen_brackets(N, M, bracket):
-    # frozen: the brackets the earlier composed-operator Newton gave, also
-    # stored in perfbench/reference.json; at N = 12, M = 1024 the sweep once
-    # needed a monotone fallback near touchdown
+    # frozen: the brackets of the earlier lambda-stepping sweeps, also stored
+    # in perfbench/reference.json; lambda*_h lies inside, and its own bracket
+    # is no wider than theirs was allowed to be
     res = _sweep(N, M)
-    assert res.lam_star_bracket == pytest.approx(bracket, rel=1e-12, abs=0.0)
-    assert res.factorizations > len(res.points)
-    # the first lambda past the fold fails, and so do bisection points above it
-    assert res.failed_solves >= 2
+    lo, hi = res.lam_star_bracket
+    assert bracket[0] < res.lam_star_estimate < bracket[1]
+    assert lo <= res.lam_star_estimate <= hi and lo < hi <= lo + _bracket_tol(N)
+    assert res.fold == (N <= 8)
+    assert res.fold_secant_steps > 0 if res.fold else res.fold_secant_steps == 0
+    assert len(res.points) <= 10 and res.failed_solves == 0
 
 
 @pytest.mark.parametrize("N, M, pick, tol", [
-    # near touchdown: the last six accepted points
+    # near touchdown: the last six points
     (12, 1024, lambda points: points[-6:], 1e-9),
     # short of the fold, where monotone still converges fast enough to be a
-    # reference (at lam_lo it takes thousands of steps and is itself off)
-    (3, 512, lambda points: [min(points, key=lambda p: abs(p.lam - 30.1))], 1e-8),
+    # reference (near the fold it takes thousands of steps and is itself off)
+    (3, 512, lambda points: [p for p in points if p.lam <= 30.1], 1e-8),
 ])
-def test_secant_predictor_stays_on_the_minimal_branch(N, M, pick, tol):
+def test_trace_stays_on_the_minimal_branch(N, M, pick, tol):
     # the monotone iteration converges to the minimal solution from below
     res = _sweep(N, M)
-    for p in pick(list(res.points)):
-        ref, _ = monotone_solve(p.lam, BoundaryData(0.0, 0.0), p.profile.grid)
+    picked = pick(list(res.points))
+    assert len(picked) >= 3
+    for p in picked:
+        ref, _ = monotone_solve(p.lam, BoundaryData(0.0, 0.0), p.profile.grid, tau=1.0 - 1e-6)
         assert np.max(np.abs(p.profile.values - ref.values)) <= tol
 
 
@@ -244,10 +255,9 @@ def test_zero_pivot_is_a_failed_newton_solve(monkeypatch):
     with pytest.raises(NonConvergence) as e:
         s.jacobian_solve(warm.values[:-1], np.ones(2 * g.M - 1), 10.0)
     assert not e.value.touched
-    # in a sweep, one zero pivot (the 10th factorization, a Newton Jacobian
-    # early on the branch) fails that Newton solve; no fallback solves that
-    # lambda, so it ends the bracket far below the fold, which the sweep
-    # reports because the bracket lies under the analytic lower bound
+    # in a trace, one zero pivot (the 10th factorization, a Jacobian early on
+    # the branch) fails that bordered solve; the trace halves its s-step and
+    # goes on to the same fold
     factorizations = []
 
     def tenth_fails(ab, kl, ku):
@@ -255,15 +265,75 @@ def test_zero_pivot_is_a_failed_newton_solve(monkeypatch):
         return (zero_pivot if len(factorizations) == 10 else factor)(ab, kl, ku)
 
     monkeypatch.setattr(branch, "dgbtrf", tenth_fails)
-    newton, monotone = [], []
-    _spy(monkeypatch, "newton_solve", newton)
-    _spy(monkeypatch, "monotone_solve", monotone)
     res = sweep_branch(cfg)
-    failed = [lam for lam, _, ok in newton if not ok]
-    assert len(failed) == 1 and res.failed_solves == 1
-    assert res.lam_star_bracket[1] == failed[0] < float(lambda_bar(3))
-    assert "bracket lies below the analytic lower bound lambda_bar" in res.warnings
-    assert {M for _, M, _ in monotone} == {256}
+    clean = _sweep(3, 512)
+    assert res.failed_solves == 1 and clean.failed_solves == 0
+    assert res.fold and not res.warnings
+    assert res.lam_star_estimate == pytest.approx(clean.lam_star_estimate, rel=1e-10)
+    # the failed step was retried at half its length
+    assert [p.s for p in res.points] != [p.s for p in clean.points]
+
+
+@pytest.mark.parametrize("N, bracket", [
+    (3, (30.155092592592418, 30.155227623456614)),
+    (5, (89.10241126543235, 89.10416666666691)),
+])
+def test_fold_search_converges_on_fine_grids(N, bracket):
+    # near the fold J is nearly singular: the bordered solve's refinement
+    # step keeps its Newton iteration reaching the residual floor there
+    # (without it the N = 5 search stalls at about 4e-14); brackets as in
+    # test_sweep_reproduces_frozen_brackets, from the M = 4096 sweeps
+    res = sweep_branch(ContinuationConfig(N=N, M=4096))
+    assert res.fold and res.failed_solves == 0 and res.fold_secant_steps >= 3
+    assert bracket[0] < res.lam_star_estimate < bracket[1]
+    lo, hi = res.lam_star_bracket
+    assert hi - lo <= 1e-10 * lo
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_fold_converges_at_second_order(N):
+    # lambda*_h on M = 512, 256, 128
+    ev = _sweep(N, 512).grid_evidence
+    assert ev.M == (512, 256, 128)
+    l1, l2, l4 = ev.lam_star
+    assert l4 < l2 < l1
+    assert ev.observed_order >= 1.9
+
+
+@pytest.mark.parametrize("N", [12, 15, 20])
+def test_coarse_singular_traces_reach_tau(N):
+    # at M = 512 the M/4 = 128 evidence trace ends at s = tau too: near
+    # touchdown the residual scale counts the rounding of u itself, without
+    # which these traces failed at s ~ 0.998 with a slope of about 8
+    ev = sweep_branch(ContinuationConfig(N=N, M=512)).grid_evidence
+    assert ev is not None and ev.observed_order >= 1.9
+
+
+def test_a_failed_coarse_trace_leaves_the_sweep_without_grid_evidence(monkeypatch):
+    build = branch.build_grid
+
+    def no_quarter_grid(N, M, gamma=2.0):
+        if M == 128:
+            raise InvalidArgument("no such grid")
+        return build(N, M, gamma)
+
+    monkeypatch.setattr(branch, "build_grid", no_quarter_grid)
+    res = sweep_branch(ContinuationConfig(N=3, M=512))
+    assert res.grid_evidence is None
+    assert res.warnings == ("no grid evidence for lambda*: no such grid",)
+    assert res.lam_star_estimate == _sweep(3, 512).lam_star_estimate
+
+
+def test_curve_is_sampled_on_s():
+    res = _sweep(3, 512)
+    lam, sup = res.curve(201)
+    assert len(lam) == 201 and len(res.points) < 20
+    # it passes through the points, which are on a uniform-in-s sampling's
+    # ends, and sup u = s on a radially decreasing profile
+    assert lam[0] == res.points[0].lam and lam[-1] == pytest.approx(res.points[-1].lam)
+    s = np.linspace(res.points[0].s, res.points[-1].s, 201)
+    assert np.allclose(sup, s, atol=1e-12)
+    assert np.all(np.diff(lam) > 0) and lam[-1] <= res.lam_star_bracket[1]
 
 
 def test_config_defaults():

@@ -114,8 +114,11 @@ def test_candidate_beyond_the_float_range_exits_config(tmp_path, capsys, flag,
     assert not (tmp_path / "certify_N9.json").exists()
 
 
-def test_bad_grid_is_config_error(tmp_path):
+def test_bad_grid_is_config_error(tmp_path, capsys):
     assert run(tmp_path, "pullin", "--dim", "2", "--M", "0") == 3
+    # too coarse for the touchdown fit: a reason, not a traceback
+    assert run(tmp_path, "branch", "--dim", "3", "--M", "32") == 3
+    assert "touchdown fit window" in capsys.readouterr().err
 
 
 def test_hr_report(tmp_path):
@@ -144,11 +147,18 @@ def test_branch_outputs(tmp_path):
     lo, hi = doc["lambda_star_bracket"]
     assert 128.0 / 27.0 <= lo < hi
     assert doc["points"][0]["mu1"] is None  # --with-mu1 not given
+    assert lo <= doc["lambda_star"] <= hi and doc["fold"] is True
     counters = doc["counters"]
-    assert set(counters) == {"factorizations", "failed_solves"}
-    assert counters["factorizations"] > len(doc["points"])  # one per Newton step
-    # the first lambda past the fold fails, and so do bisection points above it
-    assert counters["failed_solves"] >= 2
+    assert set(counters) == {"factorizations", "failed_solves", "points", "newton_steps",
+                             "halvings", "fold_secant_steps"}
+    # one factorization per Newton step and one per point's tangent, plus the operator
+    assert counters["factorizations"] == 1 + counters["newton_steps"] + counters["points"]
+    # the trace solves past the fold and keeps only the minimal-branch points
+    assert counters["points"] > len(doc["points"])
+    assert counters["failed_solves"] == 0 and counters["fold_secant_steps"] > 0
+    ev = doc["grid_evidence"]
+    assert ev["M"] == [256, 128, 64] and ev["lambda_star"][0] == doc["lambda_star"]
+    assert ev["observed_order"] > 1.5
     # the counters are deterministic: a rerun writes the same bytes
     again = tmp_path / "again"
     again.mkdir()
@@ -159,6 +169,8 @@ def test_branch_outputs(tmp_path):
     assert (tmp_path / "profile_N2.csv").exists()
     curve = (tmp_path / "curve_N2.csv").read_text().splitlines()
     assert curve[0] == "lambda,sup_u"
+    # sampled on s, so the curve keeps its resolution with few points
+    assert len(curve) == 1 + 201 and len(doc["points"]) < 20
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["command"] == "branch"
     assert "versions" in manifest

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse as sp
 
-from memsplate.grid import RadialField, build_grid
-from memsplate.operators import bilaplacian_form
-from memsplate.stability import (beam_eigenvalue_1d, disk_eigenvalue_2d, mu1,
-                                 nu1, nu1_discrete, stability_along_branch)
+from memsplate.branch import ContinuationConfig, _ClampedSolver, sweep_branch
+from memsplate.grid import BoundaryData, RadialField, build_grid
+from memsplate.operators import bilaplacian_form, mixed_bilaplacian
+from memsplate.stability import (_inverse_iteration, beam_eigenvalue_1d,
+                                 disk_eigenvalue_2d, mu1, nu1, nu1_discrete,
+                                 stability_along_branch)
 
 
 def test_beam_eigenvalue_oracle():
@@ -90,33 +91,33 @@ def test_nu1_discrete_observed_order():
         assert np.all(orders >= 1.9), (N, orders)
 
 
-def _dense_reference(A, m, shift):
-    """Smallest eigenpair value by dense LAPACK eigh on the inverted pencil.
+def _pencil_spectrum(profile, lam):
+    """Finite eigenvalues of the mixed pencil J x = mu B x, by dense LAPACK eig.
 
-    diag(m) x = theta (A + shift diag(m)) x for its largest theta; the value is
-    the extended-precision Rayleigh quotient of the eigenvector, as in the
-    package, since the float64 eigenvalue has a rounding floor of order eps/h^4.
+    J is the mixed clamped bilaplacian minus 2 lam/(1-u)^3 on the u diagonal
+    and B the identity on the u rows; B is singular, so the v rows give
+    infinite eigenvalues, which are dropped.  Sorted by real part.
     """
-    n = len(m)
-    B = A.astype(np.float64).toarray() + np.diag(shift * m)
-    _, vecs = sla.eigh(np.diag(m), B, subset_by_index=[n - 1, n - 1])
-    v = vecs[:, 0].astype(np.longdouble)
-    return float((v @ (A @ v)) / np.sum(m * v ** 2))
-
-
-def _linearized_form(profile, lam):
-    A, m = bilaplacian_form(profile.grid)
-    weight = 2.0 * lam / (1.0 - profile.values[:-1]) ** 3
-    return (A - sp.diags(weight * m)).tocsr(), m, weight
+    A, _ = mixed_bilaplacian(profile.grid, BoundaryData(0.0, 0.0))
+    J = A.toarray()
+    B = np.zeros_like(J)
+    u_rows = np.arange(1, J.shape[0], 2)
+    J[u_rows, u_rows] -= 2.0 * lam / (1.0 - profile.values[:-1]) ** 3
+    B[u_rows, u_rows] = 1.0
+    mu = sla.eig(J, B, right=False)
+    mu = mu[np.isfinite(mu)]
+    return mu[np.argsort(mu.real)]
 
 
 def test_nu1_discrete_matches_dense_eigh():
     for N in (1, 2, 9, 16):
         g = build_grid(N, 128, 1.0)
-        A, m = bilaplacian_form(g)
+        mu = _pencil_spectrum(RadialField(g, np.zeros(g.M)), 0.0)
         res = nu1_discrete(g)
-        assert res.value == pytest.approx(_dense_reference(A, m, 0.0), rel=1e-9), N
-        assert res.method == "banded Cholesky inverse iteration, plate form"
+        # the smallest eigenvalue is real
+        assert mu[0].imag == 0 and mu[0].real < mu[1].real
+        assert res.value == pytest.approx(mu[0].real, rel=1e-9), N
+        assert res.method == "inverse iteration, mixed pencil"
         assert res.iterations >= 2
 
 
@@ -124,26 +125,61 @@ def test_mu1_matches_dense_eigh_on_a_stable_profile():
     g = build_grid(3, 128, 1.0)
     u = RadialField(g, 0.4 * (1.0 - g.r ** 2) ** 2)
     lam = 20.0
-    A_mu, m, _ = _linearized_form(u, lam)
+    mu = _pencil_spectrum(u, lam)
     res = mu1(u, lam)
     assert res.value > 0
-    assert res.value == pytest.approx(_dense_reference(A_mu, m, 0.0), rel=1e-9)
-    assert res.method == "banded Cholesky inverse iteration, linearized form"
+    assert res.value == pytest.approx(mu[0].real, rel=1e-9)
+    assert res.method == "inverse iteration, linearized mixed pencil"
 
 
 def test_mu1_shift_fallback_on_an_indefinite_form():
-    # past the fold of u = 0 at N = 2 (lambda > nu1/2): the unshifted form is
-    # indefinite, so the s = 0 factorization fails and a shift must take over
+    # past the fold of u = 0 at N = 2 (lambda > nu1/2): the unshifted
+    # iteration finds the eigenvalue nearest 0, which is negative, so a shift
+    # below the spectrum takes over and returns the smallest
     g = build_grid(2, 128, 1.0)
     u = RadialField(g, np.zeros(g.M))
     lam = 60.0
-    A_mu, m, weight = _linearized_form(u, lam)
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.cholesky(A_mu.astype(np.float64).toarray())
+    mu = _pencil_spectrum(u, lam)
+    assert mu[0].real < 0
+    solver = _ClampedSolver(g, BoundaryData(0.0, 0.0))
+    weight = np.full(g.M - 1, 2.0 * lam)
+    nearest, _, _ = _inverse_iteration(solver, solver.factor_shifted(weight))
+    assert nearest == pytest.approx(mu[np.argmin(np.abs(mu))].real, rel=1e-9)
     res = mu1(u, lam)
     assert res.value < 0
-    ref = _dense_reference(A_mu, m, float(np.max(weight)) + 1.0)
-    assert res.value == pytest.approx(ref, rel=1e-9)
+    assert res.value == pytest.approx(mu[0].real, rel=1e-9)
+
+
+def test_mu1_shift_fallback_when_the_nearest_eigenvalue_is_positive():
+    # 2 lam just below nu2 at u = 0: mu2 = nu2 - 2 lam > 0 is nearest 0 and
+    # mu1 < 0 lies further off; the determinant's sign reveals the negative
+    # eigenvalue, and the shifted iteration returns it
+    g = build_grid(2, 128, 1.0)
+    u = RadialField(g, np.zeros(g.M))
+    nu = _pencil_spectrum(u, 0.0).real
+    lam = 0.5 * (nu[1] - 10.0)
+    mu = _pencil_spectrum(u, lam)
+    assert mu[0].real < 0 < mu[1].real < -mu[0].real
+    solver = _ClampedSolver(g, BoundaryData(0.0, 0.0))
+    nearest, _, _ = _inverse_iteration(solver, solver.factor_shifted(np.full(g.M - 1, 2.0 * lam)))
+    assert nearest == pytest.approx(mu[1].real, rel=1e-9)
+    assert mu1(u, lam).value == pytest.approx(mu[0].real, rel=1e-9)
+
+
+def test_nu1_has_no_origin_mode_on_coarse_grids():
+    # the plate form gave 5715 here, a spurious mode at the origin nodes
+    assert nu1_discrete(build_grid(16, 128, 1.0)).value == pytest.approx(19615.715, rel=1e-2)
+
+
+@pytest.mark.parametrize("N", [9, 12, 16])
+def test_mu1_positive_along_singular_traces(N):
+    res = sweep_branch(ContinuationConfig(N=N, M=1024, compute_mu1=True))
+    assert res.classification == "Singular" and res.points[-1].s == pytest.approx(1.0 - 1e-3)
+    mus = [p.mu1 for p in res.points]
+    assert all(m > 0 for m in mus)
+    # the pencil reused at the last point agrees with a fresh solve there
+    last = res.points[-1]
+    assert mu1(last.profile, last.lam).value == pytest.approx(mus[-1], rel=1e-8)
 
 
 def test_nu1_discrete_three_grid_observed_order():
