@@ -279,15 +279,29 @@ def test_zero_pivot_is_a_failed_newton_solve(monkeypatch):
     (5, (89.10241126543235, 89.10416666666691)),
 ])
 def test_fold_search_converges_on_fine_grids(N, bracket):
-    # near the fold J is nearly singular: the bordered solve's refinement
-    # step keeps its Newton iteration reaching the residual floor there
-    # (without it the N = 5 search stalls at about 4e-14); brackets as in
+    # the fold search on the finest matrix grid; brackets as in
     # test_sweep_reproduces_frozen_brackets, from the M = 4096 sweeps
     res = sweep_branch(ContinuationConfig(N=N, M=4096))
     assert res.fold and res.failed_solves == 0 and res.fold_secant_steps >= 3
     assert bracket[0] < res.lam_star_estimate < bracket[1]
     lo, hi = res.lam_star_bracket
     assert hi - lo <= 1e-10 * lo
+
+
+def test_bordered_solve_converges_just_past_the_fold():
+    # tangent predictors from the N = 5, M = 4096 point nearest the fold, a
+    # few 1e-9 off in lambda: J is nearly singular, a and b share a huge
+    # null component, and block elimination alone stalls above the residual
+    # floor for some of them; with the refinement step each one converges
+    s = _ClampedSolver(build_grid(5, 4096, 2.0), BoundaryData(0.0, 0.0))
+    trace = branch._trace(s, 1.0 - 1e-3)
+    a = max(trace.points, key=lambda p: p.lam)
+    target = a.s + 1.6365e-4
+    for dlam in (-3e-9, 1e-9, 1e-8):
+        x = a.x + (target - a.s) * a.tangent
+        x[1] = target
+        _, lam, steps = branch._bordered_solve(s, x, a.lam + dlam + (target - a.s) * a.slope)
+        assert steps <= 3 and lam == pytest.approx(trace.lam_star, rel=1e-10)
 
 
 @pytest.mark.parametrize("N", [3, 4])
