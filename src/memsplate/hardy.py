@@ -368,7 +368,6 @@ def discrete_form_check(variant: str, N: int, grid: RadialGrid | None = None,
         raise InvalidArgument("grid dimension does not match N")
     W = hr_weight(variant, N)
     A, m = bilaplacian_form(grid)
-    A = A.astype(np.float64)
     r_int = grid.r[: len(m)]
     w_vals = np.zeros_like(r_int)
     w_vals[1:] = np.asarray(W(r_int[1:]), dtype=float)

@@ -19,11 +19,12 @@ local quadratic fitting on the nonuniform graded grid.  Two closures:
 
 The bilaplacian is the composition of two such Laplacians sharing these
 closures, which keeps the quadratic form integral (Delta phi)^2 natural.
+Every operator is a float64 sparse matrix plus a float64 offset vector; the
+solvers and eigensolves use the mixed split v = Delta u (`mixed_bilaplacian`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -59,9 +60,10 @@ def hardy_rellich_constant(N: int) -> Fraction:
     return Fraction(N * N * (N - 4) * (N - 4), 16)
 
 
-#: stencil assembly and application run in extended precision: the composed
-#: fourth-order stencil carries weights ~ 1/h^4 whose cancellation would
-#: otherwise cap the achievable relative accuracy near 1e-5 on fine grids
+#: the stencil weights are fitted in extended precision and rounded to float64
+#: once, at assembly.  A float64 fit moves lambda*_h by up to 1.2e-11 relative,
+#: which leaves the fold bracket in 11 of 26 regular sweeps (N = 1..8 at
+#: M = 1024, 2048, 4096 and N = 3, 4 at M = 512)
 _WIDE = np.longdouble
 
 
@@ -81,16 +83,17 @@ def _quad_fit_weights(xs, xe):
     return w1, w2
 
 
-def _laplacian_rows(grid: RadialGrid):
-    """Stencil of Delta_N at nodes 0..M-2 as COO triplets (rows, cols, weights).
+def _laplacian_rows(grid: RadialGrid, bc: BoundaryData):
+    """Stencils of Delta_N with the clamped closure, rounded once to float64.
 
-    Entries come row by row with ascending columns.  The last node's stencil
-    involves the boundary ghost; it is returned separately as
-    (cols, weights, ghost_weight) where the ghost value is
-    u[M-2] + 2 beta (1 - r[M-2]).
+    Returns (rows, cols, weights), w_last, o.  The triplets hold the stencils
+    at nodes 0..M-2, row by row with ascending columns; the last entry is
+    node M-2 reaching u[M-1].  The last node's stencil involves the ghost
+    u[M-2] + 2 beta (1 - r[M-2]) at 2 - r[M-2]: w_last is its weight of
+    u[M-2] with the ghost folded in, and o holds the boundary data's part,
+    u[M-1] = alpha and the ghost's beta term, at all M nodes.
     """
-    r, N, M = grid.r, grid.N, grid.M
-    r = r.astype(_WIDE)
+    r, N, M = grid.r.astype(_WIDE), grid.N, grid.M
     if N == 1:
         # origin closure: u'' through the mirror node -r_1, whose value u[0]
         # folds onto node 0 (see the module docstring)
@@ -109,36 +112,31 @@ def _laplacian_rows(grid: RadialGrid):
     rows = np.concatenate([np.zeros(len(cols0), dtype=int), np.repeat(i, 3)])
     cols = np.concatenate([cols0, (i[:, None] + np.arange(-1, 2)).ravel()])
     weights = np.concatenate([np.array(w0, dtype=_WIDE), w.T.ravel()])
-    # boundary node stencil across the ghost at 2 - r[M-2]
-    rg = 2.0 - r[M - 2]
-    w1, w2 = _quad_fit_weights((r[M - 2], 1.0, rg), 1.0)
-    w = w2 + (N - 1) * w1
-    boundary = (np.array([M - 2, M - 1]), np.array([w[0], w[1]]), w[2])
-    return (rows, cols, weights), boundary
+    # boundary node stencil: u[M-2], u[M-1] = alpha and the ghost
+    w1, w2 = _quad_fit_weights((r[M - 2], 1.0, 2.0 - r[M - 2]), 1.0)
+    wb = w2 + (N - 1) * w1
+    alpha, beta = _WIDE(bc.alpha), _WIDE(bc.beta)
+    o = np.zeros(M, dtype=_WIDE)
+    o[M - 2] = weights[-1] * alpha
+    o[M - 1] = wb[1] * alpha + wb[2] * 2.0 * beta * (1.0 - r[M - 2])
+    return ((rows, cols, weights.astype(np.float64)), np.float64(wb[0] + wb[2]),
+            o.astype(np.float64))
 
 
-def _assemble(rows, cols, weights, shape):
-    # COO assembly keeps the float128 stencil weights; lil_matrix setitem
-    # would silently round them through float64
-    return sp.coo_matrix((np.asarray(weights, dtype=_WIDE), (rows, cols)), shape=shape).tocsr()
+def _clamped_laplacians(grid: RadialGrid, bc: BoundaryData):
+    """(L1, o1, L2): Delta u = L1 @ u + o1 at all M nodes, Delta v = L2 @ v at 0..M-2.
 
-
-def laplacian_op(grid: RadialGrid) -> "RadialOperator":
-    """Delta_N as an M x M banded operator on full sample vectors.
-
-    The last row uses a one-sided interior stencil (no boundary data needed),
-    so only rows 0..M-2 should be trusted for clamped problems.
+    L1 acts on the M-1 unknowns u[0..M-2] and carries the boundary data in
+    o1; L2 acts on v = Delta u at all M nodes and needs none.
     """
-    (rows, cols, weights), _ = _laplacian_rows(grid)
-    r, N, M = grid.r, grid.N, grid.M
-    w1, w2 = _quad_fit_weights(r[M - 3:M], 1.0)
-    return RadialOperator(
-        grid=grid,
-        matrix=_assemble(np.append(rows, [M - 1] * 3), np.append(cols, [M - 3, M - 2, M - 1]),
-                         np.append(weights, w2 + (N - 1) * w1), (M, M)),
-        offset=np.zeros(M),
-        closure="origin: even fit; r=1: one-sided",
-    )
+    (rows, cols, weights), w_last, o1 = _laplacian_rows(grid, bc)
+    M = grid.M
+    L2 = sp.csr_matrix((weights, (rows, cols)), shape=(M - 1, M))
+    # node M-2's weight of u[M-1] = alpha is in o1; the last row is node M-1's
+    L1 = sp.csr_matrix((np.append(weights[:-1], w_last),
+                        (np.append(rows[:-1], M - 1), np.append(cols[:-1], M - 2))),
+                       shape=(M, M - 1))
+    return L1, o1, L2
 
 
 def laplacian_with_bc(grid: RadialGrid, bc: BoundaryData):
@@ -147,58 +145,19 @@ def laplacian_with_bc(grid: RadialGrid, bc: BoundaryData):
     u_interior are the M-1 unknowns at nodes 0..M-2; the boundary value
     alpha and the ghost reflection carrying beta enter through o.
     """
-    (rows, cols, weights), (bcols, bweights, wg) = _laplacian_rows(grid)
-    M = grid.M
-    o = np.zeros(M, dtype=_WIDE)
-    # the last stencil entry is node M-2 reaching u[M-1] = alpha
-    o[M - 2] += weights[-1] * _WIDE(bc.alpha)
-    # last row: u[M-2], u[M-1] = alpha, ghost = u[M-2] + 2 beta (1 - r[M-2])
-    o[M - 1] += bweights[1] * _WIDE(bc.alpha) + wg * 2.0 * _WIDE(bc.beta) * (1.0 - _WIDE(grid.r[M - 2]))
-    L = _assemble(np.append(rows[:-1], M - 1), np.append(cols[:-1], M - 2),
-                  np.append(weights[:-1], bweights[0] + wg), (M, M - 1))
+    L, o, _ = _clamped_laplacians(grid, bc)
     return L, o
 
 
-@dataclass(frozen=True)
-class RadialOperator:
-    """A banded discrete radial operator plus the affine offset from boundary data."""
+def bilaplacian_clamped(grid: RadialGrid, bc: BoundaryData):
+    """(K, o) with Delta^2 u = K @ u + o at nodes 0..M-2, for u(1) = alpha, u'(1) = beta.
 
-    grid: RadialGrid
-    matrix: sp.csr_matrix
-    offset: np.ndarray
-    closure: str
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Apply to a full sample vector; uses as many leading entries as needed."""
-        n = self.matrix.shape[1]
-        out = self.matrix @ np.asarray(values, dtype=_WIDE)[:n] + self.offset
-        return np.asarray(out, dtype=float)
-
-
-def _clamped_laplacians(grid: RadialGrid, bc: BoundaryData):
-    """(L1, o1, L2): Delta u = L1 @ u + o1 at all M nodes, Delta v = L2 @ v at 0..M-2.
-
-    The first Laplacian carries the boundary data; the second needs none,
-    since it sees Delta u at every node.
-    """
-    L1, o1 = laplacian_with_bc(grid, bc)
-    stencil, _ = _laplacian_rows(grid)
-    return L1, o1, _assemble(*stencil, (grid.M - 1, grid.M))
-
-
-def bilaplacian_clamped(grid: RadialGrid, bc: BoundaryData) -> RadialOperator:
-    """Delta^2 with u(1) = alpha, u'(1) = beta folded into the closure.
-
-    Acts on the M-1 interior unknowns and returns Delta^2 u at nodes 0..M-2.
-    Assembled as Delta_N composed with itself (see `_clamped_laplacians`).
+    K = L2 @ L1 acts on the M-1 interior unknowns and o = L2 @ o1 (see
+    `_clamped_laplacians`).  Its rows scale like 1/h^4, so the solvers use
+    its mixed split, `mixed_bilaplacian`, instead.
     """
     L1, o1, L2 = _clamped_laplacians(grid, bc)
-    return RadialOperator(
-        grid=grid,
-        matrix=(L2 @ L1).tocsr(),
-        offset=L2 @ o1,
-        closure=f"clamped alpha={bc.alpha} beta={bc.beta}; Delta o Delta",
-    )
+    return (L2 @ L1).tocsr(), L2 @ o1
 
 
 def mixed_bilaplacian(grid: RadialGrid, bc: BoundaryData):
@@ -207,22 +166,22 @@ def mixed_bilaplacian(grid: RadialGrid, bc: BoundaryData):
     The 2M-1 unknowns interleave as [v0, u0, v1, u1, ..., v_{M-2}, u_{M-2},
     v_{M-1}], v being Delta u at all M nodes.  Row 2i holds
     v_i - (L1 @ u)_i = o1_i and row 2i+1 holds (L2 @ v)_i = f_i, so with o1
-    on the even rows and f on the odd ones the u entries solve
-    bilaplacian_clamped(grid, bc).apply(u) = f in exact arithmetic, while
-    every row scales like 1/h^2 instead of 1/h^4.  A is a float64
-    `dia_matrix` with offsets u, u-1, ..., -l, so A.data is LAPACK band
-    storage; (l, u) = (3, 5), or (3, 3) at N = 1.
+    on the even rows and f on the odd ones the u entries solve K @ u + o = f
+    for (K, o) = bilaplacian_clamped(grid, bc) in exact arithmetic, while
+    every row scales like 1/h^2 instead of 1/h^4.  A is a `dia_matrix` with
+    offsets u, u-1, ..., -l, so A.data is LAPACK band storage; (l, u) =
+    (3, 5), or (3, 3) at N = 1.
     """
     L1, o1, L2 = _clamped_laplacians(grid, bc)
     L1, L2, M = L1.tocoo(), L2.tocoo(), grid.M
     rows = np.concatenate([2 * np.arange(M), 2 * L1.row, 2 * L2.row + 1])
     cols = np.concatenate([2 * np.arange(M), 2 * L1.col + 1, 2 * L2.col])
-    vals = np.concatenate([np.ones(M), -L1.data, L2.data]).astype(np.float64)
+    vals = np.concatenate([np.ones(M), -L1.data, L2.data])
     lo, up = int(np.max(rows - cols)), int(np.max(cols - rows))
     ab = np.zeros((lo + up + 1, 2 * M - 1))
     ab[up + rows - cols, cols] = vals
     A = sp.dia_matrix((ab, np.arange(up, -lo - 1, -1)), shape=(2 * M - 1, 2 * M - 1))
-    return A, np.asarray(o1, dtype=np.float64)
+    return A, o1
 
 
 def bilaplacian_form(grid: RadialGrid):

@@ -5,8 +5,9 @@ from fractions import Fraction
 from memsplate.grid import BoundaryData, build_grid
 from memsplate.operators import (_quad_fit_weights, bilaplacian_clamped,
                                  bilaplacian_form, hardy_rellich_constant,
-                                 lambda_bar, laplacian_op, laplacian_with_bc,
-                                 power_bilaplacian_coeff, power_laplacian_coeff)
+                                 lambda_bar, laplacian_with_bc,
+                                 mixed_bilaplacian, power_bilaplacian_coeff,
+                                 power_laplacian_coeff)
 
 
 def test_exact_coefficients():
@@ -21,11 +22,13 @@ def test_exact_coefficients():
 
 
 def test_laplacian_on_quadratic():
-    # Delta (r^2) = 2N exactly representable by the quadratic-fit stencils
+    # Delta (r^2) = 2N exactly representable by the quadratic-fit stencils;
+    # r^2 has u(1) = 1, u'(1) = 2, so every node, the last included, is exact
     for N in (1, 2, 5):
         g = build_grid(N, 64, 2.0)
-        L = laplacian_op(g)
-        out = L.apply(g.r ** 2)
+        L, o = laplacian_with_bc(g, BoundaryData(1.0, 2.0))
+        out = L @ g.r[:-1] ** 2 + o
+        assert len(out) == g.M
         assert np.allclose(out, 2.0 * N, rtol=1e-8)
 
 
@@ -35,7 +38,7 @@ def test_laplacian_with_bc_carries_data():
     g = build_grid(N, 128, 2.0)
     L, o = laplacian_with_bc(g, BoundaryData(0.0, -2.0))
     u_int = 1.0 - g.r[:-1] ** 2
-    out = np.asarray(L @ u_int.astype(np.longdouble) + o, dtype=float)
+    out = L @ u_int + o
     assert np.allclose(out, -2.0 * N, rtol=1e-8)
 
 
@@ -43,8 +46,8 @@ def test_bilaplacian_on_polynomial():
     # u = (1-r^2)^2: Delta^2 u = c(4, N) constant, clamped zero data
     for N in (2, 3, 9):
         g = build_grid(N, 256, 2.0)
-        op = bilaplacian_clamped(g, BoundaryData(0.0, 0.0))
-        out = op.apply((1.0 - g.r[:-1] ** 2) ** 2)
+        K, o = bilaplacian_clamped(g, BoundaryData(0.0, 0.0))
+        out = K @ (1.0 - g.r[:-1] ** 2) ** 2 + o
         c = float(power_bilaplacian_coeff(4, N))
         # quadratic-fit stencils composed twice are O(1) at the very first and
         # last cells for a quartic; check the interior band
@@ -57,9 +60,9 @@ def test_bilaplacian_singular_profile():
     # Delta^2 (1 - r^(4/3)) = lambda_bar * r^(-8/3); u'(1) = -4/3
     N = 9
     g = build_grid(N, 2048, 2.0)
-    op = bilaplacian_clamped(g, BoundaryData(0.0, -4.0 / 3.0))
+    K, o = bilaplacian_clamped(g, BoundaryData(0.0, -4.0 / 3.0))
     r = g.r[:-1]
-    out = op.apply(1.0 - r ** (4.0 / 3.0))
+    out = K @ (1.0 - r ** (4.0 / 3.0)) + o
     exact = float(lambda_bar(N)) * r ** (-8.0 / 3.0)
     mask = (r >= 0.1) & (r <= 0.9)
     rel = np.abs(out[mask] - exact[mask]) / np.abs(exact[mask])
@@ -71,7 +74,7 @@ def test_form_is_symmetric_positive():
     for N in (1, 3):
         g = build_grid(N, 128, 2.0)
         A, m = bilaplacian_form(g)
-        Ad = A.astype(np.float64).toarray()
+        Ad = A.toarray()
         assert np.allclose(Ad, Ad.T, rtol=1e-12)
         rng = np.random.default_rng(0)
         for _ in range(5):
@@ -87,25 +90,35 @@ def test_form_matches_composition():
         A, m = bilaplacian_form(g)
         L, o = laplacian_with_bc(g, BoundaryData(0.0, 0.0))
         phi = (1.0 - g.r[:-1]) ** 2 * np.sin(3 * g.r[:-1])
-        lap = np.asarray(L @ phi.astype(np.longdouble) + o, dtype=float)
+        lap = L @ phi + o
         q = g.quad_weights() * g.r ** (g.N - 1)
         direct = float(np.sum(q * lap ** 2))
-        viaA = float(phi @ (A.astype(np.float64) @ phi))
+        viaA = float(phi @ (A @ phi))
         assert viaA == pytest.approx(direct, rel=1e-9)
 
 
 def test_assembled_rows_equal_the_scalar_stencil():
-    # the whole-grid assembly reproduces, bit for bit, the per-node quadratic
-    # fit at interior nodes of a graded grid with nonzero boundary data
+    # the whole-grid assembly stores, bit for bit, the extended-precision
+    # per-node quadratic fit rounded once to float64, at interior nodes of a
+    # graded grid with nonzero boundary data
     for N in (1, 3, 9):
         g = build_grid(N, 64, 2.0)
         L, _ = laplacian_with_bc(g, BoundaryData(0.3, -0.7))
         r = g.r.astype(np.longdouble)
         for i in (1, 2, 17, 40, g.M - 3):
             w1, w2 = _quad_fit_weights(r[i - 1:i + 2], r[i])
-            expected = np.zeros(g.M - 1, dtype=np.longdouble)
-            expected[i - 1:i + 2] = w2 + (N - 1) / r[i] * w1
+            expected = np.zeros(g.M - 1)
+            expected[i - 1:i + 2] = (w2 + (N - 1) / r[i] * w1).astype(np.float64)
             assert np.array_equal(L[[i]].toarray()[0], expected), (N, i)
         # the banded eigensolver stores only the diagonals |i - j| <= 2
         coo = bilaplacian_form(g)[0].tocoo()
         assert np.max(np.abs(coo.row - coo.col)) == 2
+
+
+def test_operators_are_float64():
+    for N in (1, 3):
+        g = build_grid(N, 64, 2.0)
+        bc = BoundaryData(0.3, -0.7)
+        for L, o in (laplacian_with_bc(g, bc), bilaplacian_clamped(g, bc),
+                     mixed_bilaplacian(g, bc), bilaplacian_form(g)):
+            assert L.dtype == np.float64 and o.dtype == np.float64, N
