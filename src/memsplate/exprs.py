@@ -19,12 +19,17 @@ rounding enters only in numeric/interval evaluation.
 
 A Signomial does its exact-rational interval work once: on first use it
 compiles its terms into a table of floats (coefficient bounds, float
-exponent, exponent-rounding coefficient, value at r = 0), kept on the object.
-Its float work is done once per point: the outward bounds of every term at
-a point x (its "row") are kept on the object too, up to `_MAX_ROWS` points,
-so a bisection, whose boxes end where earlier boxes ended or were centred,
-computes each power once.  A box enclosure is the directed sum of the
-termwise hull of its two endpoint rows, bit-identical to the term-by-term
+exponent, exponent-rounding coefficient), kept on the object.  Its float work
+is done once per point: the outward bounds of every term at a point x (its
+"row") come from one call of the kernel `intervals.term_bounds`, a single
+loop over the table that owns the padding rule, and are kept on the object,
+up to `_MAX_ROWS` points.  A bisection, whose boxes end where earlier boxes
+ended or were centred, thus computes each power once.  The row at r = 0
+multiplies the exact powers 0**p by the coefficient bounds instead.  A box
+enclosure is the directed sum of the termwise hull of its two endpoint rows,
+intersected with the centred form; it is computed on float pairs, with the
+rounding of `Interval`'s operators, and one `Interval` is built at the end.
+The result is bit-identical to the term-by-term
 `frac_bounds`/`pow_bounds`/`Interval` evaluation.
 """
 
@@ -36,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from .intervals import (Interval, down, exponent_rounding, frac_bounds, mul_bounds,
-                        padded_pow, pow_bounds, up)
+                        pow_bounds, term_bounds, up)
 
 
 def _frac(x) -> Fraction:
@@ -175,12 +180,12 @@ class Signomial:
     def _compile(self) -> tuple:
         """Per-term float data: the exact-rational work, done once per signomial.
 
-        Each row is (coefficient lower/upper bound, float(p), the exponent
-        rounding coefficient of `padded_pow`, the enclosure of 0**p).
+        Each entry is (coefficient lower/upper bound, float(p), the exponent
+        rounding coefficient of `padded_pow`), the term format of
+        `term_bounds`.
         """
-        self._table = tuple(
-            (*frac_bounds(c), float(p), exponent_rounding(p), pow_bounds(0.0, p))
-            for p, c in self.terms.items())
+        self._table = tuple((*frac_bounds(c), float(p), exponent_rounding(p))
+                            for p, c in self.terms.items())
         return self._table
 
     def _row(self, x: float) -> tuple[list, list]:
@@ -188,7 +193,8 @@ class Signomial:
 
         Computed on the first request for x and kept on the object (up to
         `_MAX_ROWS` points), so each term's power is evaluated once per
-        point.  Floats only.
+        point.  Floats only, except at x = 0, where each term's exact power
+        0**p is 0, 1 or inf.
         """
         row = self._rows.get(x)
         if row is None:
@@ -196,28 +202,32 @@ class Signomial:
                 self._rows.clear()
             table = self._table if self._table is not None else self._compile()
             if x == 0.0:
-                bounds = [mul_bounds(cl, ch, *at_zero) for cl, ch, _, _, at_zero in table]
+                bounds = [mul_bounds(cl, ch, *pow_bounds(0.0, p))
+                          for (cl, ch, _, _), p in zip(table, self.terms)]
+                row = [lo for lo, _ in bounds], [hi for _, hi in bounds]
             else:
-                lx = abs(math.log(x))
-                bounds = [mul_bounds(cl, ch, *padded_pow(x, pf, k, lx))
-                          for cl, ch, pf, k, _ in table]
-            self._rows[x] = row = ([lo for lo, _ in bounds], [hi for _, hi in bounds])
+                row = term_bounds(x, table)
+            self._rows[x] = row
         return row
 
-    def _termwise(self, a: float, b: float) -> Interval:
-        """Natural enclosure on [a, b]: per term, the hull of the endpoint rows,
-        then a directed sum.
+    def _termwise(self, a: float, b: float) -> tuple[float, float]:
+        """Natural enclosure (lo, hi) on [a, b]: per term, the hull of the
+        endpoint rows, then a directed sum.
 
         This equals coefficient bounds times the hull of the padded endpoint
         powers bit for bit: c * x is monotone in x for a fixed c, and so are
         its rounding, the `nextafter` pad and the 0 * inf = 0 rule, so each
-        extreme product over the hull lies at an endpoint's corner.
+        extreme product over the hull lies at an endpoint's corner.  The
+        pair is always ordered: each term's low is at most its high, and
+        `_dirsum` rounds both sums outward.
         """
         los, his = self._row(a)
         if b != a:
             lb, hb = self._row(b)
-            los, his = list(map(min, los, lb)), list(map(max, his, hb))
-        return Interval(_dirsum(los, -1), _dirsum(his, +1))
+            # min and max of each pair, as the builtins pick them
+            los = [y if y < x else x for x, y in zip(los, lb)]
+            his = [y if y > x else x for x, y in zip(his, hb)]
+        return _dirsum(los, -1), _dirsum(his, +1)
 
     def enclosure(self, a: float, b: float) -> Interval:
         """Interval containing all values on [a, b] subset of [0, inf).
@@ -226,23 +236,29 @@ class Signomial:
         form f(c) + f'([a,b]) ([a,b] - c): the latter is far tighter where f
         sits on a small plateau whose value is below the coefficient scale
         (termwise width scales with sum |c_k p_k| (b-a); the centered width
-        with the actual |f'| (b-a)/2).
+        with the actual |f'| (b-a)/2).  The arithmetic runs on float pairs
+        with the rounding of `Interval`'s operators, and one `Interval` is
+        built at the end.  No pair can be unordered: a row's lows are below
+        inf and its highs above -inf (`nextafter` steps an infinite product
+        to the largest float), so no sum meets inf + -inf.  A NaN endpoint
+        raises `ValueError`, as the `Interval` of the half-width did.
         """
         if not self.terms:
             return Interval(0.0, 0.0)
-        nat = self._termwise(a, b)
+        lo, hi = self._termwise(a, b)
         if a == b or a <= 0.0:
-            return nat
+            return Interval(lo, hi)
         if self._diff is None:
             self._diff = self.diff()
         c = 0.5 * (a + b)
-        pv = self._termwise(c, c)
-        dv = self._diff._termwise(a, b)
+        pl, ph = self._termwise(c, c)
+        dl, dh = self._diff._termwise(a, b)
         h = up(max(c - a, b - c))
-        cen = pv + dv * Interval(-h, h)
-        lo = max(nat.lo, cen.lo)
-        hi = min(nat.hi, cen.hi)
-        return Interval(lo, hi) if lo <= hi else nat
+        if not -h <= h:  # a NaN endpoint
+            raise ValueError(f"invalid interval [{-h}, {h}]")
+        ml, mh = mul_bounds(dl, dh, -h, h)
+        cen_lo, cen_hi = max(lo, down(pl + ml)), min(hi, up(ph + mh))
+        return Interval(cen_lo, cen_hi) if cen_lo <= cen_hi else Interval(lo, hi)
 
 
 # --------------------------------------------------------------------------

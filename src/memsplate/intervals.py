@@ -5,14 +5,26 @@ Bounds are padded with `math.nextafter` after every operation; libm's pow/log
 are assumed correct to a couple of ulps, and every use pads accordingly, so
 enclosures are conservative up to that standard-library contract.
 
-The padding of a power is defined once, in `padded_pow`: a relative 5e-16
-for libm `pow`, plus 1.1 |p - float(p)| |ln x| when the exponent is not a
-float.  `exponent_rounding` does the exact-rational part of that rule, so a
-caller that evaluates the same exponent on many boxes (the compiled
-`Signomial`) calls it once and then works on floats only.  `mul_bounds` is
-the product rule shared by `Interval` and that compiled path.  Python's
-`float ** float` (libm) is used deliberately: numpy's SIMD `power` may differ
-from it by an ulp, which would eat into the pad and change enclosures.
+The padding of a power is defined in this module only.  `padded_pow` states
+it for one power: a relative 5e-16 for libm `pow`, plus 1.1 |p - float(p)|
+|ln x| when the exponent is not a float; with a float exponent the two pad
+factors are the constants `_POW_DOWN`/`_POW_UP`.  `exponent_rounding` does the
+exact-rational part of that rule, so a caller that evaluates the same
+exponent on many boxes (the compiled `Signomial`) calls it once and then
+works on floats only.  `mul_bounds` is the product rule of `Interval`.
+
+`term_bounds` is the compiled path's kernel: one loop over the terms of a
+signomial at one point that pads each power and multiplies it by the
+coefficient bounds, with no call per term.  It gives the floats that
+`mul_bounds(cl, ch, *padded_pow(...))` gives, term for term (the tests hold
+it to that).  Where the padded power is positive and finite and the
+coefficient has one sign, the sign picks the two extreme corner products;
+`mul_bounds` still covers the rest: a power that underflowed to 0 or
+overflowed to inf, and coefficient bounds on both sides of 0.  The point
+x = 0 is not the kernel's: the caller multiplies the exact powers 0**p
+(`pow_bounds`) with `mul_bounds`.  Python's `float ** float` (libm) is used
+deliberately: numpy's SIMD `power` may differ from it by an ulp, which would
+eat into the pad and change enclosures.
 """
 
 from __future__ import annotations
@@ -38,20 +50,26 @@ def up(x: float) -> float:
 def frac_bounds(c) -> tuple[float, float]:
     """Tight float bounds of an exact rational (or float) coefficient."""
     f = float(c)
-    if isinstance(c, float) or Fraction(f) == Fraction(c):
+    if isinstance(c, float):
         return f, f
-    return (down(f), f) if Fraction(f) > Fraction(c) else (f, up(f))
+    exact = Fraction(f)
+    if exact == c:
+        return f, f
+    return (down(f), f) if exact > c else (f, up(f))
 
 
 _POW_REL = 5e-16   # libm pow: <= ~1 ulp, padded
 _EXP_ROUND = 1.1   # x**p / x**float(p) = exp((p - float(p)) ln x), padded
+# the pad factors of a power whose exponent is a float (k = 0)
+_POW_DOWN = _next(1.0 - _POW_REL, -_INF)
+_POW_UP = _next(1.0 + _POW_REL, _INF)
 
 
 def exponent_rounding(p: Fraction | float) -> float:
     """k with x**p within relative k*|ln x| of x**float(p); 0 when float(p) == p."""
     if isinstance(p, float):
         return 0.0
-    err = abs(Fraction(p) - Fraction(float(p)))
+    err = abs(p - Fraction(float(p)))
     return _EXP_ROUND * float(err) if err else 0.0
 
 
@@ -60,15 +78,16 @@ def padded_pow(x: float, pf: float, k: float, abslog: float) -> tuple[float, flo
     and abslog = |ln x| (read only when k != 0).  When x**pf overflows, the
     largest float, padded down like any other value, is the lower bound and
     the upper bound is inf."""
-    rel = _POW_REL
     if k:
-        rel += k * abslog
+        rel = _POW_REL + k * abslog
+        pad_down, pad_up = _next(1.0 - rel, -_INF), _next(1.0 + rel, _INF)
+    else:
+        pad_down, pad_up = _POW_DOWN, _POW_UP
     try:
         v = x ** pf
     except OverflowError:
         v = _MAX  # the padded upper bound then overflows to inf
-    return (_next(v * _next(1.0 - rel, -_INF), -_INF),
-            _next(v * _next(1.0 + rel, _INF), _INF))
+    return _next(v * pad_down, -_INF), _next(v * pad_up, _INF)
 
 
 def pow_bounds(x: float, p: Fraction | float) -> tuple[float, float]:
@@ -89,6 +108,52 @@ def mul_bounds(al: float, ah: float, bl: float, bh: float) -> tuple[float, float
     if c1 != c1 or c2 != c2 or c3 != c3 or c4 != c4:  # NaN only from 0 * inf
         c1, c2, c3, c4 = (0.0 if c != c else c for c in (c1, c2, c3, c4))
     return _next(min(c1, c2, c3, c4), -_INF), _next(max(c1, c2, c3, c4), _INF)
+
+
+def term_bounds(x: float, terms) -> tuple[list, list]:
+    """Outward bounds (lows, highs) of c * x**p at x > 0 for each compiled term
+    (cl, ch, pf, k): cl <= c <= ch, pf = float(p), k = exponent_rounding(p).
+
+    Each pair is the pair `mul_bounds(cl, ch, *padded_pow(x, pf, k, |ln x|))`
+    gives, computed in one loop with no call per term.  When the padded power
+    [pl, ph] is positive and finite and the coefficient bounds do not straddle
+    0, the coefficient's sign picks the two extreme corner products: cl*pl and
+    ch*ph for cl >= 0, cl*ph and ch*pl for ch <= 0.  Rounding to nearest is
+    monotone, so these are the floats `mul_bounds` takes as its min and max.
+    Every other term (a power that underflowed to 0 or overflowed to inf, or
+    coefficient bounds on both sides of 0) goes through `mul_bounds`.
+    """
+    # the loop's constants and methods bound to locals: this is the prover's
+    # innermost loop
+    nxt, inf, ninf, pow_rel = _next, _INF, -_INF, _POW_REL
+    pow_down, pow_up = _POW_DOWN, _POW_UP
+    lx = abs(math.log(x))
+    los, his = [], []
+    lo_add, hi_add = los.append, his.append
+    for cl, ch, pf, k in terms:
+        if k:
+            rel = pow_rel + k * lx
+            pad_down, pad_up = nxt(1.0 - rel, ninf), nxt(1.0 + rel, inf)
+        else:
+            pad_down, pad_up = pow_down, pow_up
+        try:
+            v = x ** pf
+        except OverflowError:
+            v = _MAX
+        pl, ph = nxt(v * pad_down, ninf), nxt(v * pad_up, inf)
+        if 0.0 < pl and ph < inf:
+            if cl >= 0.0:
+                lo_add(nxt(cl * pl, ninf))
+                hi_add(nxt(ch * ph, inf))
+                continue
+            if ch <= 0.0:
+                lo_add(nxt(cl * ph, ninf))
+                hi_add(nxt(ch * pl, inf))
+                continue
+        lo, hi = mul_bounds(cl, ch, pl, ph)
+        lo_add(lo)
+        hi_add(hi)
+    return los, his
 
 
 @dataclass(frozen=True)

@@ -119,41 +119,33 @@ def test_n9_cleared_claim_box_counts():
 
 
 def test_each_point_evaluates_each_term_power_once(monkeypatch):
-    # one proof of the N = 9 cleared cond2 claim: an enclosure calls
-    # padded_pow once per term for each endpoint that its signomial (the
-    # factored claim or its derivative) has not met before, and never again
-    # for that point
+    # one proof of the N = 9 cleared cond2 claim: a signomial (the factored
+    # claim or its derivative) evaluates its term powers at a point in one
+    # call of the row kernel, only at a nonzero endpoint or centre that its
+    # enclosures met, and never twice for that point
     cand = table_candidate(9)
     num, den = _cond2_parts(cand, hr_weight(cand.hr_variant, 9))
     claim = num - Signomial.constant(cand.beta) * den
-    calls = 0
-    real_pow, real_termwise = exprs.padded_pow, Signomial._termwise
+    real_kernel, real_termwise = exprs.term_bounds, Signomial._termwise
+    rows = []  # (id of the signomial's compiled table, point) per kernel call
 
-    def pow_spy(*args):
-        nonlocal calls
-        calls += 1
-        return real_pow(*args)
+    def kernel_spy(x, terms):
+        rows.append((id(terms), x))
+        return real_kernel(x, terms)
 
     met = {}  # id -> (signomial, points met); holding it keeps the id unique
-    surplus = []
 
     def termwise_spy(sig, a, b):
-        points = met.setdefault(id(sig), (sig, set()))[1]
-        new = {x for x in (a, b) if x != 0.0 and x not in points}
-        points.update((a, b))
-        before = calls
-        out = real_termwise(sig, a, b)
-        if calls - before != len(new) * len(sig.terms):
-            surplus.append((sig, a, b, calls - before))
-        return out
+        met.setdefault(id(sig), (sig, set()))[1].update((a, b))
+        return real_termwise(sig, a, b)
 
-    monkeypatch.setattr(exprs, "padded_pow", pow_spy)
+    monkeypatch.setattr(exprs, "term_bounds", kernel_spy)
     monkeypatch.setattr(Signomial, "_termwise", termwise_spy)
     rep = prove_signomial_nonneg(claim)
     assert rep.proved and rep.boxes == 366
-    assert surplus == []
-    assert calls == sum(len(sig.terms) * len(points - {0.0})
-                        for sig, points in met.values())
+    assert len(rows) == len(set(rows))
+    assert set(rows) == {(id(sig._table), x) for sig, points in met.values()
+                         for x in points if x != 0.0}
     # the centred forms' derivative rows are counted too
     derivatives = [sig._diff for sig, _ in met.values() if sig._diff is not None]
     assert derivatives and all(id(d) in met for d in derivatives)

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 import memsplate.exprs as exprs
 from memsplate.exprs import (Const, Neg, Power, Prod, Quot, RadialExpr,
                              Signomial, Sum, _dirsum, signomial_expr)
-from memsplate.intervals import Interval, frac_bounds, pow_bounds, up
+from memsplate.intervals import (Interval, exponent_rounding, frac_bounds,
+                                 pow_bounds, up)
 
 
 def test_signomial_merge_and_zero():
@@ -176,12 +177,14 @@ def _boxes(draw):
 
 
 def _bits(enclose, *args):
-    """Enclosure endpoints as exact hex strings, or the exception it raised."""
+    """Enclosure endpoints (an Interval or a (lo, hi) pair) as exact hex
+    strings, or the exception it raised."""
     try:
         iv = enclose(*args)
     except (OverflowError, ValueError) as exc:  # e.g. r = 0 with negative powers
         return type(exc).__name__
-    return iv.lo.hex(), iv.hi.hex()
+    lo, hi = (iv.lo, iv.hi) if isinstance(iv, Interval) else iv
+    return lo.hex(), hi.hex()
 
 
 def test_enclosure_with_overflowing_sum_is_unbounded():
@@ -222,6 +225,48 @@ def test_compiled_enclosure_is_bit_identical_to_termwise_definition(terms, box):
     for sub in _bisection_walk(*box):
         assert _bits(sig._termwise, *sub) == _bits(_reference_termwise, sig, *sub)
         assert _bits(sig.enclosure, *sub) == _bits(_reference_enclosure, sig, *sub)
+
+
+_TINY = Fraction(1, 10 ** 330)
+
+
+@pytest.mark.parametrize("terms, box, precondition", [
+    pytest.param({Fraction(4, 3): Fraction(-2, 7), Fraction(22, 15): Fraction(1, 3)},
+                 (0.3, 0.7), exponent_rounding(Fraction(4, 3)) > 0
+                 and exponent_rounding(Fraction(22, 15)) > 0, id="k-nonzero"),
+    # a lone term with a coefficient of 1e300/3: its products with the padded
+    # 0 are normal floats, so each corner product is a different float
+    pytest.param({400: Fraction(10 ** 300, 3)}, (1e-9, 2.0 ** -4),
+                 pow_bounds(1e-9, Fraction(400))[0] < 0, id="underflowed-power"),
+    pytest.param({-400: Fraction(-2, 7), 1: 1}, (1e-9, 0.5),
+                 pow_bounds(1e-9, Fraction(-400))[1] == math.inf, id="overflowed-power"),
+    pytest.param({Fraction(1, 3): _TINY, 2: 1}, (0.25, 0.75),
+                 frac_bounds(_TINY) == (0.0, 5e-324), id="coefficient-0-to-tiny"),
+    pytest.param({Fraction(-1, 3): -_TINY, 1: -1}, (0.25, 0.75),
+                 frac_bounds(-_TINY) == (-5e-324, -0.0)
+                 and math.copysign(1.0, frac_bounds(-_TINY)[1]) < 0,
+                 id="coefficient-minus-tiny-to-minus-0"),
+    pytest.param({Fraction(-1, 3): Fraction(1, 3), Fraction(4, 3): -2, 0: 1}, (0.0, 0.25),
+                 pow_bounds(0.0, Fraction(-1, 3)) == (math.inf, math.inf), id="x-zero"),
+    pytest.param({0: Fraction(1, 3)}, (0.25, 0.5),
+                 not Signomial({0: Fraction(1, 3)}).diff(), id="constant"),
+])
+def test_each_kernel_branch_is_bit_identical_to_termwise_definition(terms, box,
+                                                                     precondition):
+    # the precondition checks that the case reaches its branch of the row
+    # kernel (`term_bounds`) or of the enclosure
+    assert precondition
+    sig = Signomial(terms)
+    for sub in _bisection_walk(*box) + [(box[0], box[0])]:
+        assert _bits(sig._termwise, *sub) == _bits(_reference_termwise, sig, *sub)
+        assert _bits(sig.enclosure, *sub) == _bits(_reference_enclosure, sig, *sub)
+
+
+def test_a_nan_endpoint_is_rejected():
+    sig = Signomial({Fraction(4, 3): 2, 0: 1})
+    for box in ((0.25, math.nan), (math.nan, 0.5), (math.nan, math.nan)):
+        with pytest.raises(ValueError):
+            sig.enclosure(*box)
 
 
 def test_a_long_walk_keeps_a_bounded_memo_with_the_same_bits(monkeypatch):

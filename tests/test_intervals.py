@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from memsplate.intervals import (Interval, down, frac_bounds, pow_bounds,
-                                 prove_nonneg, up)
+from memsplate.intervals import (Interval, down, exponent_rounding, frac_bounds,
+                                 mul_bounds, padded_pow, pow_bounds, prove_nonneg,
+                                 term_bounds, up)
 
 
 def test_directed_rounding():
@@ -61,6 +62,27 @@ def test_pow_bounds_zero_edge():
     assert pow_bounds(0.0, Fraction(2)) == (0.0, 0.0)
     assert pow_bounds(0.0, Fraction(0)) == (1.0, 1.0)
     assert pow_bounds(0.0, Fraction(-1)) == (math.inf, math.inf)
+
+
+@pytest.mark.parametrize("x", [1e-9, 0.3, 0.75, 1.0])
+def test_term_bounds_is_mul_bounds_of_padded_pow(x):
+    # every branch of the row kernel, term by term and bit for bit: positive,
+    # negative, straddling, tiny and zero coefficient bounds, exponents with
+    # k = 0 and k != 0, and powers that underflow (x = 1e-9, p = 400) or
+    # overflow (x = 1e-9, p = -400).  The bounds of +-1e300/3 keep the
+    # products with an underflowed power normal, so the corners differ.
+    coeffs = [frac_bounds(Fraction(1, 3)), (-2.0, -2.0), (-1.0, 2.0),
+              frac_bounds(Fraction(10 ** 300, 3)), frac_bounds(Fraction(-10 ** 300, 3)),
+              (0.0, 5e-324), (-5e-324, -0.0), (0.0, 0.0)]
+    exponents = [Fraction(3, 2), Fraction(4, 3), Fraction(-8, 3),
+                 Fraction(400), Fraction(-400)]
+    terms = [(cl, ch, float(p), exponent_rounding(p))
+             for cl, ch in coeffs for p in exponents]
+    lx = abs(math.log(x))
+    want = [mul_bounds(cl, ch, *padded_pow(x, pf, k, lx)) for cl, ch, pf, k in terms]
+    los, his = term_bounds(x, terms)
+    assert [(lo.hex(), hi.hex()) for lo, hi in zip(los, his)] == \
+        [(lo.hex(), hi.hex()) for lo, hi in want]
 
 
 def test_interval_arithmetic_encloses():
