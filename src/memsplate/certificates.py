@@ -32,14 +32,13 @@ from .exprs import Prod, RadialExpr, Signomial, _frac, signomial_expr
 from .grid import InvalidArgument
 from .hardy import hr_weight
 from .operators import hardy_rellich_constant, lambda_bar, power_bilaplacian_coeff
-from .intervals import frac_bounds
 from .verify import inf_enclosure, prove_signomial_nonneg, sampled_mins
 
 _RIGOR_TIERS = ("sampled", "interval")
 
 
-def _endpoint_limits(num: Signomial, den: Signomial):
-    """Exact finite limits of num/den (den > 0 on (0,1)) at r -> 0+ and r -> 1-.
+def _endpoint_limit(num: Signomial, den: Signomial):
+    """The smaller exact finite limit of num/den (den > 0) at r -> 0+ and r -> 1-, or None.
 
     The extrema of the ratios below are often attained only in these limits
     (the cond1 ratio at r -> 0, the cond2 ratio with the constant-over-r^4
@@ -57,7 +56,7 @@ def _endpoint_limits(num: Signomial, den: Signomial):
     n1, d1 = num.value_at_one(), den.value_at_one()
     if d1 != 0:
         lims.append(n1 / d1)
-    return lims
+    return min(lims, default=None)
 
 
 def _check_m(m: Fraction) -> Fraction:
@@ -165,17 +164,16 @@ def _check_inf(label: str, claim: Signomial, slack_den: Signomial,
     The margin is the sampled minimum of claim/slack_den, and `sharpest` the
     sampled inf of num/den folded with its exact endpoint limits.  The
     interval tier proves den > 0 and then the cleared claim, and encloses
-    the inf of num/den.  An exact endpoint limit caps the enclosure's upper
-    bound, since the limit is approached from inside (0,1).  It raises the
-    lower bound when num - limit * den >= 0 is proved.
+    the inf of num/den with one level search whose first level is the
+    smaller endpoint limit (see `inf_enclosure`).  An enclosure with no
+    proved level has the lower bound -inf and says so in a note.
     """
     if rigor not in _RIGOR_TIERS:
         raise InvalidArgument(f"unknown rigor tier {rigor!r}")
     _require_floats(label, claim, slack_den, num, den)
     (margin, argmin), (sharp, arg_sharp) = sampled_mins([(claim, slack_den),
                                                          (num, den)])
-    lims = _endpoint_limits(num, den)
-    end = min(lims) if lims else None
+    end = _endpoint_limit(num, den)
     if end is not None:
         sharp = min(sharp, float(end))
     notes = []
@@ -192,13 +190,9 @@ def _check_inf(label: str, claim: Signomial, slack_den: Signomial,
                 notes.append(f"{label} claim not proved: {rep.reason}")
                 if rep.counterexample is not None:
                     notes.append(f"counterexample near r={rep.counterexample}")
-        lo, hi, _ = inf_enclosure(num, den, argmin=arg_sharp)
-        if end is not None:
-            cl, ch = frac_bounds(end)
-            hi = min(hi, ch)
-            if prove_signomial_nonneg(num - Signomial.constant(end) * den).proved:
-                lo = max(lo, cl)
-        enc = (lo, hi)
+        enc = inf_enclosure(num, den, argmin=arg_sharp, limit=end)[:2]
+        if enc[0] == -np.inf:
+            notes.append(f"{label} sharpest value unbounded: no level was proved")
     return CondReport(margin=margin, argmin=argmin, sharpest=sharp,
                       sharpest_enclosure=enc, proved=proved, rigor=rigor, boxes=boxes,
                       notes=notes)

@@ -126,17 +126,16 @@ def _laplacian_rows(grid: RadialGrid, bc: BoundaryData):
 def _clamped_laplacians(grid: RadialGrid, bc: BoundaryData):
     """(L1, o1, L2): Delta u = L1 @ u + o1 at all M nodes, Delta v = L2 @ v at 0..M-2.
 
-    L1 acts on the M-1 unknowns u[0..M-2] and carries the boundary data in
-    o1; L2 acts on v = Delta u at all M nodes and needs none.
+    L1 (M x M-1) acts on the unknowns u[0..M-2] and carries the boundary
+    data in o1; L2 (M-1 x M) acts on v = Delta u at all M nodes and needs
+    none.  Both are (weights, (rows, cols)) triplets with distinct positions.
     """
     (rows, cols, weights), w_last, o1 = _laplacian_rows(grid, bc)
     M = grid.M
-    L2 = sp.csr_matrix((weights, (rows, cols)), shape=(M - 1, M))
     # node M-2's weight of u[M-1] = alpha is in o1; the last row is node M-1's
-    L1 = sp.csr_matrix((np.append(weights[:-1], w_last),
-                        (np.append(rows[:-1], M - 1), np.append(cols[:-1], M - 2))),
-                       shape=(M, M - 1))
-    return L1, o1, L2
+    L1 = (np.append(weights[:-1], w_last),
+          (np.append(rows[:-1], M - 1), np.append(cols[:-1], M - 2)))
+    return L1, o1, (weights, (rows, cols))
 
 
 def laplacian_with_bc(grid: RadialGrid, bc: BoundaryData):
@@ -145,8 +144,8 @@ def laplacian_with_bc(grid: RadialGrid, bc: BoundaryData):
     u_interior are the M-1 unknowns at nodes 0..M-2; the boundary value
     alpha and the ghost reflection carrying beta enter through o.
     """
-    L, o, _ = _clamped_laplacians(grid, bc)
-    return L, o
+    L1, o, _ = _clamped_laplacians(grid, bc)
+    return sp.csr_matrix(L1, shape=(grid.M, grid.M - 1)), o
 
 
 def bilaplacian_clamped(grid: RadialGrid, bc: BoundaryData):
@@ -157,7 +156,8 @@ def bilaplacian_clamped(grid: RadialGrid, bc: BoundaryData):
     its mixed split, `mixed_bilaplacian`, instead.
     """
     L1, o1, L2 = _clamped_laplacians(grid, bc)
-    return (L2 @ L1).tocsr(), L2 @ o1
+    L2 = sp.csr_matrix(L2, shape=(grid.M - 1, grid.M))
+    return (L2 @ sp.csr_matrix(L1, shape=(grid.M, grid.M - 1))).tocsr(), L2 @ o1
 
 
 def mixed_bilaplacian(grid: RadialGrid, bc: BoundaryData):
@@ -170,13 +170,13 @@ def mixed_bilaplacian(grid: RadialGrid, bc: BoundaryData):
     for (K, o) = bilaplacian_clamped(grid, bc) in exact arithmetic, while
     every row scales like 1/h^2 instead of 1/h^4.  A is a `dia_matrix` with
     offsets u, u-1, ..., -l, so A.data is LAPACK band storage; (l, u) =
-    (3, 5), or (3, 3) at N = 1.
+    (3, 5), or (3, 3) at N = 1.  The stencil triplets go straight into it.
     """
-    L1, o1, L2 = _clamped_laplacians(grid, bc)
-    L1, L2, M = L1.tocoo(), L2.tocoo(), grid.M
-    rows = np.concatenate([2 * np.arange(M), 2 * L1.row, 2 * L2.row + 1])
-    cols = np.concatenate([2 * np.arange(M), 2 * L1.col + 1, 2 * L2.col])
-    vals = np.concatenate([np.ones(M), -L1.data, L2.data])
+    (w1, (r1, c1)), o1, (w2, (r2, c2)) = _clamped_laplacians(grid, bc)
+    M = grid.M
+    rows = np.concatenate([2 * np.arange(M), 2 * r1, 2 * r2 + 1])
+    cols = np.concatenate([2 * np.arange(M), 2 * c1 + 1, 2 * c2])
+    vals = np.concatenate([np.ones(M), -w1, w2])
     lo, up = int(np.max(rows - cols)), int(np.max(cols - rows))
     ab = np.zeros((lo + up + 1, 2 * M - 1))
     ab[up + rows - cols, cols] = vals

@@ -8,13 +8,14 @@ sum c_k r^(p_k) on the open interval (0,1), which is decided here by:
   resulting constant term is the limit and must be positive);
 * exact evaluation at r = 1 (rational sum of coefficients); when it vanishes,
   a monotonicity argument on a left neighborhood via the (exact) derivative,
-  applied recursively;
+  applied recursively; the window search stops when a cell at r = 1 stays
+  unresolved, since a narrower window keeps it;
 * adaptive outward-rounded interval bisection on the remaining compact core.
 
-The infimum of a ratio of signomials is enclosed by a certified point
-evaluation (upper bound) plus a bisection over levels c of the claim
-"num - c*den >= 0 on (0,1)" (lower bound).  A supremum is the negated
-infimum of -num/den; the caller negates.
+The infimum of a ratio of signomials is enclosed by one search over levels
+c of the claim "num - c*den >= 0 on (0,1)", whose first level is an exact
+endpoint limit when the caller has one.  A supremum is the negated infimum
+of -num/den; the caller negates.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exprs import Signomial, _frac
-from .intervals import Interval, ProofReport, prove_nonneg
+from .intervals import ProofReport, frac_bounds, prove_nonneg
 
 
 @dataclass
@@ -84,8 +85,9 @@ def _prove_upper(sig: Signomial, a: float, depth: int, min_width: float,
                               counterexample=rep.counterexample,
                               boxes=rep.boxes + boxes,
                               inconclusive=rep.inconclusive)
-        if drep.counterexample == 1.0:
-            # a genuinely negative derivative value at 1 cannot improve
+        if drep.counterexample == 1.0 or any(hi == 1.0 for _, hi in drep.inconclusive):
+            # a negative derivative value at 1, or a cell at 1 that stayed
+            # unresolved, is in every narrower window too
             return SignReport(False, reason=f"zero at r=1; {drep.reason}", boxes=boxes)
         a2 = 1.0 - 0.5 * (1.0 - a2) if a2 > a else max(a, 1.0 - 1e-2)
     return SignReport(False, reason="no provable non-increasing window at r=1",
@@ -94,6 +96,11 @@ def _prove_upper(sig: Signomial, a: float, depth: int, min_width: float,
 
 #: nested derivative claims `_prove_upper` may try at a zero at r = 1
 _DERIVATIVE_DEPTH = 4
+#: `inf_enclosure`'s bracket width relative to the point value, and the
+#: min_width and box budget of each level proof
+_LEVEL_REL_TOL = 1e-5
+_LEVEL_MIN_WIDTH = 1e-10
+_LEVEL_MAX_BOXES = 400_000
 
 
 def prove_signomial_nonneg(sig: Signomial, min_width: float = 1e-12,
@@ -192,43 +199,41 @@ def sampled_min(num: Signomial, den: Signomial | None, n: int = SAMPLES):
     return sampled_mins([(num, den)], n)[0]
 
 
-def _point_enclosure(num: Signomial, den: Signomial | None, r: float) -> Interval:
-    e = num.enclosure(r, r)
-    if den is not None:
-        e = e / den.enclosure(r, r)
-    return e
-
-
 def inf_enclosure(num: Signomial, den: Signomial | None = None,
-                  rel_tol: float = 1e-5, samples: int = SAMPLES,
-                  min_width: float = 1e-10, max_boxes: int = 400_000,
-                  argmin: float | None = None):
+                  argmin: float | None = None, limit: Fraction | None = None):
     """Certified enclosure (lo, hi, argmin) of inf over (0,1) of num/den.
 
-    Requires den > 0 on (0,1) (the caller's responsibility).  The upper bound
-    is a verified point evaluation at the sampled argmin (pass `argmin` when
-    the caller has already sampled num/den); the lower bound is the largest
-    level c for which "num - c*den >= 0 on (0,1)" is proved.  When the point
-    evaluation is unbounded, or no level is provable, the lower bound is -inf.
+    Requires den > 0 on (0,1).  `limit`, an exact limit of num/den at an
+    endpoint, caps hi and is the first level tried; when it is proved, its
+    lower float bound is lo.  Otherwise lo is bisected between a provable
+    level below the verified point value at the sampled argmin (pass
+    `argmin` if already sampled) and that value.  When the point value is
+    unbounded, or no level is provable, lo is -inf.
     """
-    r_hat = argmin if argmin is not None else sampled_min(num, den, samples)[1]
-    hi = _point_enclosure(num, den, r_hat).hi
-    if not math.isfinite(hi):
+    denom = den if den is not None else Signomial.constant(1)
+
+    def provable(c) -> bool:
+        claim = num - Signomial.constant(_frac(c)) * denom
+        return prove_signomial_nonneg(claim, min_width=_LEVEL_MIN_WIDTH,
+                                      max_boxes=_LEVEL_MAX_BOXES).proved
+
+    r_hat = argmin if argmin is not None else sampled_min(num, den)[1]
+    e = num.enclosure(r_hat, r_hat)
+    point = hi = (e if den is None else e / den.enclosure(r_hat, r_hat)).hi
+    if limit is not None:
+        cl, ch = frac_bounds(limit)
+        hi = min(point, ch)
+        if provable(limit):
+            return cl, hi, r_hat
+    if not math.isfinite(point):
         return -math.inf, hi, r_hat
 
-    scale = abs(hi) if hi != 0.0 else 1.0
-
-    def provable(c: float) -> bool:
-        claim = num - Signomial.constant(_frac(c)) * (den if den is not None
-                                                      else Signomial.constant(1))
-        return prove_signomial_nonneg(claim, min_width=min_width,
-                                      max_boxes=max_boxes).proved
-
     # find a provable anchor below the sampled minimum
-    step = max(rel_tol, 1e-6) * scale
+    scale = abs(point) if point != 0.0 else 1.0
+    step = _LEVEL_REL_TOL * scale
     for _ in range(60):
-        lo = hi - step
-        if lo == -math.inf:  # hi is near -DBL_MAX: no float level is left below it
+        lo = point - step
+        if lo == -math.inf:  # point is near -DBL_MAX: no float level is left below it
             return lo, hi, r_hat
         if provable(lo):
             break
@@ -236,9 +241,9 @@ def inf_enclosure(num: Signomial, den: Signomial | None = None,
     else:
         return -math.inf, hi, r_hat
 
-    # bisect the level between the provable anchor and the upper bound
-    bad = hi
-    while bad - lo > rel_tol * scale:
+    # bisect the level between the provable anchor and the point value
+    bad = point
+    while bad - lo > _LEVEL_REL_TOL * scale:
         mid = 0.5 * (lo + bad)
         if provable(mid):
             lo = mid

@@ -160,10 +160,37 @@ def test_each_point_evaluates_each_term_power_once(monkeypatch):
      ("0x1.4fd7b2551d835p+9", "0x1.4fd88e6e25d74p+9"), 18),
     (12, check_cond2, "0x1.0beac24b22d5bp+10",
      ("0x1.0bea6a80a07f4p+10", "0x1.0beac24b22d8ap+10"), 155),
+    # off-table candidates; cond2 refutes beta = 737/2 at N = 9
+    pytest.param(CandidateW(Fraction(14, 5), 9, 366, Fraction(737, 2), "HR3"),
+                 check_cond1, "0x1.6cf48f8423893p+8",
+                 ("0x1.6cf48f8423880p+8", "0x1.6cf57eb17af35p+8"), 24,
+                 id="9-beta737/2-check_cond1"),
+    pytest.param(CandidateW(Fraction(14, 5), 9, 366, Fraction(737, 2), "HR3"),
+                 check_cond2, "0x1.6ee7a19f55d76p+8",
+                 ("0x1.6ee72965210f5p+8", "0x1.6ee7a19f55db4p+8"), 336,
+                 id="9-beta737/2-check_cond2"),
+    pytest.param(CandidateW(3, 12, 1071, 680, "HR2"), check_cond1,
+                 "0x1.4fd7b2551d848p+9",
+                 ("0x1.4fd7b2551d835p+9", "0x1.4fd88e6e25d74p+9"), 4,
+                 id="12-lam1071-beta680-check_cond1"),
+    pytest.param(CandidateW(3, 12, 1071, 680, "HR2"), check_cond2,
+                 "0x1.0beac24b22d5bp+10",
+                 ("0x1.0bea6a80a07f4p+10", "0x1.0beac24b22d8ap+10"), 28,
+                 id="12-lam1071-beta680-check_cond2"),
+    pytest.param(CandidateW(3, 10, 600, 487, "HR2"), check_cond1,
+                 "0x1.c0d033496300bp+8",
+                 ("0x1.c0d0334962ff4p+8", "0x1.c0d1596bc2b42p+8"), 6,
+                 id="10-lam600-beta487-check_cond1"),
+    pytest.param(CandidateW(3, 10, 600, 487, "HR2"), check_cond2,
+                 "0x1.e75d3c5e41d16p+8",
+                 ("0x1.e75bfcf81cbb8p+8", "0x1.e75d3c5e41d67p+8"), 156,
+                 id="10-lam600-beta487-check_cond2"),
 ])
 def test_interval_tier_answers_are_frozen(N, check, sharpest, enclosure, boxes):
-    # frozen as float hex: the prover's enclosures must not move by one ulp
-    rep = check(table_candidate(N), rigor="interval")
+    # frozen as float hex: the prover's enclosures must not move by one ulp;
+    # N is a table dimension or an off-table candidate
+    cand = N if isinstance(N, CandidateW) else table_candidate(N)
+    rep = check(cand, rigor="interval")
     assert rep.sharpest.hex() == sharpest
     assert tuple(x.hex() for x in rep.sharpest_enclosure) == enclosure
     assert rep.boxes == boxes
@@ -225,11 +252,13 @@ def test_interval_tier_refutes_an_interior_dip():
 
 def test_interval_tier_refuses_an_unproved_denominator():
     # W = (-1)/(-1) is the constant 1, but its cleared denominator is
-    # negative, so the cond2 claim is never attempted
+    # negative, so the cond2 claim is never attempted, and no level of the
+    # sharpest value is proved either
     cand = table_candidate(12)
     rep = check_cond2(cand, weight=Quot(Const(-1), Const(-1)), rigor="interval")
     assert rep.proved is False and rep.boxes is None
-    assert rep.notes == ["cond2 denominator sign not proved: negative limit at r=0"]
+    assert rep.notes == ["cond2 denominator sign not proved: negative limit at r=0",
+                         "cond2 sharpest value unbounded: no level was proved"]
 
 
 def test_n9_computed_sharpest_values():

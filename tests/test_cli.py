@@ -66,6 +66,17 @@ def test_certify_custom_candidate(tmp_path):
     assert doc["verdict"] == "Pass"
 
 
+def test_certify_unbounded_enclosure_carries_a_reason(tmp_path):
+    # at m = 1e30 the cond1 claim is refuted at r = 1 and no level of its
+    # sharpest value is provable, so that enclosure is unbounded above
+    assert run(tmp_path, "certify", "--dim", "9", "--m", "1e30",
+               "--rigor", "interval") == 0
+    doc = json.loads((tmp_path / "certify_N9.json").read_text())
+    assert doc["verdict"] == "Fail"
+    assert doc["cond1"]["sharpest_enclosure"][1] == float("inf")
+    assert "cond1 sharpest value unbounded: no level was proved" in doc["cond1"]["notes"]
+
+
 def test_certify_subcritical_dim_is_config_error(tmp_path):
     assert run(tmp_path, "certify", "--dim", "8") == 3
 

@@ -74,7 +74,7 @@ def test_inf_enclosure_brackets_true_min():
     # num/den = (1 + r)/(1 + r^2): minimum on (0,1) is 1 (limit r -> 0)
     num = Signomial({0: 1, 1: 1})
     den = Signomial({0: 1, 2: 1})
-    lo, hi, arg = inf_enclosure(num, den, rel_tol=1e-6, samples=50_001)
+    lo, hi, arg = inf_enclosure(num, den)
     assert lo <= 1.0 <= hi + 1e-9
     assert hi - lo < 1e-4
 
@@ -82,15 +82,68 @@ def test_inf_enclosure_brackets_true_min():
 def test_inf_enclosure_of_the_negation_brackets_true_max():
     # sup of r(1-r)*4 on (0,1) is 1 at r = 1/2, so inf of its negation is -1
     num = Signomial({1: 4, 2: -4})
-    lo, hi, arg = inf_enclosure(-num, None, rel_tol=1e-6, samples=50_001)
+    lo, hi, arg = inf_enclosure(-num, None)
     assert lo <= -1.0 <= hi
     assert hi - lo < 1e-4
     assert arg == pytest.approx(0.5, abs=1e-3)
 
 
+def _level_spy(monkeypatch):
+    claims = []
+    real = verify.prove_signomial_nonneg
+
+    def spy(sig, **kw):
+        claims.append(sig)
+        return real(sig, **kw)
+
+    monkeypatch.setattr(verify, "prove_signomial_nonneg", spy)
+    return claims
+
+
+def test_a_proved_limit_is_the_only_level(monkeypatch):
+    # (1 + r)/(1 + r^2) tends to its inf 1 at r -> 0, and (1 + r) - (1 + r^2)
+    # = r (1 - r) >= 0 is provable, so no other level is tried
+    claims = _level_spy(monkeypatch)
+    num, den = Signomial({0: 1, 1: 1}), Signomial({0: 1, 2: 1})
+    lo, hi, _ = inf_enclosure(num, den, limit=Fraction(1))
+    assert lo == 1.0 and hi == 1.0
+    assert claims == [num - Signomial.constant(1) * den]
+
+
+def test_an_unprovable_limit_falls_back_to_the_level_search(monkeypatch):
+    # 4r^2 - 4r + 2 tends to 2 at both ends but dips to 1 at r = 1/2: the
+    # limit level fails, and the level search brackets the interior minimum
+    claims = _level_spy(monkeypatch)
+    g = Signomial({0: 2, 1: -4, 2: 4})
+    lo, hi, arg = inf_enclosure(g, limit=Fraction(2))
+    assert claims[0] == g - Signomial.constant(2) * Signomial.constant(1)
+    assert len(claims) > 1
+    assert lo <= 1.0 <= hi and hi - lo < 1e-4
+    assert arg == pytest.approx(0.5, abs=1e-3)
+
+
+def test_a_window_search_stops_on_an_unresolved_cell_at_one(monkeypatch):
+    # 1 - r^(10^30) vanishes at r = 1, and every enclosure of its derivative
+    # on a cell ending at 1 has a tiny negative lower bound from the
+    # underflowed power: no narrower window resolves it
+    attempts = []
+    real = verify._prove_upper
+
+    def spy(sig, a, depth, min_width, max_boxes):
+        attempts.append(depth)
+        return real(sig, a, depth, min_width, max_boxes)
+
+    monkeypatch.setattr(verify, "_prove_upper", spy)
+    rep = verify._prove_upper(Signomial({0: 1, 10**30: -1}), 0.5, 4, 1e-12, 80_000)
+    assert not rep.proved
+    assert attempts == [4, 3]
+    assert rep.reason == "zero at r=1; not sign-definite"
+    assert rep.boxes <= 10_001
+
+
 def test_enclosure_orders():
     num = Signomial({0: 2, 1: 1})
-    lo, hi, _ = inf_enclosure(num, None, rel_tol=1e-6, samples=20_001)
+    lo, hi, _ = inf_enclosure(num, None)
     assert lo <= hi
     assert lo <= 2.0 <= hi + 1e-6
 
