@@ -84,8 +84,20 @@ def _json_default(o):
     raise TypeError(f"not JSON serializable: {type(o).__name__}")
 
 
+def _finite(o):
+    """`o` with every non-finite float as None: RFC 8259 JSON has no Infinity or NaN."""
+    if isinstance(o, dict):
+        return {k: _finite(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_finite(v) for v in o]
+    if isinstance(o, (float, np.floating)) and not np.isfinite(o):
+        return None
+    return o
+
+
 def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True,
+    """Strict JSON; a non-finite float is written as null, and a note says why."""
+    path.write_text(json.dumps(_finite(doc), indent=2, sort_keys=True, allow_nan=False,
                                default=_json_default) + "\n")
 
 

@@ -8,9 +8,17 @@ unknown x = [v0, u0, v1, u1, ...] of the branch solver
 zero on the v rows.  So the u entries of an eigenvector solve
 (Delta^2 - 2 lambda/(1-u)^3) phi = mu phi with homogeneous clamped data,
 and nu1 is the lambda = 0 case.  Both come from inverse iteration
-x <- (J - sigma B)^(-1) B x on one float64 LAPACK banded LU, O(M) per step.
-At a branch point mu1 reuses the Jacobian that the trace factored for its
-tangent.
+x <- (J - sigma B)^(-1) B x on float64 LAPACK banded LUs, O(M) per step, and
+an eigensolve uses two factors.  The first is J itself (sigma = 0); it
+gives the eigenvalue nearest 0 and the sign of det J.  At a branch point mu1
+reuses the Jacobian that the trace factored for its tangent.  Once two
+consecutive estimates agree to `_SETTLE_TOL`, the iteration factors
+J - sigma B once at sigma = that estimate and goes on with the second
+factor.  The unshifted iteration converges at the rate |mu1| / |mu2|, the
+shifted one at |mu1 - sigma| / |mu2 - sigma|, which is far smaller once
+the estimate has settled.
+`nu1` starts its fine grid at the coarse-grid value, which has already
+settled, so that solve begins on the shifted factor.
 
 The pencil is the operator the branch solver inverts.  The plate form
 L^T diag(w r^(N-1)) L of `operators.bilaplacian_form` is not: it breaks the
@@ -29,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .branch import _ClampedSolver
+from .branch import NonConvergence, _ClampedSolver
 from .grid import BoundaryData, InvalidArgument, RadialField, RadialGrid, build_grid, sphere_area
 
 
@@ -41,7 +49,9 @@ class EigenResult:
     (discrete, including the sphere-area factor).  `residual` is the
     row-scaled backward error max |J x - mu B x| / (|J||x| + |mu||B x|),
     the scale Newton measures its residual on; `iterations` is the number
-    of inverse-iteration steps it took to converge.
+    of inverse-iteration steps it took to converge, and `factorizations` the
+    banded LU factorizations it made: the shifted factors, and the factor of
+    J when none was passed in.
     """
 
     value: float
@@ -49,23 +59,44 @@ class EigenResult:
     residual: float
     method: str
     iterations: int
+    factorizations: int
 
 
 #: inverse iteration stops once the eigenvalue estimate changes by at most
-#: this much, relative, between two steps
+#: this much, relative to the eigenvalue, between two steps
 _RQ_TOL = 1e-12
+#: the estimate has settled, and the iteration shifts to it, once two
+#: consecutive estimates agree to this much, relative
+_SETTLE_TOL = 1e-3
 #: cap on inverse-iteration steps; reaching it raises
 _MAX_ITER = 500
 
 
-def _inverse_iteration(solver: _ClampedSolver, lu, shift: float = 0.0):
+def _inverse_iteration(solver: _ClampedSolver, lu, weight: np.ndarray, shift: float = 0.0,
+                       seed: float | None = None):
     """Eigenvalue of the pencil nearest `shift`; returns (value, x, iterations).
 
-    `lu` factors J - shift B.  Each step solves y = (J - shift B)^(-1) B x
-    and estimates mu - shift by the least-squares fit x_u ~ (mu - shift) y_u
-    on the u entries.  The start vector is positive on the u rows, where the
+    J is the mixed band minus diag(weight) on the u rows and `lu` factors
+    J - shift B.  Each step solves y = (J - sigma B)^(-1) B x and estimates
+    mu - sigma by the least-squares fit x_u ~ (mu - sigma) y_u on the u
+    entries.  Once two consecutive estimates agree to `_SETTLE_TOL`, sigma
+    moves to the estimate: J - sigma B is factored once and the iteration
+    goes on with that factor.  A `seed` is an estimate that has already
+    settled; sigma starts there.  If the shifted factor has a zero pivot
+    (sigma is an eigenvalue to working precision), the iteration keeps the
+    factor it has.  The start vector is positive on the u rows, where the
     ground state has one sign.  Reaching `_MAX_ITER` raises RuntimeError.
     """
+
+    def settle(lu, sigma, estimate):
+        try:
+            return solver.factor_shifted(weight + estimate), estimate
+        except NonConvergence:
+            return lu, sigma
+
+    sigma, settled = shift, seed is not None
+    if settled:
+        lu, sigma = settle(lu, sigma, seed)
     x = np.zeros(solver.b0.size)
     x[1::2] = 1.0
     theta_prev = np.inf
@@ -75,9 +106,15 @@ def _inverse_iteration(solver: _ClampedSolver, lu, shift: float = 0.0):
         y = solver._solve(lu, Bx)
         theta = (x[1::2] @ y[1::2]) / (y[1::2] @ y[1::2])
         x = y / np.linalg.norm(y[1::2])
-        if abs(theta - theta_prev) <= _RQ_TOL * abs(theta):
-            return shift + theta, x, it
+        change = abs(theta - theta_prev)
+        if change <= _RQ_TOL * abs(sigma + theta):
+            return sigma + theta, x, it
         theta_prev = theta
+        if not settled and change <= _SETTLE_TOL * abs(sigma + theta):
+            settled = True
+            lu, new = settle(lu, sigma, sigma + theta)
+            theta_prev += sigma - new
+            sigma = new
     raise RuntimeError(f"inverse iteration did not converge in {_MAX_ITER} steps at shift {shift}")
 
 
@@ -89,7 +126,7 @@ def _det_sign(solver: _ClampedSolver, lu) -> float:
 
 
 def _pencil_eigen(solver: _ClampedSolver, weight: np.ndarray, method: str,
-                  lu=None) -> EigenResult:
+                  lu=None, seed: float | None = None) -> EigenResult:
     """Smallest eigenvalue of the pencil with J = mixed band - diag(weight) on the u rows.
 
     The iteration runs unshifted first, on `lu` when given (the factored J),
@@ -97,14 +134,22 @@ def _pencil_eigen(solver: _ClampedSolver, weight: np.ndarray, method: str,
     is negative, or the determinant of J and of the mixed band (whose
     eigenvalues are nu_k > 0) differ in sign, which counts an odd number of
     negative eigenvalues.  Then it runs again with the shift -max(weight),
-    which lies below mu1 >= nu1 - max(weight).
+    which lies below mu1 >= nu1 - max(weight).  Both tests read the
+    unshifted factor.  A `seed` starts the first run shifted to it; its
+    result counts only within `_SETTLE_TOL` of the seed, and otherwise the
+    unseeded run replaces it.
     """
+    made = solver.factorizations
     if lu is None:
         lu = solver.factor_shifted(weight)
-    value, x, iterations = _inverse_iteration(solver, lu)
+    value, x, iterations = _inverse_iteration(solver, lu, weight, seed=seed)
+    if seed is not None and not abs(value - seed) <= _SETTLE_TOL * abs(seed):
+        value, x, more = _inverse_iteration(solver, lu, weight)
+        iterations += more
     if value < 0 or _det_sign(solver, lu) != _det_sign(solver, solver.lu):
         shift = -float(np.max(weight))
-        value, x, more = _inverse_iteration(solver, solver.factor_shifted(weight + shift), shift)
+        value, x, more = _inverse_iteration(solver, solver.factor_shifted(weight + shift),
+                                            weight, shift)
         iterations += more
     grid, u = solver.grid, x[1::2]
     r = solver.A @ x
@@ -118,18 +163,21 @@ def _pencil_eigen(solver: _ClampedSolver, weight: np.ndarray, method: str,
     if u[np.argmax(np.abs(u))] < 0:
         u = -u
     return EigenResult(value=value, eigenfunction=RadialField(grid, np.concatenate([u, [0.0]])),
-                       residual=residual, method=method, iterations=iterations)
+                       residual=residual, method=method, iterations=iterations,
+                       factorizations=solver.factorizations - made)
 
 
-def nu1_discrete(grid: RadialGrid) -> EigenResult:
+def nu1_discrete(grid: RadialGrid, seed: float | None = None) -> EigenResult:
     """Smallest clamped-plate eigenvalue of Delta^2 on the radial grid.
 
     The mixed pencil at lambda = 0, on the solver's own factorization of the
-    mixed band; it converges at second order in 1/M at every N.
+    mixed band; it converges at second order in 1/M at every N.  A `seed`,
+    such as the value on a coarser grid, starts the iteration shifted to it
+    (see :func:`_pencil_eigen`).
     """
     solver = _ClampedSolver(grid, BoundaryData(0.0, 0.0))
     return _pencil_eigen(solver, np.zeros(grid.M - 1), "inverse iteration, mixed pencil",
-                         lu=solver.lu)
+                         lu=solver.lu, seed=seed)
 
 
 def nu1(N: int, grid: RadialGrid | None = None) -> float:
@@ -139,12 +187,12 @@ def nu1(N: int, grid: RadialGrid | None = None) -> float:
     origin closure is described in :mod:`memsplate.operators`), so the
     refined value e2 is corrected by (e2 - e1)/3.  The default grid is
     uniform: eigenfunctions are smooth, and grading only inflates the
-    condition number.
+    condition number.  The fine grid starts at the coarse value.
     """
     if grid is None:
         grid = build_grid(N, 512, 1.0)
     e1 = nu1_discrete(grid).value
-    e2 = nu1_discrete(grid.refine()).value
+    e2 = nu1_discrete(grid.refine(), seed=e1).value
     return e2 + (e2 - e1) / 3.0
 
 

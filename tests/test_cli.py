@@ -73,7 +73,9 @@ def test_certify_unbounded_enclosure_carries_a_reason(tmp_path):
                "--rigor", "interval") == 0
     doc = json.loads((tmp_path / "certify_N9.json").read_text())
     assert doc["verdict"] == "Fail"
-    assert doc["cond1"]["sharpest_enclosure"][1] == float("inf")
+    # strict JSON has no Infinity: the unbounded end is null, and the note says why
+    assert doc["cond1"]["sharpest_enclosure"][1] is None
+    assert "Infinity" not in (tmp_path / "certify_N9.json").read_text()
     assert "cond1 sharpest value unbounded: no level was proved" in doc["cond1"]["notes"]
 
 

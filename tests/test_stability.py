@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from memsplate import branch, stability
 from memsplate.branch import ContinuationConfig, _ClampedSolver, sweep_branch
 from memsplate.grid import BoundaryData, RadialField, build_grid
 from memsplate.operators import bilaplacian_form, mixed_bilaplacian
@@ -142,7 +145,7 @@ def test_mu1_shift_fallback_on_an_indefinite_form():
     assert mu[0].real < 0
     solver = _ClampedSolver(g, BoundaryData(0.0, 0.0))
     weight = np.full(g.M - 1, 2.0 * lam)
-    nearest, _, _ = _inverse_iteration(solver, solver.factor_shifted(weight))
+    nearest, _, _ = _inverse_iteration(solver, solver.factor_shifted(weight), weight)
     assert nearest == pytest.approx(mu[np.argmin(np.abs(mu))].real, rel=1e-9)
     res = mu1(u, lam)
     assert res.value < 0
@@ -160,9 +163,84 @@ def test_mu1_shift_fallback_when_the_nearest_eigenvalue_is_positive():
     mu = _pencil_spectrum(u, lam)
     assert mu[0].real < 0 < mu[1].real < -mu[0].real
     solver = _ClampedSolver(g, BoundaryData(0.0, 0.0))
-    nearest, _, _ = _inverse_iteration(solver, solver.factor_shifted(np.full(g.M - 1, 2.0 * lam)))
+    weight = np.full(g.M - 1, 2.0 * lam)
+    nearest, _, _ = _inverse_iteration(solver, solver.factor_shifted(weight), weight)
     assert nearest == pytest.approx(mu[1].real, rel=1e-9)
     assert mu1(u, lam).value == pytest.approx(mu[0].real, rel=1e-9)
+
+
+def test_shifting_at_the_settled_estimate_halves_the_steps():
+    # the unshifted iteration took 28 steps here
+    res = nu1_discrete(build_grid(16, 512, 1.0))
+    assert res.iterations <= 14
+    assert res.factorizations == 1
+
+
+@pytest.mark.parametrize("N", [1, 9, 16])
+def test_nu1_seeds_its_fine_grid_solve_with_the_coarse_value(monkeypatch, N):
+    calls = []
+
+    def spy(grid, seed=None):
+        calls.append((seed, real(grid, seed=seed)))
+        return calls[-1][1]
+
+    real = stability.nu1_discrete
+    monkeypatch.setattr(stability, "nu1_discrete", spy)
+    stability.nu1(N)
+    (_, coarse), (seed, seeded) = calls
+    assert seed == coarse.value
+    unseeded = real(build_grid(N, 1024, 1.0))
+    assert seeded.value == pytest.approx(unseeded.value, rel=1e-10)
+    assert seeded.iterations <= 4 and seeded.factorizations == 1
+    assert seeded.residual <= 1e-10
+
+
+def test_a_seed_that_has_not_settled_falls_back_to_the_unseeded_solve():
+    # seeded at 0.8 nu2, the shifted iteration converges to nu2, more than the
+    # settle tolerance off the seed; that result is refused and the unseeded
+    # iteration returns nu1
+    g = build_grid(2, 128, 1.0)
+    nu = _pencil_spectrum(RadialField(g, np.zeros(g.M)), 0.0).real
+    res = nu1_discrete(g, seed=0.8 * nu[1])
+    assert res.value == pytest.approx(nu[0], rel=1e-9)
+    assert res.iterations > nu1_discrete(g).iterations
+
+
+@pytest.mark.parametrize("seeded", [False, True])
+def test_a_zero_pivot_on_the_shifted_factor_keeps_the_unshifted_one(monkeypatch, seeded):
+    g = build_grid(9, 128, 1.0)
+    nu = _pencil_spectrum(RadialField(g, np.zeros(g.M)), 0.0).real
+    real, calls = branch.dgbtrf, []
+
+    def dgbtrf(ab, kl, ku):
+        # the solver's construction factors first; every later factor is shifted
+        calls.append(ab)
+        lu, piv, info = real(ab, kl, ku)
+        return lu, piv, (info if len(calls) == 1 else 1)
+
+    monkeypatch.setattr(branch, "dgbtrf", dgbtrf)
+    res = nu1_discrete(g, seed=nu[0] * (1 + 1e-5) if seeded else None)
+    assert len(calls) == 2
+    assert res.value == pytest.approx(nu[0], rel=1e-9)
+    assert res.residual <= 1e-10
+
+
+def test_each_mu1_adds_its_factorizations_to_the_sweep_counters(monkeypatch):
+    # the trace's Jacobian is reused, so each mu1 makes exactly its shifted factor
+    results = []
+
+    def spy(*args, **kwargs):
+        results.append(real(*args, **kwargs))
+        return results[-1]
+
+    real = stability.mu1
+    monkeypatch.setattr(stability, "mu1", spy)
+    config = ContinuationConfig(N=9, M=256)
+    plain = sweep_branch(config)
+    traced = sweep_branch(replace(config, compute_mu1=True))
+    assert len(results) == sum(p.mu1 is not None for p in traced.points) > 0
+    assert all(r.factorizations == 1 for r in results)
+    assert traced.factorizations == plain.factorizations + len(results)
 
 
 def test_nu1_has_no_origin_mode_on_coarse_grids():
