@@ -81,12 +81,17 @@ class GridEvidence:
     """lambda*_h of one sweep on M, M/2 and M/4, with its observed order.
 
     The order is log2((l4 - l2) / (l2 - l1)) for the values l1, l2, l4 on M,
-    M/2 and M/4; None when the differences change sign.
+    M/2 and M/4; None when the differences change sign.  `points` counts the
+    converged bordered solves of each grid's trace, and `seeded` tells
+    whether that trace started from the finer grid's trace (see
+    `sweep_branch`) rather than from the lift.
     """
 
     M: tuple
     lam_star: tuple
     observed_order: float | None
+    points: tuple
+    seeded: tuple
 
 
 @dataclass(frozen=True)
@@ -169,8 +174,9 @@ class _ClampedSolver:
         A, o1 = mixed_bilaplacian(grid, bc)
         self.A, self.absA = A, abs(A)
         self.ku, self.kl = int(A.offsets[0]), -int(A.offsets[-1])
-        # dgbtrf wants kl spare rows on top for the pivoting fill-in
-        self.ab = np.vstack([np.zeros((self.kl, A.shape[0])), A.data])
+        # dgbtrf wants kl spare rows on top for the pivoting fill-in; Fortran
+        # order lets its input copy be a plain memcpy
+        self.ab = np.asfortranarray(np.vstack([np.zeros((self.kl, A.shape[0])), A.data]))
         self.b0 = np.zeros(A.shape[0])
         self.b0[0::2] = o1
         self.lu = self._factor(self.ab)
@@ -210,7 +216,7 @@ class _ClampedSolver:
 
     def factor_shifted(self, d: np.ndarray):
         """LU of the mixed band minus diag(d) on the u rows."""
-        ab = self.ab.copy()
+        ab = self.ab.copy(order="F")
         ab[self.kl + self.ku, 1::2] -= d
         return self._factor(ab)
 
@@ -400,6 +406,8 @@ class _Trace:
     converged: int  # every converged bordered solve, past the fold included
     secant_steps: int
     failed: int
+    seed: _TracePoint  # the last stepping point with dlambda/ds > 0
+    seeded: bool  # the trace started from a given state, not from the lift
 
 
 #: first s-step of a trace
@@ -413,7 +421,19 @@ _FOLD_RTOL = 1e-10
 _FOLD_MAX_STEPS = 50
 
 
-def _trace(s: _ClampedSolver, tau: float, mu1=None) -> _Trace:
+def _restrict(x: np.ndarray) -> np.ndarray:
+    """The interleaved state on the grid with half the cells: its shared nodes.
+
+    Node 2k of a graded grid with M cells is node k of the grid with M/2
+    (`build_grid` gives the same float), so v_1, u_1, v_3, u_3, ..., v_(M-1)
+    of x = [v0, u0, ..., v_(M-1)] is the coarse state.
+    """
+    y = np.empty((len(x) - 1) // 2)
+    y[0::2], y[1::2] = x[2::4], x[3::4]
+    return y
+
+
+def _trace(s: _ClampedSolver, tau: float, mu1=None, start=None) -> _Trace:
     """Trace the minimal branch in s = u(0) from the lift to the fold or s = tau.
 
     Each point is a `_bordered_solve` started from the tangent predictor of
@@ -423,7 +443,10 @@ def _trace(s: _ClampedSolver, tau: float, mu1=None) -> _Trace:
     sought by regula falsi (Illinois) on dlambda/ds over the s-bracket, until
     the bracket between the largest lambda solved and the meeting point of
     the end tangents is `_FOLD_RTOL` narrow; lambda*_h is its midpoint.
-    The first point is the lift's discrete solution at lambda = 0.
+    The first point is the lift's discrete solution at lambda = 0, or, with
+    `start = (x, lam)`, the bordered solve from that predictor.  A start at
+    or above tau, whose solve fails or which lands at dlambda/ds <= 0 (past
+    this grid's fold) is dropped, and the trace starts from the lift.
     """
     failed = secant_steps = 0
     trace = []
@@ -445,7 +468,15 @@ def _trace(s: _ClampedSolver, tau: float, mu1=None) -> _Trace:
             raise NonConvergence("predictor crosses the ceiling", touched=True)
         return x, p.lam + (s_new - p.s) * p.slope
 
-    p = converge(s.mixed_state(s.solve_rhs(np.zeros_like(s.phi))), 0.0)
+    if start is None:
+        p = converge(s.mixed_state(s.solve_rhs(np.zeros_like(s.phi))), 0.0)
+    else:
+        try:
+            p = converge(*start) if start[0][1] < tau else None
+        except NonConvergence:
+            p = None
+        if p is None or p.slope <= 0:
+            return _trace(s, tau, mu1)
     ds = _DS0
     while p.slope > 0 and p.s < tau:
         s_new = min(p.s + ds, tau)
@@ -464,10 +495,11 @@ def _trace(s: _ClampedSolver, tau: float, mu1=None) -> _Trace:
         p = q
     if p.slope > 0:
         return _Trace(trace, False, p.lam, (p.lam, p.lam + (1.0 - p.s) * p.slope),
-                      len(trace), 0, failed)
+                      len(trace), 0, failed, p, start is not None)
 
     # fold: dlambda/ds > 0 at a, <= 0 at b
     a, b = trace[-2], trace[-1]
+    seed = a  # not an Illinois point: those can lie past a coarser grid's fold
     fa, fb, side = a.slope, b.slope, 0
     while True:
         lo = max(a.lam, b.lam)
@@ -491,7 +523,8 @@ def _trace(s: _ClampedSolver, tau: float, mu1=None) -> _Trace:
                 fa *= 0.5
             side = -1
     points = sorted((p for p in trace if p.slope > 0), key=lambda p: p.s)
-    return _Trace(points, True, 0.5 * (lo + hi), (lo, hi), len(trace), secant_steps, failed)
+    return _Trace(points, True, 0.5 * (lo + hi), (lo, hi), len(trace), secant_steps, failed,
+                  seed, start is not None)
 
 
 def _touchdown_fit(profile: RadialField):
@@ -513,7 +546,13 @@ def sweep_branch(config: ContinuationConfig) -> BranchResult:
     """Trace the minimal branch in s = u(0) and locate the pull-in voltage.
 
     The trace (see `_trace`) runs on the grid of `config` and, as grid
-    evidence for lambda*_h, on the grids with M/2 and M/4 cells.  The
+    evidence for lambda*_h, on the grids with M/2 and M/4 cells.  The graded
+    grids nest, so each coarse trace starts from the finer trace's last
+    stepping point with dlambda/ds > 0, restricted to the shared nodes
+    (`_restrict`); an Illinois point is never used, as it can lie past the
+    coarse fold.  When M is odd (or M/2 for the M/4 grid) the grids do not
+    nest and the coarse trace starts from the lift, as it does when the
+    start fails (see `_trace`).  The
     sweep is Singular when its trace reaches s = tau without a fold and the
     touchdown fit of the last profile has exponent within 0.15 of 4/3, else
     Regular.  A coarse grid that turns at a fold when the sweep's grid does
@@ -526,9 +565,11 @@ def sweep_branch(config: ContinuationConfig) -> BranchResult:
     main = _trace(solver, config.tau, mu1 if config.compute_mu1 else None)
     traces, warnings = [main], []
     try:
-        for M in (config.M // 2, config.M // 4):
+        for fine_M, M in ((config.M, config.M // 2), (config.M // 2, config.M // 4)):
             coarse = _ClampedSolver(build_grid(config.N, M, config.gamma), config.bc)
-            traces.append(_trace(coarse, config.tau))
+            seed = traces[-1].seed
+            start = (_restrict(seed.x), seed.lam) if fine_M == 2 * M else None
+            traces.append(_trace(coarse, config.tau, start=start))
     except (InvalidArgument, NonConvergence) as exc:
         warnings.append(f"no grid evidence for lambda*: {exc}")
     evidence = None
@@ -536,7 +577,9 @@ def sweep_branch(config: ContinuationConfig) -> BranchResult:
         l1, l2, l4 = (t.lam_star for t in traces)
         ratio = (l4 - l2) / (l2 - l1) if l2 != l1 else math.nan
         evidence = GridEvidence((config.M, config.M // 2, config.M // 4), (l1, l2, l4),
-                                math.log2(ratio) if ratio > 0 else None)
+                                math.log2(ratio) if ratio > 0 else None,
+                                tuple(t.converged for t in traces),
+                                tuple(t.seeded for t in traces))
     if any(t.fold != main.fold for t in traces):
         warnings.append("grid-resolution warning: classifications disagree between grids")
 

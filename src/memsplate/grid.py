@@ -89,11 +89,11 @@ class RadialField:
     def to_csv(self, path: str | Path) -> None:
         """Write `r,u` rows plus a JSON sidecar with {N, M, gamma, alpha, beta}."""
         path = Path(path)
+        # the bytes csv.writer gives: float reprs never need quoting
+        rows = "".join(f"{r!r},{u!r}\r\n" for r, u in zip(self.grid.r.tolist(),
+                                                          self.values.tolist()))
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "u"])
-            for r, u in zip(self.grid.r, self.values):
-                writer.writerow([repr(float(r)), repr(float(u))])
+            fh.write("r,u\r\n" + rows)
         sidecar = {
             "N": self.grid.N,
             "M": self.grid.M,

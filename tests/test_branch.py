@@ -337,6 +337,101 @@ def test_a_failed_coarse_trace_leaves_the_sweep_without_grid_evidence(monkeypatc
     assert res.lam_star_estimate == _sweep(3, 512).lam_star_estimate
 
 
+@pytest.mark.parametrize("N", [1, 9])
+@pytest.mark.parametrize("gamma", [1.0, 2.0])
+@pytest.mark.parametrize("M", [64, 2048])
+def test_graded_grids_nest_bitwise(N, gamma, M):
+    fine, coarse = build_grid(N, M, gamma), build_grid(N, M // 2, gamma)
+    assert np.array_equal(fine.r[1::2], coarse.r)
+    # so the restriction of a mixed state is the coarse one at the shared nodes
+    x = np.arange(2 * M - 1, dtype=float)
+    y = branch._restrict(x)
+    assert len(y) == 2 * (M // 2) - 1
+    assert np.array_equal(y[1::2], x[1::2][1::2]) and np.array_equal(y[0::2], x[0::2][1::2])
+
+
+_TAU = 1.0 - 1e-3
+
+
+def _coarse_traces(N, M, start_of=lambda seed: (branch._restrict(seed.x), seed.lam)):
+    """(lift trace, seeded trace) on the grid with M/2 cells, seeded from the M trace."""
+    bc = BoundaryData(0.0, 0.0)
+    fine = branch._trace(_ClampedSolver(build_grid(N, M, 2.0), bc), _TAU)
+    lift = branch._trace(_ClampedSolver(build_grid(N, M // 2, 2.0), bc), _TAU)
+    seeded = branch._trace(_ClampedSolver(build_grid(N, M // 2, 2.0), bc), _TAU,
+                           start=start_of(fine.seed))
+    return lift, seeded
+
+
+def _same_trace(a, b):
+    return ((a.lam_star, a.bracket, a.fold, a.converged, a.secant_steps, a.failed,
+             [p.s for p in a.points], a.seeded)
+            == (b.lam_star, b.bracket, b.fold, b.converged, b.secant_steps, b.failed,
+                [p.s for p in b.points], b.seeded))
+
+
+@pytest.mark.parametrize("N, M", [(3, 256), (9, 1024)])
+def test_a_seeded_coarse_trace_finds_the_same_lambda_star_in_fewer_points(N, M):
+    lift, seeded = _coarse_traces(N, M)
+    assert seeded.seeded and not lift.seeded
+    assert seeded.fold == lift.fold == (N <= 8)
+    assert seeded.lam_star == pytest.approx(lift.lam_star, rel=1e-10)
+    assert seeded.converged < lift.converged and seeded.failed == 0
+
+
+def test_a_start_past_the_coarse_fold_falls_back_to_the_lift():
+    coarse = functools.partial(_ClampedSolver, build_grid(3, 128, 2.0), BoundaryData(0.0, 0.0))
+    lift = branch._trace(coarse(), _TAU)
+    # the tangent predictor at s = 0.75 from the last stepping point (0.35),
+    # beyond the fold near 0.53; its solve converges there, at dlambda/ds < 0
+    a = lift.seed
+    x = a.x + (0.75 - a.s) * a.tangent
+    start = x, a.lam + (0.75 - a.s) * a.slope
+    s = coarse()
+    y, lam, _ = branch._bordered_solve(s, x.copy(), start[1])
+    assert y[1] == 0.75 and s._solve(s.factor_jacobian(y[1::2], lam), s.load(y[1::2]))[1] < 0
+    assert _same_trace(branch._trace(coarse(), _TAU, start=start), lift)
+
+
+def test_a_start_whose_solve_fails_falls_back_to_the_lift(monkeypatch):
+    solve = branch._bordered_solve
+
+    def fails_once(*args):
+        monkeypatch.setattr(branch, "_bordered_solve", solve)
+        raise NonConvergence("no step lowers the residual", touched=False)
+
+    def failing_start(seed):
+        # taken after the fine and lift traces, so only the start's solve fails
+        monkeypatch.setattr(branch, "_bordered_solve", fails_once)
+        return branch._restrict(seed.x), seed.lam
+
+    lift, seeded = _coarse_traces(3, 256, failing_start)
+    assert branch._bordered_solve is solve
+    assert _same_trace(seeded, lift)
+
+
+def test_a_start_at_tau_falls_back_to_the_lift():
+    def at_tau(seed):
+        x = branch._restrict(seed.x)
+        x[1] = _TAU
+        return x, seed.lam
+
+    lift, seeded = _coarse_traces(9, 1024, at_tau)
+    assert _same_trace(seeded, lift)
+
+
+@pytest.mark.parametrize("M, seeded", [(257, (False, False, True)),
+                                       (258, (False, True, False))])
+def test_grids_that_do_not_nest_trace_from_the_lift(M, seeded):
+    ev = sweep_branch(ContinuationConfig(N=3, M=M)).grid_evidence
+    assert ev.seeded == seeded
+    bc = BoundaryData(0.0, 0.0)
+    for coarse_M, lam, was_seeded in zip(ev.M, ev.lam_star, ev.seeded):
+        if not was_seeded:
+            lift = branch._trace(_ClampedSolver(build_grid(3, coarse_M, 2.0), bc), _TAU)
+            assert lam == lift.lam_star
+
+
 def test_curve_is_sampled_on_s():
     res = _sweep(3, 512)
     lam, sup = res.curve(201)

@@ -172,6 +172,10 @@ def test_branch_outputs(tmp_path):
     ev = doc["grid_evidence"]
     assert ev["M"] == [256, 128, 64] and ev["lambda_star"][0] == doc["lambda_star"]
     assert ev["observed_order"] > 1.5
+    # each coarse trace starts from the finer trace's last stepping point and
+    # takes fewer points than the sweep's own
+    assert ev["seeded"] == [False, True, True]
+    assert ev["points"][0] == counters["points"] > max(ev["points"][1:]) >= 2
     # the counters are deterministic: a rerun writes the same bytes
     again = tmp_path / "again"
     again.mkdir()

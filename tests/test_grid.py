@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -102,6 +103,22 @@ def test_integrate_ball_singular_integrand():
     f = RadialField(g, g.r ** (-8.0 / 3.0))
     exact = sphere_area(9) * 3.0 / 19.0
     assert integrate_ball(f) == pytest.approx(exact, rel=1e-5)
+
+
+def test_csv_bytes_match_csv_writer(tmp_path):
+    g = build_grid(4, 32, 2.0)
+    values = np.sin(g.r) - 0.5
+    values[3], values[4] = 3.0e-7, -1.25e-9
+    path = tmp_path / "field.csv"
+    RadialField(g, values).to_csv(path)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["r", "u"])
+        for r, u in zip(g.r, values):
+            writer.writerow([repr(float(r)), repr(float(u))])
+    assert b"3e-07" in path.read_bytes() and b",-" in path.read_bytes()
+    assert path.read_bytes() == ref.read_bytes()
 
 
 def test_csv_roundtrip(tmp_path):
