@@ -81,10 +81,12 @@ class GridEvidence:
     """lambda*_h of one sweep on M, M/2 and M/4, with its observed order.
 
     The order is log2((l4 - l2) / (l2 - l1)) for the values l1, l2, l4 on M,
-    M/2 and M/4; None when the differences change sign.  `points` counts the
-    converged bordered solves of each grid's trace, and `seeded` tells
-    whether that trace started from the finer grid's trace (see
-    `sweep_branch`) rather than from the lift.
+    M/2 and M/4; None when the differences change sign.  An order that is
+    None or below 1 means the three grids are outside the asymptotic range,
+    so they back no extrapolation; `sweep_branch` then adds a warning.
+    `points` counts the converged bordered solves of each grid's trace, and
+    `seeded` tells whether that trace started from the finer grid's trace
+    (see `sweep_branch`) rather than from the lift.
     """
 
     M: tuple
@@ -556,8 +558,8 @@ def sweep_branch(config: ContinuationConfig) -> BranchResult:
     sweep is Singular when its trace reaches s = tau without a fold and the
     touchdown fit of the last profile has exponent within 0.15 of 4/3, else
     Regular.  A coarse grid that turns at a fold when the sweep's grid does
-    not, or the reverse, is reported in `warnings`; so is a coarse trace
-    that fails.  With `compute_mu1`, mu1 is evaluated at every point.
+    not, or the reverse, is reported in `warnings`; so are a coarse trace
+    that fails and an observed order that is None or below 1.  With `compute_mu1`, mu1 is evaluated at every point.
     """
     from .stability import mu1  # stability builds on _ClampedSolver
 
@@ -580,6 +582,11 @@ def sweep_branch(config: ContinuationConfig) -> BranchResult:
                                 math.log2(ratio) if ratio > 0 else None,
                                 tuple(t.converged for t in traces),
                                 tuple(t.seeded for t in traces))
+        order = evidence.observed_order
+        if order is None or order < 1:
+            shown = "is undefined" if order is None else f"{order:.3g} is below 1"
+            warnings.append(f"grid-evidence warning: observed order {shown}; "
+                            "the grids are outside the asymptotic range")
     if any(t.fold != main.fold for t in traces):
         warnings.append("grid-resolution warning: classifications disagree between grids")
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exprs import Prod, RadialExpr, Signomial, _frac, signomial_expr
+from .exprs import Ratio, Signomial, _frac
 from .grid import InvalidArgument
 from .hardy import hr_weight
 from .operators import hardy_rellich_constant, lambda_bar, power_bilaplacian_coeff
@@ -77,21 +77,6 @@ def q_signomial(m) -> Signomial:
     """q(r) = 3m - 4 r^(m - 4/3); 1 - w_m = r^(4/3) q / (3m - 4)."""
     m = _check_m(m)
     return Signomial({0: 3 * m, m - Fraction(4, 3): -4})
-
-
-def wm_value(m, r):
-    """w_m(r) for r in (0, 1]."""
-    sig = wm_signomial(m)
-    return float(sig(r)) if np.isscalar(r) else sig(r)
-
-
-def wm_bilaplacian(m, N: int, r):
-    """Delta^2 w_m = (3m/(3m-4)) lambda_bar r^(-8/3) + (4/(3m-4)) c(m,N) r^(m-4)."""
-    m = _check_m(m)
-    d = 3 * m - 4
-    sig = Signomial({Fraction(-8, 3): 3 * m * lambda_bar(N) / d,
-                     m - 4: 4 * power_bilaplacian_coeff(m, N) / d})
-    return float(sig(r)) if np.isscalar(r) else sig(r)
 
 
 @dataclass(frozen=True)
@@ -224,18 +209,17 @@ def check_cond1(candidate: CandidateW, rigor: str = "sampled") -> CondReport:
     return rep
 
 
-def _cond2_parts(candidate: CandidateW, weight: RadialExpr):
+def _cond2_parts(candidate: CandidateW, weight: Ratio):
     """Signomials (G_num, G_den) with cond2 <=> beta <= G_num/G_den, G_den > 0."""
     m = candidate.m
     d = 3 * m - 4
     one_minus_w_cubed = Signomial({4: Fraction(1, 1) / d ** 3}) * q_signomial(m) ** 3
-    half = Prod(weight, signomial_expr(one_minus_w_cubed))
-    num, den = half.as_ratio()
+    half = weight * Ratio(one_minus_w_cubed)
     # G = W (1-w)^3 / 2
-    return num, den * 2
+    return half.num, half.den * 2
 
 
-def check_cond2(candidate: CandidateW, weight: RadialExpr | None = None,
+def check_cond2(candidate: CandidateW, weight: Ratio | None = None,
                 rigor: str = "sampled") -> CondReport:
     """Verify 2 beta/(1-w_m)^3 <= W(r) and compute the sharpest beta.
 

@@ -297,8 +297,7 @@ def _hr_checks(variant: str, N: int, rigor: str, seed: int) -> list[dict]:
                        "margin": rep.sampled_min, "method": "interval",
                        "passed": rep.proved})
     else:
-        num, den = weight.as_ratio()
-        mn, _ = sampled_min(num, den)
+        mn, _ = sampled_min(weight.num, weight.den)
         checks.append({"name": "weight_nonnegative", "margin": mn,
                        "method": "sampled", "passed": bool(mn >= 0)})
     form = discrete_form_check(variant, N, trials=200, seed=seed)

@@ -1,21 +1,19 @@
-"""Exact expression trees over terms c * r^p and their signomial normal form.
+"""Radial rational functions over terms c * r^p, in signomial normal form.
 
 All analytic certificate data (candidate profiles, Hardy-Rellich weights,
 supersolutions) are finite combinations of real powers of r with rational
-coefficients.  Two representations cooperate:
+coefficients.  Two classes hold them:
 
-* :class:`RadialExpr` trees (constants, powers, sums, products, quotients,
-  negation) with exact symbolic differentiation and direct float evaluation;
-  a tree has no interval enclosure of its own, and reaches the prover only
-  through `as_ratio`;
-* :class:`Signomial`, the expanded normal form sum_k c_k r^(p_k) with exact
-  rational coefficients and exponents, on which the interval positivity
-  prover operates after denominators have been cleared.  It is the package's
-  one interval evaluator.
+* :class:`Signomial`, the expanded sum_k c_k r^(p_k) with exact rational
+  coefficients and exponents.  It is the package's one interval evaluator:
+  the interval positivity prover operates on it.
+* :class:`Ratio`, a quotient num / den of two signomials.  Its arithmetic
+  and its derivative clear denominators eagerly, so every expression is
+  already the (num, den) pair that the prover and the sampled checks read.
 
 Floats are converted to Fraction exactly (every float is a dyadic rational),
-so tree manipulation and differentiation introduce no rounding at all;
-rounding enters only in numeric/interval evaluation.
+so the algebra and differentiation introduce no rounding at all; rounding
+enters only in numeric/interval evaluation.
 
 A Signomial does its exact-rational interval work once: on first use it
 compiles its terms into a table of floats (coefficient bounds, float
@@ -262,187 +260,71 @@ class Signomial:
 
 
 # --------------------------------------------------------------------------
-# expression trees
+# radial rational functions
 
 
-def _expr(x) -> "RadialExpr":
-    if isinstance(x, RadialExpr):
-        return x
-    return Const(x)
+def _ratio(x) -> "Ratio":
+    return x if isinstance(x, Ratio) else Ratio(x)
 
 
-class RadialExpr:
-    """Base expression node.  Subclasses implement diff/__call__/as_ratio."""
+class Ratio:
+    """num / den, a quotient of two signomials; the algebra clears eagerly.
 
-    def diff(self) -> "RadialExpr":
-        raise NotImplementedError
+    Each operation returns its cleared (num, den) pair at once: a sum is
+    (n1 d2 + n2 d1, d1 d2), a product (n1 n2, d1 d2), a quotient
+    (n1 d2, d1 n2).  Nothing is cancelled, so a denominator is the product
+    of its operands' denominators in operand order.  A number is allowed on
+    either side of an operator.
+    """
 
-    def __call__(self, r):
-        raise NotImplementedError
+    __slots__ = ("num", "den")
 
-    def as_ratio(self) -> tuple[Signomial, Signomial]:
-        """(num, den) signomials with self = num / den, exactly."""
-        raise NotImplementedError
+    def __init__(self, num, den=1):
+        self.num = num if isinstance(num, Signomial) else Signomial.constant(num)
+        self.den = den if isinstance(den, Signomial) else Signomial.constant(den)
 
-    def as_signomial(self) -> Signomial:
-        num, den = self.as_ratio()
-        if len(den.terms) != 1:
-            raise ValueError("expression is a genuine quotient, not a signomial")
-        (p, c), = den.terms.items()
-        return Signomial({q - p: d / c for q, d in num.terms.items()})
+    @classmethod
+    def term(cls, c, p) -> "Ratio":
+        """c * r^p."""
+        return cls(Signomial.term(c, p))
 
-    def __add__(self, o):
-        return Sum((self, _expr(o)))
+    def __repr__(self):
+        return f"Ratio({self.num!r}, {self.den!r})"
+
+    def __add__(self, o) -> "Ratio":
+        o = _ratio(o)
+        return Ratio(self.num * o.den + o.num * self.den, self.den * o.den)
 
     def __radd__(self, o):
-        return Sum((_expr(o), self))
+        return _ratio(o) + self
 
     def __sub__(self, o):
-        return Sum((self, Neg(_expr(o))))
+        return self + (-_ratio(o))
 
     def __rsub__(self, o):
-        return Sum((_expr(o), Neg(self)))
+        return _ratio(o) + (-self)
 
-    def __mul__(self, o):
-        return Prod(self, _expr(o))
+    def __mul__(self, o) -> "Ratio":
+        o = _ratio(o)
+        return Ratio(self.num * o.num, self.den * o.den)
 
     def __rmul__(self, o):
-        return Prod(_expr(o), self)
+        return _ratio(o) * self
 
-    def __truediv__(self, o):
-        return Quot(self, _expr(o))
+    def __truediv__(self, o) -> "Ratio":
+        o = _ratio(o)
+        return Ratio(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, o):
-        return Quot(_expr(o), self)
+        return _ratio(o) / self
 
-    def __neg__(self):
-        return Neg(self)
+    def __neg__(self) -> "Ratio":
+        return Ratio(-self.num, self.den)
 
-
-class Const(RadialExpr):
-    def __init__(self, c):
-        self.c = _frac(c)
-
-    def __repr__(self):
-        return f"Const({self.c})"
-
-    def diff(self):
-        return Const(0)
-
-    def __call__(self, r):
-        return np.full_like(np.asarray(r, dtype=float), float(self.c))
-
-    def as_ratio(self):
-        return Signomial.constant(self.c), Signomial.constant(1)
-
-
-class Power(RadialExpr):
-    """c * r^p with exact rational c and p."""
-
-    def __init__(self, c, p):
-        self.c = _frac(c)
-        self.p = _frac(p)
-
-    def __repr__(self):
-        return f"Power({self.c}, {self.p})"
-
-    def diff(self):
-        if self.p == 0:
-            return Const(0)
-        return Power(self.c * self.p, self.p - 1)
-
-    def __call__(self, r):
-        return float(self.c) * np.asarray(r, dtype=float) ** float(self.p)
-
-    def as_ratio(self):
-        return Signomial.term(self.c, self.p), Signomial.constant(1)
-
-
-class Sum(RadialExpr):
-    def __init__(self, terms):
-        self.terms = tuple(_expr(t) for t in terms)
-
-    def __repr__(self):
-        return "Sum" + repr(self.terms)
-
-    def diff(self):
-        return Sum(tuple(t.diff() for t in self.terms))
-
-    def __call__(self, r):
-        return sum(t(r) for t in self.terms)
-
-    def as_ratio(self):
-        num, den = Signomial.constant(0), Signomial.constant(1)
-        for t in self.terms:
-            n, d = t.as_ratio()
-            num = num * d + n * den
-            den = den * d
-        return num, den
-
-
-class Prod(RadialExpr):
-    def __init__(self, a, b):
-        self.a = _expr(a)
-        self.b = _expr(b)
-
-    def __repr__(self):
-        return f"Prod({self.a!r}, {self.b!r})"
-
-    def diff(self):
-        return Sum((Prod(self.a.diff(), self.b), Prod(self.a, self.b.diff())))
-
-    def __call__(self, r):
-        return self.a(r) * self.b(r)
-
-    def as_ratio(self):
-        na, da = self.a.as_ratio()
-        nb, db = self.b.as_ratio()
-        return na * nb, da * db
-
-
-class Quot(RadialExpr):
-    def __init__(self, num, den):
-        self.num = _expr(num)
-        self.den = _expr(den)
-
-    def __repr__(self):
-        return f"Quot({self.num!r}, {self.den!r})"
-
-    def diff(self):
-        return Quot(
-            Sum((Prod(self.num.diff(), self.den), Neg(Prod(self.num, self.den.diff())))),
-            Prod(self.den, self.den),
-        )
+    def diff(self) -> "Ratio":
+        """(n' d - n d') / d^2, exactly."""
+        n, d = self.num, self.den
+        return Ratio(n.diff() * d - n * d.diff(), d * d)
 
     def __call__(self, r):
         return self.num(r) / self.den(r)
-
-    def as_ratio(self):
-        nn, dn = self.num.as_ratio()
-        nd, dd = self.den.as_ratio()
-        return nn * dd, dn * nd
-
-
-class Neg(RadialExpr):
-    def __init__(self, a):
-        self.a = _expr(a)
-
-    def __repr__(self):
-        return f"Neg({self.a!r})"
-
-    def diff(self):
-        return Neg(self.a.diff())
-
-    def __call__(self, r):
-        return -self.a(r)
-
-    def as_ratio(self):
-        n, d = self.a.as_ratio()
-        return -n, d
-
-
-def signomial_expr(sig: Signomial) -> RadialExpr:
-    """Lift a signomial back to a (flat) expression tree."""
-    if not sig.terms:
-        return Const(0)
-    return Sum(tuple(Power(c, p) for p, c in sorted(sig.terms.items())))

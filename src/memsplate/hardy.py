@@ -25,58 +25,58 @@ from fractions import Fraction
 
 import numpy as np
 
-from .exprs import Const, Power, Prod, Quot, RadialExpr, Sum
+from .exprs import Ratio
 from .grid import InvalidArgument, RadialGrid, build_grid
 from .operators import bilaplacian_form, hardy_rellich_constant
 from .verify import prove_signomial_nonneg, sampled_min
 
 
-def radial_laplacian(expr: RadialExpr, dim) -> RadialExpr:
-    """expr'' + ((dim-1)/r) expr' as an expression tree (dim may be rational)."""
+def radial_laplacian(expr: Ratio, dim) -> Ratio:
+    """expr'' + ((dim-1)/r) expr' (dim may be rational)."""
     d1 = expr.diff()
-    return Sum((d1.diff(), Prod(Power(Fraction(dim) - 1, -1), d1)))
+    return d1.diff() + Ratio.term(Fraction(dim) - 1, -1) * d1
 
 
 # --------------------------------------------------------------------------
 # weights
 
 
-def hr_weight(variant: str, N: int) -> RadialExpr:
+def hr_weight(variant: str, N: int) -> Ratio:
     """The Hardy-Rellich weight W(r) such that int (Delta phi)^2 >= int W phi^2."""
     variant = variant.upper()
     if variant == "HR1":
         if N < 5:
             raise InvalidArgument("HR1 weight requires N >= 5")
-        return Power(hardy_rellich_constant(N), -4)
+        return Ratio.term(hardy_rellich_constant(N), -4)
     if variant == "HR2":
         if N < 5:
             raise InvalidArgument("HR2 weight requires N >= 5")
         A = Fraction((N - 2) ** 2 * (N - 4) ** 2, 16)
         B = Fraction((N - 1) * (N - 4) ** 2, 4)
         half = Fraction(N, 2)
-        d1 = Power(1, 2) - Power(1, half + 1)  # r^2 - r^(N/2+1)
-        d2 = Power(1, 2) - Power(1, half)      # r^2 - r^(N/2)
-        return Quot(Const(A), Prod(d1, d2)) + Quot(Const(B), Prod(Power(1, 2), d2))
+        d1 = Ratio.term(1, 2) - Ratio.term(1, half + 1)  # r^2 - r^(N/2+1)
+        d2 = Ratio.term(1, 2) - Ratio.term(1, half)      # r^2 - r^(N/2)
+        return Ratio(A) / (d1 * d2) + Ratio(B) / (Ratio.term(1, 2) * d2)
     if variant == "HR3":
         if N != 9:
             raise InvalidArgument("HR3 weight is defined for N = 9 only")
         P, Q = pq_functions(N)
-        return Prod(Q, Sum((P, Power(N - 1, -2))))
+        return Q * (P + Ratio.term(N - 1, -2))
     raise InvalidArgument(f"unknown weight variant {variant!r}")
 
 
-def _phi_expr() -> RadialExpr:
+def _phi_expr() -> Ratio:
     # r^(-7/2) + r - 19/10
-    return Sum((Power(1, Fraction(-7, 2)), Power(1, 1), Const(Fraction(-19, 10))))
+    return Ratio.term(1, Fraction(-7, 2)) + Ratio.term(1, 1) + Fraction(-19, 10)
 
 
-def _psi_expr() -> RadialExpr:
+def _psi_expr() -> Ratio:
     # r^(-5/2) + 20 r^(-169/100) + 10/r + 10 r + 7 r^2 - 48
-    return Sum((Power(1, Fraction(-5, 2)), Power(20, Fraction(-169, 100)),
-                Power(10, -1), Power(10, 1), Power(7, 2), Const(-48)))
+    return (Ratio.term(1, Fraction(-5, 2)) + Ratio.term(20, Fraction(-169, 100))
+            + Ratio.term(10, -1) + Ratio.term(10, 1) + Ratio.term(7, 2) - 48)
 
 
-def pq_functions(N: int = 9) -> tuple[RadialExpr, RadialExpr]:
+def pq_functions(N: int = 9) -> tuple[Ratio, Ratio]:
     """The auxiliary ratios P = -Delta_9 phi / phi and Q = -Delta_7 psi / psi.
 
     phi(r) = r^(-7/2) + r - 1.9 (positive on (0,1], phi(1) = 0.1) and
@@ -87,8 +87,8 @@ def pq_functions(N: int = 9) -> tuple[RadialExpr, RadialExpr]:
         raise InvalidArgument("the P, Q pair is defined for N = 9 only")
     phi = _phi_expr()
     psi = _psi_expr()
-    P = Quot(-radial_laplacian(phi, N), phi)
-    Q = Quot(-radial_laplacian(psi, N - 2), psi)
+    P = -radial_laplacian(phi, N) / phi
+    Q = -radial_laplacian(psi, N - 2) / psi
     return P, Q
 
 
@@ -100,8 +100,8 @@ def pq_functions(N: int = 9) -> tuple[RadialExpr, RadialExpr]:
 class BesselPairSpec:
     """Weights (V, W) of a candidate Bessel pair on (0, R) in dimension N."""
 
-    V: RadialExpr
-    W: RadialExpr
+    V: Ratio
+    W: Ratio
     N: int
     R: float = 1.0
 
@@ -119,9 +119,9 @@ class PositivityReport:
     notes: list = field(default_factory=list)
 
 
-def _leading(expr: RadialExpr) -> tuple[Fraction, Fraction]:
+def _leading(expr: Ratio) -> tuple[Fraction, Fraction]:
     """(power, coefficient) of the leading term of expr as r -> 0+."""
-    num, den = expr.as_ratio()
+    num, den = expr.num, expr.den
     if not num.terms:
         return Fraction(0), Fraction(0)
     pn, gn = num.factor_min_power()
@@ -129,12 +129,12 @@ def _leading(expr: RadialExpr) -> tuple[Fraction, Fraction]:
     return pn - pd, gn.terms[Fraction(0)] / gd.terms[Fraction(0)]
 
 
-def bessel_ode_positive(spec: BesselPairSpec, y0_behavior: RadialExpr | None = None,
+def bessel_ode_positive(spec: BesselPairSpec, y0_behavior: Ratio | None = None,
                         r0: float = 1e-6, rtol: float = 1e-10) -> PositivityReport:
     """Track sign changes of solutions of y'' + ((N-1)/r + V'/V) y' + (W/V) y = 0.
 
     Initial data at r0 comes from `y0_behavior` when given (a candidate
-    solution as an expression tree); otherwise from the dominant root of the
+    solution); otherwise from the dominant root of the
     indicial equation of the regular singular point at 0.  When W/V decays
     faster than r^(-2), the origin is irregular and no Frobenius start
     exists; a flat start is used and noted.
@@ -173,7 +173,7 @@ def bessel_ode_positive(spec: BesselPairSpec, y0_behavior: RadialExpr | None = N
         seed_residual = float(np.max(np.abs(t1 + t2 + t3) / (np.abs(t1) + np.abs(t2) + np.abs(t3) + 1.0)))
     else:
         pv, _ = _leading(V)
-        pq, w0 = _leading(Quot(W, V))
+        pq, w0 = _leading(W / V)
         a = N - 1 + pv
         if pq < -2:
             notes.append("irregular singular point at r=0 (W/V stronger than r^-2); flat start")
@@ -235,9 +235,9 @@ class RatioSignReport:
     counterexample: float | None = None
 
 
-def _prove_expr_nonneg(expr: RadialExpr) -> RatioSignReport:
-    """Prove expr >= 0 on (0,1): clear the denominator, fix its sign, prove."""
-    num, den = expr.as_ratio()
+def _prove_expr_nonneg(expr: Ratio) -> RatioSignReport:
+    """Prove expr >= 0 on (0,1): fix the sign of the denominator, prove."""
+    num, den = expr.num, expr.den
     smin, amin = sampled_min(num, den)
     if prove_signomial_nonneg(den).proved:
         rep = prove_signomial_nonneg(num)
@@ -261,13 +261,11 @@ class SupersolutionReport:
         return self.positivity.proved and self.inequality.proved
 
 
-def supersolution_check(y: RadialExpr, spec: BesselPairSpec) -> SupersolutionReport:
+def supersolution_check(y: Ratio, spec: BesselPairSpec) -> SupersolutionReport:
     """Verify y is a positive supersolution: y > 0 and L[y] <= 0 on (0,1)."""
     V, W, N = spec.V, spec.W, spec.N
     yp = y.diff()
-    L = Sum((yp.diff(),
-             Prod(Sum((Power(N - 1, -1), Quot(V.diff(), V))), yp),
-             Prod(Quot(W, V), y)))
+    L = yp.diff() + (Ratio.term(N - 1, -1) + V.diff() / V) * yp + W / V * y
     return SupersolutionReport(
         positivity=_prove_expr_nonneg(y),
         inequality=_prove_expr_nonneg(-L),
@@ -305,9 +303,8 @@ def gm1_side_conditions(spec: BesselPairSpec) -> SideConditionsReport:
         raise InvalidArgument("V must be positive near r = 0")
     s_inv = -(N - 1) - p   # integrand power of 1/(r^(N-1) V)
     s_fwd = (N - 1) + p    # integrand power of r^(N-1) V
-    cond4 = Sum((W, Prod(Const(-2), Quot(V, Power(1, 2))),
-                 Prod(Const(2), Quot(V.diff(), Power(1, 1))),
-                 -V.diff().diff()))
+    cond4 = (W - 2 * V / Ratio.term(1, 2) + 2 * V.diff() / Ratio.term(1, 1)
+             - V.diff().diff())
     return SideConditionsReport(
         inverse_integral_diverges=s_inv <= -1,
         weight_integral_converges=s_fwd > -1,

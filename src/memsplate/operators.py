@@ -43,13 +43,6 @@ def power_bilaplacian_coeff(p, N: int):
     return p * (p - 2) * (p + N - 2) * (p + N - 4)
 
 
-def power_laplacian_coeff(p, N: int):
-    """Delta_N r^p = p (p + N - 2) r^(p-2)."""
-    if isinstance(p, (int, Fraction)):
-        p = Fraction(p)
-    return p * (p + N - 2)
-
-
 def lambda_bar(N: int) -> Fraction:
     """lambda_bar_N = (8/9)(N - 2/3)(N - 8/3); Delta^2 (1 - r^(4/3)) = lambda_bar r^(-8/3)."""
     return Fraction(8, 9) * (N - Fraction(2, 3)) * (N - Fraction(8, 3))

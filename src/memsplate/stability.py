@@ -214,19 +214,6 @@ def mu1(profile: RadialField, lam: float, _solver: _ClampedSolver | None = None,
                          "inverse iteration, linearized mixed pencil", lu=_lu)
 
 
-def stability_along_branch(points) -> list[float]:
-    """mu1 at each branch point; every converged minimal-branch point must be stable."""
-    values = []
-    for pt in points:
-        res = mu1(pt.profile, pt.lam)
-        if res.value <= 0:
-            raise RuntimeError(
-                f"minimal-branch point at lambda={pt.lam} is not stable (mu1={res.value})"
-            )
-        values.append(res.value)
-    return values
-
-
 def beam_eigenvalue_1d(tol: float = 1e-12) -> float:
     """Oracle for nu1 at N=1: first even clamped-beam mode on (-1, 1).
 

@@ -17,7 +17,7 @@ from memsplate.branch import (ContinuationConfig, monotone_solve, newton_solve,
                               pullin_bounds, sandwich_check, sweep_branch)
 from memsplate.certificates import table1_rows, threshold_relation
 from memsplate.cli import main as cli_main
-from memsplate.exprs import Const, Power, Quot
+from memsplate.exprs import Ratio
 from memsplate.grid import BoundaryData, build_grid
 from memsplate.hardy import (BesselPairSpec, _phi_expr, _prove_expr_nonneg,
                              _psi_expr, bessel_ode_positive,
@@ -135,22 +135,21 @@ def test_criterion_8_hardy_rellich_suite():
         t0 = time.perf_counter()
         # (a) exact seeded solution of a known pair: residual enclosure < 1e-9
         N, a = 10, Fraction(99, 100)
-        W = Quot(Const(Fraction((N - 2) ** 2, 4)),
-                 Power(1, 2) - Power(a, Fraction(N, 2) + 1))
-        seed = Power(1, Fraction(2 - N, 2)) - Const(a)
-        rep = bessel_ode_positive(BesselPairSpec(V=Const(1), W=W, N=N),
+        W = Fraction((N - 2) ** 2, 4) / (Ratio.term(1, 2) - Ratio.term(a, Fraction(N, 2) + 1))
+        seed = Ratio.term(1, Fraction(2 - N, 2)) - a
+        rep = bessel_ode_positive(BesselPairSpec(V=Ratio(1), W=W, N=N),
                                   y0_behavior=seed)
         assert rep.seed_residual is not None and rep.seed_residual < 1e-9
         assert rep.positive_on_interval
         # (b) interval verification of the pointwise claims behind the
         # dimension-nine weight
         P, Q = pq_functions(9)
-        assert _prove_expr_nonneg(P - Power(2, -2)).proved
-        assert _prove_expr_nonneg(Power(1, 1) * P.diff() + Const(2) * P).proved
+        assert _prove_expr_nonneg(P - Ratio.term(2, -2)).proved
+        assert _prove_expr_nonneg(Ratio.term(1, 1) * P.diff() + 2 * P).proved
         assert _prove_expr_nonneg(_phi_expr()).proved
         psi = _psi_expr()
         assert _prove_expr_nonneg(psi).proved
-        assert psi.as_ratio()[0].value_at_one() == 0
+        assert psi.num.value_at_one() == 0
         # (c) exact leading-coefficient identity
         for n in range(5, 51):
             assert hr2_leading_identity(n)

@@ -322,6 +322,15 @@ def test_coarse_singular_traces_reach_tau(N):
     assert ev is not None and ev.observed_order >= 1.9
 
 
+def test_grid_evidence_outside_the_asymptotic_range_is_flagged():
+    # at N = 8, M = 256 the three fold values do not converge monotonically
+    res = sweep_branch(ContinuationConfig(N=8, M=256))
+    order = res.grid_evidence.observed_order
+    assert order is not None and order < 1
+    assert res.warnings == (f"grid-evidence warning: observed order {order:.3g} is "
+                            "below 1; the grids are outside the asymptotic range",)
+
+
 def test_a_failed_coarse_trace_leaves_the_sweep_without_grid_evidence(monkeypatch):
     build = branch.build_grid
 

@@ -9,37 +9,37 @@ import memsplate.verify as verify
 from memsplate.certificates import (CandidateW, _cond2_parts, certify_dimension,
                                     check_cond1, check_cond2, table1_rows,
                                     table_candidate, threshold_relation,
-                                    wm_bilaplacian, wm_value)
-from memsplate.exprs import Const, Quot, Signomial
+                                    wm_signomial)
+from memsplate.exprs import Ratio, Signomial
 from memsplate.grid import InvalidArgument
-from memsplate.hardy import hr_weight
-from memsplate.operators import hardy_rellich_constant, lambda_bar
+from memsplate.hardy import hr_weight, radial_laplacian
+from memsplate.operators import (hardy_rellich_constant, lambda_bar,
+                                 power_bilaplacian_coeff)
 from memsplate.verify import prove_signomial_nonneg
 
 
 def test_wm_domain():
     with pytest.raises(InvalidArgument):
-        wm_value(Fraction(4, 3), 0.5)
+        wm_signomial(Fraction(4, 3))
     with pytest.raises(InvalidArgument):
-        wm_value(1, 0.5)
+        wm_signomial(1)
 
 
 def test_wm_profile_values():
-    # m = 3: 1 - w = r^(4/3) (9 - 4 r^(5/3)) / 5
-    r = np.array([0.3, 0.8, 1.0])
-    w = wm_value(3, r)
-    assert np.allclose(1.0 - w, r ** (4 / 3) * (9.0 - 4.0 * r ** (5 / 3)) / 5.0)
-    assert w[-1] == pytest.approx(0.0, abs=1e-14)
+    # m = 3: 1 - w = r^(4/3) (9 - 4 r^(5/3)) / 5, exactly; w(1) = w'(1) = 0
+    w = wm_signomial(3)
+    assert 1 - w == Signomial({Fraction(4, 3): Fraction(9, 5), 3: Fraction(-4, 5)})
+    assert w.value_at_one() == 0 and w.diff().value_at_one() == 0
 
 
 def test_wm_bilaplacian_matches_coefficients():
-    # Delta^2 w_m = [3m*lbar r^(-8/3) + 4c(m,N) r^(m-4)] / (3m-4)
-    m, N = 3, 12
-    r = np.array([0.4, 0.9])
-    lb = float(lambda_bar(N))
-    c = float(Fraction(3) * (3 - 2) * (3 + N - 2) * (3 + N - 4))
-    expect = (9.0 * lb * r ** (-8.0 / 3.0) + 4.0 * c * r ** (m - 4.0)) / 5.0
-    assert np.allclose(wm_bilaplacian(m, N, r), expect)
+    # Delta^2 w_m = [3m*lbar r^(-8/3) + 4c(m,N) r^(m-4)] / (3m-4), exactly
+    for m, N in ((3, 12), (Fraction(14, 5), 9), (2, 31)):
+        bilap = radial_laplacian(radial_laplacian(Ratio(wm_signomial(m)), N), N)
+        expect = Signomial({Fraction(-8, 3): 3 * m * lambda_bar(N),
+                            m - 4: 4 * power_bilaplacian_coeff(m, N)}) * Fraction(1, 3 * m - 4)
+        assert bilap.den == Signomial.constant(1)
+        assert bilap.num == expect, (m, N)
 
 
 def test_m2_sharpest_level_is_exact():
@@ -255,7 +255,7 @@ def test_interval_tier_refuses_an_unproved_denominator():
     # negative, so the cond2 claim is never attempted, and no level of the
     # sharpest value is proved either
     cand = table_candidate(12)
-    rep = check_cond2(cand, weight=Quot(Const(-1), Const(-1)), rigor="interval")
+    rep = check_cond2(cand, weight=Ratio(-1, -1), rigor="interval")
     assert rep.proved is False and rep.boxes is None
     assert rep.notes == ["cond2 denominator sign not proved: negative limit at r=0",
                          "cond2 sharpest value unbounded: no level was proved"]

@@ -145,6 +145,22 @@ def test_hr_report(tmp_path):
     assert doc["verdict"] == "Pass"
 
 
+@pytest.mark.parametrize("variant,N,margin", [
+    ("hr3", 9, "0x1.aadf6263f37e5p+9"),
+    ("hr2", 12, "0x1.8bcd8d2c1ec16p+11"),
+])
+def test_hr_interval_report(tmp_path, variant, N, margin):
+    # the weight's sampled margin is that of its cleared (num, den) pair,
+    # frozen bit for bit
+    assert run(tmp_path, "hr", "--variant", variant, "--dim", str(N),
+               "--rigor", "interval") == 0
+    doc = json.loads((tmp_path / f"hr_{variant}_N{N}.json").read_text())
+    assert doc["verdict"] == "Pass"
+    check, = (c for c in doc["checks"] if c["name"] == "weight_nonnegative")
+    assert check["method"] == "interval"
+    assert check["margin"] == float.fromhex(margin)
+
+
 def test_table1_markdown(tmp_path):
     assert run(tmp_path, "table1", "--dims", "9,12", "--rigor", "sampled") == 0
     text = (tmp_path / "table1.md").read_text()

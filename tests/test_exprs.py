@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import memsplate.exprs as exprs
-from memsplate.exprs import (Const, Neg, Power, Prod, Quot, RadialExpr,
-                             Signomial, Sum, _dirsum, signomial_expr)
+from memsplate.exprs import Ratio, Signomial, _dirsum
 from memsplate.intervals import (Interval, exponent_rounding, frac_bounds,
                                  pow_bounds, up)
 
@@ -71,42 +70,51 @@ def test_centered_enclosure_tightness():
     assert enc.hi - enc.lo < 0.1
 
 
-def test_expr_tree_eval_and_ratio():
+def test_ratio_eval_and_parts():
     # (2 r^2 + 1) / (1 - r/2)
-    e = Quot(Sum((Power(2, 2), Const(1))), Sum((Const(1), Power(Fraction(-1, 2), 1))))
+    e = (Ratio.term(2, 2) + 1) / (1 + Ratio.term(Fraction(-1, 2), 1))
     r = np.array([0.2, 0.7])
     expected = (2 * r ** 2 + 1) / (1 - r / 2)
     assert np.allclose(e(r), expected)
-    num, den = e.as_ratio()
-    assert np.allclose(num(r) / den(r), expected)
+    assert e.num == Signomial({2: 2, 0: 1})
+    assert e.den == Signomial({0: 1, 1: Fraction(-1, 2)})
 
 
-def test_expr_operators_build_trees():
-    e = Power(1, 2) * 3 + 1 - Power(2, 1) / 4
+def test_ratio_operators_take_numbers_on_either_side():
+    e = Ratio.term(1, 2) * 3 + 1 - Ratio.term(2, 1) / 4
     r = np.array([0.5])
     assert np.allclose(e(r), 3 * 0.25 + 1 - 0.25)
-    assert isinstance(-e, Neg)
-
-
-def test_as_signomial():
-    e = Quot(Sum((Power(1, 3), Power(2, 2))), Power(1, 2))
-    s = e.as_signomial()
-    assert s.terms == {Fraction(1): Fraction(1), Fraction(0): Fraction(2)}
-    with pytest.raises(ValueError):
-        Quot(Const(1), Sum((Const(1), Power(1, 1)))).as_signomial()
+    x = Ratio.term(1, 1)
+    assert np.allclose((2 - x)(r), 1.5)
+    assert np.allclose((2 / x)(r), 4.0)
+    assert np.allclose((2 * x + 1)(r), 2.0)
+    assert np.allclose((-x)(r), -0.5)
+    # the cleared pair keeps every factor: nothing cancels
+    q = x / x
+    assert q.num == Signomial({1: 1}) and q.den == Signomial({1: 1})
 
 
 @st.composite
-def simple_exprs(draw):
-    terms = draw(st.lists(
-        st.tuples(st.integers(-3, 3).filter(lambda c: c != 0),
-                  st.fractions(min_value=-3, max_value=4, max_denominator=6)),
-        min_size=1, max_size=4))
-    return Sum(tuple(Power(c, p) for c, p in terms))
+def simple_ratios(draw):
+    def signomial():
+        terms = draw(st.lists(
+            st.tuples(st.integers(-3, 3).filter(lambda c: c != 0),
+                      st.fractions(min_value=-3, max_value=4, max_denominator=6)),
+            min_size=1, max_size=4))
+        return Signomial({p: c for c, p in terms})
+    num = signomial()
+    # a denominator bounded away from 0: 4 plus at most three terms +-r^p
+    # with p >= 1 stays above 1 on (0, 1)
+    den_terms = draw(st.lists(
+        st.tuples(st.integers(-1, 1).filter(lambda c: c != 0),
+                  st.fractions(min_value=1, max_value=3, max_denominator=4)),
+        min_size=1, max_size=3))
+    den = Signomial({0: 4}) + Signomial({p: c for c, p in den_terms})
+    return Ratio(num, den)
 
 
 @settings(max_examples=60, deadline=None)
-@given(simple_exprs(), st.floats(min_value=0.1, max_value=0.9))
+@given(simple_ratios(), st.floats(min_value=0.1, max_value=0.9))
 def test_symbolic_derivative_matches_central_difference(expr, r):
     h = 1e-6
     num = (float(expr(r + h)) - float(expr(r - h))) / (2 * h)
@@ -115,12 +123,22 @@ def test_symbolic_derivative_matches_central_difference(expr, r):
     assert abs(num - sym) <= 1e-5 * scale
 
 
+def test_derivative_of_a_product_squares_the_product_of_denominators():
+    a = Ratio(Signomial({0: 1, 1: 2}), Signomial({0: 3, 2: -1}))
+    b = Ratio(Signomial({Fraction(1, 2): 1}), Signomial({0: 1, 1: 1}))
+    d = (a * b).diff()
+    assert d.den == (a.den * b.den) ** 2
+    r = np.array([0.3, 0.6])
+    expected = a.diff()(r) * b(r) + a(r) * b.diff()(r)
+    assert np.allclose(d(r), expected, rtol=1e-12)
+
+
 def test_signomial_expr_roundtrip():
     s = Signomial({Fraction(-8, 3): 2, Fraction(4, 3): -1, 0: 5})
-    e = signomial_expr(s)
-    num, den = e.as_ratio()
-    assert den.terms == {Fraction(0): Fraction(1)}
-    assert num.terms == s.terms
+    e = Ratio(s)
+    assert e.den.terms == {Fraction(0): Fraction(1)}
+    assert e.num.terms == s.terms
+    assert list(e.num.terms) == list(s.terms)  # insertion order is kept
 
 
 # --------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from memsplate.exprs import Const, Power, Prod, Quot, Sum
+from memsplate.exprs import Ratio, Signomial
 from memsplate.grid import InvalidArgument, build_grid
 from memsplate.hardy import (BesselPairSpec, _prove_expr_nonneg,
                              bessel_ode_positive, discrete_form_check,
@@ -14,9 +14,18 @@ from memsplate.operators import hardy_rellich_constant
 
 
 def test_radial_laplacian_of_quadratic():
-    e = radial_laplacian(Power(1, 2), 5)
+    e = radial_laplacian(Ratio.term(1, 2), 5)
     r = np.array([0.2, 0.7])
     assert np.allclose(e(r), 10.0)
+
+
+@pytest.mark.parametrize("N", [3, 9])
+@pytest.mark.parametrize("p", [2, Fraction(4, 3), Fraction(-1, 2)])
+def test_radial_laplacian_of_a_power_is_exact(p, N):
+    # Delta_N r^p = p (p + N - 2) r^(p-2)
+    e = radial_laplacian(Ratio.term(1, p), N)
+    assert e.num == Signomial.term(p * (p + N - 2), p - 2)
+    assert e.den == Signomial.constant(1)
 
 
 def test_hr_weight_values_and_validation():
@@ -40,9 +49,9 @@ def test_pq_positive_and_dominating():
     P, Q = pq_functions(9)
     assert _prove_expr_nonneg(Q).proved
     # P dominates 2/r^2 (needed for the weight to be a valid pair)
-    assert _prove_expr_nonneg(P - Power(2, -2)).proved
+    assert _prove_expr_nonneg(P - Ratio.term(2, -2)).proved
     # P_r / P >= -2/r, cleared: r P' + 2 P >= 0
-    claim = Power(1, 1) * P.diff() + Const(2) * P
+    claim = Ratio.term(1, 1) * P.diff() + 2 * P
     assert _prove_expr_nonneg(claim).proved
 
 
@@ -51,20 +60,19 @@ def test_phi_psi_sign_structure():
     assert _prove_expr_nonneg(phi).proved
     assert _prove_expr_nonneg(psi).proved
     # psi vanishes exactly at r = 1
-    num, den = psi.as_ratio()
-    assert num.value_at_one() == 0
+    assert psi.num.value_at_one() == 0
 
 
 def test_bessel_positive_closed_form():
     # V = 1, W = 1 in dimension 3: y = sin(r)/r, first zero at pi > 1
-    rep = bessel_ode_positive(BesselPairSpec(V=Const(1), W=Const(1), N=3))
+    rep = bessel_ode_positive(BesselPairSpec(V=Ratio(1), W=Ratio(1), N=3))
     assert rep.positive_on_interval
     assert rep.first_zero is None
 
 
 def test_bessel_negative_above_principal_eigenvalue():
     # V = 1, W = c with c far above the principal Dirichlet eigenvalue: a zero
-    rep = bessel_ode_positive(BesselPairSpec(V=Const(1), W=Const(60), N=3))
+    rep = bessel_ode_positive(BesselPairSpec(V=Ratio(1), W=Ratio(60), N=3))
     assert not rep.positive_on_interval
     assert rep.first_zero is not None and rep.first_zero < 1.0
 
@@ -72,10 +80,9 @@ def test_bessel_negative_above_principal_eigenvalue():
 def test_bessel_exact_seeded_solution():
     # y = r^(1-N/2) - a solves the pair (1, ((N-2)^2/4)/(r^2 - a r^(N/2+1)))
     N, a = 10, Fraction(99, 100)
-    W = Quot(Const(Fraction((N - 2) ** 2, 4)),
-             Power(1, 2) - Power(a, Fraction(N, 2) + 1))
-    seed = Power(1, Fraction(2 - N, 2)) - Const(a)
-    rep = bessel_ode_positive(BesselPairSpec(V=Const(1), W=W, N=N), y0_behavior=seed)
+    W = Fraction((N - 2) ** 2, 4) / (Ratio.term(1, 2) - Ratio.term(a, Fraction(N, 2) + 1))
+    seed = Ratio.term(1, Fraction(2 - N, 2)) - a
+    rep = bessel_ode_positive(BesselPairSpec(V=Ratio(1), W=W, N=N), y0_behavior=seed)
     assert rep.seed_residual is not None and rep.seed_residual < 1e-9
     assert rep.positive_on_interval
 
@@ -84,42 +91,41 @@ def test_bessel_oscillatory_pair_is_reported():
     # (1, H_9/r^4) is not a valid pair: solutions oscillate near the origin
     # (Sturm comparison with the Euler equation); the first zero shows up
     # essentially at the integration start and is reported honestly
-    W = Power(hardy_rellich_constant(9), -4)
-    rep = bessel_ode_positive(BesselPairSpec(V=Const(1), W=W, N=9))
+    W = Ratio.term(hardy_rellich_constant(9), -4)
+    rep = bessel_ode_positive(BesselPairSpec(V=Ratio(1), W=W, N=9))
     assert not rep.positive_on_interval
     assert rep.first_zero is not None and rep.first_zero < 1e-4
 
 
 def test_gm1_side_conditions_for_pq():
     P, _ = pq_functions(9)
-    rep = gm1_side_conditions(BesselPairSpec(V=Const(1), W=P, N=9))
+    rep = gm1_side_conditions(BesselPairSpec(V=Ratio(1), W=P, N=9))
     assert rep.inverse_integral_diverges
     assert rep.weight_integral_converges
     assert rep.pointwise.proved
     assert rep.all_hold
     with pytest.raises(InvalidArgument):
-        gm1_side_conditions(BesselPairSpec(V=Const(-1), W=P, N=9))
+        gm1_side_conditions(BesselPairSpec(V=Ratio(-1), W=P, N=9))
 
 
 def _gm2_pair(N, a):
-    V = Quot(Const(1), Power(1, 2) - Power(a, Fraction(N, 2) + 1))
-    W1 = Quot(Const(Fraction((N - 4) ** 2, 4)),
-              Prod(Power(1, 2) - Power(1, Fraction(N, 2)),
-                   Power(1, 2) - Power(a, Fraction(N, 2) + 1)))
+    V = 1 / (Ratio.term(1, 2) - Ratio.term(a, Fraction(N, 2) + 1))
+    W1 = Fraction((N - 4) ** 2, 4) / ((Ratio.term(1, 2) - Ratio.term(1, Fraction(N, 2)))
+                                      * (Ratio.term(1, 2) - Ratio.term(a, Fraction(N, 2) + 1)))
     return V, W1
 
 
 def test_gm2_supersolution():
     N, a = 10, Fraction(99, 100)
     V, W1 = _gm2_pair(N, a)
-    y = Power(1, Fraction(4 - N, 2)) - Const(1)
+    y = Ratio.term(1, Fraction(4 - N, 2)) - 1
     rep = supersolution_check(y, BesselPairSpec(V=V, W=W1, N=N))
     assert rep.confirmed
 
 
 def test_gm3_psi_supersolution():
     P, Q = pq_functions(9)
-    rep = supersolution_check(_psi_expr(), BesselPairSpec(V=P, W=Prod(P, Q), N=9))
+    rep = supersolution_check(_psi_expr(), BesselPairSpec(V=P, W=P * Q, N=9))
     assert rep.confirmed
 
 

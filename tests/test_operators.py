@@ -6,12 +6,10 @@ from memsplate.grid import BoundaryData, build_grid
 from memsplate.operators import (_quad_fit_weights, bilaplacian_clamped,
                                  bilaplacian_form, hardy_rellich_constant,
                                  lambda_bar, laplacian_with_bc,
-                                 mixed_bilaplacian, power_bilaplacian_coeff,
-                                 power_laplacian_coeff)
+                                 mixed_bilaplacian, power_bilaplacian_coeff)
 
 
 def test_exact_coefficients():
-    assert power_laplacian_coeff(2, 3) == 6           # Delta r^2 = 2N
     assert power_bilaplacian_coeff(4, 3) == 4 * 2 * 5 * 3
     assert power_bilaplacian_coeff(2, 7) == 0         # r^2 is biharmonic-free
     assert power_bilaplacian_coeff(Fraction(4, 3), 9) == -lambda_bar(9)

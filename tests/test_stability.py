@@ -9,8 +9,7 @@ from memsplate.branch import ContinuationConfig, _ClampedSolver, sweep_branch
 from memsplate.grid import BoundaryData, RadialField, build_grid
 from memsplate.operators import bilaplacian_form, mixed_bilaplacian
 from memsplate.stability import (_inverse_iteration, beam_eigenvalue_1d,
-                                 disk_eigenvalue_2d, mu1, nu1, nu1_discrete,
-                                 stability_along_branch)
+                                 disk_eigenvalue_2d, mu1, nu1, nu1_discrete)
 
 
 def test_beam_eigenvalue_oracle():
@@ -266,14 +265,3 @@ def test_nu1_discrete_three_grid_observed_order():
         e1, e2, e3 = (nu1_discrete(build_grid(N, M, 1.0)).value for M in (256, 512, 1024))
         order = np.log2((e1 - e2) / (e2 - e3))
         assert order >= 1.9, (N, order)
-
-
-def test_stability_along_branch_requires_stable_points():
-    from collections import namedtuple
-    Pt = namedtuple("Pt", "profile lam")
-    g = build_grid(2, 128, 1.0)
-    u = RadialField(g, np.zeros(g.M))
-    vals = stability_along_branch([Pt(u, 1.0), Pt(u, 2.0)])
-    assert len(vals) == 2 and vals[0] > vals[1] > 0
-    with pytest.raises(RuntimeError):
-        stability_along_branch([Pt(u, 60.0)])
