@@ -26,11 +26,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .grid import BoundaryData, InvalidArgument, RadialField, RadialGrid, build_grid, phi_lift
 # bilaplacian_clamped is unused here; perfbench/test_harness.py's BINDINGS lists it
 from .operators import bilaplacian_clamped, lambda_bar, mixed_bilaplacian  # noqa: F401
+
+
+def dgbtrf(ab, kl, ku):
+    """LAPACK banded LU, `scipy.linalg.lapack.dgbtrf`; scipy.linalg loads at the first call."""
+    from scipy.linalg.lapack import dgbtrf
+    return dgbtrf(ab, kl, ku)
+
+
+def dgbtrs(ab, kl, ku, b, ipiv):
+    """Solve with a `dgbtrf` factorization, `scipy.linalg.lapack.dgbtrs`."""
+    from scipy.linalg.lapack import dgbtrs
+    return dgbtrs(ab, kl, ku, b, ipiv)
 
 
 class NonConvergence(Exception):

@@ -325,6 +325,8 @@ def cmd_hr(args) -> int:
 
 
 def cmd_threshold(args) -> int:
+    if args.end < args.start:
+        raise InvalidArgument(f"empty dimension range --from {args.start} --to {args.end}")
     out = _outdir(args)
     rows = []
     for N in range(args.start, args.end + 1):

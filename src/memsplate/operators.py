@@ -21,6 +21,8 @@ The bilaplacian is the composition of two such Laplacians sharing these
 closures, which keeps the quadratic form integral (Delta phi)^2 natural.
 Every operator is a float64 sparse matrix plus a float64 offset vector; the
 solvers and eigensolves use the mixed split v = Delta u (`mixed_bilaplacian`).
+Each builder imports scipy.sparse itself, so commands that build no operator
+never load it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 
 from .grid import BoundaryData, RadialGrid
 
@@ -137,6 +138,7 @@ def laplacian_with_bc(grid: RadialGrid, bc: BoundaryData):
     u_interior are the M-1 unknowns at nodes 0..M-2; the boundary value
     alpha and the ghost reflection carrying beta enter through o.
     """
+    import scipy.sparse as sp
     L1, o, _ = _clamped_laplacians(grid, bc)
     return sp.csr_matrix(L1, shape=(grid.M, grid.M - 1)), o
 
@@ -148,6 +150,7 @@ def bilaplacian_clamped(grid: RadialGrid, bc: BoundaryData):
     `_clamped_laplacians`).  Its rows scale like 1/h^4, so the solvers use
     its mixed split, `mixed_bilaplacian`, instead.
     """
+    import scipy.sparse as sp
     L1, o1, L2 = _clamped_laplacians(grid, bc)
     L2 = sp.csr_matrix(L2, shape=(grid.M - 1, grid.M))
     return (L2 @ sp.csr_matrix(L1, shape=(grid.M, grid.M - 1))).tocsr(), L2 @ o1
@@ -165,6 +168,7 @@ def mixed_bilaplacian(grid: RadialGrid, bc: BoundaryData):
     offsets u, u-1, ..., -l, so A.data is LAPACK band storage; (l, u) =
     (3, 5), or (3, 3) at N = 1.  The stencil triplets go straight into it.
     """
+    import scipy.sparse as sp
     (w1, (r1, c1)), o1, (w2, (r2, c2)) = _clamped_laplacians(grid, bc)
     M = grid.M
     rows = np.concatenate([2 * np.arange(M), 2 * r1, 2 * r2 + 1])
@@ -185,6 +189,7 @@ def bilaplacian_form(grid: RadialGrid):
     (quadrature weight times r^(N-1)) at the interior unknowns.  Both omit the
     sphere-area factor, which cancels in every Rayleigh quotient.
     """
+    import scipy.sparse as sp
     L, _ = laplacian_with_bc(grid, BoundaryData(0.0, 0.0))
     q = grid.quad_weights() * grid.r ** (grid.N - 1)
     A = (L.T @ sp.diags(q) @ L).tocsr()

@@ -173,20 +173,24 @@ def sampled_mins(pairs, n: int = SAMPLES) -> list[tuple[float, float]]:
             for pair in pairs for s in pair if s is not None}
     exps = {p for row in rows.values() for _, p in row}
     best = [None] * len(pairs)
+    term = np.empty(_CHUNK)
     for start in range(0, len(r), _CHUNK):
         x = r[start:start + _CHUNK]
+        t = term[:len(x)]
         pows = {p: x ** p for p in exps}
         vals = {}
         for key, row in rows.items():
             vals[key] = out = np.zeros_like(x)
             for c, p in row:
-                out += c * pows[p]
+                out += np.multiply(c, pows[p], out=t)
         for k, (num, den) in enumerate(pairs):
             v = vals[id(num)] if den is None else vals[id(num)] / vals[id(den)]
-            try:
-                i = int(np.nanargmin(v))
-            except ValueError:  # every ratio in this block is NaN
-                continue
+            i = int(np.argmin(v))  # lands on the first NaN if there is one
+            if np.isnan(v[i]):
+                try:
+                    i = int(np.nanargmin(v))
+                except ValueError:  # every ratio in this block is NaN
+                    continue
             if best[k] is None or v[i] < best[k][0]:
                 best[k] = (float(v[i]), start + i)
     if None in best:

@@ -1,13 +1,51 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import memsplate
 from memsplate.cli import _parse_dims, main
 from memsplate.grid import InvalidArgument
 
 
 def run(tmp_path, *argv):
     return main([*argv, "--out", str(tmp_path)])
+
+
+# Run in a fresh interpreter: this one has imported scipy already.  Prints,
+# as its last line, which of scipy.linalg and scipy.sparse are loaded after
+# the import and after each group of commands.
+_LAZY_SCIPY_PROBE = """
+import json, sys, tempfile
+sys.path.insert(0, sys.argv[1])
+import memsplate.cli
+memsplate.cli.build_parser()
+
+def loaded():
+    return [m for m in ("scipy.linalg", "scipy.sparse") if m in sys.modules]
+
+seen = {"import": loaded()}
+with tempfile.TemporaryDirectory() as d:
+    for argv in (["table1", "--rigor", "interval", "--dims", "40"],
+                 ["certify", "--dim", "17"], ["threshold"]):
+        assert memsplate.cli.main([*argv, "--out", d]) == 0
+    seen["certificates"] = loaded()
+    assert memsplate.cli.main(["branch", "--dim", "3", "--M", "64", "--out", d]) == 0
+    seen["branch"] = loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_certificate_commands_never_load_scipy_linalg_or_sparse(tmp_path):
+    src = Path(memsplate.__file__).parents[1]
+    proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY_PROBE, str(src)],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["import"] == [] and seen["certificates"] == []
+    assert "scipy.linalg" in seen["branch"]
 
 
 def test_parse_dims():
@@ -36,6 +74,14 @@ def test_threshold_rerun_bit_identical(tmp_path):
     run(b, "threshold", "--from", "5", "--to", "9")
     for name in ("threshold.json", "manifest.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("start,end", [("10", "5"), ("3", "2")])
+def test_empty_threshold_range_exits_config_with_a_reason(tmp_path, capsys, start, end):
+    assert run(tmp_path, "threshold", "--from", start, "--to", end) == 3
+    err = capsys.readouterr().err
+    assert err == f"configuration error: empty dimension range --from {start} --to {end}\n"
+    assert not (tmp_path / "threshold.json").exists()
 
 
 def test_certify_default_candidate(tmp_path, capsys):
