@@ -151,46 +151,55 @@ def test_each_point_evaluates_each_term_power_once(monkeypatch):
     assert derivatives and all(id(d) in met for d in derivatives)
 
 
-@pytest.mark.parametrize("N,check,sharpest,enclosure,boxes", [
-    (9, check_cond1, "0x1.6cf48f8423893p+8",
-     ("0x1.6cf48f8423880p+8", "0x1.6cf57eb17af35p+8"), 24),
-    (9, check_cond2, "0x1.6ee7a19f55d76p+8",
-     ("0x1.6ee72965210f5p+8", "0x1.6ee7a19f55db4p+8"), 366),
-    (12, check_cond1, "0x1.4fd7b2551d848p+9",
-     ("0x1.4fd7b2551d835p+9", "0x1.4fd88e6e25d74p+9"), 18),
-    (12, check_cond2, "0x1.0beac24b22d5bp+10",
-     ("0x1.0bea6a80a07f4p+10", "0x1.0beac24b22d8ap+10"), 155),
+@pytest.mark.parametrize("N,check,sampled,sharpest,enclosure,boxes", [
+    (9, check_cond1, ("0x1.95964c255f3ccp+1", "0x1.da402877d3c8cp-2"),
+     "0x1.6cf48f8423893p+8", ("0x1.6cf48f8423880p+8", "0x1.6cf57eb17af35p+8"), 24),
+    (9, check_cond2, ("0x1.9e867d575c487p-2", "0x1.01ffd4bf25ee6p-1"),
+     "0x1.6ee7a19f55d76p+8", ("0x1.6ee72965210f5p+8", "0x1.6ee7a19f55db4p+8"), 366),
+    (12, check_cond1, ("0x1.e3f07e93f7936p+3", "0x1.3892a7e363c52p-1"),
+     "0x1.4fd7b2551d848p+9", ("0x1.4fd7b2551d835p+9", "0x1.4fd88e6e25d74p+9"), 18),
+    (12, check_cond2, ("0x1.56125916adadap-1", "0x1.5022876843e40p-1"),
+     "0x1.0beac24b22d5bp+10", ("0x1.0bea6a80a07f4p+10", "0x1.0beac24b22d8ap+10"), 155),
     # off-table candidates; cond2 refutes beta = 737/2 at N = 9
     pytest.param(CandidateW(Fraction(14, 5), 9, 366, Fraction(737, 2), "HR3"),
-                 check_cond1, "0x1.6cf48f8423893p+8",
+                 check_cond1, ("0x1.95964c255f3ccp+1", "0x1.da402877d3c8cp-2"),
+                 "0x1.6cf48f8423893p+8",
                  ("0x1.6cf48f8423880p+8", "0x1.6cf57eb17af35p+8"), 24,
                  id="9-beta737/2-check_cond1"),
     pytest.param(CandidateW(Fraction(14, 5), 9, 366, Fraction(737, 2), "HR3"),
-                 check_cond2, "0x1.6ee7a19f55d76p+8",
+                 check_cond2, ("-0x1.985e60aa28b29p+0", "0x1.01ffd4bf25ee6p-1"),
+                 "0x1.6ee7a19f55d76p+8",
                  ("0x1.6ee72965210f5p+8", "0x1.6ee7a19f55db4p+8"), 336,
                  id="9-beta737/2-check_cond2"),
     pytest.param(CandidateW(3, 12, 1071, 680, "HR2"), check_cond1,
+                 ("0x1.f60f60f2e982fp+8", "0x1.b522d80408d65p-1"),
                  "0x1.4fd7b2551d848p+9",
                  ("0x1.4fd7b2551d835p+9", "0x1.4fd88e6e25d74p+9"), 4,
                  id="12-lam1071-beta680-check_cond1"),
     pytest.param(CandidateW(3, 12, 1071, 680, "HR2"), check_cond2,
+                 ("0x1.87ab092c8b569p+8", "0x1.5022876843e40p-1"),
                  "0x1.0beac24b22d5bp+10",
                  ("0x1.0bea6a80a07f4p+10", "0x1.0beac24b22d8ap+10"), 28,
                  id="12-lam1071-beta680-check_cond2"),
     pytest.param(CandidateW(3, 10, 600, 487, "HR2"), check_cond1,
+                 ("0x1.94c32e7c3895bp+7", "0x1.9b380ba72b3c5p-1"),
                  "0x1.c0d033496300bp+8",
                  ("0x1.c0d0334962ff4p+8", "0x1.c0d1596bc2b42p+8"), 6,
                  id="10-lam600-beta487-check_cond1"),
     pytest.param(CandidateW(3, 10, 600, 487, "HR2"), check_cond2,
+                 ("0x1.74f179074619ap-2", "0x1.2c50d2d1aac21p-1"),
                  "0x1.e75d3c5e41d16p+8",
                  ("0x1.e75bfcf81cbb8p+8", "0x1.e75d3c5e41d67p+8"), 156,
                  id="10-lam600-beta487-check_cond2"),
 ])
-def test_interval_tier_answers_are_frozen(N, check, sharpest, enclosure, boxes):
-    # frozen as float hex: the prover's enclosures must not move by one ulp;
-    # N is a table dimension or an off-table candidate
+def test_interval_tier_answers_are_frozen(N, check, sampled, sharpest, enclosure,
+                                         boxes):
+    # frozen as float hex: the sampled (margin, argmin) and the prover's
+    # enclosures must not move by one ulp; N is a table dimension or an
+    # off-table candidate
     cand = N if isinstance(N, CandidateW) else table_candidate(N)
     rep = check(cand, rigor="interval")
+    assert (rep.margin.hex(), rep.argmin.hex()) == sampled
     assert rep.sharpest.hex() == sharpest
     assert tuple(x.hex() for x in rep.sharpest_enclosure) == enclosure
     assert rep.boxes == boxes
@@ -278,3 +287,27 @@ def test_table1_rows_sampled():
     assert byN[12]["lam_prime_given"] == 680.0
     assert byN[12]["beta_given"] == 1071.0
     assert byN[31]["m"] == 2
+
+
+def test_table1_sampled_values_are_frozen():
+    # frozen as float hex for all 13 table dimensions: the sampled tier's
+    # sharpest values come from the sampling pass and the exact endpoint limits
+    frozen = {
+        9: ("0x1.6cf48f8423893p+8", "0x1.6ee7a19f55d76p+8"),
+        10: ("0x1.c0d033496300bp+8", "0x1.e75d3c5e41d16p+8"),
+        11: ("0x1.154e87dda5fa1p+9", "0x1.71fc7ce42716cp+9"),
+        12: ("0x1.4fd7b2551d848p+9", "0x1.0beac24b22d5bp+10"),
+        13: ("0x1.900428b983b6dp+9", "0x1.75f5d3aed9afbp+10"),
+        14: ("0x1.d5d455070be9ap+9", "0x1.faadfcf10bc77p+10"),
+        15: ("0x1.10a4438fa2357p+10", "0x1.4eebb01131bdfp+11"),
+        16: ("0x1.39307e2df306dp+10", "0x1.b1b5c43df67d1p+11"),
+        17: ("0x1.648ef25095edbp+10", "0x1.7d92000000000p+10"),
+        20: ("0x1.f79853a170366p+10", "0x1.9000000000000p+11"),
+        30: ("0x1.264a83185f241p+12", "0x1.2912000000000p+14"),
+        31: ("0x1.424aaaaaaaaabp+14", "0x1.5613200000000p+14"),
+        40: ("0x1.1355555555555p+15", "0x1.fa40000000000p+15"),
+    }
+    rows = table1_rows(rigor="sampled")
+    assert {r["N"]: (r["lam_prime_computed"].hex(), r["beta_computed"].hex())
+            for r in rows} == frozen
+    assert all(r["verdict"] == "Pass" for r in rows)
