@@ -116,6 +116,7 @@ class CondReport:
     proved: bool | None    # interval tier only: the cleared claim holds on (0,1)
     rigor: str
     boxes: int | None = None  # interval tier: boxes the cleared-claim proof evaluated
+    sampled_points: int = 0   # grid points the sampling pass evaluated
     notes: list = field(default_factory=list)
 
 
@@ -147,17 +148,19 @@ def _check_inf(label: str, claim: Signomial, slack_den: Signomial,
     """Shared body of the two checks, on the infimum side.
 
     The margin is the sampled minimum of claim/slack_den, and `sharpest` the
-    sampled inf of num/den folded with its exact endpoint limits.  The
-    interval tier proves den > 0 and then the cleared claim, and encloses
-    the inf of num/den with one level search whose first level is the
-    smaller endpoint limit (see `inf_enclosure`).  An enclosure with no
-    proved level has the lower bound -inf and says so in a note.
+    sampled inf of num/den folded with its exact endpoint limits; one
+    sampling pass gives both, and the report keeps its count of evaluated
+    grid points.  The interval tier proves den > 0 and then the cleared
+    claim, and encloses the inf of num/den with one level search whose
+    first level is the smaller endpoint limit (see `inf_enclosure`).  An
+    enclosure with no proved level has the lower bound -inf and says so in
+    a note.
     """
     if rigor not in _RIGOR_TIERS:
         raise InvalidArgument(f"unknown rigor tier {rigor!r}")
     _require_floats(label, claim, slack_den, num, den)
-    (margin, argmin), (sharp, arg_sharp) = sampled_mins([(claim, slack_den),
-                                                         (num, den)])
+    mins = sampled_mins([(claim, slack_den), (num, den)])
+    (margin, argmin), (sharp, arg_sharp) = mins
     end = _endpoint_limit(num, den)
     if end is not None:
         sharp = min(sharp, float(end))
@@ -180,7 +183,7 @@ def _check_inf(label: str, claim: Signomial, slack_den: Signomial,
             notes.append(f"{label} sharpest value unbounded: no level was proved")
     return CondReport(margin=margin, argmin=argmin, sharpest=sharp,
                       sharpest_enclosure=enc, proved=proved, rigor=rigor, boxes=boxes,
-                      notes=notes)
+                      sampled_points=mins.points, notes=notes)
 
 
 def check_cond1(candidate: CandidateW, rigor: str = "sampled") -> CondReport:

@@ -16,6 +16,28 @@ The infimum of a ratio of signomials is enclosed by one search over levels
 c of the claim "num - c*den >= 0 on (0,1)", whose first level is an exact
 endpoint limit when the caller has one.  A supremum is the negated infimum
 of -num/den; the caller negates.
+
+The "sampled" tier's minimum over a fixed grid (`sampled_mins`) is a
+branch and bound that returns the whole grid's answer bit for bit:
+
+* seed: every `_SEED_STRIDE`-th grid point is evaluated exactly, and each
+  ratio's smallest seed value beta is a real grid value;
+* cell bound: on cells of consecutive grid points, one matrix product of
+  the powers at the cells' ends and midpoints bounds every signomial, by
+  the termwise hull (each c*r**p is monotone on a cell) intersected with
+  the centred form;
+* margin: a (cell, ratio) is dropped only when the lower bounds of den and
+  of num - beta*den exceed 10**4 times a bound on the float error of an
+  evaluation plus a bound, so every value in a dropped cell is above beta
+  by more than an ulp: no dropped point is the minimum or ties with it;
+* refine and evaluate: kept cells are split and bounded again, and the
+  block pass evaluates the points of the last kept cells.  A value does
+  not depend on which points share its block, so each equals the
+  whole-grid evaluation, and the first occurrence of the minimum is kept.
+
+Memory is one block of points per distinct exponent and per signomial in
+the passes, and a few rows of one block of cells per distinct exponent in
+the bounds.
 """
 
 from __future__ import annotations
@@ -137,15 +159,26 @@ def prove_signomial_nonneg(sig: Signomial, min_width: float = 1e-12,
     return rep
 
 
-SAMPLES = 200_001  # points of the sampled tier's grid on (0, 1)
+SAMPLES = 200_001  # the sampled tier's grid on (0, 1) has SAMPLES - 1 points
 _CHUNK = 8192       # grid points per block of the sampling pass
+_SEED_STRIDE = 128  # the seed pass evaluates every 128th grid point
+#: grid points per cell at each bounding level: a cell that some pair may
+#: hold its minimum in is split into cells of the next size
+_CELL_SIZES = (512, 64, 8)
+_CELL_BLOCK = 512   # cells per block of bound arrays
+#: a cell is dropped only when its bound clears this many times the worst
+#: float error of an evaluation plus a bound
+_SAFETY = 1e4
+_TINY = 2.0 ** -1000  # absolute part of the margin, for underflowed terms
 
 
 @functools.lru_cache(maxsize=4)
 def _log_uniform_points(n: int, lo: float = 1e-9) -> np.ndarray:
     """Deterministic sampling of (0,1): log-uniform plus uniform points.
 
-    Built once per n and shared, so the array is read-only.
+    Strictly increasing (`np.unique`), so a run of consecutive indices holds
+    exactly the grid points between its first and last point.  Built once
+    per n and shared, so the array is read-only.
     """
     k = n // 2
     a = np.exp(np.linspace(math.log(lo), 0.0, k, endpoint=False))
@@ -155,27 +188,31 @@ def _log_uniform_points(n: int, lo: float = 1e-9) -> np.ndarray:
     return r
 
 
-def sampled_mins(pairs, n: int = SAMPLES) -> list[tuple[float, float]]:
-    """(min value, argmin) of each num/den over a dense deterministic sample of (0,1).
+class SampledMins(list):
+    """The (value, argmin) of each pair, in order; `points` is the number of
+    grid points the sampling pass evaluated."""
 
-    `pairs` is a sequence of (num, den) with den None for a bare signomial.
-    One pass over the grid in blocks of `_CHUNK` points computes each
-    distinct power r**p once per block for all the pairs, then sums each
-    signomial in its own term order, so every value equals
-    `num(r) / den(r)` bit for bit.  The argmin is the first occurrence of
-    the minimum, NaNs ignored, as `np.nanargmin` over the whole grid; an
-    all-NaN ratio raises ValueError as it does.  Memory is one block per
-    distinct exponent and per signomial, never a grid-length array per
-    exponent.
+    def __init__(self, mins, points: int):
+        super().__init__(mins)
+        self.points = points
+
+
+def _grid_pass(pairs, rows: dict, r: np.ndarray, at: np.ndarray) -> list:
+    """(value, grid index) of each pair's first-occurrence minimum over the
+    grid points r[at], `at` increasing, NaNs ignored; None where every value
+    is NaN.
+
+    The points go in blocks of `_CHUNK`.  A block computes each distinct
+    power r**p once for all the pairs, then sums each signomial in its own
+    term order, so each value equals `num(r) / den(r)` at its point bit for
+    bit, whatever points share its block.
     """
-    r = _log_uniform_points(n)
-    rows = {id(s): [(float(c), float(p)) for p, c in s.terms.items()]
-            for pair in pairs for s in pair if s is not None}
     exps = {p for row in rows.values() for _, p in row}
     best = [None] * len(pairs)
     term = np.empty(_CHUNK)
-    for start in range(0, len(r), _CHUNK):
-        x = r[start:start + _CHUNK]
+    for start in range(0, len(at), _CHUNK):
+        idx = at[start:start + _CHUNK]
+        x = r[idx]
         t = term[:len(x)]
         pows = {p: x ** p for p in exps}
         vals = {}
@@ -192,10 +229,183 @@ def sampled_mins(pairs, n: int = SAMPLES) -> list[tuple[float, float]]:
                 except ValueError:  # every ratio in this block is NaN
                     continue
             if best[k] is None or v[i] < best[k][0]:
-                best[k] = (float(v[i]), start + i)
+                best[k] = (float(v[i]), int(idx[i]))
+    return best
+
+
+def _bound_weights(terms: list) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct exponents, and the matrix taking their powers at the
+    cells' ends and midpoints to `_cell_bounds`'s quantities.
+
+    `terms` lists each signomial's (c, p) float terms.  Each c*x**p and each
+    derivative term c*p*x**(p-1) is monotone on a cell, so where it is
+    smallest and largest on the cell [a, b] depends only on the signs of c
+    and p and of c*p and p - 1.  The columns are the powers x**p at a, mid
+    and b, then x**(p-1) at a and b, one exponent after another; the rows
+    are the seven quantities of each signomial.
+    """
+    sig = np.repeat(np.arange(len(terms)), [len(row) for row in terms])
+    c = np.array([c for row in terms for c, _ in row])
+    exps, e = np.unique([p for row in terms for _, p in row], return_inverse=True)
+    p = exps[e]
+    cp = c * p
+    rise, drise = p > 0, p > 1  # x**p, x**(p-1) increase on a cell
+    lo_at = np.where((c > 0) == rise, 0, 2)     # end of the smallest c*x**p
+    dlo_at = np.where((cp > 0) == drise, 3, 4)  # ... of the smallest c*p*x**(p-1)
+    w = np.zeros((len(terms), 7, 5, len(exps)))
+    for q, (at, coef) in enumerate([(lo_at, c), (2 - lo_at, c), (1, c),
+                                    (dlo_at, cp), (7 - dlo_at, cp),
+                                    (np.where(rise, 2, 0), abs(c)),
+                                    (np.where(drise, 4, 3), abs(cp))]):
+        np.add.at(w, (sig, q, at, e), coef)
+    return exps, w.reshape(len(terms) * 7, 5 * len(exps))
+
+
+def _cell_bounds(weights: np.ndarray, exps: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Float bounds of signomials on the cells [a, b] (arrays of ends).
+
+    Returns the cells' half-width h and an array indexed [signomial,
+    quantity, cell] of seven quantities (`_bound_weights`): the termwise
+    hull lo, hi of the values (each term's extremes on a cell lie at its
+    ends), the value at the cell's midpoint, the termwise hull dlo, dhi of
+    the derivative, and s and ds, the sums over the terms and over the
+    derivative terms of their largest modulus on the cell.  A power that
+    overflows leaves a non-finite bound.
+    """
+    mid = 0.5 * (a + b)
+    h = np.maximum(mid - a, b - mid)
+    pows = np.array([a, mid, b])[:, None] ** exps[:, None]  # [a/mid/b, exponent, cell]
+    cols = np.concatenate([pows.reshape(-1, len(a)), pows[0] / a, pows[2] / b])
+    return h, (weights @ cols).reshape(-1, 7, len(a))
+
+
+def _above(num: np.ndarray, den: np.ndarray, beta: float, h, scale: float,
+           floors: tuple) -> np.ndarray:
+    """Mask of the cells on which every grid value of num/den is above beta.
+
+    `num` and `den` are `_cell_bounds` quantities of one signomial each.
+    The lower bounds of den and of g = num - beta*den are each the termwise
+    one raised to the centred form f(mid) - h*max|f'|.  A cell passes when
+    den's bound exceeds its margin and g's bound exceeds its margin, both
+    finite: `scale` times the sums of term moduli (plus h times the
+    derivative's), and an absolute part `_TINY` times `floors` (and times
+    den's upper bound, for g).
+    """
+    lo_n, _, mid_n, dlo_n, dhi_n, s_n, ds_n = num
+    lo_d, hi_d, mid_d, dlo_d, dhi_d, s_d, ds_d = den
+    if beta >= 0:
+        lo_g, dlo_g, dhi_g = lo_n - beta * hi_d, dlo_n - beta * dhi_d, dhi_n - beta * dlo_d
+    else:
+        lo_g, dlo_g, dhi_g = lo_n - beta * lo_d, dlo_n - beta * dlo_d, dhi_n - beta * dhi_d
+    lo_g = np.maximum(lo_g, mid_n - beta * mid_d - h * np.maximum(-dlo_g, dhi_g))
+    lo_d = np.maximum(lo_d, mid_d - h * np.maximum(-dlo_d, dhi_d))
+    fn, fd = floors
+    margin_d = scale * (s_d + h * ds_d) + _TINY * fd
+    margin_g = (scale * (s_n + abs(beta) * s_d + h * (ds_n + abs(beta) * ds_d))
+                + _TINY * (fn + abs(beta) * fd + hi_d))
+    return (np.isfinite(margin_d) & np.isfinite(margin_g)
+            & (lo_d > margin_d) & (lo_g > margin_g))
+
+
+def _candidate_points(pairs, rows: dict, r: np.ndarray, seeds: list) -> np.ndarray:
+    """Increasing indices of the grid points in the cells some pair kept.
+
+    A pair with a finite seed value beta drops each cell on which `_above`
+    proves all its values above beta; a pair without one keeps every cell.
+    The first cells have `_CELL_SIZES[0]` points, and each level splits the
+    kept cells into cells of the next size.  The bound arrays are computed
+    `_CELL_BLOCK` cells at a time.
+    """
+    n = len(r)
+    terms = [*rows.values(), [(1.0, 0.0)]]  # last: a bare signomial's denominator, 1
+    order = {key: k for k, key in enumerate([*rows, None])}
+    exps, weights = _bound_weights(terms)
+    floors = [sum(abs(c) * (1.0 + abs(p)) + 1.0 for c, p in row) for row in terms]
+    checks = []  # (pair, num, den, beta, scale)
+    for k, ((num, den), seed) in enumerate(zip(pairs, seeds)):
+        if seed is not None and math.isfinite(seed[0]):
+            kn, kd = order[id(num)], order[None if den is None else id(den)]
+            n_terms = len(terms[kn]) + len(terms[kd])
+            checks.append((k, kn, kd, seed[0], _SAFETY * (n_terms + 30) * 2.0 ** -52))
+    size = _CELL_SIZES[0]
+    starts = np.arange(0, n, size)
+    keep = np.ones((len(pairs), len(starts)), dtype=bool)
+    with np.errstate(all="ignore"):
+        for level, size in enumerate(_CELL_SIZES):
+            if level:
+                split = _CELL_SIZES[level - 1] // size
+                starts = (starts[:, None] + np.arange(0, split * size, size)).ravel()
+                keep = np.repeat(keep, split, axis=1)
+                inside = starts < n
+                starts, keep = starts[inside], keep[:, inside]
+            for lo in range(0, len(starts), _CELL_BLOCK):
+                cells = slice(lo, lo + _CELL_BLOCK)
+                first = starts[cells]
+                h, bounds = _cell_bounds(weights, exps, r[first],
+                                         r[np.minimum(first + size, n) - 1])
+                for k, kn, kd, beta, scale in checks:
+                    keep[k, cells] &= ~_above(bounds[kn], bounds[kd], beta, h,
+                                              scale, (floors[kn], floors[kd]))
+            kept = keep.any(axis=0)
+            if kept.all():  # bounds this loose drop nothing finer either
+                break
+            starts, keep = starts[kept], keep[:, kept]
+    points = (starts[:, None] + np.arange(size)).ravel()
+    return points[points < n]
+
+
+def sampled_mins(pairs, n: int = SAMPLES) -> SampledMins:
+    """(min value, argmin) of each num/den over a dense deterministic sample of (0,1).
+
+    `pairs` is a sequence of (num, den) with den None for a bare signomial.
+    The result is that of evaluating every pair on the whole grid: each
+    value equals `num(r) / den(r)` bit for bit, and the argmin is the first
+    occurrence of the minimum, NaNs ignored, as `np.nanargmin` over the
+    whole grid; an all-NaN ratio raises ValueError as it does.  But only the
+    grid points that may hold a minimum are evaluated:
+
+    * Seed.  `_grid_pass` evaluates every `_SEED_STRIDE`-th grid point
+      exactly.  Each pair's smallest seed value beta is a grid value.
+    * Bound and prune.  The grid is cut into cells of consecutive points.
+      One matrix product of the powers at the cells' ends and midpoints
+      bounds every signomial on every cell of a block (`_cell_bounds`):
+      the termwise hull (each c*r**p is monotone on a cell) intersected
+      with the centred form f(mid) +- h*max|f'|.  A (cell, pair) is dropped
+      when den's lower bound and the lower bound of num - beta*den each
+      exceed a margin (`_above`).  The margin is 10**4 times a bound on the
+      float error of an evaluation plus that of the bound: (number of
+      terms + 30) * 2**-52 times the sum of the term moduli on the cell,
+      which allows each power, product and sum a few ulps; an absolute
+      part, 2**-1000 times the coefficients and den's upper bound, covers
+      underflowed powers.  So the computed value at every point of a
+      dropped cell exceeds beta by more than an ulp: it is neither the
+      minimum nor tied with it.  Bounds that are not finite, or a den that
+      is not provably positive, drop nothing.
+    * Refine.  The cells some pair kept are split (`_CELL_SIZES`) and
+      bounded again.  A level that drops no cell ends the refinement.
+    * Evaluate.  `_grid_pass` evaluates the points of the last kept cells
+      that the seed did not.  Every point whose value is at most its pair's
+      beta is among the seed and these points, so the smaller of the two
+      minima, the earlier on a tie, is the whole grid's.
+
+    Memory is one `_CHUNK` block per distinct exponent and per signomial
+    in the passes, and five rows of `_CELL_BLOCK` cells per distinct
+    exponent in the bounds, never a grid-length array per exponent.  The
+    result's `points` counts the grid points evaluated: the whole grid when
+    nothing can be dropped.
+    """
+    r = _log_uniform_points(n)
+    rows = {id(s): [(float(c), float(p)) for p, c in s.terms.items()]
+            for pair in pairs for s in pair if s is not None}
+    seed_at = np.arange(0, len(r), _SEED_STRIDE)
+    seeds = _grid_pass(pairs, rows, r, seed_at)
+    rest_at = np.setdiff1d(_candidate_points(pairs, rows, r, seeds), seed_at,
+                           assume_unique=True)
+    best = [min(filter(None, both), default=None)
+            for both in zip(seeds, _grid_pass(pairs, rows, r, rest_at))]
     if None in best:
         raise ValueError("All-NaN slice encountered")
-    return [(v, float(r[i])) for v, i in best]
+    return SampledMins([(v, float(r[i])) for v, i in best], len(seed_at) + len(rest_at))
 
 
 def sampled_min(num: Signomial, den: Signomial | None, n: int = SAMPLES):

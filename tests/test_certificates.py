@@ -15,7 +15,7 @@ from memsplate.grid import InvalidArgument
 from memsplate.hardy import hr_weight, radial_laplacian
 from memsplate.operators import (hardy_rellich_constant, lambda_bar,
                                  power_bilaplacian_coeff)
-from memsplate.verify import prove_signomial_nonneg
+from memsplate.verify import SAMPLES, _log_uniform_points, prove_signomial_nonneg
 
 
 def test_wm_domain():
@@ -152,14 +152,23 @@ def test_each_point_evaluates_each_term_power_once(monkeypatch):
 
 
 @pytest.mark.parametrize("N,check,sampled,sharpest,enclosure,boxes", [
-    (9, check_cond1, ("0x1.95964c255f3ccp+1", "0x1.da402877d3c8cp-2"),
-     "0x1.6cf48f8423893p+8", ("0x1.6cf48f8423880p+8", "0x1.6cf57eb17af35p+8"), 24),
-    (9, check_cond2, ("0x1.9e867d575c487p-2", "0x1.01ffd4bf25ee6p-1"),
-     "0x1.6ee7a19f55d76p+8", ("0x1.6ee72965210f5p+8", "0x1.6ee7a19f55db4p+8"), 366),
-    (12, check_cond1, ("0x1.e3f07e93f7936p+3", "0x1.3892a7e363c52p-1"),
-     "0x1.4fd7b2551d848p+9", ("0x1.4fd7b2551d835p+9", "0x1.4fd88e6e25d74p+9"), 18),
-    (12, check_cond2, ("0x1.56125916adadap-1", "0x1.5022876843e40p-1"),
-     "0x1.0beac24b22d5bp+10", ("0x1.0bea6a80a07f4p+10", "0x1.0beac24b22d8ap+10"), 155),
+    # the table dimensions keep the ids they had before `sampled` was pinned
+    pytest.param(9, check_cond1, ("0x1.95964c255f3ccp+1", "0x1.da402877d3c8cp-2"),
+                 "0x1.6cf48f8423893p+8",
+                 ("0x1.6cf48f8423880p+8", "0x1.6cf57eb17af35p+8"), 24,
+                 id="9-check_cond1-0x1.6cf48f8423893p+8-enclosure0-24"),
+    pytest.param(9, check_cond2, ("0x1.9e867d575c487p-2", "0x1.01ffd4bf25ee6p-1"),
+                 "0x1.6ee7a19f55d76p+8",
+                 ("0x1.6ee72965210f5p+8", "0x1.6ee7a19f55db4p+8"), 366,
+                 id="9-check_cond2-0x1.6ee7a19f55d76p+8-enclosure1-366"),
+    pytest.param(12, check_cond1, ("0x1.e3f07e93f7936p+3", "0x1.3892a7e363c52p-1"),
+                 "0x1.4fd7b2551d848p+9",
+                 ("0x1.4fd7b2551d835p+9", "0x1.4fd88e6e25d74p+9"), 18,
+                 id="12-check_cond1-0x1.4fd7b2551d848p+9-enclosure2-18"),
+    pytest.param(12, check_cond2, ("0x1.56125916adadap-1", "0x1.5022876843e40p-1"),
+                 "0x1.0beac24b22d5bp+10",
+                 ("0x1.0bea6a80a07f4p+10", "0x1.0beac24b22d8ap+10"), 155,
+                 id="12-check_cond2-0x1.0beac24b22d5bp+10-enclosure3-155"),
     # off-table candidates; cond2 refutes beta = 737/2 at N = 9
     pytest.param(CandidateW(Fraction(14, 5), 9, 366, Fraction(737, 2), "HR3"),
                  check_cond1, ("0x1.95964c255f3ccp+1", "0x1.da402877d3c8cp-2"),
@@ -311,3 +320,16 @@ def test_table1_sampled_values_are_frozen():
     assert {r["N"]: (r["lam_prime_computed"].hex(), r["beta_computed"].hex())
             for r in rows} == frozen
     assert all(r["verdict"] == "Pass" for r in rows)
+
+
+def test_condition_reports_count_the_sampled_points():
+    # the sampling pass of a table dimension evaluates a small part of the
+    # grid, the same part on every run; at m = 10^6 no cell of cond1 can be
+    # dropped, and the whole grid is evaluated
+    grid = len(_log_uniform_points(SAMPLES))
+    cand = table_candidate(12)
+    counts = [check_cond2(cand).sampled_points for _ in range(2)]
+    assert counts[0] == counts[1] < grid // 10
+    assert 0 < check_cond1(cand).sampled_points < grid // 10
+    wide = CandidateW(10 ** 6, 9, 366, Fraction(733, 2), "HR3")
+    assert check_cond1(wide).sampled_points == grid

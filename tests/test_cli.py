@@ -8,6 +8,7 @@ import pytest
 import memsplate
 from memsplate.cli import _parse_dims, main
 from memsplate.grid import InvalidArgument
+from memsplate.verify import SAMPLES
 
 
 def run(tmp_path, *argv):
@@ -102,6 +103,7 @@ def test_certify_interval_writes_enclosures_and_boxes(tmp_path):
         lo, hi = doc[cond]["sharpest_enclosure"]
         assert lo <= doc[sharpest] <= hi
         assert doc[cond]["boxes"] > 0
+        assert 0 < doc[cond]["sampled_points"] < SAMPLES
 
 
 def test_certify_custom_candidate(tmp_path):

@@ -2,11 +2,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import memsplate.certificates as certificates
 import memsplate.verify as verify
+from memsplate.certificates import certify_dimension
 from memsplate.exprs import Signomial
+from memsplate.hardy import hr_weight
 from memsplate.verify import (SAMPLES, _log_uniform_points, inf_enclosure,
                               prove_signomial_nonneg, sampled_min, sampled_mins)
+
+TABLE_DIMS = (9, 10, 11, 12, 13, 14, 15, 16, 17, 20, 30, 31, 40)
 
 # q(r) = 9 - 4 r^(5/3) appears in the m = 3 candidate profile; q >= 5 on [0, 1]
 # with equality only at r = 1, so q^3 >= 125 is tight at the endpoint.
@@ -198,6 +204,134 @@ def test_grid_is_cached_and_read_only():
     assert _log_uniform_points(SAMPLES) is r
     with pytest.raises(ValueError):
         r[0] = 0.5
+
+
+def test_grid_is_strictly_increasing():
+    # the pruned pass bounds a run of consecutive indices by its end points
+    for n in (SAMPLES, 20_001):
+        assert np.all(np.diff(_log_uniform_points(n)) > 0)
+
+
+def _assert_whole_grid(pairs, n=SAMPLES):
+    """sampled_mins equals the whole-grid evaluation bit for bit; returns it."""
+    r = _log_uniform_points(n)
+    got = sampled_mins(pairs, n)
+    assert [(v.hex(), arg) for v, arg in got] == [
+        _whole_grid_min(num, den, r) for num, den in pairs]
+    return got
+
+
+def test_pruned_pass_is_exact_on_every_certificate_pass(monkeypatch):
+    # every pass that certify_dimension makes for the 13 table dimensions,
+    # each against the whole grid; each pass evaluates only part of the grid
+    passes = []
+    real = verify.sampled_mins
+
+    def spy(pairs, n=SAMPLES):
+        passes.append(pairs)
+        return real(pairs, n)
+
+    monkeypatch.setattr(certificates, "sampled_mins", spy)
+    for N in TABLE_DIMS:
+        certify_dimension(N, rigor="sampled")
+    assert len(passes) == 2 * len(TABLE_DIMS)
+    for pairs in passes:
+        assert _assert_whole_grid(pairs).points < len(_log_uniform_points(SAMPLES))
+
+
+@pytest.mark.parametrize("variant,N", [("HR3", 9)] + [
+    (v, N) for v in ("HR1", "HR2") for N in (5, 9, 12, 16, 31)])
+def test_pruned_pass_is_exact_on_the_weight_pairs(variant, N):
+    # the (num, den) pair of each weight, as `hr` samples it
+    w = hr_weight(variant, N)
+    _assert_whole_grid([(w.num, w.den)])
+
+
+def _dip(i):
+    """K (r - c)^2 - 1 with c = r[i]: above 10 at every seed point when i is
+    halfway between two of them in the grid's uniform part, -1 only near c."""
+    c = Fraction(float(_log_uniform_points(SAMPLES)[i]))
+    K = 10 ** 8
+    return Signomial({0: K * c * c - 1, 1: -2 * K * c, 2: K})
+
+
+def test_a_dip_between_seed_points_is_found():
+    r = _log_uniform_points(SAMPLES)
+    i = 150_000 + verify._SEED_STRIDE // 2
+    assert i % verify._SEED_STRIDE != 0 and r[i] > 0.5
+    f = _dip(i)
+    q = Signomial({0: 2, 1: 1})  # 2 + r > 0
+    assert f(r[::verify._SEED_STRIDE]).min() > 10
+    (v, arg), (w, warg) = got = _assert_whole_grid([(f, None), (f * q, q)])
+    assert arg == warg == r[i]
+    assert v == pytest.approx(-1.0, abs=1e-6) and w == pytest.approx(-1.0, abs=1e-6)
+    assert got.points < len(r)
+
+
+def test_a_denominator_that_changes_sign():
+    # 1/(r - 1/2) falls to -inf at 1/2 from below; r^2/(r - 1/2) too, and
+    # (r - 1/2)/(r - 1/2) is 1 but NaN-free only off 1/2
+    den = Signomial({0: Fraction(-1, 2), 1: 1})
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _assert_whole_grid([(Signomial.constant(1), den),
+                            (Signomial({2: 1}), den), (den, den)])
+
+
+def test_a_term_that_overflows_at_the_grid_start():
+    # r^-40 overflows at r = 1e-9: 1 + r^-40 is inf there and -r^-40 is -inf,
+    # a minimum no cell bound can undercut
+    p = Signomial({-40: 1})
+    with np.errstate(over="ignore", invalid="ignore"):
+        (v, _), (w, warg), _ = _assert_whole_grid(
+            [(1 + p, None), (-p, None), (1 + p, 1 + Signomial({-39: 1}))])
+    assert v == pytest.approx(2.0, rel=1e-3)
+    assert w == -np.inf and warg == _log_uniform_points(SAMPLES)[0]
+
+
+def test_nothing_prunable_evaluates_the_whole_grid():
+    # a constant ratio has no cell above its minimum
+    sig = Signomial({0: 3, Fraction(5, 3): -1})
+    assert _assert_whole_grid([(3 * sig, sig)]).points == len(
+        _log_uniform_points(SAMPLES))
+
+
+_EXPS = st.one_of(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(4, 3),
+                                   Fraction(-8, 3), Fraction(400), Fraction(-400)]),
+                  st.fractions(min_value=-3, max_value=6, max_denominator=15))
+_COEFS = st.fractions(min_value=-1000, max_value=1000, max_denominator=99).filter(bool)
+_SIGNOMIALS = st.dictionaries(_EXPS, _COEFS, min_size=1, max_size=5).map(Signomial)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SIGNOMIALS,
+       st.one_of(st.none(), _SIGNOMIALS,
+                 _SIGNOMIALS.map(lambda s: s + Signomial.constant(10 ** 4))))
+@np.errstate(all="ignore")
+def test_pruned_pass_matches_the_whole_grid_on_random_ratios(num, den):
+    n = 20_001
+    r = _log_uniform_points(n)
+    try:
+        want = _whole_grid_min(num, den, r)
+    except ValueError:  # all NaN
+        with pytest.raises(ValueError):
+            sampled_mins([(num, den)], n)
+        return
+    # a second pair shares a signomial with the first
+    got = sampled_mins([(num, den), (den or num, None)], n)
+    assert [(v.hex(), arg) for v, arg in got] == [
+        want, _whole_grid_min(den or num, None, r)]
+    # stronger than the minimum: every point at or below the seed minimum,
+    # a tie with it included, is a seed or a candidate
+    pairs = [(num, den)]
+    rows = {id(s): [(float(c), float(p)) for p, c in s.terms.items()]
+            for s in (num, den) if s is not None}
+    seed_at = np.arange(0, len(r), verify._SEED_STRIDE)
+    seeds = verify._grid_pass(pairs, rows, r, seed_at)
+    if seeds[0] is not None:  # else no cell is dropped
+        kept = verify._candidate_points(pairs, rows, r, seeds)
+        v = num(r) if den is None else num(r) / den(r)
+        low = np.flatnonzero(v <= seeds[0][0])
+        assert np.isin(low, np.union1d(kept, seed_at)).all()
 
 
 def test_unbounded_point_enclosure_gives_an_uninformative_bound():
