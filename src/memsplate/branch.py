@@ -45,11 +45,7 @@ def dgbtrs(ab, kl, ku, b, ipiv):
 
 
 class NonConvergence(Exception):
-    """Solver failure; `touched` marks an iterate crossing the touchdown threshold."""
-
-    def __init__(self, message: str, touched: bool):
-        super().__init__(message)
-        self.touched = touched
+    """Solver failure; the message says which solver step failed."""
 
 
 @dataclass(frozen=True)
@@ -107,6 +103,10 @@ class GridEvidence:
     seeded: tuple
 
 
+#: values of s at which `BranchResult.curve` samples the branch
+CURVE_SAMPLES = 201
+
+
 @dataclass(frozen=True)
 class BranchResult:
     """Output of a sweep: branch points, lambda*_h, its bracket and evidence, classification.
@@ -141,8 +141,8 @@ class BranchResult:
     fold_secant_steps: int
     warnings: tuple = ()
 
-    def curve(self, samples: int = 201):
-        """(lambda, sup u) at `samples` values of s evenly spaced over the points.
+    def curve(self):
+        """(lambda, sup u) at `CURVE_SAMPLES` values of s evenly spaced over the points.
 
         lambda(s) is the cubic Hermite interpolant of the points' lambda and
         dlambda/ds; sup u is interpolated linearly in s (it equals s when
@@ -152,7 +152,7 @@ class BranchResult:
         lam = np.array([p.lam for p in self.points])
         slope = np.array([p.slope for p in self.points])
         sup = np.array([p.sup_norm for p in self.points])
-        s = np.linspace(S[0], S[-1], samples)
+        s = np.linspace(S[0], S[-1], CURVE_SAMPLES)
         i = np.clip(np.searchsorted(S, s, side="right") - 1, 0, len(S) - 2)
         h = S[i + 1] - S[i]
         t = (s - S[i]) / h
@@ -204,7 +204,7 @@ class _ClampedSolver:
         self.factorizations += 1
         lu, piv, info = dgbtrf(ab, self.kl, self.ku)
         if info > 0:
-            raise NonConvergence(f"singular banded matrix (zero pivot at {info})", touched=False)
+            raise NonConvergence(f"singular banded matrix (zero pivot at {info})")
         return lu, piv
 
     def _solve(self, lu, b: np.ndarray) -> np.ndarray:
@@ -292,28 +292,27 @@ def monotone_solve(lam: float, bc: BoundaryData, grid: RadialGrid,
     u_0 = Phi, then Delta^2 u_(n+1) = lambda/(1 - u_n)^2 with the clamped
     data, until the largest increment falls below `MONOTONE_TOL`.  Iterates
     are verified non-decreasing; returns (profile, iterations).  Raises
-    NonConvergence with touched=True when an iterate crosses `tau` (lambda
-    above pull-in) and touched=False when `_MONOTONE_MAX_ITER` iterations
-    pass first (lambda near pull-in, where the contraction factor nears 1).
+    NonConvergence when an iterate crosses `tau` (lambda above pull-in) and
+    when `_MONOTONE_MAX_ITER` iterations pass first (lambda near pull-in,
+    where the contraction factor nears 1); the message says which.
     """
     if lam < 0:
         raise InvalidArgument("lambda must be nonnegative")
     s = _solver if _solver is not None else _ClampedSolver(grid, bc)
     u = s.phi.copy()
     if np.max(u) >= tau:
-        raise NonConvergence("biharmonic lift already beyond the threshold", touched=True)
+        raise NonConvergence("biharmonic lift already beyond the threshold")
     for it in range(1, _MONOTONE_MAX_ITER + 1):
         u_new = s.solve_rhs(lam / (1.0 - u) ** 2)
         if np.max(u_new) >= tau:
-            raise NonConvergence("iterate crossed the touchdown threshold", touched=True)
+            raise NonConvergence("iterate crossed the touchdown threshold")
         d = u_new - u
         u = u_new
         if np.max(np.abs(d)) < MONOTONE_TOL:
             return s.field(u), it
         if np.min(d) < -1e-6 * (1.0 + float(np.max(np.abs(u)))):
-            raise NonConvergence("monotonicity of the scheme violated", touched=False)
-    raise NonConvergence(f"no contraction after {_MONOTONE_MAX_ITER} iterations",
-                         touched=False)
+            raise NonConvergence("monotonicity of the scheme violated")
+    raise NonConvergence(f"no contraction after {_MONOTONE_MAX_ITER} iterations")
 
 
 #: Newton stops once the row-scaled mixed residual reaches this floor
@@ -338,7 +337,7 @@ def _damped_newton(s: _ClampedSolver, x: np.ndarray, lam: float, ceiling: float,
     while res_norm > NEWTON_FLOOR:
         if it == _NEWTON_MAX_ITER:
             raise NonConvergence(
-                f"Newton did not converge in {_NEWTON_MAX_ITER} iterations", touched=False)
+                f"Newton did not converge in {_NEWTON_MAX_ITER} iterations")
         it += 1
         s.newton_steps += 1
         dx, dlam = direction(x, lam, res)
@@ -349,8 +348,7 @@ def _damped_newton(s: _ClampedSolver, x: np.ndarray, lam: float, ceiling: float,
                 if norm_try < res_norm or norm_try <= NEWTON_FLOOR:
                     break
         else:
-            raise NonConvergence("Newton damping found no step that lowers the residual",
-                                 touched=bool(np.max(x[1::2] + dx[1::2]) >= ceiling))
+            raise NonConvergence("Newton damping found no step that lowers the residual")
         s.halvings += k
         x, lam, res, res_norm = x_try, lam_try, res_try, norm_try
     return x, lam, it
@@ -478,7 +476,7 @@ def _trace(s: _ClampedSolver, tau: float, mu1=None, start=None) -> _Trace:
         x = p.x + (s_new - p.s) * p.tangent
         x[1] = s_new
         if np.max(x[1::2]) >= 1.0:
-            raise NonConvergence("predictor crosses the ceiling", touched=True)
+            raise NonConvergence("predictor crosses the ceiling")
         return x, p.lam + (s_new - p.s) * p.slope
 
     if start is None:
@@ -500,8 +498,7 @@ def _trace(s: _ClampedSolver, tau: float, mu1=None, start=None) -> _Trace:
             failed += 1
             ds = 0.5 * (s_new - p.s)
             if ds < _DS_MIN:
-                raise NonConvergence(f"s-step fell below {_DS_MIN} at s = {p.s}",
-                                     touched=False) from None
+                raise NonConvergence(f"s-step fell below {_DS_MIN} at s = {p.s}") from None
             continue
         miss = float(np.max(np.abs(q.x[1::2] - x[1::2])))
         ds = (s_new - p.s) * min(2.0, max(0.5, math.sqrt(_PREDICTOR_TOL / max(miss, 1e-300))))
@@ -521,7 +518,7 @@ def _trace(s: _ClampedSolver, tau: float, mu1=None, start=None) -> _Trace:
         if hi - lo <= _FOLD_RTOL * lo:
             break
         if secant_steps == _FOLD_MAX_STEPS:
-            raise NonConvergence(f"fold search stalled at lambda in ({lo}, {hi})", touched=False)
+            raise NonConvergence(f"fold search stalled at lambda in ({lo}, {hi})")
         s_new = (a.s * fb - b.s * fa) / (fb - fa)
         secant_steps += 1
         c = converge(*predict(a if s_new - a.s <= b.s - s_new else b, s_new))
@@ -659,7 +656,7 @@ class SandwichReport:
         return self.lower_violation <= self.tol and self.upper_violation <= self.tol
 
 
-def sandwich_check(profile: RadialField, lam: float, lam_star_est: float,
+def sandwich_check(profile: RadialField, lam_star_est: float,
                    tol: float = 5e-2) -> SandwichReport:
     """Check the singular-profile sandwich with C0 = (lam*/lambda_bar)^(1/3)."""
     N = profile.grid.N

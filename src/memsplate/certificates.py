@@ -47,12 +47,9 @@ def _endpoint_limit(num: Signomial, den: Signomial):
     Infinite or indeterminate limits are dropped.
     """
     lims = []
-    pn, gn = num.factor_min_power()
-    pd, gd = den.factor_min_power()
-    if num and pn == pd:
-        lims.append(gn.terms[Fraction(0)] / gd.terms[Fraction(0)])
-    elif not num or pn > pd:
-        lims.append(Fraction(0))
+    p, c = Ratio(num, den).leading()
+    if p >= 0:
+        lims.append(c if p == 0 else Fraction(0))
     n1, d1 = num.value_at_one(), den.value_at_one()
     if d1 != 0:
         lims.append(n1 / d1)

@@ -165,8 +165,7 @@ def cmd_branch(args) -> int:
                          "fold_secant_steps": res.fold_secant_steps},
         }
         if N >= 9 and res.classification == "Singular":
-            sw = sandwich_check(res.extremal_profile, res.points[-1].lam,
-                                res.lam_star_estimate)
+            sw = sandwich_check(res.extremal_profile, res.lam_star_estimate)
             doc["sandwich"] = {"C0": sw.C0, "lower_violation": sw.lower_violation,
                               "upper_violation": sw.upper_violation, "tol": sw.tol}
         _write_json(out / f"branch_N{N}.json", doc)
@@ -291,15 +290,12 @@ def _hr_checks(variant: str, N: int, rigor: str, seed: int) -> list[dict]:
         checks.append({"name": "leading_coefficient_identity",
                        "margin": 0.0 if ok else -1.0, "method": "exact",
                        "passed": ok})
-    if rigor == "interval":
-        rep = _prove_expr_nonneg(weight)
-        checks.append({"name": "weight_nonnegative",
-                       "margin": rep.sampled_min, "method": "interval",
-                       "passed": rep.proved})
-    else:
-        mn, _ = sampled_min(weight.num, weight.den)
-        checks.append({"name": "weight_nonnegative", "margin": mn,
-                       "method": "sampled", "passed": bool(mn >= 0)})
+    # one sampled minimum is the weight's margin at both tiers
+    margin, _ = sampled_min(weight.num, weight.den)
+    passed = (_prove_expr_nonneg(weight).proved if rigor == "interval"
+              else bool(margin >= 0))
+    checks.append({"name": "weight_nonnegative", "margin": margin,
+                   "method": rigor, "passed": passed})
     form = discrete_form_check(variant, N, trials=200, seed=seed)
     checks.append({"name": "discrete_form_inequality",
                    "margin": form.min_relative_gap, "method": "discrete-form",

@@ -321,6 +321,14 @@ class Ratio:
     def __neg__(self) -> "Ratio":
         return Ratio(-self.num, self.den)
 
+    def leading(self) -> tuple[Fraction, Fraction]:
+        """(power, coefficient) of the leading term of num/den as r -> 0+,
+        exactly; (0, 0) when num is zero."""
+        if not self.num:
+            return Fraction(0), Fraction(0)
+        pn, pd = self.num.min_power, self.den.min_power
+        return pn - pd, self.num.terms[pn] / self.den.terms[pd]
+
     def diff(self) -> "Ratio":
         """(n' d - n d') / d^2, exactly."""
         n, d = self.num, self.den

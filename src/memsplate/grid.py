@@ -52,8 +52,9 @@ class RadialGrid:
         w[0] += r[0] if self.N == 1 else 0.5 * r[0]
         return w
 
-    def refine(self, factor: int = 2) -> "RadialGrid":
-        return build_grid(self.N, self.M * factor, self.gamma)
+    def refine(self) -> "RadialGrid":
+        """The grid of 2M nodes with the same dimension and grading."""
+        return build_grid(self.N, self.M * 2, self.gamma)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,10 @@ fourth-order weights used by the certificates module,
   functions phi and psi,
 
 and provides ODE-level and discrete quadratic-form verification tools.
+
+`_prove_expr_nonneg`, under the supersolution and side-condition checks,
+returns the `intervals.ProofReport` of its numerator's proof; it does not
+sample, and `hr` samples the weight itself.
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ import numpy as np
 
 from .exprs import Ratio
 from .grid import InvalidArgument, RadialGrid, build_grid
+from .intervals import ProofReport
 from .operators import bilaplacian_form, hardy_rellich_constant
-from .verify import prove_signomial_nonneg, sampled_min
+from .verify import prove_signomial_nonneg
 
 
 def radial_laplacian(expr: Ratio, dim) -> Ratio:
@@ -98,12 +103,11 @@ def pq_functions(N: int = 9) -> tuple[Ratio, Ratio]:
 
 @dataclass(frozen=True)
 class BesselPairSpec:
-    """Weights (V, W) of a candidate Bessel pair on (0, R) in dimension N."""
+    """Weights (V, W) of a candidate Bessel pair on (0, 1) in dimension N."""
 
     V: Ratio
     W: Ratio
     N: int
-    R: float = 1.0
 
 
 @dataclass
@@ -119,22 +123,18 @@ class PositivityReport:
     notes: list = field(default_factory=list)
 
 
-def _leading(expr: Ratio) -> tuple[Fraction, Fraction]:
-    """(power, coefficient) of the leading term of expr as r -> 0+."""
-    num, den = expr.num, expr.den
-    if not num.terms:
-        return Fraction(0), Fraction(0)
-    pn, gn = num.factor_min_power()
-    pd, gd = den.factor_min_power()
-    return pn - pd, gn.terms[Fraction(0)] / gd.terms[Fraction(0)]
+#: `bessel_ode_positive` integrates from this radius to r = 1 with this
+#: relative tolerance
+_ODE_START = 1e-6
+_ODE_RTOL = 1e-10
 
 
-def bessel_ode_positive(spec: BesselPairSpec, y0_behavior: Ratio | None = None,
-                        r0: float = 1e-6, rtol: float = 1e-10) -> PositivityReport:
+def bessel_ode_positive(spec: BesselPairSpec,
+                        y0_behavior: Ratio | None = None) -> PositivityReport:
     """Track sign changes of solutions of y'' + ((N-1)/r + V'/V) y' + (W/V) y = 0.
 
-    Initial data at r0 comes from `y0_behavior` when given (a candidate
-    solution); otherwise from the dominant root of the
+    Initial data at r0 = `_ODE_START` comes from `y0_behavior` when given
+    (a candidate solution); otherwise from the dominant root of the
     indicial equation of the regular singular point at 0.  When W/V decays
     faster than r^(-2), the origin is irregular and no Frobenius start
     exists; a flat start is used and noted.
@@ -148,7 +148,8 @@ def bessel_ode_positive(spec: BesselPairSpec, y0_behavior: Ratio | None = None,
     """
     from scipy.integrate import solve_ivp
 
-    V, W, N, R = spec.V, spec.W, spec.N, spec.R
+    V, W, N = spec.V, spec.W, spec.N
+    r0 = _ODE_START
     Vr = V.diff()
     notes = []
 
@@ -166,14 +167,14 @@ def bessel_ode_positive(spec: BesselPairSpec, y0_behavior: Ratio | None = None,
         desc = "seeded from candidate solution"
         # residual of the candidate along the trajectory, relative to the
         # magnitude of the individual ODE terms
-        rr = np.linspace(max(r0, 1e-4), R - 1e-4, 400)
+        rr = np.linspace(max(r0, 1e-4), 1.0 - 1e-4, 400)
         t1 = np.asarray(yp.diff()(rr), dtype=float)
         t2 = ((N - 1) / rr + np.asarray(Vr(rr), float) / np.asarray(V(rr), float)) * np.asarray(yp(rr), float)
         t3 = np.asarray(W(rr), float) / np.asarray(V(rr), float) * np.asarray(y(rr), float)
         seed_residual = float(np.max(np.abs(t1 + t2 + t3) / (np.abs(t1) + np.abs(t2) + np.abs(t3) + 1.0)))
     else:
-        pv, _ = _leading(V)
-        pq, w0 = _leading(W / V)
+        pv, _ = V.leading()
+        pq, w0 = (W / V).leading()
         a = N - 1 + pv
         if pq < -2:
             notes.append("irregular singular point at r=0 (W/V stronger than r^-2); flat start")
@@ -202,13 +203,13 @@ def bessel_ode_positive(spec: BesselPairSpec, y0_behavior: Ratio | None = None,
     crossing = lambda r, th: th[0] - target
     crossing.terminal = True
     crossing.direction = 1.0
-    sol = solve_ivp(rhs, (r0, R), [theta0], method="LSODA", rtol=rtol, atol=1e-12,
+    sol = solve_ivp(rhs, (r0, 1.0), [theta0], method="LSODA", rtol=_ODE_RTOL, atol=1e-12,
                     events=crossing)
     zeros = sol.t_events[0]
     first_zero = float(zeros[0]) if len(zeros) else None
     if not sol.success and sol.status != 1:
         notes.append(f"integrator stopped at r={sol.t[-1]:.6g}: {sol.message}")
-    positive = first_zero is None or first_zero >= R * (1 - 1e-9)
+    positive = first_zero is None or first_zero >= 1 - 1e-9
     return PositivityReport(
         positive_on_interval=bool(positive and (sol.success or sol.status == 1)),
         first_zero=first_zero,
@@ -224,37 +225,22 @@ def bessel_ode_positive(spec: BesselPairSpec, y0_behavior: Ratio | None = None,
 # symbolic sign checks
 
 
-@dataclass
-class RatioSignReport:
-    """Sign verification of an expression given as a ratio of signomials."""
-
-    proved: bool
-    sampled_min: float
-    sampled_argmin: float
-    reason: str = ""
-    counterexample: float | None = None
-
-
-def _prove_expr_nonneg(expr: Ratio) -> RatioSignReport:
+def _prove_expr_nonneg(expr: Ratio) -> ProofReport:
     """Prove expr >= 0 on (0,1): fix the sign of the denominator, prove."""
     num, den = expr.num, expr.den
-    smin, amin = sampled_min(num, den)
     if prove_signomial_nonneg(den).proved:
-        rep = prove_signomial_nonneg(num)
-    elif prove_signomial_nonneg(-den).proved:
-        rep = prove_signomial_nonneg(-num)
-    else:
-        return RatioSignReport(False, smin, amin, reason="denominator sign undetermined")
-    return RatioSignReport(rep.proved, smin, amin, reason=rep.reason,
-                           counterexample=rep.counterexample)
+        return prove_signomial_nonneg(num)
+    if prove_signomial_nonneg(-den).proved:
+        return prove_signomial_nonneg(-num)
+    return ProofReport(False, reason="denominator sign undetermined")
 
 
 @dataclass
 class SupersolutionReport:
     """y > 0 and L[y] <= 0 for the Bessel-pair operator L."""
 
-    positivity: RatioSignReport
-    inequality: RatioSignReport
+    positivity: ProofReport
+    inequality: ProofReport
 
     @property
     def confirmed(self) -> bool:
@@ -280,7 +266,7 @@ class SideConditionsReport:
     weight_integral_converges: bool
     leading_power: Fraction
     critical: bool
-    pointwise: RatioSignReport
+    pointwise: ProofReport
 
     @property
     def all_hold(self) -> bool:
@@ -298,7 +284,7 @@ def gm1_side_conditions(spec: BesselPairSpec) -> SideConditionsReport:
     critical (the divergence is logarithmic).
     """
     V, W, N = spec.V, spec.W, spec.N
-    p, c = _leading(V)
+    p, c = V.leading()
     if c <= 0:
         raise InvalidArgument("V must be positive near r = 0")
     s_inv = -(N - 1) - p   # integrand power of 1/(r^(N-1) V)

@@ -25,13 +25,18 @@ x = 0 is not the kernel's: the caller multiplies the exact powers 0**p
 (`pow_bounds`) with `mul_bounds`.  Python's `float ** float` (libm) is used
 deliberately: numpy's SIMD `power` may differ from it by an ulp, which would
 eat into the pad and change enclosures.
+
+`prove_nonneg` is the bisection.  Its `ProofReport` is the one result of a
+sign proof: the layers above return it with their own reason and boxes.  The
+bisection sets its reason when it returns: "interval bisection" or "not
+sign-definite".
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 _INF = math.inf
@@ -229,16 +234,13 @@ def _coerce(x) -> Interval:
 
 @dataclass
 class ProofReport:
-    """Outcome of an adaptive sign-verification run."""
+    """Outcome of a sign proof, at every layer of the prover."""
 
     proved: bool
     counterexample: float | None = None
-    inconclusive: list[tuple[float, float]] = None
+    inconclusive: list[tuple[float, float]] = field(default_factory=list)
     boxes: int = 0
-
-    def __post_init__(self):
-        if self.inconclusive is None:
-            self.inconclusive = []
+    reason: str = ""
 
 
 def prove_nonneg(enclosure, a: float, b: float, min_width: float = 1e-12,
@@ -256,7 +258,7 @@ def prove_nonneg(enclosure, a: float, b: float, min_width: float = 1e-12,
             report.proved = False
             report.inconclusive.append(stack.pop())
             report.inconclusive.extend(stack)
-            return report
+            break
         lo, hi = stack.pop()
         report.boxes += 1
         enc = enclosure(lo, hi)
@@ -270,14 +272,15 @@ def prove_nonneg(enclosure, a: float, b: float, min_width: float = 1e-12,
             if pt.hi < 0:
                 report.proved = False
                 report.counterexample = mid
-                return report
+                break
             report.proved = False
             report.inconclusive.append((lo, hi))
             continue
         if enc.hi < 0:
             report.proved = False
             report.counterexample = mid
-            return report
+            break
         stack.append((lo, mid))
         stack.append((mid, hi))
+    report.reason = "interval bisection" if report.proved else "not sign-definite"
     return report

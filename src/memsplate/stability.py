@@ -214,7 +214,19 @@ def mu1(profile: RadialField, lam: float, _solver: _ClampedSolver | None = None,
                          "inverse iteration, linearized mixed pencil", lu=_lu)
 
 
-def beam_eigenvalue_1d(tol: float = 1e-12) -> float:
+def _bisect_root(f, lo: float, hi: float) -> float:
+    """Midpoint of the bracket of a sign change of f in [lo, hi] once its
+    width is at most 1e-12 (plain bisection)."""
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if f(lo) * f(mid) <= 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def beam_eigenvalue_1d() -> float:
     """Oracle for nu1 at N=1: first even clamped-beam mode on (-1, 1).
 
     k solves tan(k) + tanh(k) = 0 in (pi/2, pi); nu1 = k^4.  Independent of
@@ -222,32 +234,17 @@ def beam_eigenvalue_1d(tol: float = 1e-12) -> float:
     """
     import math
 
-    f = lambda k: math.tan(k) + math.tanh(k)
-    lo, hi = math.pi / 2 + 1e-9, math.pi - 1e-9
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(lo) * f(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-    k = 0.5 * (lo + hi)
+    k = _bisect_root(lambda k: math.tan(k) + math.tanh(k),
+                     math.pi / 2 + 1e-9, math.pi - 1e-9)
     return k ** 4
 
 
-def disk_eigenvalue_2d(tol: float = 1e-12) -> float:
+def disk_eigenvalue_2d() -> float:
     """Oracle for nu1 at N=2: clamped unit disk, radially symmetric mode.
 
     k solves J0(k) I1(k) + I0(k) J1(k) = 0; nu1 = k^4.
     """
     from scipy.special import i0, i1, j0, j1
 
-    f = lambda k: j0(k) * i1(k) + i0(k) * j1(k)
-    lo, hi = 2.0, 4.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(lo) * f(mid) <= 0:
-            hi = mid
-        else:
-            lo = mid
-    k = 0.5 * (lo + hi)
+    k = _bisect_root(lambda k: j0(k) * i1(k) + i0(k) * j1(k), 2.0, 4.0)
     return k ** 4

@@ -12,6 +12,11 @@ sum c_k r^(p_k) on the open interval (0,1), which is decided here by:
   unresolved, since a narrower window keeps it;
 * adaptive outward-rounded interval bisection on the remaining compact core.
 
+Each layer returns the bisection's `intervals.ProofReport`: `_prove_upper`
+returns it as it is when sig(1) > 0 and sets the reasons of a zero at r = 1
+otherwise; `prove_signomial_nonneg` sets those of the limit at r = 0.  Each
+adds its own boxes.
+
 The infimum of a ratio of signomials is enclosed by one search over levels
 c of the claim "num - c*den >= 0 on (0,1)", whose first level is an exact
 endpoint limit when the caller has one.  A supremum is the negated infimum
@@ -44,7 +49,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -53,19 +57,8 @@ from .exprs import Signomial, _frac
 from .intervals import ProofReport, frac_bounds, prove_nonneg
 
 
-@dataclass
-class SignReport:
-    """Outcome of a nonnegativity proof on (0,1)."""
-
-    proved: bool
-    reason: str = ""
-    counterexample: float | None = None
-    boxes: int = 0
-    inconclusive: list = field(default_factory=list)
-
-
 def _prove_upper(sig: Signomial, a: float, depth: int, min_width: float,
-                 max_boxes: int) -> SignReport:
+                 max_boxes: int) -> ProofReport:
     """Certify sig >= 0 on [a, 1], handling a possible zero of sig at r = 1.
 
     When sig(1) = 0 exactly, sig >= 0 on [a2, 1] follows from sig being
@@ -78,16 +71,11 @@ def _prove_upper(sig: Signomial, a: float, depth: int, min_width: float,
     """
     v1 = sig.value_at_one()
     if v1 < 0:
-        return SignReport(False, reason="negative value at r=1", counterexample=1.0)
+        return ProofReport(False, counterexample=1.0, reason="negative value at r=1")
     if v1 > 0:
-        rep: ProofReport = prove_nonneg(sig.enclosure, a, 1.0,
-                                        min_width=min_width, max_boxes=max_boxes)
-        return SignReport(rep.proved,
-                          reason="interval bisection" if rep.proved else "not sign-definite",
-                          counterexample=rep.counterexample, boxes=rep.boxes,
-                          inconclusive=rep.inconclusive)
+        return prove_nonneg(sig.enclosure, a, 1.0, min_width=min_width, max_boxes=max_boxes)
     if depth == 0:
-        return SignReport(False, reason="derivative depth exhausted at r=1")
+        return ProofReport(False, reason="derivative depth exhausted at r=1")
     d = -sig.diff()
     a2 = a
     attempt_boxes = max(max_boxes // 8, 10_000)
@@ -97,23 +85,19 @@ def _prove_upper(sig: Signomial, a: float, depth: int, min_width: float,
         boxes += drep.boxes
         if drep.proved:
             if a2 <= a:
-                return SignReport(True, reason=f"non-increasing into zero ({drep.reason})",
-                                  boxes=boxes)
-            rep = prove_nonneg(sig.enclosure, a, a2,
-                               min_width=min_width, max_boxes=max_boxes)
-            return SignReport(rep.proved,
-                              reason=("non-increasing collar + bisection" if rep.proved
-                                      else "not sign-definite left of the collar"),
-                              counterexample=rep.counterexample,
-                              boxes=rep.boxes + boxes,
-                              inconclusive=rep.inconclusive)
+                return ProofReport(True, boxes=boxes,
+                                   reason=f"non-increasing into zero ({drep.reason})")
+            rep = prove_nonneg(sig.enclosure, a, a2, min_width=min_width, max_boxes=max_boxes)
+            rep.boxes += boxes
+            rep.reason = ("non-increasing collar + bisection" if rep.proved
+                          else "not sign-definite left of the collar")
+            return rep
         if drep.counterexample == 1.0 or any(hi == 1.0 for _, hi in drep.inconclusive):
             # a negative derivative value at 1, or a cell at 1 that stayed
             # unresolved, is in every narrower window too
-            return SignReport(False, reason=f"zero at r=1; {drep.reason}", boxes=boxes)
+            return ProofReport(False, boxes=boxes, reason=f"zero at r=1; {drep.reason}")
         a2 = 1.0 - 0.5 * (1.0 - a2) if a2 > a else max(a, 1.0 - 1e-2)
-    return SignReport(False, reason="no provable non-increasing window at r=1",
-                      boxes=boxes)
+    return ProofReport(False, boxes=boxes, reason="no provable non-increasing window at r=1")
 
 
 #: nested derivative claims `_prove_upper` may try at a zero at r = 1
@@ -126,10 +110,10 @@ _LEVEL_MAX_BOXES = 400_000
 
 
 def prove_signomial_nonneg(sig: Signomial, min_width: float = 1e-12,
-                           max_boxes: int = 2_000_000) -> SignReport:
+                           max_boxes: int = 2_000_000) -> ProofReport:
     """Prove sig(r) >= 0 for all r in the open interval (0, 1)."""
     if not sig.terms:
-        return SignReport(True, reason="identically zero")
+        return ProofReport(True, reason="identically zero")
     _, g = sig.factor_min_power()
     c0 = g.terms.get(Fraction(0), Fraction(0))
     if c0 < 0:
@@ -137,9 +121,9 @@ def prove_signomial_nonneg(sig: Signomial, min_width: float = 1e-12,
         for boxes, k in enumerate(range(2, 300), start=1):
             r = 2.0 ** -k
             if g.enclosure(r, r).hi < 0:
-                return SignReport(False, reason="negative limit at r=0",
-                                  counterexample=r, boxes=boxes)
-        return SignReport(False, reason="negative limit at r=0", boxes=boxes)
+                return ProofReport(False, counterexample=r, boxes=boxes,
+                                   reason="negative limit at r=0")
+        return ProofReport(False, boxes=boxes, reason="negative limit at r=0")
     if c0 == 0:
         # cannot happen after factoring unless sig == 0, handled above
         raise AssertionError("minimal-power coefficient vanished")
@@ -151,8 +135,8 @@ def prove_signomial_nonneg(sig: Signomial, min_width: float = 1e-12,
             break
         eps0 *= 0.5
     else:
-        return SignReport(False, reason="no sign-definite collar at r=0",
-                          boxes=collar_boxes, inconclusive=[(0.0, eps0)])
+        return ProofReport(False, inconclusive=[(0.0, eps0)], boxes=collar_boxes,
+                           reason="no sign-definite collar at r=0")
 
     rep = _prove_upper(g, eps0, _DERIVATIVE_DEPTH, min_width, max_boxes)
     rep.boxes += collar_boxes
@@ -160,6 +144,7 @@ def prove_signomial_nonneg(sig: Signomial, min_width: float = 1e-12,
 
 
 SAMPLES = 200_001  # the sampled tier's grid on (0, 1) has SAMPLES - 1 points
+_GRID_START = 1e-9  # the grid's smallest point, where its log-uniform half starts
 _CHUNK = 8192       # grid points per block of the sampling pass
 _SEED_STRIDE = 128  # the seed pass evaluates every 128th grid point
 #: grid points per cell at each bounding level: a cell that some pair may
@@ -173,7 +158,7 @@ _TINY = 2.0 ** -1000  # absolute part of the margin, for underflowed terms
 
 
 @functools.lru_cache(maxsize=4)
-def _log_uniform_points(n: int, lo: float = 1e-9) -> np.ndarray:
+def _log_uniform_points(n: int) -> np.ndarray:
     """Deterministic sampling of (0,1): log-uniform plus uniform points.
 
     Strictly increasing (`np.unique`), so a run of consecutive indices holds
@@ -181,7 +166,7 @@ def _log_uniform_points(n: int, lo: float = 1e-9) -> np.ndarray:
     per n and shared, so the array is read-only.
     """
     k = n // 2
-    a = np.exp(np.linspace(math.log(lo), 0.0, k, endpoint=False))
+    a = np.exp(np.linspace(math.log(_GRID_START), 0.0, k, endpoint=False))
     b = np.linspace(0.0, 1.0, n - k, endpoint=False)[1:]
     r = np.unique(np.concatenate([a, b]))
     r.flags.writeable = False

@@ -100,9 +100,7 @@ def test_criterion_5_profile_sandwich(matrix):
     with criterion("criterion 5 (touchdown sandwich, N=9,12)"):
         for N in (9, 12):
             res = matrix[(N, 2048)]
-            rep = sandwich_check(res.extremal_profile,
-                                 res.lam_star_bracket[0],
-                                 res.lam_star_estimate, tol=5e-2)
+            rep = sandwich_check(res.extremal_profile, res.lam_star_estimate, tol=5e-2)
             assert rep.passed, (N, rep)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from memsplate import branch
-from memsplate.branch import (NEWTON_FLOOR, ContinuationConfig,
+from memsplate.branch import (CURVE_SAMPLES, NEWTON_FLOOR, ContinuationConfig,
                               NonConvergence, _ClampedSolver, monotone_solve,
                               newton_solve, pullin_bounds, sandwich_check,
                               sweep_branch)
@@ -55,7 +55,7 @@ def test_supercritical_lambda_touches():
     g = build_grid(2, 256, 2.0)
     with pytest.raises(NonConvergence) as e:
         monotone_solve(40.0, BoundaryData(0.0, 0.0), g)
-    assert e.value.touched
+    assert str(e.value) == "iterate crossed the touchdown threshold"
 
 
 def test_pullin_bounds_exact_lower():
@@ -73,11 +73,11 @@ def test_sandwich_flags_flat_profile():
     # u = 0 sits far below the singular-profile lower envelope
     g = build_grid(9, 256, 2.0)
     u = RadialField(g, np.zeros(g.M))
-    rep = sandwich_check(u, 300.0, 340.0)
+    rep = sandwich_check(u, 340.0)
     assert not rep.passed
     assert rep.lower_violation > 0.5
     with pytest.raises(InvalidArgument):
-        sandwich_check(RadialField(build_grid(3, 64, 1.0), np.zeros(64)), 1.0, 1.0)
+        sandwich_check(RadialField(build_grid(3, 64, 1.0), np.zeros(64)), 1.0)
 
 
 def test_graded_fine_grid_solves_at_n1():
@@ -253,7 +253,7 @@ def test_zero_pivot_is_a_failed_newton_solve(monkeypatch):
     monkeypatch.setattr(branch, "dgbtrf", zero_pivot)
     with pytest.raises(NonConvergence) as e:
         s.jacobian_solve(warm.values[:-1], np.ones(2 * g.M - 1), 10.0)
-    assert not e.value.touched
+    assert str(e.value).startswith("singular banded matrix (zero pivot at")
     # in a trace, one zero pivot (the 10th factorization, a Jacobian early on
     # the branch) fails that bordered solve; the trace halves its s-step and
     # goes on to the same fold
@@ -407,7 +407,7 @@ def test_a_start_whose_solve_fails_falls_back_to_the_lift(monkeypatch):
 
     def fails_once(*args):
         monkeypatch.setattr(branch, "_bordered_solve", solve)
-        raise NonConvergence("no step lowers the residual", touched=False)
+        raise NonConvergence("no step lowers the residual")
 
     def failing_start(seed):
         # taken after the fine and lift traces, so only the start's solve fails
@@ -443,8 +443,8 @@ def test_grids_that_do_not_nest_trace_from_the_lift(M, seeded):
 
 def test_curve_is_sampled_on_s():
     res = _sweep(3, 512)
-    lam, sup = res.curve(201)
-    assert len(lam) == 201 and len(res.points) < 20
+    lam, sup = res.curve()
+    assert len(lam) == CURVE_SAMPLES == 201 and len(res.points) < 20
     # it passes through the points, which are on a uniform-in-s sampling's
     # ends, and sup u = s on a radially decreasing profile
     assert lam[0] == res.points[0].lam and lam[-1] == pytest.approx(res.points[-1].lam)

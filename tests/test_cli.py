@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 import memsplate
-from memsplate.cli import _parse_dims, main
+import memsplate.verify as verify
+from memsplate.cli import _hr_checks, _parse_dims, main
 from memsplate.grid import InvalidArgument
 from memsplate.verify import SAMPLES
 
@@ -207,6 +208,25 @@ def test_hr_interval_report(tmp_path, variant, N, margin):
     check, = (c for c in doc["checks"] if c["name"] == "weight_nonnegative")
     assert check["method"] == "interval"
     assert check["margin"] == float.fromhex(margin)
+
+
+def test_hr_weight_margin_is_one_sampled_minimum_at_both_tiers(monkeypatch):
+    calls = []
+    sampled_mins = verify.sampled_mins
+
+    def spy(pairs, *args):
+        calls.append(len(pairs))
+        return sampled_mins(pairs, *args)
+
+    monkeypatch.setattr(verify, "sampled_mins", spy)
+    margins = {}
+    for rigor in ("sampled", "interval"):
+        calls.clear()
+        check, = (c for c in _hr_checks("HR2", 12, rigor, 0)
+                  if c["name"] == "weight_nonnegative")
+        assert calls == [1] and check["method"] == rigor and check["passed"]
+        margins[rigor] = check["margin"]
+    assert margins["sampled"] == margins["interval"] == float.fromhex("0x1.8bcd8d2c1ec16p+11")
 
 
 def test_table1_markdown(tmp_path):

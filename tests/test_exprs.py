@@ -80,6 +80,15 @@ def test_ratio_eval_and_parts():
     assert e.den == Signomial({0: 1, 1: Fraction(-1, 2)})
 
 
+def test_ratio_leading_term_at_zero():
+    # (power, coefficient) of num/den as r -> 0+, exactly; (0, 0) for num = 0
+    r = Ratio.term(1, 1)
+    assert Ratio(Signomial({2: 1, 3: 1}), Signomial.term(2, -1)).leading() == \
+        (Fraction(3), Fraction(1, 2))
+    assert (Fraction(3, 4) / (r - r * r)).leading() == (Fraction(-1), Fraction(3, 4))
+    assert Ratio(0, Signomial.term(5, 2)).leading() == (Fraction(0), Fraction(0))
+
+
 def test_ratio_operators_take_numbers_on_either_side():
     e = Ratio.term(1, 2) * 3 + 1 - Ratio.term(2, 1) / 4
     r = np.array([0.5])

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import memsplate.verify as verify
 from memsplate.exprs import Ratio, Signomial
 from memsplate.grid import InvalidArgument, build_grid
 from memsplate.hardy import (BesselPairSpec, _prove_expr_nonneg,
@@ -10,6 +11,7 @@ from memsplate.hardy import (BesselPairSpec, _prove_expr_nonneg,
                              gm1_side_conditions, hr2_leading_identity,
                              hr_weight, pq_functions, radial_laplacian,
                              supersolution_check, _phi_expr, _psi_expr)
+from memsplate.intervals import ProofReport
 from memsplate.operators import hardy_rellich_constant
 
 
@@ -61,6 +63,39 @@ def test_phi_psi_sign_structure():
     assert _prove_expr_nonneg(psi).proved
     # psi vanishes exactly at r = 1
     assert psi.num.value_at_one() == 0
+
+
+def test_a_negative_denominator_is_proved_through_its_negation():
+    # (-1)/(-r): the denominator -r is not provably positive, so the numerator
+    # and the denominator are both negated; 1/(-r) fails on the negated
+    # numerator -1, whose limit at r = 0 is negative
+    expr = Ratio(-1) / Ratio.term(-1, 1)
+    assert expr.den == Signomial.term(-1, 1)
+    assert not verify.prove_signomial_nonneg(expr.den).proved
+    rep = _prove_expr_nonneg(expr)
+    assert isinstance(rep, ProofReport)
+    assert rep.proved and rep.reason == "interval bisection"
+    rep = _prove_expr_nonneg(Ratio(1) / Ratio.term(-1, 1))
+    assert not rep.proved and rep.reason == "negative limit at r=0"
+
+
+def test_a_denominator_that_changes_sign_is_undetermined():
+    # 1/(r - 1/2): r - 1/2 < 0 near 0, and 1/2 - r < 0 at r = 1
+    rep = _prove_expr_nonneg(Ratio(1) / (Ratio.term(1, 1) - Fraction(1, 2)))
+    assert not rep.proved
+    assert rep.reason == "denominator sign undetermined"
+    assert rep.counterexample is None and rep.boxes == 0
+
+
+def test_sign_checks_do_not_sample(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "sampled_mins",
+                        lambda *args, **kwargs: calls.append(args))
+    P, _ = pq_functions(9)
+    for expr in (hr_weight("HR2", 12), P - Ratio.term(2, -2)):
+        rep = _prove_expr_nonneg(expr)
+        assert isinstance(rep, ProofReport) and rep.proved
+    assert calls == []
 
 
 def test_bessel_positive_closed_form():

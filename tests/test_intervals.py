@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from memsplate.intervals import (Interval, down, exponent_rounding, frac_bounds,
-                                 mul_bounds, padded_pow, pow_bounds, prove_nonneg,
-                                 term_bounds, up)
+                                 mul_bounds, padded_pow, pow_bounds, ProofReport,
+                                 prove_nonneg, term_bounds, up)
 
 
 def test_directed_rounding():
@@ -144,3 +144,24 @@ def test_prove_nonneg_counts_exactly_the_enclosure_evaluations():
     rep = prove_nonneg(square, -1.0, 1.0, min_width=1e-3)
     assert not rep.proved and rep.inconclusive
     assert rep.boxes == len(calls) == 45
+
+
+
+def _square(a, b):  # x^2 >= 0, but the enclosure never proves a box around 0
+    return Interval(a, b) * Interval(a, b)
+
+
+@pytest.mark.parametrize("enclosure,a,kwargs,reason", [
+    (lambda a, b: Interval(a, b) + 1.0, 0.0, {}, "interval bisection"),
+    (lambda a, b: Interval(a, b) - 0.5, 0.0, {}, "not sign-definite"),  # counterexample
+    (_square, -1.0, {"min_width": 1e-3}, "not sign-definite"),  # inconclusive cells
+    (_square, -1.0, {"max_boxes": 50}, "not sign-definite"),    # box budget spent
+])
+def test_prove_nonneg_sets_its_reason_when_it_returns(enclosure, a, kwargs, reason):
+    rep = prove_nonneg(enclosure, a, 1.0, **kwargs)
+    assert isinstance(rep, ProofReport) and rep.reason == reason
+    assert rep.proved is (reason == "interval bisection")
+    if enclosure is _square:
+        assert rep.counterexample is None and rep.inconclusive
+    else:
+        assert (rep.counterexample is None) is rep.proved
