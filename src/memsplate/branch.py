@@ -642,30 +642,38 @@ def pullin_bounds(N: int, nu1_value: float):
     return float(lower), upper
 
 
+#: largest violation of either side of the sandwich that `sandwich_check` passes
+SANDWICH_TOL = 5e-2
+
+
 @dataclass(frozen=True)
 class SandwichReport:
-    """Violations of 1 - C0 r^(4/3) <= u <= 1 - r^(4/3) at the grid nodes."""
+    """Violations of 1 - C0 r^(4/3) <= u <= 1 - r^(4/3) at the grid nodes;
+    it passes when both are at most `tol`, the module constant `SANDWICH_TOL`."""
 
     C0: float
     lower_violation: float
     upper_violation: float
-    tol: float
+    tol = SANDWICH_TOL  # a class attribute, not a field
 
     @property
     def passed(self) -> bool:
         return self.lower_violation <= self.tol and self.upper_violation <= self.tol
 
 
-def sandwich_check(profile: RadialField, lam_star_est: float,
-                   tol: float = 5e-2) -> SandwichReport:
-    """Check the singular-profile sandwich with C0 = (lam*/lambda_bar)^(1/3)."""
+def sandwich_check(profile: RadialField, lam_star_est: float) -> SandwichReport:
+    """Check the singular-profile sandwich with C0 = (lam*/lambda_bar)^(1/3)
+    to `SANDWICH_TOL`.  It holds for N >= 9 and u(1) = u'(1) = 0 only: with
+    u(1) = alpha the upper side 1 - r^(4/3) would fail by alpha at r = 1."""
     N = profile.grid.N
     if N < 9:
         raise InvalidArgument("the sandwich bounds hold for N >= 9 only")
+    if profile.boundary != BoundaryData():
+        raise InvalidArgument("the sandwich bounds hold for zero clamped data only")
     r = profile.grid.r
     u = profile.values
     C0 = (lam_star_est / float(lambda_bar(N))) ** (1.0 / 3.0)
     lower = np.max((1.0 - C0 * r ** (4.0 / 3.0)) - u)
     upper = np.max(u - (1.0 - r ** (4.0 / 3.0)))
     return SandwichReport(C0=C0, lower_violation=float(max(0.0, lower)),
-                          upper_violation=float(max(0.0, upper)), tol=tol)
+                          upper_violation=float(max(0.0, upper)))

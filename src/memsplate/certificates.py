@@ -219,16 +219,15 @@ def _cond2_parts(candidate: CandidateW, weight: Ratio):
     return half.num, half.den * 2
 
 
-def check_cond2(candidate: CandidateW, weight: Ratio | None = None,
-                rigor: str = "sampled") -> CondReport:
+def check_cond2(candidate: CandidateW, rigor: str = "sampled") -> CondReport:
     """Verify 2 beta/(1-w_m)^3 <= W(r) and compute the sharpest beta.
 
+    W is the candidate's Hardy-Rellich weight, `hr_weight(hr_variant, N)`.
     The slack W(1-w)^3/2 - beta clears to G_num - beta G_den over the
     positive denominator G_den; the interval tier proves both the
     denominator sign and the cleared claim.
     """
-    if weight is None:
-        weight = hr_weight(candidate.hr_variant, candidate.N)
+    weight = hr_weight(candidate.hr_variant, candidate.N)
     num, den = _cond2_parts(candidate, weight)
     claim = num - Signomial.constant(_frac(candidate.beta)) * den
     return _check_inf("cond2", claim, den, num, den, rigor)

@@ -164,7 +164,7 @@ def cmd_branch(args) -> int:
                          "halvings": res.halvings,
                          "fold_secant_steps": res.fold_secant_steps},
         }
-        if N >= 9 and res.classification == "Singular":
+        if N >= 9 and res.classification == "Singular" and bc == BoundaryData():
             sw = sandwich_check(res.extremal_profile, res.lam_star_estimate)
             doc["sandwich"] = {"C0": sw.C0, "lower_violation": sw.lower_violation,
                               "upper_violation": sw.upper_violation, "tol": sw.tol}
@@ -309,10 +309,7 @@ def cmd_hr(args) -> int:
     N = args.dim
     checks = _hr_checks(variant, N, args.rigor, args.seed)
     verdict = "Pass" if all(c["passed"] for c in checks) else "Fail"
-    doc = {"variant": variant, "N": N,
-           "checks": [{k: c[k] for k in ("name", "margin", "method")}
-                      for c in checks],
-           "verdict": verdict}
+    doc = {"variant": variant, "N": N, "checks": checks, "verdict": verdict}
     _write_json(out / f"hr_{variant.lower()}_N{N}.json", doc)
     _emit_manifest(out, "hr", {"variant": variant, "dim": N,
                                "rigor": args.rigor, "seed": args.seed})

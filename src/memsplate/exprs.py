@@ -70,7 +70,7 @@ _MAX_ROWS = 1024
 
 
 class Signomial:
-    """sum of c * r^p terms with exact rational c, p; immutable by convention."""
+    """sum of c * r^p terms with exact rational c, p; immutable by convention, unhashable."""
 
     __slots__ = ("terms", "_diff", "_table", "_rows")
 
@@ -100,9 +100,6 @@ class Signomial:
 
     def __eq__(self, other):
         return isinstance(other, Signomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
         return bool(self.terms)

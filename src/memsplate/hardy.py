@@ -65,7 +65,7 @@ def hr_weight(variant: str, N: int) -> Ratio:
     if variant == "HR3":
         if N != 9:
             raise InvalidArgument("HR3 weight is defined for N = 9 only")
-        P, Q = pq_functions(N)
+        P, Q = pq_functions()
         return Q * (P + Ratio.term(N - 1, -2))
     raise InvalidArgument(f"unknown weight variant {variant!r}")
 
@@ -81,20 +81,16 @@ def _psi_expr() -> Ratio:
             + Ratio.term(10, -1) + Ratio.term(10, 1) + Ratio.term(7, 2) - 48)
 
 
-def pq_functions(N: int = 9) -> tuple[Ratio, Ratio]:
-    """The auxiliary ratios P = -Delta_9 phi / phi and Q = -Delta_7 psi / psi.
+def pq_functions() -> tuple[Ratio, Ratio]:
+    """The N = 9 auxiliary ratios P = -Delta_9 phi / phi and Q = -Delta_7 psi / psi.
 
     phi(r) = r^(-7/2) + r - 1.9 (positive on (0,1], phi(1) = 0.1) and
     psi(r) = r^(-5/2) + 20 r^(-1.69) + 10/r + 10r + 7r^2 - 48 (positive on
     (0,1), psi(1) = 0).  Both numerators are positive, making P, Q > 0.
     """
-    if N != 9:
-        raise InvalidArgument("the P, Q pair is defined for N = 9 only")
     phi = _phi_expr()
     psi = _psi_expr()
-    P = -radial_laplacian(phi, N) / phi
-    Q = -radial_laplacian(psi, N - 2) / psi
-    return P, Q
+    return -radial_laplacian(phi, 9) / phi, -radial_laplacian(psi, 7) / psi
 
 
 # --------------------------------------------------------------------------
@@ -304,16 +300,21 @@ def gm1_side_conditions(spec: BesselPairSpec) -> SideConditionsReport:
 # discrete quadratic-form checks
 
 
+#: relative gap below which `discrete_form_check` counts a violation
+FORM_CHECK_TOL = 1e-8
+
+
 @dataclass
 class FormCheckReport:
-    """Discrete test of int (Delta phi)^2 >= int W phi^2 on random clamped phi."""
+    """Discrete test of int (Delta phi)^2 >= int W phi^2 on random clamped phi;
+    a violation is a gap below -`tol`, the module constant `FORM_CHECK_TOL`."""
 
     variant: str
     N: int
     trials: int
     min_relative_gap: float
     violations: int
-    tol: float
+    tol = FORM_CHECK_TOL  # a class attribute, not a field
 
     @property
     def passed(self) -> bool:
@@ -328,14 +329,14 @@ def _random_clamped(rng, r: np.ndarray) -> np.ndarray:
 
 
 def discrete_form_check(variant: str, N: int, grid: RadialGrid | None = None,
-                        trials: int = 1000, seed: int = 0,
-                        tol: float = 1e-8) -> FormCheckReport:
+                        trials: int = 1000, seed: int = 0) -> FormCheckReport:
     """Check the discrete quadratic-form inequality on random clamped profiles.
 
-    For each trial phi the gap int (Delta phi)^2 - int W phi^2 is formed with
-    the grid's quadrature; a violation is a gap below -tol * int phi^2.  The
-    node at r = 0 is excluded from the weight quadrature (the integrand
-    r^(N-1) W phi^2 vanishes there for N > 5 and the first cell is tiny).
+    For each trial phi the gap int (Delta phi)^2 - int W phi^2, relative to
+    int phi^2, is formed with the grid's quadrature; a violation is a gap
+    below -`FORM_CHECK_TOL`.  The node at r = 0 is excluded from the weight
+    quadrature (the integrand r^(N-1) W phi^2 vanishes there for N > 5 and
+    the first cell is tiny).
 
     The first term is the plate form phi^T A phi of `bilaplacian_form`.
     That form breaks the discrete Rellich inequality near the origin: with
@@ -364,11 +365,10 @@ def discrete_form_check(variant: str, N: int, grid: RadialGrid | None = None,
         mass = float(np.sum(m * phi ** 2))
         gap = (lhs - rhs) / mass
         min_gap = min(min_gap, gap)
-        if gap < -tol:
+        if gap < -FORM_CHECK_TOL:
             violations += 1
     return FormCheckReport(variant=variant.upper(), N=N, trials=trials,
-                           min_relative_gap=min_gap, violations=violations,
-                           tol=tol)
+                           min_relative_gap=min_gap, violations=violations)
 
 
 def hr2_leading_identity(N: int) -> bool:

@@ -163,7 +163,7 @@ def term_bounds(x: float, terms) -> tuple[list, list]:
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi]; endpoints may be +-inf."""
+    """Closed interval [lo, hi]; endpoints may be +-inf; a number may be a right operand."""
 
     lo: float
     hi: float
@@ -177,17 +177,6 @@ class Interval:
         lo, hi = frac_bounds(x)
         return cls(lo, hi)
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def __contains__(self, x: float) -> bool:
-        return self.lo <= x <= self.hi
-
     def __neg__(self) -> "Interval":
         return Interval(-self.hi, -self.lo)
 
@@ -195,19 +184,12 @@ class Interval:
         other = _coerce(other)
         return Interval(down(self.lo + other.lo), up(self.hi + other.hi))
 
-    __radd__ = __add__
-
     def __sub__(self, other) -> "Interval":
         return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> "Interval":
-        return _coerce(other) + (-self)
 
     def __mul__(self, other) -> "Interval":
         other = _coerce(other)
         return Interval(*mul_bounds(self.lo, self.hi, other.lo, other.hi))
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Interval":
         other = _coerce(other)
@@ -223,9 +205,6 @@ class Interval:
                 inv_cands.append(1.0 / e)
         inv = Interval(down(min(inv_cands)), up(max(inv_cands)))
         return self * inv
-
-    def __rtruediv__(self, other) -> "Interval":
-        return _coerce(other) / self
 
 
 def _coerce(x) -> Interval:

@@ -180,17 +180,16 @@ def nu1_discrete(grid: RadialGrid, seed: float | None = None) -> EigenResult:
                          lu=solver.lu, seed=seed)
 
 
-def nu1(N: int, grid: RadialGrid | None = None) -> float:
+def nu1(N: int) -> float:
     """Clamped-plate eigenvalue nu1(N), Richardson-extrapolated over two grids.
 
     The discretization is second order at every N, N = 1 included (its
-    origin closure is described in :mod:`memsplate.operators`), so the
-    refined value e2 is corrected by (e2 - e1)/3.  The default grid is
-    uniform: eigenfunctions are smooth, and grading only inflates the
+    origin closure is described in :mod:`memsplate.operators`), so e2 on the
+    uniform M = 1024 grid is corrected by (e2 - e1)/3, e1 on M = 512.
+    Uniform, because eigenfunctions are smooth and grading only inflates the
     condition number.  The fine grid starts at the coarse value.
     """
-    if grid is None:
-        grid = build_grid(N, 512, 1.0)
+    grid = build_grid(N, 512, 1.0)
     e1 = nu1_discrete(grid).value
     e2 = nu1_discrete(grid.refine(), seed=e1).value
     return e2 + (e2 - e1) / 3.0

@@ -78,6 +78,9 @@ def test_sandwich_flags_flat_profile():
     assert rep.lower_violation > 0.5
     with pytest.raises(InvalidArgument):
         sandwich_check(RadialField(build_grid(3, 64, 1.0), np.zeros(64)), 1.0)
+    # the paper states the sandwich for u(1) = u'(1) = 0 only
+    with pytest.raises(InvalidArgument, match="zero clamped data"):
+        sandwich_check(RadialField(g, np.zeros(g.M), BoundaryData(0.0, -0.1)), 340.0)
 
 
 def test_graded_fine_grid_solves_at_n1():

@@ -268,12 +268,13 @@ def test_interval_tier_refutes_an_interior_dip():
     assert 600 < lo <= rep.sharpest <= hi
 
 
-def test_interval_tier_refuses_an_unproved_denominator():
+def test_interval_tier_refuses_an_unproved_denominator(monkeypatch):
     # W = (-1)/(-1) is the constant 1, but its cleared denominator is
     # negative, so the cond2 claim is never attempted, and no level of the
     # sharpest value is proved either
     cand = table_candidate(12)
-    rep = check_cond2(cand, weight=Ratio(-1, -1), rigor="interval")
+    monkeypatch.setattr(certificates, "hr_weight", lambda variant, N: Ratio(-1, -1))
+    rep = check_cond2(cand, rigor="interval")
     assert rep.proved is False and rep.boxes is None
     assert rep.notes == ["cond2 denominator sign not proved: negative limit at r=0",
                          "cond2 sharpest value unbounded: no level was proved"]

@@ -2,10 +2,12 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import memsplate
+import memsplate.cli as cli
 import memsplate.verify as verify
 from memsplate.cli import _hr_checks, _parse_dims, main
 from memsplate.grid import InvalidArgument
@@ -229,6 +231,19 @@ def test_hr_weight_margin_is_one_sampled_minimum_at_both_tiers(monkeypatch):
     assert margins["sampled"] == margins["interval"] == float.fromhex("0x1.8bcd8d2c1ec16p+11")
 
 
+def test_hr_report_keeps_each_checks_verdict(tmp_path, monkeypatch):
+    # a failing discrete form check: the report says which check failed
+    monkeypatch.setattr(cli, "discrete_form_check", lambda *args, **kwargs:
+                        SimpleNamespace(min_relative_gap=-1.0, passed=False))
+    assert run(tmp_path, "hr", "--variant", "hr2", "--dim", "12",
+               "--rigor", "sampled") == 0
+    doc = json.loads((tmp_path / "hr_hr2_N12.json").read_text())
+    assert doc["verdict"] == "Fail"
+    assert {c["name"]: c["passed"] for c in doc["checks"]} == {
+        "leading_coefficient_identity": True, "weight_nonnegative": True,
+        "discrete_form_inequality": False}
+
+
 def test_table1_markdown(tmp_path):
     assert run(tmp_path, "table1", "--dims", "9,12", "--rigor", "sampled") == 0
     text = (tmp_path / "table1.md").read_text()
@@ -275,6 +290,24 @@ def test_branch_outputs(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["command"] == "branch"
     assert "versions" in manifest
+
+
+def test_branch_writes_the_sandwich_for_zero_clamped_data_only(tmp_path):
+    # the paper's sandwich 1 - C0 r^(4/3) <= u <= 1 - r^(4/3) assumes
+    # u(1) = u'(1) = 0; with u(1) = alpha its upper side fails by alpha
+    assert run(tmp_path, "branch", "--dim", "9", "--M", "512") == 0
+    doc = json.loads((tmp_path / "branch_N9.json").read_text())
+    assert doc["classification"] == "Singular"
+    sw = doc["sandwich"]
+    assert sw["tol"] == 0.05
+    assert sw["lower_violation"] <= sw["tol"] and sw["upper_violation"] <= sw["tol"]
+    for alpha, beta in (("0.1", "-0.1"), ("0.5", "0"), ("0", "-0.1")):
+        out = tmp_path / f"a{alpha}_b{beta}"
+        out.mkdir()
+        assert run(out, "branch", "--dim", "9", "--M", "512",
+                   "--alpha", alpha, "--beta", beta) == 0
+        doc = json.loads((out / "branch_N9.json").read_text())
+        assert doc["classification"] == "Singular" and "sandwich" not in doc
 
 
 def test_pullin_output(tmp_path):

@@ -48,7 +48,7 @@ def test_hr2_leading_identity_many_dims():
 
 
 def test_pq_positive_and_dominating():
-    P, Q = pq_functions(9)
+    P, Q = pq_functions()
     assert _prove_expr_nonneg(Q).proved
     # P dominates 2/r^2 (needed for the weight to be a valid pair)
     assert _prove_expr_nonneg(P - Ratio.term(2, -2)).proved
@@ -91,7 +91,7 @@ def test_sign_checks_do_not_sample(monkeypatch):
     calls = []
     monkeypatch.setattr(verify, "sampled_mins",
                         lambda *args, **kwargs: calls.append(args))
-    P, _ = pq_functions(9)
+    P, _ = pq_functions()
     for expr in (hr_weight("HR2", 12), P - Ratio.term(2, -2)):
         rep = _prove_expr_nonneg(expr)
         assert isinstance(rep, ProofReport) and rep.proved
@@ -133,7 +133,7 @@ def test_bessel_oscillatory_pair_is_reported():
 
 
 def test_gm1_side_conditions_for_pq():
-    P, _ = pq_functions(9)
+    P, _ = pq_functions()
     rep = gm1_side_conditions(BesselPairSpec(V=Ratio(1), W=P, N=9))
     assert rep.inverse_integral_diverges
     assert rep.weight_integral_converges
@@ -159,7 +159,7 @@ def test_gm2_supersolution():
 
 
 def test_gm3_psi_supersolution():
-    P, Q = pq_functions(9)
+    P, Q = pq_functions()
     rep = supersolution_check(_psi_expr(), BesselPairSpec(V=P, W=P * Q, N=9))
     assert rep.confirmed
 

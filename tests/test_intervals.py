@@ -1,4 +1,6 @@
 import math
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -24,7 +26,6 @@ def test_frac_bounds_encloses():
 
 
 def test_pow_bounds_encloses():
-    import random
     rnd = random.Random(1)
     for _ in range(200):
         x = rnd.uniform(1e-8, 1.0)
@@ -56,6 +57,33 @@ def test_pow_bounds_covers_exponent_rounding():
         assert abs(x ** float(p) / exact - 1.0) > 1e-15  # pad is 5e-16
         lo, hi = pow_bounds(x, p)
         assert lo <= exact <= hi
+
+
+def _exact_pow(x: float, p: Fraction) -> Decimal:
+    """x**p as exp(p ln x) in 50-digit decimal: x is taken exactly, and the
+    result is good to about 1e-45 relative, far inside any pad."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return (Decimal(p.numerator) / Decimal(p.denominator) * Decimal(x).ln()).exp()
+
+
+def test_pow_bounds_contains_the_exact_power():
+    # an oracle outside the float contract: random rational exponents,
+    # including denominators whose float rounding matters (3, 7, 10, 100,
+    # 3**20), powers that overflow or underflow the float range, and bases
+    # from 1e-9 up to the float just below 1
+    rnd = random.Random(20)
+    below_one = math.nextafter(1.0, 0.0)
+    for i in range(2000):
+        q = rnd.choice((1, 3, 7, 10, 100, 3 ** 20))
+        p = Fraction(rnd.randint(-400 * q, 600 * q), q)
+        if i % 2:
+            x = math.exp(rnd.uniform(math.log(1e-9), 0.0))  # log-uniform
+        else:
+            x = 1.0 - 10.0 ** -rnd.uniform(0.0, 16.0)  # close to 1
+        x = min(max(x, 1e-9), below_one)
+        lo, hi = pow_bounds(x, p)
+        assert Decimal(lo) <= _exact_pow(x, p) <= Decimal(hi), (x, p)
 
 
 def test_pow_bounds_zero_edge():
