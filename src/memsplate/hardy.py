@@ -120,9 +120,14 @@ class PositivityReport:
 
 
 #: `bessel_ode_positive` integrates from this radius to r = 1 with this
-#: relative tolerance
+#: relative tolerance, in at most this many right-hand-side calls
 _ODE_START = 1e-6
 _ODE_RTOL = 1e-10
+_ODE_MAX_CALLS = 10_000
+
+
+class _CallsSpent(Exception):
+    """Raised by the Pruefer right-hand side once `_ODE_MAX_CALLS` are made."""
 
 
 def bessel_ode_positive(spec: BesselPairSpec,
@@ -141,6 +146,10 @@ def bessel_ode_positive(spec: BesselPairSpec,
     direct (y, y') integration loses the sign of solutions that decay many
     orders of magnitude (e.g. r^(1-N/2) over (1e-6, 1)).  Zeros of y are
     upward crossings of theta through multiples of pi.
+
+    The integration makes at most `_ODE_MAX_CALLS` right-hand-side calls.
+    One that spends them is not positive: `reached` is the last radius
+    evaluated, and a note names it and the call count.
     """
     from scipy.integrate import solve_ivp
 
@@ -187,7 +196,13 @@ def bessel_ode_positive(spec: BesselPairSpec,
                 theta0 = math.atan2(r0 ** s, s * r0 ** (s - 1.0)) if s != 0 else 0.5 * math.pi
                 desc = f"Frobenius branch r^{s:.6g}"
 
+    calls, last_r = 0, r0
+
     def rhs(r, th):
+        nonlocal calls, last_r
+        if calls == _ODE_MAX_CALLS:
+            raise _CallsSpent
+        calls, last_r = calls + 1, r
         sn, cs = math.sin(th[0]), math.cos(th[0])
         return [cs * cs + p_of(r) * sn * cs + q_of(r) * sn * sn]
 
@@ -199,8 +214,16 @@ def bessel_ode_positive(spec: BesselPairSpec,
     crossing = lambda r, th: th[0] - target
     crossing.terminal = True
     crossing.direction = 1.0
-    sol = solve_ivp(rhs, (r0, 1.0), [theta0], method="LSODA", rtol=_ODE_RTOL, atol=1e-12,
-                    events=crossing)
+    try:
+        sol = solve_ivp(rhs, (r0, 1.0), [theta0], method="LSODA", rtol=_ODE_RTOL,
+                        atol=1e-12, events=crossing)
+    except _CallsSpent:
+        notes.append(f"integrator stopped at r={last_r!r}: "
+                     f"{_ODE_MAX_CALLS} right-hand-side calls spent")
+        return PositivityReport(positive_on_interval=False, first_zero=None,
+                                start_radius=r0, start_description=desc,
+                                reached=float(last_r), seed_residual=seed_residual,
+                                notes=notes)
     zeros = sol.t_events[0]
     first_zero = float(zeros[0]) if len(zeros) else None
     if not sol.success and sol.status != 1:
@@ -224,11 +247,14 @@ def bessel_ode_positive(spec: BesselPairSpec,
 def _prove_expr_nonneg(expr: Ratio) -> ProofReport:
     """Prove expr >= 0 on (0,1): fix the sign of the denominator, prove."""
     num, den = expr.num, expr.den
-    if prove_signomial_nonneg(den).proved:
+    pos = prove_signomial_nonneg(den)
+    if pos.proved:
         return prove_signomial_nonneg(num)
-    if prove_signomial_nonneg(-den).proved:
+    neg = prove_signomial_nonneg(-den)
+    if neg.proved:
         return prove_signomial_nonneg(-num)
-    return ProofReport(False, reason="denominator sign undetermined")
+    return ProofReport(False, boxes=pos.boxes + neg.boxes,
+                       reason="denominator sign undetermined")
 
 
 @dataclass

@@ -167,17 +167,17 @@ def _pencil_eigen(solver: _ClampedSolver, weight: np.ndarray, method: str,
                        factorizations=solver.factorizations - made)
 
 
-def nu1_discrete(grid: RadialGrid, seed: float | None = None) -> EigenResult:
+def nu1_discrete(grid: RadialGrid, _seed: float | None = None) -> EigenResult:
     """Smallest clamped-plate eigenvalue of Delta^2 on the radial grid.
 
     The mixed pencil at lambda = 0, on the solver's own factorization of the
-    mixed band; it converges at second order in 1/M at every N.  A `seed`,
-    such as the value on a coarser grid, starts the iteration shifted to it
-    (see :func:`_pencil_eigen`).
+    mixed band; it converges at second order in 1/M at every N.  `nu1`
+    passes the coarse grid's value as `_seed`, which starts the iteration
+    shifted to it (see :func:`_pencil_eigen`).
     """
     solver = _ClampedSolver(grid, BoundaryData(0.0, 0.0))
     return _pencil_eigen(solver, np.zeros(grid.M - 1), "inverse iteration, mixed pencil",
-                         lu=solver.lu, seed=seed)
+                         lu=solver.lu, seed=_seed)
 
 
 def nu1(N: int) -> float:
@@ -191,7 +191,7 @@ def nu1(N: int) -> float:
     """
     grid = build_grid(N, 512, 1.0)
     e1 = nu1_discrete(grid).value
-    e2 = nu1_discrete(grid.refine(), seed=e1).value
+    e2 = nu1_discrete(grid.refine(), _seed=e1).value
     return e2 + (e2 - e1) / 3.0
 
 

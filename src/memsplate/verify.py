@@ -10,17 +10,20 @@ sum c_k r^(p_k) on the open interval (0,1), which is decided here by:
   a monotonicity argument on a left neighborhood via the (exact) derivative,
   applied recursively; the window search stops when a cell at r = 1 stays
   unresolved, since a narrower window keeps it;
-* adaptive outward-rounded interval bisection on the remaining compact core.
+* adaptive outward-rounded interval bisection on the remaining compact core,
+  every one down to cells of width `_MIN_WIDTH`.
 
 Each layer returns the bisection's `intervals.ProofReport`: `_prove_upper`
 returns it as it is when sig(1) > 0 and sets the reasons of a zero at r = 1
 otherwise; `prove_signomial_nonneg` sets those of the limit at r = 0.  Each
-adds its own boxes.
+adds its own boxes.  One budget bounds a whole proof: `max_boxes` counts
+every box of every layer, and each step gets what the earlier ones left.
 
 The infimum of a ratio of signomials is enclosed by one search over levels
 c of the claim "num - c*den >= 0 on (0,1)", whose first level is an exact
-endpoint limit when the caller has one.  A supremum is the negated infimum
-of -num/den; the caller negates.
+endpoint limit when the caller has one.  The level proofs share one budget,
+`_LEVEL_MAX_BOXES`.  A supremum is the negated infimum of -num/den; the
+caller negates.
 
 The "sampled" tier's minimum over a fixed grid (`sampled_mins`) is a
 branch and bound that returns the whole grid's answer bit for bit:
@@ -57,9 +60,9 @@ from .exprs import Signomial, _frac
 from .intervals import ProofReport, frac_bounds, prove_nonneg
 
 
-def _prove_upper(sig: Signomial, a: float, depth: int, min_width: float,
-                 max_boxes: int) -> ProofReport:
-    """Certify sig >= 0 on [a, 1], handling a possible zero of sig at r = 1.
+def _prove_upper(sig: Signomial, a: float, depth: int, max_boxes: int) -> ProofReport:
+    """Certify sig >= 0 on [a, 1] in at most `max_boxes` boxes (one more for
+    a last point evaluation), handling a possible zero of sig at r = 1.
 
     When sig(1) = 0 exactly, sig >= 0 on [a2, 1] follows from sig being
     non-increasing there (-sig' >= 0 on [a2, 1], recursively the same kind of
@@ -67,34 +70,37 @@ def _prove_upper(sig: Signomial, a: float, depth: int, min_width: float,
     claim is provable, and the remaining [a, a2] is handled by plain
     bisection.  This is essential when the slope at the root is orders of
     magnitude below the coefficient scale: no fixed-width collar enclosure is
-    then sign-definite near 1, but the derivative claim is.
+    then sign-definite near 1, but the derivative claim is.  Each window
+    attempt, and the last bisection, gets the boxes the earlier ones left.
     """
     v1 = sig.value_at_one()
     if v1 < 0:
         return ProofReport(False, counterexample=1.0, reason="negative value at r=1")
     if v1 > 0:
-        return prove_nonneg(sig.enclosure, a, 1.0, min_width=min_width, max_boxes=max_boxes)
+        return prove_nonneg(sig.enclosure, a, 1.0, min_width=_MIN_WIDTH, max_boxes=max_boxes)
     if depth == 0:
         return ProofReport(False, reason="derivative depth exhausted at r=1")
     d = -sig.diff()
     a2 = a
-    attempt_boxes = max(max_boxes // 8, 10_000)
     boxes = 0  # every derivative-window attempt, failed ones included
     for _ in range(45):
-        drep = _prove_upper(d, a2, depth - 1, min_width, attempt_boxes)
+        drep = _prove_upper(d, a2, depth - 1, max_boxes - boxes)
         boxes += drep.boxes
         if drep.proved:
             if a2 <= a:
                 return ProofReport(True, boxes=boxes,
                                    reason=f"non-increasing into zero ({drep.reason})")
-            rep = prove_nonneg(sig.enclosure, a, a2, min_width=min_width, max_boxes=max_boxes)
+            rep = prove_nonneg(sig.enclosure, a, a2, min_width=_MIN_WIDTH,
+                               max_boxes=max_boxes - boxes)
             rep.boxes += boxes
             rep.reason = ("non-increasing collar + bisection" if rep.proved
                           else "not sign-definite left of the collar")
             return rep
-        if drep.counterexample == 1.0 or any(hi == 1.0 for _, hi in drep.inconclusive):
+        if (drep.counterexample == 1.0 or any(hi == 1.0 for _, hi in drep.inconclusive)
+                or boxes >= max_boxes):
             # a negative derivative value at 1, or a cell at 1 that stayed
-            # unresolved, is in every narrower window too
+            # unresolved, is in every narrower window too; and a spent
+            # budget leaves no box for one
             return ProofReport(False, boxes=boxes, reason=f"zero at r=1; {drep.reason}")
         a2 = 1.0 - 0.5 * (1.0 - a2) if a2 > a else max(a, 1.0 - 1e-2)
     return ProofReport(False, boxes=boxes, reason="no provable non-increasing window at r=1")
@@ -102,16 +108,23 @@ def _prove_upper(sig: Signomial, a: float, depth: int, min_width: float,
 
 #: nested derivative claims `_prove_upper` may try at a zero at r = 1
 _DERIVATIVE_DEPTH = 4
-#: `inf_enclosure`'s bracket width relative to the point value, and the
-#: min_width and box budget of each level proof
+#: every bisection splits its cells down to this width
+_MIN_WIDTH = 1e-12
+#: `inf_enclosure`'s bracket width relative to the point value, and the box
+#: budget of its whole level search (the largest search of a `table1` pass
+#: takes 1,135 boxes)
 _LEVEL_REL_TOL = 1e-5
-_LEVEL_MIN_WIDTH = 1e-10
-_LEVEL_MAX_BOXES = 400_000
+_LEVEL_MAX_BOXES = 50_000
 
 
-def prove_signomial_nonneg(sig: Signomial, min_width: float = 1e-12,
-                           max_boxes: int = 2_000_000) -> ProofReport:
-    """Prove sig(r) >= 0 for all r in the open interval (0, 1)."""
+def prove_signomial_nonneg(sig: Signomial, max_boxes: int = 2_000_000) -> ProofReport:
+    """Prove sig(r) >= 0 for all r in the open interval (0, 1).
+
+    `max_boxes` bounds the whole proof: the point evaluations at r -> 0
+    count against it, and each later step gets what the earlier ones left.
+    A proof may end one box over it, on a last point evaluation.  A proof
+    that spends it without a counterexample says so in its reason.
+    """
     if not sig.terms:
         return ProofReport(True, reason="identically zero")
     _, g = sig.factor_min_power()
@@ -123,6 +136,8 @@ def prove_signomial_nonneg(sig: Signomial, min_width: float = 1e-12,
             if g.enclosure(r, r).hi < 0:
                 return ProofReport(False, counterexample=r, boxes=boxes,
                                    reason="negative limit at r=0")
+            if boxes >= max_boxes:
+                break
         return ProofReport(False, boxes=boxes, reason="negative limit at r=0")
     if c0 == 0:
         # cannot happen after factoring unless sig == 0, handled above
@@ -132,14 +147,16 @@ def prove_signomial_nonneg(sig: Signomial, min_width: float = 1e-12,
     eps0 = 0.25
     for collar_boxes in range(1, 201):
         if g.enclosure(0.0, eps0).lo >= 0:
+            rep = _prove_upper(g, eps0, _DERIVATIVE_DEPTH, max_boxes - collar_boxes)
+            break
+        if collar_boxes == 200 or collar_boxes >= max_boxes:
+            rep = ProofReport(False, inconclusive=[(0.0, eps0)],
+                              reason="no sign-definite collar at r=0")
             break
         eps0 *= 0.5
-    else:
-        return ProofReport(False, inconclusive=[(0.0, eps0)], boxes=collar_boxes,
-                           reason="no sign-definite collar at r=0")
-
-    rep = _prove_upper(g, eps0, _DERIVATIVE_DEPTH, min_width, max_boxes)
     rep.boxes += collar_boxes
+    if not rep.proved and rep.counterexample is None and rep.boxes >= max_boxes:
+        rep.reason = f"box budget of {max_boxes} spent: {rep.reason}"
     return rep
 
 
@@ -408,13 +425,20 @@ def inf_enclosure(num: Signomial, den: Signomial | None = None,
     level below the verified point value at the sampled argmin (pass
     `argmin` if already sampled) and that value.  When the point value is
     unbounded, or no level is provable, lo is -inf.
+
+    The level proofs share one budget of `_LEVEL_MAX_BOXES` boxes, each
+    getting what the earlier ones left.  Once it is spent no level proof
+    starts, and lo is the last proved level, or -inf if none was proved.
     """
     denom = den if den is not None else Signomial.constant(1)
+    left = _LEVEL_MAX_BOXES
 
     def provable(c) -> bool:
+        nonlocal left
         claim = num - Signomial.constant(_frac(c)) * denom
-        return prove_signomial_nonneg(claim, min_width=_LEVEL_MIN_WIDTH,
-                                      max_boxes=_LEVEL_MAX_BOXES).proved
+        rep = prove_signomial_nonneg(claim, max_boxes=left)
+        left -= rep.boxes
+        return rep.proved
 
     r_hat = argmin if argmin is not None else sampled_min(num, den)[1]
     e = num.enclosure(r_hat, r_hat)
@@ -432,8 +456,10 @@ def inf_enclosure(num: Signomial, den: Signomial | None = None,
     step = _LEVEL_REL_TOL * scale
     for _ in range(60):
         lo = point - step
-        if lo == -math.inf:  # point is near -DBL_MAX: no float level is left below it
-            return lo, hi, r_hat
+        if lo == -math.inf or left <= 0:
+            # point is near -DBL_MAX, so no float level is left below it, or
+            # the budget is spent
+            return -math.inf, hi, r_hat
         if provable(lo):
             break
         step *= 4.0
@@ -442,7 +468,7 @@ def inf_enclosure(num: Signomial, den: Signomial | None = None,
 
     # bisect the level between the provable anchor and the point value
     bad = point
-    while bad - lo > _LEVEL_REL_TOL * scale:
+    while bad - lo > _LEVEL_REL_TOL * scale and left > 0:
         mid = 0.5 * (lo + bad)
         if provable(mid):
             lo = mid

@@ -1,3 +1,5 @@
+import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -6,16 +8,18 @@ import pytest
 import memsplate.certificates as certificates
 import memsplate.exprs as exprs
 import memsplate.verify as verify
-from memsplate.certificates import (CandidateW, _cond2_parts, certify_dimension,
-                                    check_cond1, check_cond2, table1_rows,
-                                    table_candidate, threshold_relation,
-                                    wm_signomial)
+from memsplate.certificates import (CandidateW, _cond1_parts, _cond2_parts,
+                                    certify_dimension, check_cond1, check_cond2,
+                                    table1_rows, table_candidate,
+                                    threshold_relation, wm_signomial)
 from memsplate.exprs import Ratio, Signomial
 from memsplate.grid import InvalidArgument
 from memsplate.hardy import hr_weight, radial_laplacian
 from memsplate.operators import (hardy_rellich_constant, lambda_bar,
                                  power_bilaplacian_coeff)
-from memsplate.verify import SAMPLES, _log_uniform_points, prove_signomial_nonneg
+from memsplate.verify import (SAMPLES, _log_uniform_points, prove_signomial_nonneg,
+                              sampled_min)
+from test_intervals import _exact_pow
 
 
 def test_wm_domain():
@@ -151,7 +155,7 @@ def test_each_point_evaluates_each_term_power_once(monkeypatch):
     assert derivatives and all(id(d) in met for d in derivatives)
 
 
-@pytest.mark.parametrize("N,check,sampled,sharpest,enclosure,boxes", [
+_FROZEN_INTERVAL_ANSWERS = [
     # the table dimensions keep the ids they had before `sampled` was pinned
     pytest.param(9, check_cond1, ("0x1.95964c255f3ccp+1", "0x1.da402877d3c8cp-2"),
                  "0x1.6cf48f8423893p+8",
@@ -200,7 +204,11 @@ def test_each_point_evaluates_each_term_power_once(monkeypatch):
                  "0x1.e75d3c5e41d16p+8",
                  ("0x1.e75bfcf81cbb8p+8", "0x1.e75d3c5e41d67p+8"), 156,
                  id="10-lam600-beta487-check_cond2"),
-])
+]
+
+
+@pytest.mark.parametrize("N,check,sampled,sharpest,enclosure,boxes",
+                         _FROZEN_INTERVAL_ANSWERS)
 def test_interval_tier_answers_are_frozen(N, check, sampled, sharpest, enclosure,
                                          boxes):
     # frozen as float hex: the sampled (margin, argmin) and the prover's
@@ -212,6 +220,40 @@ def test_interval_tier_answers_are_frozen(N, check, sampled, sharpest, enclosure
     assert rep.sharpest.hex() == sharpest
     assert tuple(x.hex() for x in rep.sharpest_enclosure) == enclosure
     assert rep.boxes == boxes
+
+
+def _exact_value(sig: Signomial, x: float) -> Decimal:
+    """sig(x) in 50-digit decimal, each power as exp(p ln x)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return sum((Decimal(c.numerator) / Decimal(c.denominator) * _exact_pow(x, p)
+                    for p, c in sig.terms.items()), Decimal(0))
+
+
+@pytest.mark.parametrize("N,check,sampled,sharpest,enclosure,boxes",
+                         _FROZEN_INTERVAL_ANSWERS)
+def test_frozen_enclosures_hold_at_exact_values(N, check, sampled, sharpest, enclosure,
+                                               boxes):
+    # an oracle outside the prover: the ratio's exact value at its sampled
+    # extremum and at 20 fixed points lies above the enclosed inf of cond2,
+    # and below the enclosed sup of cond1
+    cand = N if isinstance(N, CandidateW) else table_candidate(N)
+    if check is check_cond1:
+        num, den = _cond1_parts(cand.m, cand.N)
+        _, arg = sampled_min(-num, den)
+    else:
+        num, den = _cond2_parts(cand, hr_weight(cand.hr_variant, cand.N))
+        _, arg = sampled_min(num, den)
+    lo, hi = (Decimal(float.fromhex(x)) for x in enclosure)
+    rnd = random.Random(5)
+    for x in [arg] + [rnd.random() for _ in range(20)]:
+        with localcontext() as ctx:
+            ctx.prec = 50
+            value = _exact_value(num, x) / _exact_value(den, x)
+        if check is check_cond1:
+            assert value <= hi, x
+        else:
+            assert lo <= value, x
 
 
 @pytest.mark.parametrize("rigor", ["sampled", "interval"])

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import memsplate.hardy as hardy
 import memsplate.verify as verify
 from memsplate.exprs import Ratio, Signomial
 from memsplate.grid import InvalidArgument, build_grid
@@ -80,11 +81,13 @@ def test_a_negative_denominator_is_proved_through_its_negation():
 
 
 def test_a_denominator_that_changes_sign_is_undetermined():
-    # 1/(r - 1/2): r - 1/2 < 0 near 0, and 1/2 - r < 0 at r = 1
+    # 1/(r - 1/2): r - 1/2 < 0 near 0, and 1/2 - r < 0 at r = 1; the report
+    # carries the boxes of both denominator proofs, one point evaluation
+    # each (the witness at r = 1/4, the collar at r = 0)
     rep = _prove_expr_nonneg(Ratio(1) / (Ratio.term(1, 1) - Fraction(1, 2)))
     assert not rep.proved
     assert rep.reason == "denominator sign undetermined"
-    assert rep.counterexample is None and rep.boxes == 0
+    assert rep.counterexample is None and rep.boxes == 2
 
 
 def test_sign_checks_do_not_sample(monkeypatch):
@@ -130,6 +133,17 @@ def test_bessel_oscillatory_pair_is_reported():
     rep = bessel_ode_positive(BesselPairSpec(V=Ratio(1), W=W, N=9))
     assert not rep.positive_on_interval
     assert rep.first_zero is not None and rep.first_zero < 1e-4
+
+
+def test_an_integration_that_spends_its_calls_is_not_positive():
+    # the N = 9 pair (P, PQ): W = PQ grows like 0.24/(1 - r), the integration
+    # crawls near r = 1, and only the cap on right-hand-side calls ends it
+    P, Q = pq_functions()
+    rep = bessel_ode_positive(BesselPairSpec(V=P, W=P * Q, N=9))
+    assert not rep.positive_on_interval and rep.first_zero is None
+    assert 1.0 - 1e-9 < rep.reached < 1.0
+    assert rep.notes == [f"integrator stopped at r={rep.reached!r}: "
+                         f"{hardy._ODE_MAX_CALLS} right-hand-side calls spent"]
 
 
 def test_gm1_side_conditions_for_pq():

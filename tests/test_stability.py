@@ -179,8 +179,8 @@ def test_shifting_at_the_settled_estimate_halves_the_steps():
 def test_nu1_seeds_its_fine_grid_solve_with_the_coarse_value(monkeypatch, N):
     calls = []
 
-    def spy(grid, seed=None):
-        calls.append((seed, real(grid, seed=seed)))
+    def spy(grid, _seed=None):
+        calls.append((_seed, real(grid, _seed=_seed)))
         return calls[-1][1]
 
     real = stability.nu1_discrete
@@ -200,7 +200,7 @@ def test_a_seed_that_has_not_settled_falls_back_to_the_unseeded_solve():
     # iteration returns nu1
     g = build_grid(2, 128, 1.0)
     nu = _pencil_spectrum(RadialField(g, np.zeros(g.M)), 0.0).real
-    res = nu1_discrete(g, seed=0.8 * nu[1])
+    res = nu1_discrete(g, _seed=0.8 * nu[1])
     assert res.value == pytest.approx(nu[0], rel=1e-9)
     assert res.iterations > nu1_discrete(g).iterations
 
@@ -218,7 +218,7 @@ def test_a_zero_pivot_on_the_shifted_factor_keeps_the_unshifted_one(monkeypatch,
         return lu, piv, (info if len(calls) == 1 else 1)
 
     monkeypatch.setattr(branch, "dgbtrf", dgbtrf)
-    res = nu1_discrete(g, seed=nu[0] * (1 + 1e-5) if seeded else None)
+    res = nu1_discrete(g, _seed=nu[0] * (1 + 1e-5) if seeded else None)
     assert len(calls) == 2
     assert res.value == pytest.approx(nu[0], rel=1e-9)
     assert res.residual <= 1e-10

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 import memsplate.certificates as certificates
 import memsplate.verify as verify
 from memsplate.certificates import certify_dimension
-from memsplate.exprs import Signomial
-from memsplate.hardy import hr_weight
+from memsplate.exprs import Ratio, Signomial
+from memsplate.hardy import hr_weight, pq_functions
 from memsplate.verify import (SAMPLES, _log_uniform_points, inf_enclosure,
                               prove_signomial_nonneg, sampled_min, sampled_mins)
 
@@ -135,16 +136,81 @@ def test_a_window_search_stops_on_an_unresolved_cell_at_one(monkeypatch):
     attempts = []
     real = verify._prove_upper
 
-    def spy(sig, a, depth, min_width, max_boxes):
+    def spy(sig, a, depth, max_boxes):
         attempts.append(depth)
-        return real(sig, a, depth, min_width, max_boxes)
+        return real(sig, a, depth, max_boxes)
 
     monkeypatch.setattr(verify, "_prove_upper", spy)
-    rep = verify._prove_upper(Signomial({0: 1, 10**30: -1}), 0.5, 4, 1e-12, 80_000)
+    rep = verify._prove_upper(Signomial({0: 1, 10**30: -1}), 0.5, 4, 10_000)
     assert not rep.proved
     assert attempts == [4, 3]
     assert rep.reason == "zero at r=1; not sign-definite"
     assert rep.boxes <= 10_001
+
+
+def test_a_proof_stops_when_its_whole_budget_is_spent():
+    # the denominator of GM1's pointwise condition for the N = 9 pair
+    # (V, W) = (P, PQ): its derivative windows at r = 1 each fail slowly,
+    # so only a budget for the whole proof bounds it
+    P, Q = pq_functions()
+    V, W = P, P * Q
+    cond4 = (W - 2 * V / Ratio.term(1, 2) + 2 * V.diff() / Ratio.term(1, 1)
+             - V.diff().diff())
+    t0 = time.process_time()
+    rep = prove_signomial_nonneg(cond4.den, max_boxes=2000)
+    assert time.process_time() - t0 < 1.0
+    assert not rep.proved and rep.counterexample is None
+    assert 2000 <= rep.boxes <= 2001
+    assert rep.reason.startswith("box budget of 2000 spent")
+
+
+@pytest.mark.parametrize("sig,reason", [
+    # no witness of the negative limit above r = 1e-30
+    (Signomial({0: Fraction(-1, 10**30), 1: 1}), "negative limit at r=0"),
+    # no sign-definite collar wider than 1e-30
+    (Signomial({0: Fraction(1, 10**30), 1: -1}),
+     "box budget of 5 spent: no sign-definite collar at r=0"),
+])
+def test_the_point_evaluations_at_zero_count_against_the_budget(sig, reason):
+    rep = prove_signomial_nonneg(sig, max_boxes=5)
+    assert not rep.proved and rep.boxes == 5 and rep.reason == reason
+
+
+def _budget_spy(monkeypatch):
+    """Record (max_boxes, claim, report) of every level proof."""
+    calls = []
+    real = verify.prove_signomial_nonneg
+
+    def spy(sig, max_boxes):
+        rep = real(sig, max_boxes=max_boxes)
+        calls.append((max_boxes, sig, rep))
+        return rep
+
+    monkeypatch.setattr(verify, "prove_signomial_nonneg", spy)
+    return calls
+
+
+@pytest.mark.parametrize("budget", [300, 800])
+def test_a_spent_level_budget_starts_no_further_level_proof(monkeypatch, budget):
+    # 4r^2 - 4r + 2 has its inf 1 at r = 1/2; from the point value 1.04 at
+    # r = 0.6 the search takes 19 level proofs and 1,110 boxes, its first
+    # proved level being the seventh, after 416 boxes
+    monkeypatch.setattr(verify, "_LEVEL_MAX_BOXES", budget)
+    calls = _budget_spy(monkeypatch)
+    g = Signomial({0: 2, 1: -4, 2: 4})
+    lo, hi, _ = inf_enclosure(g, argmin=0.6)
+    spent, proved = 0, []  # the proved levels c, from their claims g - c
+    for max_boxes, claim, rep in calls:
+        assert spent < budget and max_boxes == budget - spent
+        spent += rep.boxes
+        if rep.proved:
+            proved.append(float(2 - claim.terms[0]))
+    assert spent >= budget and len(calls) < 19
+    assert lo <= 1.0 <= hi
+    if budget == 300:
+        assert proved == [] and lo == -np.inf
+    else:
+        assert proved and lo == proved[-1]
 
 
 def test_enclosure_orders():
