@@ -113,6 +113,7 @@ class CondReport:
     proved: bool | None    # interval tier only: the cleared claim holds on (0,1)
     rigor: str
     boxes: int | None = None  # interval tier: boxes the cleared-claim proof evaluated
+    levels: int | None = None  # interval tier: level proofs of the enclosure search
     sampled_points: int = 0   # grid points the sampling pass evaluated
     notes: list = field(default_factory=list)
 
@@ -162,7 +163,7 @@ def _check_inf(label: str, claim: Signomial, slack_den: Signomial,
     if end is not None:
         sharp = min(sharp, float(end))
     notes = []
-    proved, enc, boxes = None, None, None
+    proved, enc, boxes, levels = None, None, None, None
     if rigor == "interval":
         dpos = prove_signomial_nonneg(den)
         if not dpos.proved:
@@ -175,12 +176,13 @@ def _check_inf(label: str, claim: Signomial, slack_den: Signomial,
                 notes.append(f"{label} claim not proved: {rep.reason}")
                 if rep.counterexample is not None:
                     notes.append(f"counterexample near r={rep.counterexample}")
-        enc = inf_enclosure(num, den, argmin=arg_sharp, limit=end)[:2]
-        if enc[0] == -np.inf:
+        lo, hi, _, levels = inf_enclosure(num, den, argmin=arg_sharp, limit=end)
+        enc = (lo, hi)
+        if lo == -np.inf:
             notes.append(f"{label} sharpest value unbounded: no level was proved")
     return CondReport(margin=margin, argmin=argmin, sharpest=sharp,
                       sharpest_enclosure=enc, proved=proved, rigor=rigor, boxes=boxes,
-                      sampled_points=mins.points, notes=notes)
+                      levels=levels, sampled_points=mins.points, notes=notes)
 
 
 def check_cond1(candidate: CandidateW, rigor: str = "sampled") -> CondReport:

@@ -240,7 +240,7 @@ def cmd_table1(args) -> int:
 def _cond_doc(c) -> dict:
     return {"margin": c.margin, "argmin": c.argmin, "proved": c.proved,
             "sharpest_enclosure": c.sharpest_enclosure, "boxes": c.boxes,
-            "sampled_points": c.sampled_points, "notes": c.notes}
+            "levels": c.levels, "sampled_points": c.sampled_points, "notes": c.notes}
 
 
 def cmd_certify(args) -> int:

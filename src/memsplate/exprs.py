@@ -78,11 +78,19 @@ class Signomial:
         merged: dict[Fraction, Fraction] = {}
         for p, c in (terms or {}).items():
             p, c = _frac(p), _frac(c)
-            merged[p] = merged.get(p, Fraction(0)) + c
+            merged[p] = merged[p] + c if p in merged else c
         self.terms = {p: c for p, c in merged.items() if c != 0}
         self._diff = None
         self._table = None
         self._rows = {}
+
+    @classmethod
+    def _merged(cls, terms: dict) -> "Signomial":
+        """The signomial of `terms`, already merged: Fraction exponents and
+        coefficients, no exponent twice (a dict) and no zero coefficient."""
+        sig = cls()
+        sig.terms = terms
+        return sig
 
     @classmethod
     def constant(cls, c) -> "Signomial":
@@ -105,14 +113,14 @@ class Signomial:
         return bool(self.terms)
 
     def __neg__(self) -> "Signomial":
-        return Signomial({p: -c for p, c in self.terms.items()})
+        return Signomial._merged({p: -c for p, c in self.terms.items()})
 
     def __add__(self, other) -> "Signomial":
         if not isinstance(other, Signomial):
             other = Signomial.constant(other)
         t = dict(self.terms)
         for p, c in other.terms.items():
-            t[p] = t.get(p, Fraction(0)) + c
+            t[p] = t[p] + c if p in t else c
         return Signomial(t)
 
     __radd__ = __add__
@@ -131,8 +139,8 @@ class Signomial:
         out: dict[Fraction, Fraction] = {}
         for p1, c1 in self.terms.items():
             for p2, c2 in other.terms.items():
-                p = p1 + p2
-                out[p] = out.get(p, Fraction(0)) + c1 * c2
+                p, c = p1 + p2, c1 * c2
+                out[p] = out[p] + c if p in out else c
         return Signomial(out)
 
     __rmul__ = __mul__
@@ -146,7 +154,7 @@ class Signomial:
         return out
 
     def diff(self) -> "Signomial":
-        return Signomial({p - 1: c * p for p, c in self.terms.items() if p != 0})
+        return Signomial._merged({p - 1: c * p for p, c in self.terms.items() if p != 0})
 
     @property
     def min_power(self) -> Fraction:
@@ -155,7 +163,7 @@ class Signomial:
     def shift(self, dp) -> "Signomial":
         """Multiply by r^dp (exact exponent shift)."""
         dp = _frac(dp)
-        return Signomial({p + dp: c for p, c in self.terms.items()})
+        return Signomial._merged({p + dp: c for p, c in self.terms.items()})
 
     def factor_min_power(self) -> tuple[Fraction, "Signomial"]:
         """(pmin, g) with self = r^pmin * g and g having min power 0."""

@@ -158,12 +158,6 @@ def bessel_ode_positive(spec: BesselPairSpec,
     Vr = V.diff()
     notes = []
 
-    def p_of(r):
-        return (N - 1) / r + float(Vr(r)) / float(V(r))
-
-    def q_of(r):
-        return float(W(r)) / float(V(r))
-
     seed_residual = None
     if y0_behavior is not None:
         y = y0_behavior
@@ -204,7 +198,9 @@ def bessel_ode_positive(spec: BesselPairSpec,
             raise _CallsSpent
         calls, last_r = calls + 1, r
         sn, cs = math.sin(th[0]), math.cos(th[0])
-        return [cs * cs + p_of(r) * sn * cs + q_of(r) * sn * sn]
+        v = float(V(r))  # once for p = (N-1)/r + V'/V and q = W/V
+        p = (N - 1) / r + float(Vr(r)) / v
+        return [cs * cs + p * sn * cs + float(W(r)) / v * sn * sn]
 
     # theta starts inside (k pi, (k+1) pi); y vanishes when theta reaches the
     # next multiple of pi (theta' = 1 there, so crossings are upward)

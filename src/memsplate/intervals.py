@@ -53,14 +53,20 @@ def up(x: float) -> float:
 
 
 def frac_bounds(c) -> tuple[float, float]:
-    """Tight float bounds of an exact rational (or float) coefficient."""
+    """Tight float bounds of an exact rational (or float) coefficient.
+
+    The float f = float(c) is compared with c = n/d on integers: f is
+    fn/fd exactly (`as_integer_ratio`), and both denominators are positive,
+    so f - c has the sign of fn*d - n*fd.
+    """
     f = float(c)
     if isinstance(c, float):
         return f, f
-    exact = Fraction(f)
-    if exact == c:
+    fn, fd = f.as_integer_ratio()
+    diff = fn * c.denominator - c.numerator * fd
+    if not diff:
         return f, f
-    return (down(f), f) if exact > c else (f, up(f))
+    return (down(f), f) if diff > 0 else (f, up(f))
 
 
 _POW_REL = 5e-16   # libm pow: <= ~1 ulp, padded
@@ -71,11 +77,18 @@ _POW_UP = _next(1.0 + _POW_REL, _INF)
 
 
 def exponent_rounding(p: Fraction | float) -> float:
-    """k with x**p within relative k*|ln x| of x**float(p); 0 when float(p) == p."""
+    """k with x**p within relative k*|ln x| of x**float(p); 0 when float(p) == p.
+
+    |p - float(p)| is the integer quotient |n*fd - fn*d| / (d*fd), for
+    p = n/d and float(p) = fn/fd; Python's integer true division rounds it
+    to the nearest float, as `float` of the `Fraction` does.
+    """
     if isinstance(p, float):
         return 0.0
-    err = abs(p - Fraction(float(p)))
-    return _EXP_ROUND * float(err) if err else 0.0
+    n, d = p.numerator, p.denominator
+    fn, fd = float(p).as_integer_ratio()
+    err = abs(n * fd - fn * d)
+    return _EXP_ROUND * (err / (d * fd)) if err else 0.0
 
 
 def padded_pow(x: float, pf: float, k: float, abslog: float) -> tuple[float, float]:

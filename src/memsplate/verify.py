@@ -21,7 +21,10 @@ every box of every layer, and each step gets what the earlier ones left.
 
 The infimum of a ratio of signomials is enclosed by one search over levels
 c of the claim "num - c*den >= 0 on (0,1)", whose first level is an exact
-endpoint limit when the caller has one.  The level proofs share one budget,
+endpoint limit when the caller has one.  The search stops once the proved
+level lo satisfies lo >= bad - _LEVEL_REL_TOL * scale, bad the lowest level
+not proved: the expression the first anchor is built from, so a proved
+first anchor ends it.  The level proofs share one budget,
 `_LEVEL_MAX_BOXES`.  A supremum is the negated infimum of -num/den; the
 caller negates.
 
@@ -111,8 +114,8 @@ _DERIVATIVE_DEPTH = 4
 #: every bisection splits its cells down to this width
 _MIN_WIDTH = 1e-12
 #: `inf_enclosure`'s bracket width relative to the point value, and the box
-#: budget of its whole level search (the largest search of a `table1` pass
-#: takes 1,135 boxes)
+#: budget of its whole level search (the largest search of a `table1` pass,
+#: N = 9 cond2, takes 547 boxes)
 _LEVEL_REL_TOL = 1e-5
 _LEVEL_MAX_BOXES = 50_000
 
@@ -417,27 +420,33 @@ def sampled_min(num: Signomial, den: Signomial | None, n: int = SAMPLES):
 
 def inf_enclosure(num: Signomial, den: Signomial | None = None,
                   argmin: float | None = None, limit: Fraction | None = None):
-    """Certified enclosure (lo, hi, argmin) of inf over (0,1) of num/den.
+    """Certified enclosure (lo, hi, argmin, levels) of inf over (0,1) of num/den.
 
     Requires den > 0 on (0,1).  `limit`, an exact limit of num/den at an
     endpoint, caps hi and is the first level tried; when it is proved, its
     lower float bound is lo.  Otherwise lo is bisected between a provable
     level below the verified point value at the sampled argmin (pass
-    `argmin` if already sampled) and that value.  When the point value is
-    unbounded, or no level is provable, lo is -inf.
+    `argmin` if already sampled) and that value.  The bisection stops once
+    lo >= bad - _LEVEL_REL_TOL * scale, bad the lowest level not proved
+    (first the point value) and scale the point value's modulus: the
+    expression the first anchor point - _LEVEL_REL_TOL * scale is built
+    from, so a proved first anchor ends the search.  When the point value
+    is unbounded, or no level is provable, lo is -inf.  `levels` counts
+    the level proofs run, the limit's included.
 
     The level proofs share one budget of `_LEVEL_MAX_BOXES` boxes, each
     getting what the earlier ones left.  Once it is spent no level proof
     starts, and lo is the last proved level, or -inf if none was proved.
     """
     denom = den if den is not None else Signomial.constant(1)
-    left = _LEVEL_MAX_BOXES
+    left, levels = _LEVEL_MAX_BOXES, 0
 
     def provable(c) -> bool:
-        nonlocal left
+        nonlocal left, levels
         claim = num - Signomial.constant(_frac(c)) * denom
         rep = prove_signomial_nonneg(claim, max_boxes=left)
         left -= rep.boxes
+        levels += 1
         return rep.proved
 
     r_hat = argmin if argmin is not None else sampled_min(num, den)[1]
@@ -447,9 +456,9 @@ def inf_enclosure(num: Signomial, den: Signomial | None = None,
         cl, ch = frac_bounds(limit)
         hi = min(point, ch)
         if provable(limit):
-            return cl, hi, r_hat
+            return cl, hi, r_hat, levels
     if not math.isfinite(point):
-        return -math.inf, hi, r_hat
+        return -math.inf, hi, r_hat, levels
 
     # find a provable anchor below the sampled minimum
     scale = abs(point) if point != 0.0 else 1.0
@@ -459,19 +468,19 @@ def inf_enclosure(num: Signomial, den: Signomial | None = None,
         if lo == -math.inf or left <= 0:
             # point is near -DBL_MAX, so no float level is left below it, or
             # the budget is spent
-            return -math.inf, hi, r_hat
+            return -math.inf, hi, r_hat, levels
         if provable(lo):
             break
         step *= 4.0
     else:
-        return -math.inf, hi, r_hat
+        return -math.inf, hi, r_hat, levels
 
     # bisect the level between the provable anchor and the point value
     bad = point
-    while bad - lo > _LEVEL_REL_TOL * scale and left > 0:
+    while lo < bad - _LEVEL_REL_TOL * scale and left > 0:
         mid = 0.5 * (lo + bad)
         if provable(mid):
             lo = mid
         else:
             bad = mid
-    return lo, hi, r_hat
+    return lo, hi, r_hat, levels

@@ -163,7 +163,7 @@ _FROZEN_INTERVAL_ANSWERS = [
                  id="9-check_cond1-0x1.6cf48f8423893p+8-enclosure0-24"),
     pytest.param(9, check_cond2, ("0x1.9e867d575c487p-2", "0x1.01ffd4bf25ee6p-1"),
                  "0x1.6ee7a19f55d76p+8",
-                 ("0x1.6ee72965210f5p+8", "0x1.6ee7a19f55db4p+8"), 366,
+                 ("0x1.6ee6b12aec436p+8", "0x1.6ee7a19f55db4p+8"), 366,
                  id="9-check_cond2-0x1.6ee7a19f55d76p+8-enclosure1-366"),
     pytest.param(12, check_cond1, ("0x1.e3f07e93f7936p+3", "0x1.3892a7e363c52p-1"),
                  "0x1.4fd7b2551d848p+9",
@@ -171,7 +171,7 @@ _FROZEN_INTERVAL_ANSWERS = [
                  id="12-check_cond1-0x1.4fd7b2551d848p+9-enclosure2-18"),
     pytest.param(12, check_cond2, ("0x1.56125916adadap-1", "0x1.5022876843e40p-1"),
                  "0x1.0beac24b22d5bp+10",
-                 ("0x1.0bea6a80a07f4p+10", "0x1.0beac24b22d8ap+10"), 155,
+                 ("0x1.0bea12b61e25fp+10", "0x1.0beac24b22d8ap+10"), 155,
                  id="12-check_cond2-0x1.0beac24b22d5bp+10-enclosure3-155"),
     # off-table candidates; cond2 refutes beta = 737/2 at N = 9
     pytest.param(CandidateW(Fraction(14, 5), 9, 366, Fraction(737, 2), "HR3"),
@@ -182,7 +182,7 @@ _FROZEN_INTERVAL_ANSWERS = [
     pytest.param(CandidateW(Fraction(14, 5), 9, 366, Fraction(737, 2), "HR3"),
                  check_cond2, ("-0x1.985e60aa28b29p+0", "0x1.01ffd4bf25ee6p-1"),
                  "0x1.6ee7a19f55d76p+8",
-                 ("0x1.6ee72965210f5p+8", "0x1.6ee7a19f55db4p+8"), 336,
+                 ("0x1.6ee6b12aec436p+8", "0x1.6ee7a19f55db4p+8"), 336,
                  id="9-beta737/2-check_cond2"),
     pytest.param(CandidateW(3, 12, 1071, 680, "HR2"), check_cond1,
                  ("0x1.f60f60f2e982fp+8", "0x1.b522d80408d65p-1"),
@@ -192,7 +192,7 @@ _FROZEN_INTERVAL_ANSWERS = [
     pytest.param(CandidateW(3, 12, 1071, 680, "HR2"), check_cond2,
                  ("0x1.87ab092c8b569p+8", "0x1.5022876843e40p-1"),
                  "0x1.0beac24b22d5bp+10",
-                 ("0x1.0bea6a80a07f4p+10", "0x1.0beac24b22d8ap+10"), 28,
+                 ("0x1.0bea12b61e25fp+10", "0x1.0beac24b22d8ap+10"), 28,
                  id="12-lam1071-beta680-check_cond2"),
     pytest.param(CandidateW(3, 10, 600, 487, "HR2"), check_cond1,
                  ("0x1.94c32e7c3895bp+7", "0x1.9b380ba72b3c5p-1"),
@@ -223,9 +223,14 @@ def test_interval_tier_answers_are_frozen(N, check, sampled, sharpest, enclosure
 
 
 def _exact_value(sig: Signomial, x: float) -> Decimal:
-    """sig(x) in 50-digit decimal, each power as exp(p ln x)."""
+    """sig(x) in 50-digit decimal, each power as exp(p ln x); at x = 0, the
+    constant term of a signomial with no negative power."""
     with localcontext() as ctx:
         ctx.prec = 50
+        if x == 0.0:
+            assert sig.min_power >= 0
+            c = sig.terms.get(Fraction(0), Fraction(0))
+            return Decimal(c.numerator) / Decimal(c.denominator)
         return sum((Decimal(c.numerator) / Decimal(c.denominator) * _exact_pow(x, p)
                     for p, c in sig.terms.items()), Decimal(0))
 
@@ -254,6 +259,46 @@ def test_frozen_enclosures_hold_at_exact_values(N, check, sampled, sharpest, enc
             assert value <= hi, x
         else:
             assert lo <= value, x
+
+
+def test_sampled_enclosures_of_a_frozen_proof_hold_at_exact_values(monkeypatch):
+    # an oracle outside the prover: a fixed-seed sample of the box
+    # enclosures that the N = 9 cond2 claim proof evaluates (frozen at 366
+    # boxes, one enclosure each), and the collar boxes at r = 0, contain the
+    # exact values at each box's ends and midpoint
+    cand = table_candidate(9)
+    num, den = _cond2_parts(cand, hr_weight(cand.hr_variant, 9))
+    claim = num - Signomial.constant(cand.beta) * den
+    real = Signomial.enclosure
+    seen = []  # (signomial, a, b, enclosure) per call
+
+    def spy(sig, a, b):
+        enc = real(sig, a, b)
+        seen.append((sig, a, b, enc))
+        return enc
+
+    monkeypatch.setattr(Signomial, "enclosure", spy)
+    assert prove_signomial_nonneg(claim).boxes == len(seen) == 366
+    monkeypatch.undo()
+    collar = [call for call in seen if call[1] == 0.0]
+    assert len(collar) == 3
+    for sig, a, b, enc in collar + random.Random(23).sample(seen, 40):
+        for x in (a, 0.5 * (a + b), b):
+            assert Decimal(enc.lo) <= _exact_value(sig, x) <= Decimal(enc.hi), (a, b, x)
+
+
+def test_enclosure_searches_stop_at_their_tolerance():
+    # a level search ends once its proved level lies within _LEVEL_REL_TOL
+    # times the scale below the lowest unproved one, so a proved first anchor
+    # ends it: N = 9 cond2 runs its endpoint limit and that anchor, and the
+    # 26 searches of a table pass run 45 level proofs
+    levels = {}
+    for N in [*range(9, 18), 20, 30, 31, 40]:
+        rep = certify_dimension(N, rigor="interval")
+        levels[N] = (rep.cond1.levels, rep.cond2.levels)
+    assert levels[9][1] == 2
+    assert sum(map(sum, levels.values())) == 45
+    assert check_cond2(table_candidate(9), rigor="sampled").levels is None
 
 
 @pytest.mark.parametrize("rigor", ["sampled", "interval"])

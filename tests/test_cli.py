@@ -105,7 +105,7 @@ def test_certify_interval_writes_enclosures_and_boxes(tmp_path):
                            ("cond2", "sharpest_beta")):
         lo, hi = doc[cond]["sharpest_enclosure"]
         assert lo <= doc[sharpest] <= hi
-        assert doc[cond]["boxes"] > 0
+        assert doc[cond]["boxes"] > 0 and doc[cond]["levels"] > 0
         assert 0 < doc[cond]["sampled_points"] < SAMPLES
 
 

@@ -1,9 +1,11 @@
 import math
 import random
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from memsplate.intervals import (Interval, down, exponent_rounding, frac_bounds,
                                  mul_bounds, padded_pow, pow_bounds, ProofReport,
@@ -23,6 +25,73 @@ def test_frac_bounds_encloses():
         assert Fraction(lo) <= Fraction(c) <= Fraction(hi)
     # exact dyadics are tight
     assert frac_bounds(Fraction(3, 4)) == (0.75, 0.75)
+
+
+def _frac_bounds_by_fraction(c):
+    """`frac_bounds` as a comparison of `Fraction`s, its earlier formula."""
+    f = float(c)
+    exact = Fraction(f)
+    if exact == c:
+        return f, f
+    return (down(f), f) if exact > c else (f, up(f))
+
+
+def _exponent_rounding_by_fraction(p):
+    """`exponent_rounding` as a `Fraction` difference, its earlier formula."""
+    err = abs(p - Fraction(float(p)))
+    return 1.1 * float(err) if err else 0.0
+
+
+def _outcome(f, x):
+    """The float hex of f(x), sign of zero included, or the error it raises."""
+    try:
+        out = f(x)
+    except OverflowError as exc:
+        return "OverflowError", str(exc)
+    return tuple(v.hex() for v in out) if isinstance(out, tuple) else out.hex()
+
+
+_BIG = 2 ** 1100
+# rationals the integer formulas must round as the Fraction ones do: ints of
+# either sign, exact dyadics, numerators or denominators above 2**1100
+# (whose floats overflow, or whose quotient is a normal float), and values
+# whose float is subnormal or a zero of either sign
+_RATIONALS = st.one_of(
+    st.integers(),
+    st.integers(-2 ** 80, 2 ** 80).map(Fraction),
+    st.floats(allow_nan=False, allow_infinity=False).map(Fraction),
+    st.builds(Fraction, st.integers(-2 ** 60, 2 ** 60), st.integers(1, 10 ** 6)),
+    st.builds(lambda n, d: Fraction(n * _BIG, d),
+              st.integers(-10 ** 9, 10 ** 9), st.integers(1, 10 ** 6)),
+    st.builds(lambda n, d: Fraction(n, d * _BIG),
+              st.integers(-2 ** 1200, 2 ** 1200), st.integers(1, 10 ** 6)),
+    st.builds(lambda n, e, d: Fraction(n, d << e),
+              st.integers(-10 ** 6, 10 ** 6), st.integers(1000, 1200),
+              st.integers(1, 10 ** 6)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_RATIONALS)
+def test_integer_formulas_round_as_the_fraction_formulas(c):
+    assert _outcome(frac_bounds, c) == _outcome(_frac_bounds_by_fraction, c)
+    assert _outcome(exponent_rounding, c) == _outcome(_exponent_rounding_by_fraction, c)
+
+
+def test_integer_formulas_round_the_edge_cases_as_the_fraction_formulas():
+    # a subnormal and a signed zero float of c, an overflow, and exponent
+    # errors that round to subnormals
+    tiny = Fraction(1, 3 * 2 ** 1074)
+    for c in (tiny, -tiny, Fraction(1, 2 ** 1080), Fraction(-1, 2 ** 1080),
+              Fraction(3, 2 ** 1074), Fraction(5 * _BIG, 3), -Fraction(5 * _BIG, 3),
+              Fraction(2 ** 1024 - 1), 0, Fraction(0), -7, Fraction(1, 3),
+              Fraction(1, 3 * 2 ** 1000)):
+        assert _outcome(frac_bounds, c) == _outcome(_frac_bounds_by_fraction, c), c
+        assert (_outcome(exponent_rounding, c)
+                == _outcome(_exponent_rounding_by_fraction, c)), c
+    assert frac_bounds(-tiny)[1].hex() == "-0x0.0p+0"
+    assert _outcome(frac_bounds, Fraction(5 * _BIG, 3))[0] == "OverflowError"
+    assert 0.0 < exponent_rounding(Fraction(1, 3 * 2 ** 1000)) < sys.float_info.min
 
 
 def test_pow_bounds_encloses():
