@@ -112,7 +112,9 @@ class CondReport:
     sharpest_enclosure: tuple | None
     proved: bool | None    # interval tier only: the cleared claim holds on (0,1)
     rigor: str
-    boxes: int | None = None  # interval tier: boxes the cleared-claim proof evaluated
+    #: interval tier: boxes the cleared-claim proof evaluated; 0 when a level
+    #: the enclosure search proved implies the claim (a note says so)
+    boxes: int | None = None
     levels: int | None = None  # interval tier: level proofs of the enclosure search
     sampled_points: int = 0   # grid points the sampling pass evaluated
     notes: list = field(default_factory=list)
@@ -142,17 +144,23 @@ def _require_floats(label: str, *sigs: Signomial) -> None:
 
 
 def _check_inf(label: str, claim: Signomial, slack_den: Signomial,
-               num: Signomial, den: Signomial, rigor: str) -> CondReport:
+               num: Signomial, den: Signomial, rigor: str, level: Fraction) -> CondReport:
     """Shared body of the two checks, on the infimum side.
 
+    `claim` is num - level*den, built by the caller in its own term order,
+    which the sampled margin's float sums follow.
     The margin is the sampled minimum of claim/slack_den, and `sharpest` the
     sampled inf of num/den folded with its exact endpoint limits; one
     sampling pass gives both, and the report keeps its count of evaluated
-    grid points.  The interval tier proves den > 0 and then the cleared
-    claim, and encloses the inf of num/den with one level search whose
-    first level is the smaller endpoint limit (see `inf_enclosure`).  An
-    enclosure with no proved level has the lower bound -inf and says so in
-    a note.
+    grid points.  The interval tier proves den > 0, encloses the inf of
+    num/den with one level search whose first level is the smaller endpoint
+    limit (see `inf_enclosure`), and then settles the cleared claim.  When
+    den > 0 is proved and the search proved a level lo >= level (compared
+    exactly), the claim follows from
+    num - level*den = (num - lo*den) + (lo - level)*den: it is proved in no
+    boxes of its own, and a note names lo and level.  Otherwise the claim
+    gets its own proof.  An enclosure with no proved level has the lower
+    bound -inf and says so in a note.
     """
     if rigor not in _RIGOR_TIERS:
         raise InvalidArgument(f"unknown rigor tier {rigor!r}")
@@ -166,9 +174,15 @@ def _check_inf(label: str, claim: Signomial, slack_den: Signomial,
     proved, enc, boxes, levels = None, None, None, None
     if rigor == "interval":
         dpos = prove_signomial_nonneg(den)
+        lo, hi, _, levels = inf_enclosure(num, den, argmin=arg_sharp, limit=end)
+        enc = (lo, hi)
         if not dpos.proved:
             notes.append(f"{label} denominator sign not proved: {dpos.reason}")
             proved = False
+        elif lo > -np.inf and Fraction(lo) >= level:
+            proved, boxes = True, 0
+            notes.append(f"{label} claim implied by the proved level {lo!r} "
+                         f">= the claim's level {level}")
         else:
             rep = prove_signomial_nonneg(claim)
             proved, boxes = rep.proved, rep.boxes
@@ -176,8 +190,6 @@ def _check_inf(label: str, claim: Signomial, slack_den: Signomial,
                 notes.append(f"{label} claim not proved: {rep.reason}")
                 if rep.counterexample is not None:
                     notes.append(f"counterexample near r={rep.counterexample}")
-        lo, hi, _, levels = inf_enclosure(num, den, argmin=arg_sharp, limit=end)
-        enc = (lo, hi)
         if lo == -np.inf:
             notes.append(f"{label} sharpest value unbounded: no level was proved")
     return CondReport(margin=margin, argmin=argmin, sharpest=sharp,
@@ -199,9 +211,9 @@ def check_cond1(candidate: CandidateW, rigor: str = "sampled") -> CondReport:
     m, N = candidate.m, candidate.N
     d = 3 * m - 4
     fnum, fden = _cond1_parts(m, N)
-    claim = Signomial.constant(_frac(candidate.lam_prime) * d ** 3) - fnum
+    claim = Signomial.constant(candidate.lam_prime * d ** 3) - fnum
     slack_den = Signomial({Fraction(8, 3): d}) * q_signomial(m) ** 2
-    rep = _check_inf("cond1", claim, slack_den, -fnum, fden, rigor)
+    rep = _check_inf("cond1", claim, slack_den, -fnum, fden, rigor, -candidate.lam_prime)
     rep.sharpest = -rep.sharpest
     if rep.sharpest_enclosure is not None:
         lo, hi = rep.sharpest_enclosure
@@ -231,8 +243,8 @@ def check_cond2(candidate: CandidateW, rigor: str = "sampled") -> CondReport:
     """
     weight = hr_weight(candidate.hr_variant, candidate.N)
     num, den = _cond2_parts(candidate, weight)
-    claim = num - Signomial.constant(_frac(candidate.beta)) * den
-    return _check_inf("cond2", claim, den, num, den, rigor)
+    claim = num - Signomial.constant(candidate.beta) * den
+    return _check_inf("cond2", claim, den, num, den, rigor, candidate.beta)
 
 
 # --------------------------------------------------------------------------

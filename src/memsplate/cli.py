@@ -133,7 +133,7 @@ def _grid_params(args) -> dict:
 def cmd_branch(args) -> int:
     out = _outdir(args)
     bc = BoundaryData(args.alpha, args.beta)
-    dims = _parse_dims(args.dims) if args.dims else [args.dim]
+    dims = _parse_dims(args.dims) if args.dims is not None else [args.dim]
     for N in dims:
         cfg = ContinuationConfig(N=N, bc=bc, M=args.M, gamma=args.gamma,
                                  compute_mu1=args.with_mu1)
@@ -208,7 +208,7 @@ _TABLE_COLUMNS = ["N", "m", "lambda_prime_given", "lambda_prime_computed",
 
 def cmd_table1(args) -> int:
     out = _outdir(args)
-    dims = _parse_dims(args.dims) if args.dims else None
+    dims = _parse_dims(args.dims) if args.dims is not None else None
     rows = table1_rows(dims, rigor=args.rigor)
     if args.format == "csv":
         with open(out / "table1.csv", "w", newline="") as fh:

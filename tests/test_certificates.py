@@ -107,14 +107,31 @@ def test_certify_dimensions_interval(N):
     assert rep.cond1.proved and rep.cond2.proved
 
 
-def test_n9_cleared_claim_box_counts():
+@pytest.fixture
+def claims(monkeypatch):
+    """The (label, claim, num, den, level) of each `_check_inf` call, in order."""
+    seen = []
+    real = certificates._check_inf
+
+    def spy(label, claim, slack_den, num, den, rigor, level):
+        seen.append((label, claim, num, den, level))
+        return real(label, claim, slack_den, num, den, rigor, level)
+
+    monkeypatch.setattr(certificates, "_check_inf", spy)
+    return seen
+
+
+def test_n9_cleared_claim_box_counts(claims):
     # frozen: every box a proof evaluates is counted, the r = 0 collar search,
     # the failed derivative windows at r = 1 and the point evaluations of
     # boxes narrower than min_width included; the same counts show that the
-    # enclosures walk the same bisection tree
+    # enclosures walk the same bisection tree.  The enclosure searches'
+    # proved levels imply both cleared claims, so the reports count no boxes
+    # for them; proved by themselves they take 24 and 366
     cand = table_candidate(9)
-    assert check_cond1(cand, rigor="interval").boxes == 24
-    assert check_cond2(cand, rigor="interval").boxes == 366
+    assert check_cond1(cand, rigor="interval").boxes == 0
+    assert check_cond2(cand, rigor="interval").boxes == 0
+    assert [prove_signomial_nonneg(claim).boxes for _, claim, *_ in claims] == [24, 366]
     assert check_cond1(cand, rigor="sampled").boxes is None
     _, den = _cond2_parts(cand, hr_weight(cand.hr_variant, 9))
     rep = prove_signomial_nonneg(den)
@@ -156,53 +173,54 @@ def test_each_point_evaluates_each_term_power_once(monkeypatch):
 
 
 _FROZEN_INTERVAL_ANSWERS = [
-    # the table dimensions keep the ids they had before `sampled` was pinned
+    # boxes: the report's, then those of the cleared claim's own proof; the
+    # table dimensions keep the ids they had before `sampled` was pinned
     pytest.param(9, check_cond1, ("0x1.95964c255f3ccp+1", "0x1.da402877d3c8cp-2"),
                  "0x1.6cf48f8423893p+8",
-                 ("0x1.6cf48f8423880p+8", "0x1.6cf57eb17af35p+8"), 24,
+                 ("0x1.6cf48f8423880p+8", "0x1.6cf57eb17af35p+8"), (0, 24),
                  id="9-check_cond1-0x1.6cf48f8423893p+8-enclosure0-24"),
     pytest.param(9, check_cond2, ("0x1.9e867d575c487p-2", "0x1.01ffd4bf25ee6p-1"),
                  "0x1.6ee7a19f55d76p+8",
-                 ("0x1.6ee6b12aec436p+8", "0x1.6ee7a19f55db4p+8"), 366,
+                 ("0x1.6ee6b12aec436p+8", "0x1.6ee7a19f55db4p+8"), (0, 366),
                  id="9-check_cond2-0x1.6ee7a19f55d76p+8-enclosure1-366"),
     pytest.param(12, check_cond1, ("0x1.e3f07e93f7936p+3", "0x1.3892a7e363c52p-1"),
                  "0x1.4fd7b2551d848p+9",
-                 ("0x1.4fd7b2551d835p+9", "0x1.4fd88e6e25d74p+9"), 18,
+                 ("0x1.4fd7b2551d835p+9", "0x1.4fd88e6e25d74p+9"), (0, 18),
                  id="12-check_cond1-0x1.4fd7b2551d848p+9-enclosure2-18"),
     pytest.param(12, check_cond2, ("0x1.56125916adadap-1", "0x1.5022876843e40p-1"),
                  "0x1.0beac24b22d5bp+10",
-                 ("0x1.0bea12b61e25fp+10", "0x1.0beac24b22d8ap+10"), 155,
+                 ("0x1.0bea12b61e25fp+10", "0x1.0beac24b22d8ap+10"), (0, 155),
                  id="12-check_cond2-0x1.0beac24b22d5bp+10-enclosure3-155"),
     # off-table candidates; cond2 refutes beta = 737/2 at N = 9
     pytest.param(CandidateW(Fraction(14, 5), 9, 366, Fraction(737, 2), "HR3"),
                  check_cond1, ("0x1.95964c255f3ccp+1", "0x1.da402877d3c8cp-2"),
                  "0x1.6cf48f8423893p+8",
-                 ("0x1.6cf48f8423880p+8", "0x1.6cf57eb17af35p+8"), 24,
+                 ("0x1.6cf48f8423880p+8", "0x1.6cf57eb17af35p+8"), (0, 24),
                  id="9-beta737/2-check_cond1"),
     pytest.param(CandidateW(Fraction(14, 5), 9, 366, Fraction(737, 2), "HR3"),
                  check_cond2, ("-0x1.985e60aa28b29p+0", "0x1.01ffd4bf25ee6p-1"),
                  "0x1.6ee7a19f55d76p+8",
-                 ("0x1.6ee6b12aec436p+8", "0x1.6ee7a19f55db4p+8"), 336,
+                 ("0x1.6ee6b12aec436p+8", "0x1.6ee7a19f55db4p+8"), (336, 336),
                  id="9-beta737/2-check_cond2"),
     pytest.param(CandidateW(3, 12, 1071, 680, "HR2"), check_cond1,
                  ("0x1.f60f60f2e982fp+8", "0x1.b522d80408d65p-1"),
                  "0x1.4fd7b2551d848p+9",
-                 ("0x1.4fd7b2551d835p+9", "0x1.4fd88e6e25d74p+9"), 4,
+                 ("0x1.4fd7b2551d835p+9", "0x1.4fd88e6e25d74p+9"), (0, 4),
                  id="12-lam1071-beta680-check_cond1"),
     pytest.param(CandidateW(3, 12, 1071, 680, "HR2"), check_cond2,
                  ("0x1.87ab092c8b569p+8", "0x1.5022876843e40p-1"),
                  "0x1.0beac24b22d5bp+10",
-                 ("0x1.0bea12b61e25fp+10", "0x1.0beac24b22d8ap+10"), 28,
+                 ("0x1.0bea12b61e25fp+10", "0x1.0beac24b22d8ap+10"), (0, 28),
                  id="12-lam1071-beta680-check_cond2"),
     pytest.param(CandidateW(3, 10, 600, 487, "HR2"), check_cond1,
                  ("0x1.94c32e7c3895bp+7", "0x1.9b380ba72b3c5p-1"),
                  "0x1.c0d033496300bp+8",
-                 ("0x1.c0d0334962ff4p+8", "0x1.c0d1596bc2b42p+8"), 6,
+                 ("0x1.c0d0334962ff4p+8", "0x1.c0d1596bc2b42p+8"), (0, 6),
                  id="10-lam600-beta487-check_cond1"),
     pytest.param(CandidateW(3, 10, 600, 487, "HR2"), check_cond2,
                  ("0x1.74f179074619ap-2", "0x1.2c50d2d1aac21p-1"),
                  "0x1.e75d3c5e41d16p+8",
-                 ("0x1.e75bfcf81cbb8p+8", "0x1.e75d3c5e41d67p+8"), 156,
+                 ("0x1.e75bfcf81cbb8p+8", "0x1.e75d3c5e41d67p+8"), (0, 156),
                  id="10-lam600-beta487-check_cond2"),
 ]
 
@@ -210,16 +228,25 @@ _FROZEN_INTERVAL_ANSWERS = [
 @pytest.mark.parametrize("N,check,sampled,sharpest,enclosure,boxes",
                          _FROZEN_INTERVAL_ANSWERS)
 def test_interval_tier_answers_are_frozen(N, check, sampled, sharpest, enclosure,
-                                         boxes):
+                                         boxes, claims):
     # frozen as float hex: the sampled (margin, argmin) and the prover's
     # enclosures must not move by one ulp; N is a table dimension or an
-    # off-table candidate
+    # off-table candidate.  A report with no boxes of its own names the
+    # proved level that implies its claim: the enclosure's lower end on the
+    # infimum side, where cond1 runs on -F
     cand = N if isinstance(N, CandidateW) else table_candidate(N)
     rep = check(cand, rigor="interval")
     assert (rep.margin.hex(), rep.argmin.hex()) == sampled
     assert rep.sharpest.hex() == sharpest
     assert tuple(x.hex() for x in rep.sharpest_enclosure) == enclosure
-    assert rep.boxes == boxes
+    [(label, claim, _, _, level)] = claims
+    own = prove_signomial_nonneg(claim)
+    assert (rep.boxes, own.boxes) == boxes
+    assert rep.proved == own.proved
+    lo = (float.fromhex(enclosure[0]) if check is check_cond2
+          else -float.fromhex(enclosure[1]))
+    implied = f"{label} claim implied by the proved level {lo!r} >= the claim's level {level}"
+    assert (implied in rep.notes) == (rep.boxes == 0)
 
 
 def _exact_value(sig: Signomial, x: float) -> Decimal:
@@ -318,6 +345,55 @@ def test_each_check_samples_the_grid_once(monkeypatch, check, rigor):
     rep = check(table_candidate(17), rigor=rigor)
     assert passes == [2]
     assert (rep.sharpest_enclosure is not None) == (rigor == "interval")
+
+
+def test_implied_claims_are_the_cleared_claims_and_hold(claims):
+    # an oracle for the implication: every check's claim is num - level*den
+    # term for term, so a proved level lo >= level implies it; lo is the
+    # enclosure's lower end on the infimum side (cond1 runs on -F), and each
+    # implied claim also holds by its own proof.  24 of the 26 conditions of
+    # a table pass are implied
+    reports = []
+    for N in [*range(9, 18), 20, 30, 31, 40]:
+        cand = table_candidate(N)
+        reports += [check_cond1(cand, rigor="interval"), check_cond2(cand, rigor="interval")]
+    assert len(claims) == len(reports) == 26
+    implied = 0
+    for rep, (label, claim, num, den, level) in zip(reports, claims):
+        assert claim == num - Signomial.constant(level) * den
+        if any("implied" in note for note in rep.notes):
+            implied += 1
+            lo = (rep.sharpest_enclosure[0] if label == "cond2"
+                  else -rep.sharpest_enclosure[1])
+            assert Fraction(lo) >= level
+            assert rep.proved and rep.boxes == 0
+            assert prove_signomial_nonneg(claim).proved
+        else:
+            assert rep.proved and rep.boxes > 0
+    assert implied == 24
+
+
+def test_a_claim_below_the_proved_level_gets_its_own_proof():
+    # N = 31 cond1: lambda' = 27 lbar is the exact limit of F at r -> 0, and
+    # the search proves that limit; but its lower bound on -F is the limit's
+    # float lower bound, which lies below -lambda', so it implies nothing and
+    # the claim is proved by its own bisection
+    cand = table_candidate(31)
+    rep = check_cond1(cand, rigor="interval")
+    assert rep.levels == 1
+    assert Fraction(-rep.sharpest_enclosure[1]) < -cand.lam_prime
+    assert rep.proved and rep.boxes == 2
+    assert not any("implied" in note for note in rep.notes)
+
+
+def test_a_claim_with_no_proved_level_gets_its_own_proof(monkeypatch):
+    # with no box for the level search no level is proved, and the N = 9
+    # cond2 claim is proved by its own bisection, in its frozen 366 boxes
+    monkeypatch.setattr(verify, "_LEVEL_MAX_BOXES", 0)
+    rep = check_cond2(table_candidate(9), rigor="interval")
+    assert rep.sharpest_enclosure[0] == -np.inf
+    assert rep.proved and rep.boxes == 366
+    assert rep.notes == ["cond2 sharpest value unbounded: no level was proved"]
 
 
 def test_certify_rejects_subcritical_dim():

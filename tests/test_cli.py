@@ -7,11 +7,12 @@ from types import SimpleNamespace
 import pytest
 
 import memsplate
+import memsplate.certificates as certificates
 import memsplate.cli as cli
 import memsplate.verify as verify
 from memsplate.cli import _hr_checks, _parse_dims, main
 from memsplate.grid import InvalidArgument
-from memsplate.verify import SAMPLES
+from memsplate.verify import SAMPLES, prove_signomial_nonneg
 
 
 def run(tmp_path, *argv):
@@ -57,6 +58,18 @@ def test_parse_dims():
     assert _parse_dims("9,12,31") == [9, 12, 31]
     with pytest.raises(InvalidArgument, match="empty dimension range"):
         _parse_dims("12..9")
+    with pytest.raises(InvalidArgument, match="malformed dimension list ''"):
+        _parse_dims("")
+
+
+@pytest.mark.parametrize("command", [["branch"], ["table1", "--rigor", "sampled"]])
+def test_an_empty_dimension_list_exits_config(tmp_path, capsys, command):
+    # an empty --dims is a malformed list, not a missing flag: branch must
+    # not fall back to --dim, nor table1 to every table dimension
+    assert run(tmp_path, *command, "--dims", "") == 3
+    err = capsys.readouterr().err
+    assert err == "configuration error: malformed dimension list ''\n"
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_threshold_json(tmp_path):
@@ -97,7 +110,18 @@ def test_certify_default_candidate(tmp_path, capsys):
     assert doc["candidate"]["m"] == 3.0
 
 
-def test_certify_interval_writes_enclosures_and_boxes(tmp_path):
+def test_certify_interval_writes_enclosures_and_boxes(tmp_path, monkeypatch):
+    # at N = 20 a proved level of each enclosure search implies its cleared
+    # claim, so the claims take no boxes of their own and say why; proved by
+    # themselves they take 4 boxes each
+    claims = {}
+    real = certificates._check_inf
+
+    def spy(label, claim, *args):
+        claims[label] = claim
+        return real(label, claim, *args)
+
+    monkeypatch.setattr(certificates, "_check_inf", spy)
     assert run(tmp_path, "certify", "--dim", "20", "--rigor", "interval") == 0
     doc = json.loads((tmp_path / "certify_N20.json").read_text())
     assert doc["verdict"] == "Pass"
@@ -105,7 +129,11 @@ def test_certify_interval_writes_enclosures_and_boxes(tmp_path):
                            ("cond2", "sharpest_beta")):
         lo, hi = doc[cond]["sharpest_enclosure"]
         assert lo <= doc[sharpest] <= hi
-        assert doc[cond]["boxes"] > 0 and doc[cond]["levels"] > 0
+        assert doc[cond]["boxes"] == 0 and doc[cond]["levels"] > 0
+        [note] = doc[cond]["notes"]
+        assert note.startswith(f"{cond} claim implied by the proved level ")
+        rep = prove_signomial_nonneg(claims[cond])
+        assert rep.proved and rep.boxes == 4
         assert 0 < doc[cond]["sampled_points"] < SAMPLES
 
 

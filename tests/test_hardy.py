@@ -190,3 +190,14 @@ def test_discrete_form_seeds_agree():
     g = build_grid(17, 256, 2.0)
     for seed in (1, 2, 3):
         assert discrete_form_check("HR1", 17, grid=g, trials=25, seed=seed).passed
+
+
+def test_discrete_form_gaps_are_frozen():
+    # frozen as float hex: the default grid and 200 trials of the `hr`
+    # command's three weights, whose profiles share their powers of r
+    frozen = {("HR3", 9): "0x1.30ea38b434847p+10",
+              ("HR2", 12): "0x1.626e5f3bf3320p+11",
+              ("HR1", 17): "0x1.3390ef7ff6b2ap+13"}
+    for (variant, N), gap in frozen.items():
+        rep = discrete_form_check(variant, N, trials=200, seed=0)
+        assert rep.min_relative_gap.hex() == gap and rep.passed
