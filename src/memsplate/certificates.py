@@ -155,8 +155,9 @@ def _check_inf(label: str, claim: Signomial, slack_den: Signomial,
     grid points.  The interval tier proves den > 0, encloses the inf of
     num/den with one level search whose first level is the smaller endpoint
     limit (see `inf_enclosure`), and then settles the cleared claim.  When
-    den > 0 is proved and the search proved a level lo >= level (compared
-    exactly), the claim follows from
+    den > 0 is not proved, no level proof runs: the report has no enclosure
+    and no claim proof, and its notes say why.  When the search proved a
+    level lo >= level (compared exactly), the claim follows from
     num - level*den = (num - lo*den) + (lo - level)*den: it is proved in no
     boxes of its own, and a note names lo and level.  Otherwise the claim
     gets its own proof.  An enclosure with no proved level has the lower
@@ -174,24 +175,27 @@ def _check_inf(label: str, claim: Signomial, slack_den: Signomial,
     proved, enc, boxes, levels = None, None, None, None
     if rigor == "interval":
         dpos = prove_signomial_nonneg(den)
-        lo, hi, _, levels = inf_enclosure(num, den, argmin=arg_sharp, limit=end)
-        enc = (lo, hi)
         if not dpos.proved:
-            notes.append(f"{label} denominator sign not proved: {dpos.reason}")
-            proved = False
-        elif lo > -np.inf and Fraction(lo) >= level:
-            proved, boxes = True, 0
-            notes.append(f"{label} claim implied by the proved level {lo!r} "
-                         f">= the claim's level {level}")
+            proved, levels = False, 0
+            notes += [f"{label} denominator sign not proved: {dpos.reason}",
+                      f"{label} sharpest value not enclosed: no level is proved "
+                      "without the denominator sign"]
         else:
-            rep = prove_signomial_nonneg(claim)
-            proved, boxes = rep.proved, rep.boxes
-            if not rep.proved:
-                notes.append(f"{label} claim not proved: {rep.reason}")
-                if rep.counterexample is not None:
-                    notes.append(f"counterexample near r={rep.counterexample}")
-        if lo == -np.inf:
-            notes.append(f"{label} sharpest value unbounded: no level was proved")
+            lo, hi, _, levels = inf_enclosure(num, den, argmin=arg_sharp, limit=end)
+            enc = (lo, hi)
+            if lo > -np.inf and Fraction(lo) >= level:
+                proved, boxes = True, 0
+                notes.append(f"{label} claim implied by the proved level {lo!r} "
+                             f">= the claim's level {level}")
+            else:
+                rep = prove_signomial_nonneg(claim)
+                proved, boxes = rep.proved, rep.boxes
+                if not rep.proved:
+                    notes.append(f"{label} claim not proved: {rep.reason}")
+                    if rep.counterexample is not None:
+                        notes.append(f"counterexample near r={rep.counterexample}")
+            if lo == -np.inf:
+                notes.append(f"{label} sharpest value unbounded: no level was proved")
     return CondReport(margin=margin, argmin=argmin, sharpest=sharp,
                       sharpest_enclosure=enc, proved=proved, rigor=rigor, boxes=boxes,
                       levels=levels, sampled_points=mins.points, notes=notes)

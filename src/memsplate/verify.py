@@ -7,9 +7,10 @@ sum c_k r^(p_k) on the open interval (0,1), which is decided here by:
 * exact leading-term analysis at r -> 0 (factor out the minimal power; the
   resulting constant term is the limit and must be positive);
 * exact evaluation at r = 1 (rational sum of coefficients); when it vanishes,
-  a monotonicity argument on a left neighborhood via the (exact) derivative,
-  applied recursively; the window search stops when a cell at r = 1 stays
-  unresolved, since a narrower window keeps it;
+  a monotonicity argument on a left neighborhood [a2, 1] via the (exact)
+  derivative, applied recursively: the first window is the collar
+  a2 = 1 - 1e-2 and each next one halves 1 - a2; the window search stops
+  when a cell at r = 1 stays unresolved, since a narrower window keeps it;
 * adaptive outward-rounded interval bisection on the remaining compact core,
   every one down to cells of width `_MIN_WIDTH`.
 
@@ -69,12 +70,15 @@ def _prove_upper(sig: Signomial, a: float, depth: int, max_boxes: int) -> ProofR
 
     When sig(1) = 0 exactly, sig >= 0 on [a2, 1] follows from sig being
     non-increasing there (-sig' >= 0 on [a2, 1], recursively the same kind of
-    claim); the window [a2, 1] is shrunk geometrically until the derivative
-    claim is provable, and the remaining [a, a2] is handled by plain
-    bisection.  This is essential when the slope at the root is orders of
-    magnitude below the coefficient scale: no fixed-width collar enclosure is
-    then sign-definite near 1, but the derivative claim is.  Each window
-    attempt, and the last bisection, gets the boxes the earlier ones left.
+    claim).  The first window is the collar a2 = max(a, 1 - 1e-2), and each
+    next one halves 1 - a2 until the derivative claim is provable; the
+    remaining [a, a2] is handled by plain bisection.  A whole-interval first
+    window would fail for most claims, and its failures cost more than the
+    bisection of [a, a2] saves.  The windows are essential when the slope at
+    the root is orders of magnitude below the coefficient scale: no
+    fixed-width collar enclosure is then sign-definite near 1, but the
+    derivative claim is.  Each window attempt, and the last bisection, gets
+    the boxes the earlier ones left.
     """
     v1 = sig.value_at_one()
     if v1 < 0:
@@ -84,7 +88,7 @@ def _prove_upper(sig: Signomial, a: float, depth: int, max_boxes: int) -> ProofR
     if depth == 0:
         return ProofReport(False, reason="derivative depth exhausted at r=1")
     d = -sig.diff()
-    a2 = a
+    a2 = max(a, 1.0 - 1e-2)
     boxes = 0  # every derivative-window attempt, failed ones included
     for _ in range(45):
         drep = _prove_upper(d, a2, depth - 1, max_boxes - boxes)
@@ -105,7 +109,7 @@ def _prove_upper(sig: Signomial, a: float, depth: int, max_boxes: int) -> ProofR
             # unresolved, is in every narrower window too; and a spent
             # budget leaves no box for one
             return ProofReport(False, boxes=boxes, reason=f"zero at r=1; {drep.reason}")
-        a2 = 1.0 - 0.5 * (1.0 - a2) if a2 > a else max(a, 1.0 - 1e-2)
+        a2 = 1.0 - 0.5 * (1.0 - a2)
     return ProofReport(False, boxes=boxes, reason="no provable non-increasing window at r=1")
 
 

@@ -123,7 +123,7 @@ def claims(monkeypatch):
 
 def test_n9_cleared_claim_box_counts(claims):
     # frozen: every box a proof evaluates is counted, the r = 0 collar search,
-    # the failed derivative windows at r = 1 and the point evaluations of
+    # every derivative window at r = 1 and the point evaluations of
     # boxes narrower than min_width included; the same counts show that the
     # enclosures walk the same bisection tree.  The enclosure searches'
     # proved levels imply both cleared claims, so the reports count no boxes
@@ -136,7 +136,7 @@ def test_n9_cleared_claim_box_counts(claims):
     _, den = _cond2_parts(cand, hr_weight(cand.hr_variant, 9))
     rep = prove_signomial_nonneg(den)
     assert rep.proved and rep.reason.startswith("non-increasing collar")
-    assert rep.boxes == 144
+    assert rep.boxes == 50
 
 
 def test_each_point_evaluates_each_term_power_once(monkeypatch):
@@ -189,7 +189,7 @@ _FROZEN_INTERVAL_ANSWERS = [
                  id="12-check_cond1-0x1.4fd7b2551d848p+9-enclosure2-18"),
     pytest.param(12, check_cond2, ("0x1.56125916adadap-1", "0x1.5022876843e40p-1"),
                  "0x1.0beac24b22d5bp+10",
-                 ("0x1.0bea12b61e25fp+10", "0x1.0beac24b22d8ap+10"), (0, 155),
+                 ("0x1.0bea12b61e25fp+10", "0x1.0beac24b22d8ap+10"), (0, 79),
                  id="12-check_cond2-0x1.0beac24b22d5bp+10-enclosure3-155"),
     # off-table candidates; cond2 refutes beta = 737/2 at N = 9
     pytest.param(CandidateW(Fraction(14, 5), 9, 366, Fraction(737, 2), "HR3"),
@@ -210,7 +210,7 @@ _FROZEN_INTERVAL_ANSWERS = [
     pytest.param(CandidateW(3, 12, 1071, 680, "HR2"), check_cond2,
                  ("0x1.87ab092c8b569p+8", "0x1.5022876843e40p-1"),
                  "0x1.0beac24b22d5bp+10",
-                 ("0x1.0bea12b61e25fp+10", "0x1.0beac24b22d8ap+10"), (0, 28),
+                 ("0x1.0bea12b61e25fp+10", "0x1.0beac24b22d8ap+10"), (0, 31),
                  id="12-lam1071-beta680-check_cond2"),
     pytest.param(CandidateW(3, 10, 600, 487, "HR2"), check_cond1,
                  ("0x1.94c32e7c3895bp+7", "0x1.9b380ba72b3c5p-1"),
@@ -220,7 +220,7 @@ _FROZEN_INTERVAL_ANSWERS = [
     pytest.param(CandidateW(3, 10, 600, 487, "HR2"), check_cond2,
                  ("0x1.74f179074619ap-2", "0x1.2c50d2d1aac21p-1"),
                  "0x1.e75d3c5e41d16p+8",
-                 ("0x1.e75bfcf81cbb8p+8", "0x1.e75d3c5e41d67p+8"), (0, 156),
+                 ("0x1.e75bfcf81cbb8p+8", "0x1.e75d3c5e41d67p+8"), (0, 83),
                  id="10-lam600-beta487-check_cond2"),
 ]
 
@@ -433,14 +433,27 @@ def test_interval_tier_refutes_an_interior_dip():
 
 def test_interval_tier_refuses_an_unproved_denominator(monkeypatch):
     # W = (-1)/(-1) is the constant 1, but its cleared denominator is
-    # negative, so the cond2 claim is never attempted, and no level of the
-    # sharpest value is proved either
+    # negative, so neither the cond2 claim nor any level of the sharpest
+    # value is attempted (the level proofs go through the verify module's
+    # name, the denominator proof through the certificates module's), and
+    # the report carries no enclosure
+    level_proofs = []
+    real = verify.prove_signomial_nonneg
+
+    def spy(sig, **kw):
+        level_proofs.append(sig)
+        return real(sig, **kw)
+
+    monkeypatch.setattr(verify, "prove_signomial_nonneg", spy)
     cand = table_candidate(12)
     monkeypatch.setattr(certificates, "hr_weight", lambda variant, N: Ratio(-1, -1))
     rep = check_cond2(cand, rigor="interval")
+    assert level_proofs == []
     assert rep.proved is False and rep.boxes is None
+    assert rep.sharpest_enclosure is None and rep.levels == 0
     assert rep.notes == ["cond2 denominator sign not proved: negative limit at r=0",
-                         "cond2 sharpest value unbounded: no level was proved"]
+                         "cond2 sharpest value not enclosed: no level is proved "
+                         "without the denominator sign"]
 
 
 def test_n9_computed_sharpest_values():
@@ -460,6 +473,34 @@ def test_table1_rows_sampled():
     assert byN[12]["lam_prime_given"] == 680.0
     assert byN[12]["beta_given"] == 1071.0
     assert byN[31]["m"] == 2
+
+
+def test_table1_interval_pass_fails_no_derivative_window(monkeypatch):
+    # frozen counts of one `table1 --rigor interval` pass: each zero at r = 1
+    # tries the narrow collar first, so no derivative window at any depth
+    # fails, and the 73 sign proofs (the denominators, the enclosures' level
+    # proofs and the claims) take 2,490 boxes
+    failed_windows, proof_boxes = [], []
+    real_upper, real_proof = verify._prove_upper, verify.prove_signomial_nonneg
+
+    def upper_spy(sig, a, depth, max_boxes):
+        rep = real_upper(sig, a, depth, max_boxes)
+        if depth < verify._DERIVATIVE_DEPTH and not rep.proved:
+            failed_windows.append((a, depth))
+        return rep
+
+    def proof_spy(sig, max_boxes=2_000_000):
+        rep = real_proof(sig, max_boxes=max_boxes)
+        proof_boxes.append(rep.boxes)
+        return rep
+
+    monkeypatch.setattr(verify, "_prove_upper", upper_spy)
+    monkeypatch.setattr(verify, "prove_signomial_nonneg", proof_spy)
+    monkeypatch.setattr(certificates, "prove_signomial_nonneg", proof_spy)
+    rows = table1_rows(rigor="interval")
+    assert [r["verdict"] for r in rows] == ["Pass"] * 13
+    assert failed_windows == []
+    assert (len(proof_boxes), sum(proof_boxes)) == (73, 2490)
 
 
 def test_table1_sampled_values_are_frozen():

@@ -113,7 +113,7 @@ def test_certify_default_candidate(tmp_path, capsys):
 def test_certify_interval_writes_enclosures_and_boxes(tmp_path, monkeypatch):
     # at N = 20 a proved level of each enclosure search implies its cleared
     # claim, so the claims take no boxes of their own and say why; proved by
-    # themselves they take 4 boxes each
+    # themselves they take 4 and 11 boxes
     claims = {}
     real = certificates._check_inf
 
@@ -125,15 +125,15 @@ def test_certify_interval_writes_enclosures_and_boxes(tmp_path, monkeypatch):
     assert run(tmp_path, "certify", "--dim", "20", "--rigor", "interval") == 0
     doc = json.loads((tmp_path / "certify_N20.json").read_text())
     assert doc["verdict"] == "Pass"
-    for cond, sharpest in (("cond1", "sharpest_lambda_prime"),
-                           ("cond2", "sharpest_beta")):
+    for cond, sharpest, own_boxes in (("cond1", "sharpest_lambda_prime", 4),
+                                      ("cond2", "sharpest_beta", 11)):
         lo, hi = doc[cond]["sharpest_enclosure"]
         assert lo <= doc[sharpest] <= hi
         assert doc[cond]["boxes"] == 0 and doc[cond]["levels"] > 0
         [note] = doc[cond]["notes"]
         assert note.startswith(f"{cond} claim implied by the proved level ")
         rep = prove_signomial_nonneg(claims[cond])
-        assert rep.proved and rep.boxes == 4
+        assert rep.proved and rep.boxes == own_boxes
         assert 0 < doc[cond]["sampled_points"] < SAMPLES
 
 

@@ -148,9 +148,31 @@ def test_a_window_search_stops_on_an_unresolved_cell_at_one(monkeypatch):
     assert rep.boxes <= 10_001
 
 
+def test_a_window_search_shrinks_the_collar_until_it_proves(monkeypatch):
+    # f = (1 - r)((r - 993/1000)^2 + 10^-6) vanishes at r = 1 and is
+    # non-increasing only right of its dip near 0.993, so the first windows
+    # [1 - 1e-2, 1], [0.995, 1] and [0.9975, 1] fail and [0.99875, 1] proves
+    windows = []
+    real = verify._prove_upper
+
+    def spy(sig, a, depth, max_boxes):
+        rep = real(sig, a, depth, max_boxes)
+        if depth < verify._DERIVATIVE_DEPTH:
+            windows.append((a, rep.proved))
+        return rep
+
+    monkeypatch.setattr(verify, "_prove_upper", spy)
+    dip = Signomial({1: 1, 0: Fraction(-993, 1000)}) ** 2 + Signomial.constant(
+        Fraction(1, 10**6))
+    rep = prove_signomial_nonneg(Signomial({0: 1, 1: -1}) * dip)
+    assert windows == [(0.99, False), (0.995, False), (0.9975, False), (0.99875, True)]
+    assert rep.proved and rep.boxes == 600
+    assert rep.reason == "non-increasing collar + bisection"
+
+
 def test_a_proof_stops_when_its_whole_budget_is_spent():
     # the denominator of GM1's pointwise condition for the N = 9 pair
-    # (V, W) = (P, PQ): its derivative windows at r = 1 each fail slowly,
+    # (V, W) = (P, PQ): its first derivative window at r = 1 fails slowly,
     # so only a budget for the whole proof bounds it
     P, Q = pq_functions()
     V, W = P, P * Q
