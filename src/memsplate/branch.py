@@ -12,11 +12,16 @@ A sweep traces the branch in s = u(0), which stays a regular parameter
 through the fold (Keller's pseudo-arclength bordering with the arclength
 replaced by u(0)).  Each point is a bordered Newton solve for (u, lambda)
 with u(0) = s, and its Jacobian factorization gives the tangent
-(du/ds, dlambda/ds), which predicts the next point.  The trace stops at the
-fold of the minimal branch, the root of dlambda/ds, where lambda* is a
-maximum of lambda(s), or at the touchdown threshold s = tau, where it
-reports lambda(tau).  A fold before tau classifies the dimension as regular;
-reaching tau with the touchdown profile 1 - C0 r^(4/3) as singular.
+(du/ds, dlambda/ds).  A solve starts from the cubic Hermite curve through
+the last two solved points and their tangents, or from the tangent line
+when only one point is solved.  The s-step is still sized by the tangent
+line's miss: sized by the Hermite curve's smaller miss, the steps grew
+enough to jump over the fold to tau, and N = 6 and 7 came out singular.
+The trace stops at the fold of the minimal branch, the root of dlambda/ds,
+where lambda* is a maximum of lambda(s), or at the touchdown threshold
+s = tau, where it reports lambda(tau).  A fold before tau classifies the
+dimension as regular; reaching tau with the touchdown profile
+1 - C0 r^(4/3) as singular.
 """
 
 from __future__ import annotations
@@ -33,9 +38,13 @@ from .operators import bilaplacian_clamped, lambda_bar, mixed_bilaplacian  # noq
 
 
 def dgbtrf(ab, kl, ku):
-    """LAPACK banded LU, `scipy.linalg.lapack.dgbtrf`; scipy.linalg loads at the first call."""
+    """LAPACK banded LU, `scipy.linalg.lapack.dgbtrf`, in place: the factors overwrite `ab`.
+
+    `ab` must be a Fortran-ordered float64 band the caller owns; scipy.linalg
+    loads at the first call.
+    """
     from scipy.linalg.lapack import dgbtrf
-    return dgbtrf(ab, kl, ku)
+    return dgbtrf(ab, kl, ku, overwrite_ab=1)
 
 
 def dgbtrs(ab, kl, ku, b, ipiv):
@@ -156,9 +165,18 @@ class BranchResult:
         i = np.clip(np.searchsorted(S, s, side="right") - 1, 0, len(S) - 2)
         h = S[i + 1] - S[i]
         t = (s - S[i]) / h
-        lam_s = ((2 * t ** 3 - 3 * t ** 2 + 1) * lam[i] + (t ** 3 - 2 * t ** 2 + t) * h * slope[i]
-                 + (3 * t ** 2 - 2 * t ** 3) * lam[i + 1] + (t ** 3 - t ** 2) * h * slope[i + 1])
+        lam_s = _hermite(t, h, lam[i], slope[i], lam[i + 1], slope[i + 1])
         return lam_s, sup[i] + t * (sup[i + 1] - sup[i])
+
+
+def _hermite(t, h, y0, dy0, y1, dy1):
+    """Cubic Hermite curve through y0 and y1, with derivatives dy0 and dy1 in s.
+
+    t = (s - s0) / h for the nodes s0 and s0 + h; t outside [0, 1]
+    extrapolates.  The arguments may be arrays of matching shapes.
+    """
+    return ((2 * t ** 3 - 3 * t ** 2 + 1) * y0 + (t ** 3 - 2 * t ** 2 + t) * h * dy0
+            + (3 * t ** 2 - 2 * t ** 3) * y1 + (t ** 3 - t ** 2) * h * dy1)
 
 
 class _ClampedSolver:
@@ -187,12 +205,12 @@ class _ClampedSolver:
         A, o1 = mixed_bilaplacian(grid, bc)
         self.A, self.absA = A, abs(A)
         self.ku, self.kl = int(A.offsets[0]), -int(A.offsets[-1])
-        # dgbtrf wants kl spare rows on top for the pivoting fill-in; Fortran
-        # order lets its input copy be a plain memcpy
+        # dgbtrf wants kl spare rows on top for the pivoting fill-in; it
+        # factors in place, in Fortran order, so each factor gets its own copy
         self.ab = np.asfortranarray(np.vstack([np.zeros((self.kl, A.shape[0])), A.data]))
         self.b0 = np.zeros(A.shape[0])
         self.b0[0::2] = o1
-        self.lu = self._factor(self.ab)
+        self.lu = self._factor(self.ab.copy(order="F"))
         self.phi = phi_lift(bc, grid.r[:-1])
         self.solve_accuracy = self._probe(A)
         if not self.solve_accuracy <= self._PROBE_LIMIT:
@@ -423,7 +441,7 @@ class _Trace:
 
 #: first s-step of a trace
 _DS0 = 0.05
-#: the s-step is sized so that the tangent predictor misses u by about this
+#: the s-step is sized so that the tangent line misses u by about this
 _PREDICTOR_TOL = 1e-2
 #: a failed solve halves the s-step; below this width the trace gives up
 _DS_MIN = 1e-9
@@ -447,13 +465,19 @@ def _restrict(x: np.ndarray) -> np.ndarray:
 def _trace(s: _ClampedSolver, tau: float, mu1=None, start=None) -> _Trace:
     """Trace the minimal branch in s = u(0) from the lift to the fold or s = tau.
 
-    Each point is a `_bordered_solve` started from the tangent predictor of
-    the last point; its tangent comes from the Jacobian factored at the
-    converged point, which `mu1` (when given) reuses.  A failed solve halves
-    the s-step.  After the first point with dlambda/ds <= 0, the fold is
-    sought by regula falsi (Illinois) on dlambda/ds over the s-bracket, until
-    the bracket between the largest lambda solved and the meeting point of
-    the end tangents is `_FOLD_RTOL` narrow; lambda*_h is its midpoint.
+    Each point is a `_bordered_solve`; its tangent comes from the Jacobian
+    factored at the converged point, which `mu1` (when given) reuses.  A
+    stepping solve starts from the cubic Hermite curve through the last two
+    points (`_hermite`, extrapolated), the first one after the start from
+    the last point's tangent line.  The s-step is sized so that the tangent
+    line misses the solved u by about `_PREDICTOR_TOL`, whichever start the
+    solve had, so the s values are those of tangent-started solves; a
+    failed solve halves the s-step.  After the first point with
+    dlambda/ds <= 0, the fold is sought by regula falsi (Illinois) on
+    dlambda/ds over the s-bracket, each solve started from the Hermite curve
+    between the bracket ends, until the bracket between the largest lambda
+    solved and the meeting point of the end tangents is `_FOLD_RTOL`
+    narrow; lambda*_h is its midpoint.
     The first point is the lift's discrete solution at lambda = 0, or, with
     `start = (x, lam)`, the bordered solve from that predictor.  A start at
     or above tau, whose solve fails or which lands at dlambda/ds <= 0 (past
@@ -472,12 +496,19 @@ def _trace(s: _ClampedSolver, tau: float, mu1=None, start=None) -> _Trace:
         trace.append(_TracePoint(x[1], lam, x, b * slope, slope, it, mu))
         return trace[-1]
 
-    def predict(p, s_new):
-        x = p.x + (s_new - p.s) * p.tangent
+    def predict(p, s_new, q=None):
+        """The tangent line at p at s_new, or the cubic Hermite curve through p and q."""
+        if q is None:
+            x, lam = p.x + (s_new - p.s) * p.tangent, p.lam + (s_new - p.s) * p.slope
+        else:
+            h = q.s - p.s
+            t = (s_new - p.s) / h
+            x = _hermite(t, h, p.x, p.tangent, q.x, q.tangent)
+            lam = _hermite(t, h, p.lam, p.slope, q.lam, q.slope)
         x[1] = s_new
         if np.max(x[1::2]) >= 1.0:
             raise NonConvergence("predictor crosses the ceiling")
-        return x, p.lam + (s_new - p.s) * p.slope
+        return x, lam
 
     if start is None:
         p = converge(s.mixed_state(s.solve_rhs(np.zeros_like(s.phi))), 0.0)
@@ -488,21 +519,22 @@ def _trace(s: _ClampedSolver, tau: float, mu1=None, start=None) -> _Trace:
             p = None
         if p is None or p.slope <= 0:
             return _trace(s, tau, mu1)
-    ds = _DS0
+    prev, ds = None, _DS0
     while p.slope > 0 and p.s < tau:
         s_new = min(p.s + ds, tau)
         try:
-            x, lam = predict(p, s_new)
-            q = converge(x, lam)
+            line, lam = predict(p, s_new)
+            q = converge(*(predict(prev, s_new, p) if prev is not None else (line, lam)))
         except NonConvergence:
             failed += 1
             ds = 0.5 * (s_new - p.s)
             if ds < _DS_MIN:
                 raise NonConvergence(f"s-step fell below {_DS_MIN} at s = {p.s}") from None
             continue
-        miss = float(np.max(np.abs(q.x[1::2] - x[1::2])))
+        # the tangent line's miss, not the solve's start, sizes the step
+        miss = float(np.max(np.abs(q.x[1::2] - line[1::2])))
         ds = (s_new - p.s) * min(2.0, max(0.5, math.sqrt(_PREDICTOR_TOL / max(miss, 1e-300))))
-        p = q
+        prev, p = p, q
     if p.slope > 0:
         return _Trace(trace, False, p.lam, (p.lam, p.lam + (1.0 - p.s) * p.slope),
                       len(trace), 0, failed, p, start is not None)
@@ -521,7 +553,7 @@ def _trace(s: _ClampedSolver, tau: float, mu1=None, start=None) -> _Trace:
             raise NonConvergence(f"fold search stalled at lambda in ({lo}, {hi})")
         s_new = (a.s * fb - b.s * fa) / (fb - fa)
         secant_steps += 1
-        c = converge(*predict(a if s_new - a.s <= b.s - s_new else b, s_new))
+        c = converge(*predict(a, s_new, b))
         if c.slope > 0:
             a, fa = c, c.slope
             if side == 1:

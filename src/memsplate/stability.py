@@ -136,14 +136,18 @@ def _pencil_eigen(solver: _ClampedSolver, weight: np.ndarray, method: str,
     negative eigenvalues.  Then it runs again with the shift -max(weight),
     which lies below mu1 >= nu1 - max(weight).  Both tests read the
     unshifted factor.  A `seed` starts the first run shifted to it; its
-    result counts only within `_SETTLE_TOL` of the seed, and otherwise the
-    unseeded run replaces it.
+    result counts only within `_SETTLE_TOL` of the seed and with a u part of
+    one sign, and otherwise the unseeded run replaces it.  The sign test
+    refuses a seed that sits on a higher eigenvalue: by Boggio's principle
+    the clamped ball's ground state is positive, and every higher radial
+    mode changes sign.
     """
     made = solver.factorizations
     if lu is None:
         lu = solver.factor_shifted(weight)
     value, x, iterations = _inverse_iteration(solver, lu, weight, seed=seed)
-    if seed is not None and not abs(value - seed) <= _SETTLE_TOL * abs(seed):
+    if seed is not None and not (abs(value - seed) <= _SETTLE_TOL * abs(seed)
+                                 and (np.all(x[1::2] > 0) or np.all(x[1::2] < 0))):
         value, x, more = _inverse_iteration(solver, lu, weight)
         iterations += more
     if value < 0 or _det_sign(solver, lu) != _det_sign(solver, solver.lu):

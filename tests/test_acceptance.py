@@ -104,6 +104,14 @@ def test_criterion_5_profile_sandwich(matrix):
             assert rep.passed, (N, rep)
 
 
+def test_matrix_traces_solve_every_point_and_close_every_fold_bracket(matrix):
+    for (N, M), res in matrix.items():
+        assert res.failed_solves == 0, (N, M)
+        if res.fold:
+            lo, hi = res.lam_star_bracket
+            assert lo < hi <= lo + 1e-10 * lo, (N, M)
+
+
 def test_criterion_6_table1():
     with criterion("criterion 6 (certificate table, interval rigor)"):
         t0 = time.perf_counter()

@@ -276,6 +276,40 @@ def test_zero_pivot_is_a_failed_newton_solve(monkeypatch):
     assert [p.s for p in res.points] != [p.s for p in clean.points]
 
 
+@pytest.mark.parametrize("N, M, stepping, newton_steps, factorizations", [
+    # stepping s values and counts of the tangent-started solves: 20 Newton
+    # steps and 31 factorizations at N = 3, 22 and 30 at N = 9
+    (3, 512, (0.0, 0.05, 0.15, 0.35, 0.6893035566720553), 14, 24),
+    (9, 2048, (0.0, 0.05, 0.15, 0.35, 0.6422755151844364, 0.864790465862011, 0.999), 18, 26),
+])
+def test_hermite_starts_save_newton_steps_on_the_same_s_path(
+        monkeypatch, N, M, stepping, newton_steps, factorizations):
+    solves = []
+
+    def spy(s, x, lam):
+        out = solve(s, x, lam)
+        solves.append((x[1], out[2]))
+        return out
+
+    solve = branch._bordered_solve
+    monkeypatch.setattr(branch, "_bordered_solve", spy)
+    res = sweep_branch(ContinuationConfig(N=N, M=M))
+    # the main trace solves first; its fold-search solves come last
+    main = solves[:res.trace_points]
+    steps = len(main) - res.fold_secant_steps
+    # the step rule reads the tangent line's miss, so the s values are
+    # those of tangent-started solves up to the rounding of the converged points
+    assert [s for s, _ in main[:steps]] == pytest.approx(stepping, rel=1e-11, abs=0)
+    assert res.newton_steps <= newton_steps and res.factorizations <= factorizations
+    assert res.factorizations == 1 + res.newton_steps + res.trace_points
+    assert res.failed_solves == 0
+    # a fold-search start interpolates between the bracket ends: the first,
+    # across the last s-step, takes 2 Newton steps, every later one at most 1
+    fold = [it for _, it in main[steps:]]
+    assert (len(fold) > 0) == (N <= 8)
+    assert all(it <= (2 if k == 0 else 1) for k, it in enumerate(fold))
+
+
 @pytest.mark.parametrize("N, bracket", [
     (3, (30.155092592592418, 30.155227623456614)),
     (5, (89.10241126543235, 89.10416666666691)),

@@ -205,6 +205,18 @@ def test_a_seed_that_has_not_settled_falls_back_to_the_unseeded_solve():
     assert res.iterations > nu1_discrete(g).iterations
 
 
+def test_a_seed_on_a_higher_eigenvalue_falls_back_to_the_unseeded_solve():
+    # seeded at nu2, the shifted iteration settles on nu2 itself, within the
+    # settle tolerance of the seed; its eigenvector changes sign once, so it
+    # is not the positive ground state and the unseeded iteration returns nu1
+    g = build_grid(2, 128, 1.0)
+    nu = _pencil_spectrum(RadialField(g, np.zeros(g.M)), 0.0).real
+    assert nu[1] == pytest.approx(1580.9, rel=1e-4)
+    res = nu1_discrete(g, _seed=1580.9)
+    assert res.value == pytest.approx(nu[0], rel=1e-9)
+    assert np.all(res.eigenfunction.values[:-1] > 0)
+
+
 @pytest.mark.parametrize("seeded", [False, True])
 def test_a_zero_pivot_on_the_shifted_factor_keeps_the_unshifted_one(monkeypatch, seeded):
     g = build_grid(9, 128, 1.0)
