@@ -16,7 +16,7 @@ Both conditions clear to signomial inequalities via
   cond2  <=>  W(r) r^4 q^3 / (3m-4)^3 >= 2 beta  (denominators cleared).
 
 The sharpest admissible values are lambda' = sup of the cond1 ratio and
-beta = inf of the cond2 ratio, enclosed rigorously on request.  One checker
+beta = inf of the cond2 ratio, each enclosed rigorously.  One checker
 serves both conditions on the infimum side: cond1 runs as the infimum of
 -F = -F_num/F_den (sup F = -inf(-F)) and is negated back.
 """
@@ -34,16 +34,14 @@ from .hardy import hr_weight
 from .operators import hardy_rellich_constant, lambda_bar, power_bilaplacian_coeff
 from .verify import inf_enclosure, prove_signomial_nonneg, sampled_mins
 
-_RIGOR_TIERS = ("sampled", "interval")
-
 
 def _endpoint_limit(num: Signomial, den: Signomial):
     """The smaller exact finite limit of num/den (den > 0) at r -> 0+ and r -> 1-, or None.
 
     The extrema of the ratios below are often attained only in these limits
     (the cond1 ratio at r -> 0, the cond2 ratio with the constant-over-r^4
-    weight at r -> 1), so the sampled/point estimates alone systematically
-    miss the sharp value; the limits are exact rationals and are folded in.
+    weight at r -> 1), so the sampled estimates alone systematically miss
+    the sharp value; the limits are exact rationals and are folded in.
     Infinite or indeterminate limits are dropped.
     """
     lims = []
@@ -109,14 +107,14 @@ class CondReport:
     margin: float          # sampled min of the condition's slack
     argmin: float
     sharpest: float        # sampled sup F (cond1) / inf G (cond2)
-    sharpest_enclosure: tuple | None
-    proved: bool | None    # interval tier only: the cleared claim holds on (0,1)
-    rigor: str
-    #: interval tier: boxes the cleared-claim proof evaluated; 0 when a level
-    #: the enclosure search proved implies the claim (a note says so)
-    boxes: int | None = None
-    levels: int | None = None  # interval tier: level proofs of the enclosure search
-    sampled_points: int = 0   # grid points the sampling pass evaluated
+    sharpest_enclosure: tuple | None  # None when the denominator is not proved
+    proved: bool           # the cleared claim is proved on (0,1)
+    #: boxes the cleared-claim proof evaluated; 0 when a level the enclosure
+    #: search proved implies the claim (a note says so), None when the
+    #: denominator is not proved and no claim proof runs
+    boxes: int | None
+    levels: int            # level proofs of the enclosure search
+    sampled_points: int    # grid points the sampling pass evaluated
     notes: list = field(default_factory=list)
 
 
@@ -132,7 +130,7 @@ def _cond1_parts(m: Fraction, N: int):
 
 def _require_floats(label: str, *sigs: Signomial) -> None:
     """Reject a condition whose signomials have a coefficient or exponent
-    with no finite float: every numeric tier evaluates them in floats."""
+    with no finite float: the sampling pass and the prover use floats."""
     for sig in sigs:
         for p, c in sig.terms.items():
             try:
@@ -144,7 +142,7 @@ def _require_floats(label: str, *sigs: Signomial) -> None:
 
 
 def _check_inf(label: str, claim: Signomial, slack_den: Signomial,
-               num: Signomial, den: Signomial, rigor: str, level: Fraction) -> CondReport:
+               num: Signomial, den: Signomial, level: Fraction) -> CondReport:
     """Shared body of the two checks, on the infimum side.
 
     `claim` is num - level*den, built by the caller in its own term order,
@@ -152,9 +150,9 @@ def _check_inf(label: str, claim: Signomial, slack_den: Signomial,
     The margin is the sampled minimum of claim/slack_den, and `sharpest` the
     sampled inf of num/den folded with its exact endpoint limits; one
     sampling pass gives both, and the report keeps its count of evaluated
-    grid points.  The interval tier proves den > 0, encloses the inf of
-    num/den with one level search whose first level is the smaller endpoint
-    limit (see `inf_enclosure`), and then settles the cleared claim.  When
+    grid points.  The proof then shows den > 0, encloses the inf of num/den
+    with one level search whose first level is the smaller endpoint limit
+    (see `inf_enclosure`), and settles the cleared claim.  When
     den > 0 is not proved, no level proof runs: the report has no enclosure
     and no claim proof, and its notes say why.  When the search proved a
     level lo >= level (compared exactly), the claim follows from
@@ -163,8 +161,6 @@ def _check_inf(label: str, claim: Signomial, slack_den: Signomial,
     gets its own proof.  An enclosure with no proved level has the lower
     bound -inf and says so in a note.
     """
-    if rigor not in _RIGOR_TIERS:
-        raise InvalidArgument(f"unknown rigor tier {rigor!r}")
     _require_floats(label, claim, slack_den, num, den)
     mins = sampled_mins([(claim, slack_den), (num, den)])
     (margin, argmin), (sharp, arg_sharp) = mins
@@ -172,43 +168,42 @@ def _check_inf(label: str, claim: Signomial, slack_den: Signomial,
     if end is not None:
         sharp = min(sharp, float(end))
     notes = []
-    proved, enc, boxes, levels = None, None, None, None
-    if rigor == "interval":
-        dpos = prove_signomial_nonneg(den)
-        if not dpos.proved:
-            proved, levels = False, 0
-            notes += [f"{label} denominator sign not proved: {dpos.reason}",
-                      f"{label} sharpest value not enclosed: no level is proved "
-                      "without the denominator sign"]
+    enc, boxes, levels = None, None, 0
+    dpos = prove_signomial_nonneg(den)
+    if not dpos.proved:
+        proved = False
+        notes += [f"{label} denominator sign not proved: {dpos.reason}",
+                  f"{label} sharpest value not enclosed: no level is proved "
+                  "without the denominator sign"]
+    else:
+        lo, hi, _, levels = inf_enclosure(num, den, argmin=arg_sharp, limit=end)
+        enc = (lo, hi)
+        if lo > -np.inf and Fraction(lo) >= level:
+            proved, boxes = True, 0
+            notes.append(f"{label} claim implied by the proved level {lo!r} "
+                         f">= the claim's level {level}")
         else:
-            lo, hi, _, levels = inf_enclosure(num, den, argmin=arg_sharp, limit=end)
-            enc = (lo, hi)
-            if lo > -np.inf and Fraction(lo) >= level:
-                proved, boxes = True, 0
-                notes.append(f"{label} claim implied by the proved level {lo!r} "
-                             f">= the claim's level {level}")
-            else:
-                rep = prove_signomial_nonneg(claim)
-                proved, boxes = rep.proved, rep.boxes
-                if not rep.proved:
-                    notes.append(f"{label} claim not proved: {rep.reason}")
-                    if rep.counterexample is not None:
-                        notes.append(f"counterexample near r={rep.counterexample}")
-            if lo == -np.inf:
-                notes.append(f"{label} sharpest value unbounded: no level was proved")
+            rep = prove_signomial_nonneg(claim)
+            proved, boxes = rep.proved, rep.boxes
+            if not rep.proved:
+                notes.append(f"{label} claim not proved: {rep.reason}")
+                if rep.counterexample is not None:
+                    notes.append(f"counterexample near r={rep.counterexample}")
+        if lo == -np.inf:
+            notes.append(f"{label} sharpest value unbounded: no level was proved")
     return CondReport(margin=margin, argmin=argmin, sharpest=sharp,
-                      sharpest_enclosure=enc, proved=proved, rigor=rigor, boxes=boxes,
+                      sharpest_enclosure=enc, proved=proved, boxes=boxes,
                       levels=levels, sampled_points=mins.points, notes=notes)
 
 
-def check_cond1(candidate: CandidateW, rigor: str = "sampled") -> CondReport:
+def check_cond1(candidate: CandidateW) -> CondReport:
     """Verify Delta^2 w_m <= lambda'/(1-w_m)^2 and compute the sharpest lambda'.
 
     The slack lambda'/(1-w)^2 - Delta^2 w equals
     [lambda'(3m-4)^3 - F_num] / [(3m-4) r^(8/3) q^2] with a positive
     denominator, so its sign is that of the cleared numerator.  The reported
-    margin is the sampled minimum of the slack itself; the interval tier
-    proves the cleared numerator nonnegative.  The sharpest lambda' is
+    margin is the sampled minimum of the slack itself; the proof is of the
+    cleared numerator's nonnegativity.  The sharpest lambda' is
     sup F = -inf(-F), so the shared infimum check runs on -F_num / F_den
     and its value and enclosure are negated back.
     """
@@ -217,7 +212,7 @@ def check_cond1(candidate: CandidateW, rigor: str = "sampled") -> CondReport:
     fnum, fden = _cond1_parts(m, N)
     claim = Signomial.constant(candidate.lam_prime * d ** 3) - fnum
     slack_den = Signomial({Fraction(8, 3): d}) * q_signomial(m) ** 2
-    rep = _check_inf("cond1", claim, slack_den, -fnum, fden, rigor, -candidate.lam_prime)
+    rep = _check_inf("cond1", claim, slack_den, -fnum, fden, -candidate.lam_prime)
     rep.sharpest = -rep.sharpest
     if rep.sharpest_enclosure is not None:
         lo, hi = rep.sharpest_enclosure
@@ -237,18 +232,18 @@ def _cond2_parts(candidate: CandidateW, weight: Ratio):
     return half.num, half.den * 2
 
 
-def check_cond2(candidate: CandidateW, rigor: str = "sampled") -> CondReport:
+def check_cond2(candidate: CandidateW) -> CondReport:
     """Verify 2 beta/(1-w_m)^3 <= W(r) and compute the sharpest beta.
 
     W is the candidate's Hardy-Rellich weight, `hr_weight(hr_variant, N)`.
     The slack W(1-w)^3/2 - beta clears to G_num - beta G_den over the
-    positive denominator G_den; the interval tier proves both the
-    denominator sign and the cleared claim.
+    positive denominator G_den; both the denominator sign and the cleared
+    claim are proved.
     """
     weight = hr_weight(candidate.hr_variant, candidate.N)
     num, den = _cond2_parts(candidate, weight)
     claim = num - Signomial.constant(candidate.beta) * den
-    return _check_inf("cond2", claim, den, num, den, rigor, candidate.beta)
+    return _check_inf("cond2", claim, den, num, den, candidate.beta)
 
 
 # --------------------------------------------------------------------------
@@ -297,41 +292,29 @@ class CertificateReport:
     verdict: str            # "Pass" | "Fail"
     sharpest_lam_prime: float
     sharpest_beta: float
-    rigor: str
     notes: list = field(default_factory=list)
 
 
-_SAMPLED_TOL = 1e-9
-
-
-def _margin_ok(rep: CondReport, scale: float) -> bool:
-    if rep.rigor == "interval":
-        return bool(rep.proved)
-    return rep.margin >= -_SAMPLED_TOL * max(1.0, scale)
-
-
-def certify_dimension(N: int, candidate: CandidateW | None = None,
-                      rigor: str = "interval") -> CertificateReport:
+def certify_dimension(N: int, candidate: CandidateW | None = None) -> CertificateReport:
     """Run both conditions for the dimension's candidate and decide Pass/Fail.
 
-    Pass requires both margins nonnegative (interval tier: the cleared claims
-    proved) and the ordering beta > lambda', with equality allowed only in
+    Pass requires both cleared claims proved (a sampled margin decides
+    nothing) and the ordering beta > lambda', with equality allowed only in
     the exact boundary case beta = lambda' = H_N/2.
     """
     if candidate is None:
         candidate = table_candidate(N)
     if candidate.N != N:
         raise InvalidArgument("candidate dimension does not match N")
-    c1 = check_cond1(candidate, rigor=rigor)
-    c2 = check_cond2(candidate, rigor=rigor)
+    c1 = check_cond1(candidate)
+    c2 = check_cond2(candidate)
     notes = []
     h2 = hardy_rellich_constant(N) / 2
     ordering = (candidate.beta > candidate.lam_prime
                 or (candidate.beta == candidate.lam_prime == h2))
     if not ordering:
         notes.append("ordering beta >= lambda' fails")
-    ok = (_margin_ok(c1, abs(float(candidate.lam_prime)))
-          and _margin_ok(c2, abs(float(candidate.beta))) and ordering)
+    ok = c1.proved and c2.proved and ordering
     if N == 9:
         supported = [b for b in _N9_BETA_CLAIMS if b <= c2.sharpest]
         notes.append(
@@ -341,7 +324,7 @@ def certify_dimension(N: int, candidate: CandidateW | None = None,
     return CertificateReport(candidate=candidate, cond1=c1, cond2=c2,
                              verdict="Pass" if ok else "Fail",
                              sharpest_lam_prime=c1.sharpest,
-                             sharpest_beta=c2.sharpest, rigor=rigor, notes=notes)
+                             sharpest_beta=c2.sharpest, notes=notes)
 
 
 def threshold_relation(N: int):
@@ -353,13 +336,13 @@ def threshold_relation(N: int):
     return two_lb, hn, two_lb <= hn
 
 
-def table1_rows(dims=None, rigor: str = "sampled") -> list[dict]:
+def table1_rows(dims=None) -> list[dict]:
     """Reproduce the per-dimension summary with computed sharpest values."""
     if dims is None:
         dims = list(range(9, 17)) + [17, 20, 30, 31, 40]
     rows = []
     for N in dims:
-        rep = certify_dimension(N, rigor=rigor)
+        rep = certify_dimension(N)
         cand = rep.candidate
         row = {
             "N": N,

@@ -209,7 +209,7 @@ _TABLE_COLUMNS = ["N", "m", "lambda_prime_given", "lambda_prime_computed",
 def cmd_table1(args) -> int:
     out = _outdir(args)
     dims = _parse_dims(args.dims) if args.dims is not None else None
-    rows = table1_rows(dims, rigor=args.rigor)
+    rows = table1_rows(dims)
     if args.format == "csv":
         with open(out / "table1.csv", "w", newline="") as fh:
             w = csv.writer(fh)
@@ -258,7 +258,7 @@ def cmd_certify(args) -> int:
         )
     else:
         cand = None
-    rep = certify_dimension(N, candidate=cand, rigor=args.rigor)
+    rep = certify_dimension(N, candidate=cand)
     doc = {
         "N": N,
         "candidate": {"m": float(rep.candidate.m),
@@ -269,7 +269,7 @@ def cmd_certify(args) -> int:
         "cond2": _cond_doc(rep.cond2),
         "sharpest_lambda_prime": rep.sharpest_lam_prime,
         "sharpest_beta": rep.sharpest_beta,
-        "rigor": rep.rigor,
+        "rigor": args.rigor,
         "verdict": rep.verdict,
         "notes": rep.notes,
     }
@@ -282,7 +282,7 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
-def _hr_checks(variant: str, N: int, rigor: str, seed: int) -> list[dict]:
+def _hr_checks(variant: str, N: int, seed: int) -> list[dict]:
     checks = []
     weight = hr_weight(variant, N)
     if variant in ("HR1", "HR2"):
@@ -290,12 +290,10 @@ def _hr_checks(variant: str, N: int, rigor: str, seed: int) -> list[dict]:
         checks.append({"name": "leading_coefficient_identity",
                        "margin": 0.0 if ok else -1.0, "method": "exact",
                        "passed": ok})
-    # one sampled minimum is the weight's margin at both tiers
+    # the sampled minimum is the weight's margin; the proof alone decides
     margin, _ = sampled_min(weight.num, weight.den)
-    passed = (_prove_expr_nonneg(weight).proved if rigor == "interval"
-              else bool(margin >= 0))
     checks.append({"name": "weight_nonnegative", "margin": margin,
-                   "method": rigor, "passed": passed})
+                   "method": "interval", "passed": _prove_expr_nonneg(weight).proved})
     form = discrete_form_check(variant, N, trials=200, seed=seed)
     checks.append({"name": "discrete_form_inequality",
                    "margin": form.min_relative_gap, "method": "discrete-form",
@@ -307,7 +305,7 @@ def cmd_hr(args) -> int:
     out = _outdir(args)
     variant = args.variant.upper()
     N = args.dim
-    checks = _hr_checks(variant, N, args.rigor, args.seed)
+    checks = _hr_checks(variant, N, args.seed)
     verdict = "Pass" if all(c["passed"] for c in checks) else "Fail"
     doc = {"variant": variant, "N": N, "checks": checks, "verdict": verdict}
     _write_json(out / f"hr_{variant.lower()}_N{N}.json", doc)
@@ -378,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1", help="certificate summary table")
     p.add_argument("--dims", type=str, default=None)
-    p.add_argument("--rigor", choices=["sampled", "interval"], default="interval")
+    p.add_argument("--rigor", choices=["interval"], default="interval",
+                   help="the only tier, kept for existing scripts")
     p.add_argument("--format", choices=["markdown", "csv"], default="markdown")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_table1)
@@ -391,7 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta-cert", type=str, default=None)
     p.add_argument("--variant", choices=["hr1", "hr2", "hr3", "HR1", "HR2", "HR3"],
                    default=None)
-    p.add_argument("--rigor", choices=["sampled", "interval"], default="interval")
+    p.add_argument("--rigor", choices=["interval"], default="interval",
+                   help="the only tier, kept for existing scripts")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_certify)
 
@@ -399,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", required=True,
                    choices=["hr1", "hr2", "hr3", "HR1", "HR2", "HR3"])
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--rigor", choices=["sampled", "interval"], default="interval")
+    p.add_argument("--rigor", choices=["interval"], default="interval",
+                   help="the only tier, kept for existing scripts")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_hr)

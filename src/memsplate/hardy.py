@@ -16,9 +16,9 @@ fourth-order weights used by the certificates module,
 
 and provides ODE-level and discrete quadratic-form verification tools.
 
-`_prove_expr_nonneg`, under the supersolution and side-condition checks,
-returns the `intervals.ProofReport` of its numerator's proof; it does not
-sample, and `hr` samples the weight itself.
+`_prove_expr_nonneg`, under the supersolution, side-condition and `hr` weight
+checks, refutes a negative exact endpoint limit in no boxes or returns the
+`intervals.ProofReport` of its numerator's proof; it does not sample.
 """
 
 from __future__ import annotations
@@ -241,8 +241,13 @@ def bessel_ode_positive(spec: BesselPairSpec,
 
 
 def _prove_expr_nonneg(expr: Ratio) -> ProofReport:
-    """Prove expr >= 0 on (0,1): fix the sign of the denominator, prove."""
+    """Prove expr >= 0 on (0,1): exact end limits first, then the denominator's sign."""
     num, den = expr.num, expr.den
+    if expr.leading()[1] < 0:
+        return ProofReport(False, reason="negative limit at r=0")
+    den1 = den.value_at_one()
+    if den1 != 0 and num.value_at_one() / den1 < 0:
+        return ProofReport(False, reason="negative limit at r=1")
     pos = prove_signomial_nonneg(den)
     if pos.proved:
         return prove_signomial_nonneg(num)

@@ -1,6 +1,6 @@
 """Outward-rounded interval arithmetic and adaptive positivity proving.
 
-The "interval" rigor tier of the certificate checks runs on this engine.
+Every certificate and Hardy-Rellich weight verdict is proved on this engine.
 Bounds are padded with `math.nextafter` after every operation; libm's pow/log
 are assumed correct to a couple of ulps, and every use pads accordingly, so
 enclosures are conservative up to that standard-library contract.

