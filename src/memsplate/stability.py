@@ -1,13 +1,17 @@
 """Stability eigenvalue mu1 of the linearized operator and the clamped-plate nu1.
 
-Both are eigenvalues of the mixed pencil J x = mu B x on the interleaved
+`nu1(N)` is the exact clamped-ball eigenvalue: the first root of the
+characteristic equation J_nu I_(nu+1) + I_nu J_(nu+1) = 0, nu = N/2 - 1,
+summed as one power series in float64 (no grid, no scipy).  mu1, and its
+lambda = 0 case `nu1_discrete`, are eigenvalues of the mixed pencil
+J x = mu B x on the interleaved
 unknown x = [v0, u0, v1, u1, ...] of the branch solver
 (`branch._ClampedSolver`).  J is the mixed clamped bilaplacian of
 `operators.mixed_bilaplacian` (rows v - Delta u and Delta v) minus
 2 lambda/(1-u)^3 on the u diagonal; B is the identity on the u rows and
 zero on the v rows.  So the u entries of an eigenvector solve
-(Delta^2 - 2 lambda/(1-u)^3) phi = mu phi with homogeneous clamped data,
-and nu1 is the lambda = 0 case.  Both come from inverse iteration
+(Delta^2 - 2 lambda/(1-u)^3) phi = mu phi with homogeneous clamped data.
+Both come from inverse iteration
 x <- (J - sigma B)^(-1) B x on float64 LAPACK banded LUs, O(M) per step, and
 an eigensolve uses two factors.  The first is J itself (sigma = 0); it
 gives the eigenvalue nearest 0 and the sign of det J.  At a branch point mu1
@@ -16,9 +20,8 @@ consecutive estimates agree to `_SETTLE_TOL`, the iteration factors
 J - sigma B once at sigma = that estimate and goes on with the second
 factor.  The unshifted iteration converges at the rate |mu1| / |mu2|, the
 shifted one at |mu1 - sigma| / |mu2 - sigma|, which is far smaller once
-the estimate has settled.
-`nu1` starts its fine grid at the coarse-grid value, which has already
-settled, so that solve begins on the shifted factor.
+the estimate has settled.  A `nu1_discrete` seed that has already settled
+starts the solve on the shifted factor.
 
 The pencil is the operator the branch solver inverts.  The plate form
 L^T diag(w r^(N-1)) L of `operators.bilaplacian_form` is not: it breaks the
@@ -33,12 +36,13 @@ recorded as a limitation, not assumed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .branch import NonConvergence, _ClampedSolver
-from .grid import BoundaryData, InvalidArgument, RadialField, RadialGrid, build_grid, sphere_area
+from .grid import BoundaryData, InvalidArgument, RadialField, RadialGrid, sphere_area
 
 
 @dataclass(frozen=True)
@@ -70,6 +74,8 @@ _RQ_TOL = 1e-12
 _SETTLE_TOL = 1e-3
 #: cap on inverse-iteration steps; reaching it raises
 _MAX_ITER = 500
+#: float64 unit roundoff; `_clamped_series` drops terms below it, relative
+_EPS = 2.0 ** -52
 
 
 def _inverse_iteration(solver: _ClampedSolver, lu, weight: np.ndarray, shift: float = 0.0,
@@ -175,8 +181,8 @@ def nu1_discrete(grid: RadialGrid, _seed: float | None = None) -> EigenResult:
     """Smallest clamped-plate eigenvalue of Delta^2 on the radial grid.
 
     The mixed pencil at lambda = 0, on the solver's own factorization of the
-    mixed band; it converges at second order in 1/M at every N.  `nu1`
-    passes the coarse grid's value as `_seed`, which starts the iteration
+    mixed band; it converges at second order in 1/M at every N, to
+    :func:`nu1`.  A `_seed` (a coarser grid's value) starts the iteration
     shifted to it (see :func:`_pencil_eigen`).
     """
     solver = _ClampedSolver(grid, BoundaryData(0.0, 0.0))
@@ -184,19 +190,70 @@ def nu1_discrete(grid: RadialGrid, _seed: float | None = None) -> EigenResult:
                          lu=solver.lu, seed=_seed)
 
 
-def nu1(N: int) -> float:
-    """Clamped-plate eigenvalue nu1(N), Richardson-extrapolated over two grids.
+def _clamped_series(x: float, nu: float) -> float:
+    """g(x) = sum_m (-x)^m / (m! (nu+1)_m (nu+2)_(2m)) in float64.
 
-    The discretization is second order at every N, N = 1 included (its
-    origin closure is described in :mod:`memsplate.operators`), so e2 on the
-    uniform M = 1024 grid is corrected by (e2 - e1)/3, e1 on M = 512.
-    Uniform, because eigenfunctions are smooth and grading only inflates the
-    condition number.  The fine grid starts at the coarse value.
+    The terms follow t_(m+1) = -t_m x / ((m+1)(nu+1+m)(nu+2+2m)(nu+3+2m)),
+    and the sum stops once a term falls below eps times the largest one.
     """
-    grid = build_grid(N, 512, 1.0)
-    e1 = nu1_discrete(grid).value
-    e2 = nu1_discrete(grid.refine(), _seed=e1).value
-    return e2 + (e2 - e1) / 3.0
+    t = total = largest = 1.0
+    m = 0
+    while abs(t) > _EPS * largest:
+        t *= -x / ((m + 1) * (nu + 1 + m) * (nu + 2 + 2 * m) * (nu + 3 + 2 * m))
+        total += t
+        largest = max(largest, abs(t))
+        m += 1
+    return total
+
+
+def nu1(N: int) -> float:
+    """Clamped-plate eigenvalue nu1(N) of Delta^2 on the unit ball in R^N.
+
+    With nu = N/2 - 1, the radial modes are r^(-nu) (A J_nu(kr) + B I_nu(kr)),
+    and the clamped data u(1) = u'(1) = 0 leave a nonzero (A, B) exactly when
+    J_nu(k) I_(nu+1)(k) + I_nu(k) J_(nu+1)(k) = 0; the eigenvalue is k^4.
+    The Cauchy product of the Bessel series gives that combination as
+    2 sum_m (-1)^m (k/2)^(4m+2nu+1) / (m! Gamma(m+nu+1) Gamma(2m+nu+2)), which
+    is (k/2)^(2nu+1) g(x) / (Gamma(nu+1) Gamma(nu+2)) with x = (k/2)^4 and g
+    of :func:`_clamped_series`.  So nu1 = 16 x at the first positive root x
+    of g: by Boggio's principle the ground state of the clamped ball is
+    radial and positive, so the first radial root is nu1.  Below
+    k = j_(nu,1) both J's are positive, and j_(nu,1) > nu + 1, so g > 0 at
+    k = max(1, nu + 1).  The search scans k from there in steps of 0.5, less
+    than the spacing of the roots, until g changes sign, then closes the
+    bracket in x by Illinois regula falsi to a few ulps.  N = 1 (nu = -1/2)
+    is the clamped beam on (-1, 1), tan k + tanh k = 0.
+    """
+    if N < 1:
+        raise InvalidArgument(f"nu1 needs a dimension N >= 1, got N={N}")
+    nu = N / 2.0 - 1.0
+    k = max(1.0, nu + 1.0)
+    a = (k / 2.0) ** 4
+    fa = _clamped_series(a, nu)
+    while True:
+        k += 0.5
+        b = (k / 2.0) ** 4
+        fb = _clamped_series(b, nu)
+        if fb <= 0.0:
+            break
+        a, fa = b, fb
+    side = 0
+    while b - a > 4.0 * math.ulp(b):
+        # kept two ulps inside the bracket, where rounding would put it on an end
+        inside = 2.0 * math.ulp(b)
+        c = min(max((a * fb - b * fa) / (fb - fa), a + inside), b - inside)
+        fc = _clamped_series(c, nu)
+        if fc > 0.0:
+            a, fa = c, fc
+            if side == -1:
+                fb *= 0.5
+            side = -1
+        else:
+            b, fb = c, fc
+            if side == 1:
+                fa *= 0.5
+            side = 1
+    return 8.0 * (a + b)
 
 
 def mu1(profile: RadialField, lam: float, _solver: _ClampedSolver | None = None,
@@ -235,8 +292,6 @@ def beam_eigenvalue_1d() -> float:
     k solves tan(k) + tanh(k) = 0 in (pi/2, pi); nu1 = k^4.  Independent of
     the grid discretization (plain bisection on the characteristic equation).
     """
-    import math
-
     k = _bisect_root(lambda k: math.tan(k) + math.tanh(k),
                      math.pi / 2 + 1e-9, math.pi - 1e-9)
     return k ** 4

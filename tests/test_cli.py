@@ -219,6 +219,14 @@ def test_candidate_beyond_the_float_range_exits_config(tmp_path, capsys, flag,
     assert not (tmp_path / "certify_N9.json").exists()
 
 
+def test_pullin_refuses_a_dimension_below_one(tmp_path, capsys):
+    # nu1 names the dimension itself, not a grid the user never asked for
+    assert run(tmp_path, "pullin", "--dim", "0") == 3
+    err = capsys.readouterr().err
+    assert err == "configuration error: nu1 needs a dimension N >= 1, got N=0\n"
+    assert not (tmp_path / "pullin_N0.json").exists()
+
+
 def test_bad_grid_is_config_error(tmp_path, capsys):
     assert run(tmp_path, "pullin", "--dim", "2", "--M", "0") == 3
     # too coarse for the touchdown fit: a reason, not a traceback

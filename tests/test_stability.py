@@ -1,9 +1,14 @@
+import json
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import memsplate
 from memsplate import branch, stability
 from memsplate.branch import ContinuationConfig, _ClampedSolver, sweep_branch
 from memsplate.grid import BoundaryData, RadialField, build_grid
@@ -16,14 +21,56 @@ def test_beam_eigenvalue_oracle():
     # smallest clamped-interval eigenvalue: k^4 with tan k + tanh k = 0
     k4 = beam_eigenvalue_1d()
     assert k4 == pytest.approx(31.2852, abs=1e-3)
-    assert nu1(1) == pytest.approx(k4, abs=1e-2)
+    assert nu1(1) == pytest.approx(k4, rel=1e-12)
 
 
 def test_disk_eigenvalue_oracle():
     # smallest clamped-disk eigenvalue: k^4 with J0 I1 + I0 J1 = 0
     k4 = disk_eigenvalue_2d()
     assert k4 == pytest.approx(104.3631, abs=1e-3)
-    assert nu1(2) == pytest.approx(k4, abs=5e-2)
+    assert nu1(2) == pytest.approx(k4, rel=1e-12)
+
+
+def _bessel_root_nu1(N):
+    """k^4 at the first root k of J_nu I_(nu+1) + I_nu J_(nu+1), nu = N/2 - 1,
+    from scipy's Bessel functions and Brent's method."""
+    from scipy.optimize import brentq
+    from scipy.special import iv, jv
+
+    nu = N / 2 - 1
+
+    def f(k):
+        return jv(nu, k) * iv(nu + 1, k) + iv(nu, k) * jv(nu + 1, k)
+
+    k = max(1.0, nu + 1.0)
+    assert f(k) > 0
+    while f(k + 0.5) > 0:
+        k += 0.5
+    return brentq(f, k, k + 0.5, xtol=1e-15, rtol=1e-15) ** 4
+
+
+@pytest.mark.parametrize("N", [*range(1, 17), 30, 40])
+def test_nu1_matches_an_independent_bessel_root(N):
+    assert nu1(N) == pytest.approx(_bessel_root_nu1(N), rel=1e-13)
+
+
+# Run in a fresh interpreter: this one has imported scipy already.
+_NU1_IMPORT_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from memsplate.stability import nu1
+nu1(9)
+print(json.dumps([m for m in ("scipy.special", "scipy.linalg", "scipy.sparse")
+                  if m in sys.modules]))
+"""
+
+
+def test_nu1_loads_no_scipy_module(tmp_path):
+    src = Path(memsplate.__file__).parents[1]
+    proc = subprocess.run([sys.executable, "-c", _NU1_IMPORT_PROBE, str(src)],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
 
 
 def test_nu1_frozen_values():
@@ -79,7 +126,7 @@ def test_nu1_discrete_converges_to_oracle():
         errs.append(abs(nu1_discrete(build_grid(1, M, 1.0)).value - exact))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1.5e-3
-    # the extrapolated value is much closer than the raw discrete ones
+    # nu1, from the characteristic equation, is much closer than the raw discrete ones
     assert abs(nu1(1) - exact) < 0.3 * errs[2]
 
 
@@ -175,23 +222,18 @@ def test_shifting_at_the_settled_estimate_halves_the_steps():
     assert res.factorizations == 1
 
 
-@pytest.mark.parametrize("N", [1, 9, 16])
-def test_nu1_seeds_its_fine_grid_solve_with_the_coarse_value(monkeypatch, N):
-    calls = []
-
-    def spy(grid, _seed=None):
-        calls.append((_seed, real(grid, _seed=_seed)))
-        return calls[-1][1]
-
-    real = stability.nu1_discrete
-    monkeypatch.setattr(stability, "nu1_discrete", spy)
-    stability.nu1(N)
-    (_, coarse), (seed, seeded) = calls
-    assert seed == coarse.value
-    unseeded = real(build_grid(N, 1024, 1.0))
+@pytest.mark.parametrize("N", range(1, 17))
+def test_seeded_richardson_over_two_grids_agrees_with_nu1(N):
+    # the grid route: M = 512, then M = 1024 seeded with that value, then
+    # the second-order Richardson step; its error is at most 6.7e-9 (N = 1)
+    e1 = nu1_discrete(build_grid(N, 512, 1.0)).value
+    seeded = nu1_discrete(build_grid(N, 1024, 1.0), _seed=e1)
+    unseeded = nu1_discrete(build_grid(N, 1024, 1.0))
     assert seeded.value == pytest.approx(unseeded.value, rel=1e-10)
     assert seeded.iterations <= 4 and seeded.factorizations == 1
     assert seeded.residual <= 1e-10
+    e2 = seeded.value
+    assert e2 + (e2 - e1) / 3.0 == pytest.approx(nu1(N), rel=1e-8)
 
 
 def test_a_seed_that_has_not_settled_falls_back_to_the_unseeded_solve():
@@ -271,8 +313,9 @@ def test_mu1_positive_along_singular_traces(N):
 
 
 def test_nu1_discrete_three_grid_observed_order():
-    # no oracle: the observed order from three grids backs the second-order
-    # Richardson step of nu1 at every N it is used for
+    # the observed order from three grids, without the oracle: second order
+    # at every N, which the Richardson step of
+    # test_seeded_richardson_over_two_grids_agrees_with_nu1 assumes
     for N in range(1, 17):
         e1, e2, e3 = (nu1_discrete(build_grid(N, M, 1.0)).value for M in (256, 512, 1024))
         order = np.log2((e1 - e2) / (e2 - e3))
