@@ -11,12 +11,13 @@ row-scaled mixed residual.
 A sweep traces the branch in s = u(0), which stays a regular parameter
 through the fold (Keller's pseudo-arclength bordering with the arclength
 replaced by u(0)).  Each point is a bordered Newton solve for (u, lambda)
-with u(0) = s, and its Jacobian factorization gives the tangent
-(du/ds, dlambda/ds).  A solve starts from the cubic Hermite curve through
-the last two solved points and their tangents, or from the tangent line
-when only one point is solved.  The s-step is still sized by the tangent
-line's miss: sized by the Hermite curve's smaller miss, the steps grew
-enough to jump over the fold to tau, and N = 6 and 7 came out singular.
+with u(0) = s, one banded factorization per Newton step, and the last
+step's factorization gives the tangent (du/ds, dlambda/ds).  A solve
+starts from the cubic Hermite curve through the last two solved points and
+their tangents, or from the tangent line when only one point is solved.
+The s-step is still sized by the tangent line's miss: sized by the Hermite
+curve's smaller miss, the steps grew enough to jump over the fold to tau,
+and N = 6 and 7 came out singular.
 The trace stops at the fold of the minimal branch, the root of dlambda/ds,
 where lambda* is a maximum of lambda(s), or at the touchdown threshold
 s = tau, where it reports lambda(tau).  A fold before tau classifies the
@@ -127,9 +128,11 @@ class BranchResult:
     lambda(s) near the fold.  At s = tau it is lambda(tau) and its tangent
     extension to touchdown, lambda(tau) + (1 - tau) dlambda/ds.  The
     counters cover the sweep's own grid: converged bordered solves
-    (`trace_points`), Newton steps, halved Newton steps, solves at secant
-    roots of dlambda/ds, banded factorizations, and failed solves, each
-    followed by a halved s-step.
+    (`trace_points`), Newton steps, halved Newton steps, refined Newton
+    steps, solves at secant roots of dlambda/ds, banded factorizations, and
+    failed solves, each followed by a halved s-step.  A sweep makes one
+    factorization per Newton step plus the operator's, and with
+    `compute_mu1` the factors of each mu1.
     """
 
     points: tuple
@@ -147,6 +150,7 @@ class BranchResult:
     trace_points: int
     newton_steps: int
     halvings: int
+    refinements: int
     fold_secant_steps: int
     warnings: tuple = ()
 
@@ -190,8 +194,10 @@ class _ClampedSolver:
     residual on the same mixed rows.  A known-solution probe at construction
     measures the achievable solve accuracy (`solve_accuracy`) and raises
     instead of returning garbage when it is too poor.  `factorizations`,
-    `newton_steps` and `halvings` count the banded LU factorizations, the
-    Newton steps and the halved Newton steps made so far.
+    `newton_steps`, `halvings` and `refinements` count the banded LU
+    factorizations, the Newton steps, the halved Newton steps and the
+    bordered steps replaced by their refinement (see `_bordered_solve`)
+    made so far.
     """
 
     _PROBE_LIMIT = 1e-2
@@ -201,7 +207,7 @@ class _ClampedSolver:
             raise InvalidArgument("boundary data must be admissible (beta <= 0, alpha - beta/2 < 1)")
         self.grid = grid
         self.bc = bc
-        self.factorizations = self.newton_steps = self.halvings = 0
+        self.factorizations = self.newton_steps = self.halvings = self.refinements = 0
         A, o1 = mixed_bilaplacian(grid, bc)
         self.A, self.absA = A, abs(A)
         self.ku, self.kl = int(A.offsets[0]), -int(A.offsets[-1])
@@ -251,17 +257,13 @@ class _ClampedSolver:
         ab[self.kl + self.ku, 1::2] -= d
         return self._factor(ab)
 
-    def factor_jacobian(self, u: np.ndarray, lam: float):
-        """LU of the Newton Jacobian J: the mixed band minus 2 lam/(1-u)^3 on the u diagonal."""
-        return self.factor_shifted(2.0 * lam / (1.0 - u) ** 3)
-
     def jacobian_solve(self, u: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
-        """Solve J dx = rhs.
+        """Solve J dx = rhs, J the mixed band minus 2 lam/(1-u)^3 on the u diagonal.
 
         rhs and dx interleave like the mixed unknown; with rhs zero on the v
         rows, the u entries of dx solve (Delta^2 - 2 lam/(1-u)^3) du = rhs.
         """
-        return self._solve(self.factor_jacobian(u, lam), rhs)
+        return self._solve(self.factor_shifted(2.0 * lam / (1.0 - u) ** 3), rhs)
 
     def load(self, u: np.ndarray) -> np.ndarray:
         """dF/dlambda with the sign flipped: (1-u)^-2 on the u rows, 0 on the v rows."""
@@ -340,33 +342,44 @@ _DAMPING_TRIALS = 4
 _NEWTON_MAX_ITER = 50
 
 
-def _damped_newton(s: _ClampedSolver, x: np.ndarray, lam: float, ceiling: float, direction):
+def _damped_newton(s: _ClampedSolver, x: np.ndarray, lam: float, ceiling: float, direction,
+                   min_steps: int = 0):
     """Damped Newton loop on F(x, lam) = A x - b(u); returns (x, lam, steps).
 
-    `direction(x, lam, F)` gives the step (dx, dlam).  Iteration stops when
-    the scaled residual (`_ClampedSolver.residual`) reaches `NEWTON_FLOOR`.
-    Each step takes the first of `_DAMPING_TRIALS` halved step lengths whose
-    iterate stays below `ceiling` and lowers the scaled residual or reaches
-    the floor; when none does (above the fold) it raises NonConvergence at
-    once.
+    `direction(x, lam, F)` gives the full step (dx, dlam) and `refine`, None
+    or a callable that returns a more accurate step from the same
+    factorization.  Iteration stops when the scaled residual
+    (`_ClampedSolver.residual`) reaches `NEWTON_FLOOR` after at least
+    `min_steps` steps.  A step length is accepted when its iterate stays
+    below `ceiling` and lowers the scaled residual or reaches the floor.
+    When the full step is not accepted, `refine` (if given) replaces the
+    step before any halving.  Each Newton step takes the first accepted of
+    `_DAMPING_TRIALS` lengths 1, 1/2, 1/4, ...; when none is (above the
+    fold) it raises NonConvergence at once.
     """
     res, res_norm = s.residual(x, lam)
     it = 0
-    while res_norm > NEWTON_FLOOR:
+    while it < min_steps or res_norm > NEWTON_FLOOR:
         if it == _NEWTON_MAX_ITER:
             raise NonConvergence(
                 f"Newton did not converge in {_NEWTON_MAX_ITER} iterations")
         it += 1
         s.newton_steps += 1
-        dx, dlam = direction(x, lam, res)
-        for k in range(_DAMPING_TRIALS):
+        dx, dlam, refine = direction(x, lam, res)
+        k = 0
+        while True:
             x_try, lam_try = x + 0.5 ** k * dx, lam + 0.5 ** k * dlam
             if np.max(x_try[1::2]) < ceiling:
                 res_try, norm_try = s.residual(x_try, lam_try)
                 if norm_try < res_norm or norm_try <= NEWTON_FLOOR:
                     break
-        else:
-            raise NonConvergence("Newton damping found no step that lowers the residual")
+            if k == 0 and refine is not None:
+                s.refinements += 1
+                (dx, dlam), refine = refine(), None
+                continue
+            k += 1
+            if k == _DAMPING_TRIALS:
+                raise NonConvergence("Newton damping found no step that lowers the residual")
         s.halvings += k
         x, lam, res, res_norm = x_try, lam_try, res_try, norm_try
     return x, lam, it
@@ -387,32 +400,52 @@ def newton_solve(lam: float, guess: RadialField, bc: BoundaryData, grid: RadialG
     s = _solver if _solver is not None else _ClampedSolver(grid, bc)
     u = np.minimum(np.asarray(guess.values[:-1], dtype=np.float64), tau - 1e-6)
     x, _, it = _damped_newton(s, s.mixed_state(u), lam, tau,
-                              lambda x, lam, F: (s.jacobian_solve(x[1::2], -F, lam), 0.0))
+                              lambda x, lam, F: (s.jacobian_solve(x[1::2], -F, lam), 0.0, None))
     return s.field(x[1::2]), it
 
 
 def _bordered_solve(s: _ClampedSolver, x: np.ndarray, lam: float):
-    """Newton for (x, lambda) with u(0) = x[1] held fixed; returns (x, lam, steps).
+    """Newton for (x, lambda) with u(0) = x[1] held fixed; returns (x, lam, steps, b).
 
     Block elimination of the bordered system: a = J^-1(-F) and b = J^-1 g,
-    g = (1-u)^-2 on the u rows, from one factorization; then
-    dlambda = -a_0 / b_0 keeps u(0) and dx = a + dlambda b.
+    g = (1-u)^-2 on the u rows, from one factorization and one two-column
+    solve; then dlambda = -a_0 / b_0 keeps u(0) and dx = a + dlambda b.
+    Near the fold J is nearly singular, a and b share a huge null component,
+    and this step can fail to lower the residual; then one step of
+    iterative refinement of the bordered system on the same factors
+    replaces it (see `_damped_newton`).  The solve takes at least one step,
+    so a predictor already at the residual floor is still corrected in
+    lambda, and the returned b, from the last step's Jacobian, gives the
+    tangent: du/ds = b / b_0, dlambda/ds = 1 / b_0.
     """
+    b_last = None
+
     def direction(x, lam, F):
+        nonlocal b_last
         w = 2.0 * lam / (1.0 - x[1::2]) ** 3
         lu = s.factor_shifted(w)
         g = s.load(x[1::2])
         a, b = s._solve(lu, np.column_stack([-F, g])).T
-        dlam = -a[1] / b[1]
-        dx = a + dlam * b
-        # one step of iterative refinement on the bordered system
-        r = -F - (s.A @ dx) + dlam * g
-        r[1::2] += w * dx[1::2]
-        a2 = s._solve(lu, r)
-        dlam2 = (-dx[1] - a2[1]) / b[1]
-        return dx + a2 + dlam2 * b, dlam + dlam2
+        b_last = b
 
-    return _damped_newton(s, x, lam, 1.0, direction)
+        def eliminate(a):
+            dlam = -a[1] / b[1]
+            dx = a + dlam * b
+            dx[1] = 0.0  # exactly, so that u(0) keeps the float s it was given
+            return dx, dlam
+
+        dx, dlam = eliminate(a)
+
+        def refine():
+            r = -F - (s.A @ dx) + dlam * g
+            r[1::2] += w * dx[1::2]
+            dx2, dlam2 = eliminate(s._solve(lu, r))
+            return dx + dx2, dlam + dlam2
+
+        return dx, dlam, refine
+
+    x, lam, it = _damped_newton(s, x, lam, 1.0, direction, min_steps=1)
+    return x, lam, it, b_last
 
 
 @dataclass(frozen=True)
@@ -466,12 +499,13 @@ def _trace(s: _ClampedSolver, tau: float, mu1=None, start=None) -> _Trace:
     """Trace the minimal branch in s = u(0) from the lift to the fold or s = tau.
 
     Each point is a `_bordered_solve`; its tangent comes from the Jacobian
-    factored at the converged point, which `mu1` (when given) reuses.  A
-    stepping solve starts from the cubic Hermite curve through the last two
-    points (`_hermite`, extrapolated), the first one after the start from
+    of the solve's last Newton step, so a point costs no factorization of
+    its own; `mu1` (when given) factors its own.  A stepping solve starts
+    from the cubic Hermite curve through the last two points (`_hermite`,
+    extrapolated), the first one after the start from
     the last point's tangent line.  The s-step is sized so that the tangent
     line misses the solved u by about `_PREDICTOR_TOL`, whichever start the
-    solve had, so the s values are those of tangent-started solves; a
+    solve had, so the s values are nearly those of tangent-started solves; a
     failed solve halves the s-step.  After the first point with
     dlambda/ds <= 0, the fold is sought by regula falsi (Illinois) on
     dlambda/ds over the s-bracket, each solve started from the Hermite curve
@@ -487,11 +521,9 @@ def _trace(s: _ClampedSolver, tau: float, mu1=None, start=None) -> _Trace:
     trace = []
 
     def converge(x, lam):
-        x, lam, it = _bordered_solve(s, x, lam)
-        lu = s.factor_jacobian(x[1::2], lam)
-        b = s._solve(lu, s.load(x[1::2]))
+        x, lam, it, b = _bordered_solve(s, x, lam)
         slope = 1.0 / b[1]
-        mu = (mu1(s.field(x[1::2]), lam, _solver=s, _lu=lu).value
+        mu = (mu1(s.field(x[1::2]), lam, _solver=s).value
               if mu1 is not None and slope > 0 else None)
         trace.append(_TracePoint(x[1], lam, x, b * slope, slope, it, mu))
         return trace[-1]
@@ -655,6 +687,7 @@ def sweep_branch(config: ContinuationConfig) -> BranchResult:
         trace_points=main.converged,
         newton_steps=solver.newton_steps,
         halvings=solver.halvings,
+        refinements=solver.refinements,
         fold_secant_steps=main.secant_steps,
         warnings=tuple(warnings),
     )

@@ -162,6 +162,7 @@ def cmd_branch(args) -> int:
                          "points": res.trace_points,
                          "newton_steps": res.newton_steps,
                          "halvings": res.halvings,
+                         "refinements": res.refinements,
                          "fold_secant_steps": res.fold_secant_steps},
         }
         if N >= 9 and res.classification == "Singular" and bc == BoundaryData():

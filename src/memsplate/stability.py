@@ -14,8 +14,8 @@ zero on the v rows.  So the u entries of an eigenvector solve
 Both come from inverse iteration
 x <- (J - sigma B)^(-1) B x on float64 LAPACK banded LUs, O(M) per step, and
 an eigensolve uses two factors.  The first is J itself (sigma = 0); it
-gives the eigenvalue nearest 0 and the sign of det J.  At a branch point mu1
-reuses the Jacobian that the trace factored for its tangent.  Once two
+gives the eigenvalue nearest 0 and the sign of det J; `nu1_discrete` takes
+it from the solver's own factorization, and mu1 factors it.  Once two
 consecutive estimates agree to `_SETTLE_TOL`, the iteration factors
 J - sigma B once at sigma = that estimate and goes on with the second
 factor.  The unshifted iteration converges at the rate |mu1| / |mu2|, the
@@ -256,14 +256,13 @@ def nu1(N: int) -> float:
     return 8.0 * (a + b)
 
 
-def mu1(profile: RadialField, lam: float, _solver: _ClampedSolver | None = None,
-        _lu=None) -> EigenResult:
+def mu1(profile: RadialField, lam: float, _solver: _ClampedSolver | None = None) -> EigenResult:
     """Smallest eigenvalue of the linearization at `profile` and voltage `lam`.
 
     That is the smallest mu of Delta^2 phi - 2 lam phi / (1-u)^3 = mu phi on
     radial phi with homogeneous clamped data, from the mixed pencil (see
-    :func:`_pencil_eigen`).  A branch trace passes its solver and the
-    Jacobian it factored at this point.
+    :func:`_pencil_eigen`), which factors J and then its shifted matrix.  A
+    branch trace passes its solver, whose counters then include them.
     """
     u = profile.values
     if np.max(u) >= 1.0:
@@ -271,7 +270,7 @@ def mu1(profile: RadialField, lam: float, _solver: _ClampedSolver | None = None,
     solver = _solver if _solver is not None else _ClampedSolver(profile.grid,
                                                                 BoundaryData(0.0, 0.0))
     return _pencil_eigen(solver, 2.0 * lam / (1.0 - u[:-1]) ** 3,
-                         "inverse iteration, linearized mixed pencil", lu=_lu)
+                         "inverse iteration, linearized mixed pencil")
 
 
 def _bisect_root(f, lo: float, hi: float) -> float:

@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -205,7 +206,9 @@ def test_newton_above_the_fold_fails_fast(monkeypatch):
     # the points past the fold (dlambda/ds <= 0) are solved but not kept
     assert res.trace_points > len(res.points)
     assert all(p.slope > 0 and p.lam < res.lam_star_bracket[0] + 1e-12 for p in res.points)
-    assert res.factorizations == 1 + res.newton_steps + res.trace_points
+    # one factorization per Newton step, plus the operator's: each point's
+    # tangent comes from its last step's Jacobian
+    assert res.factorizations == 1 + res.newton_steps
 
 
 @pytest.mark.parametrize("N, M, bracket", [
@@ -277,11 +280,11 @@ def test_zero_pivot_is_a_failed_newton_solve(monkeypatch):
 
 
 @pytest.mark.parametrize("N, M, stepping, newton_steps, factorizations", [
-    # stepping s values and counts of the tangent-started solves: 20 Newton
-    # steps and 31 factorizations at N = 3, 22 and 30 at N = 9
-    (3, 512, (0.0, 0.05, 0.15, 0.35, 0.6893035566720553), 14, 24),
-    (9, 2048, (0.0, 0.05, 0.15, 0.35, 0.6422755151844364, 0.864790465862011, 0.999), 18, 26),
-])
+    # stepping s values and counts of the tangent-started solves: 19 Newton
+    # steps and 20 factorizations at N = 3, 23 and 24 at N = 9
+    (3, 512, (0.0, 0.05, 0.15, 0.35, 0.6893035566665435), 16, 17),
+    (9, 2048, (0.0, 0.05, 0.15, 0.35, 0.6422755151828357, 0.8647904685102918, 0.999), 19, 20),
+], ids=["3-512", "9-2048"])
 def test_hermite_starts_save_newton_steps_on_the_same_s_path(
         monkeypatch, N, M, stepping, newton_steps, factorizations):
     solves = []
@@ -297,17 +300,38 @@ def test_hermite_starts_save_newton_steps_on_the_same_s_path(
     # the main trace solves first; its fold-search solves come last
     main = solves[:res.trace_points]
     steps = len(main) - res.fold_secant_steps
-    # the step rule reads the tangent line's miss, so the s values are
-    # those of tangent-started solves up to the rounding of the converged points
+    # the step rule reads the tangent line's miss, so the s values are nearly
+    # those of tangent-started solves (1.5e-9 relative at N = 9); pinned up
+    # to the rounding of the converged points
     assert [s for s, _ in main[:steps]] == pytest.approx(stepping, rel=1e-11, abs=0)
     assert res.newton_steps <= newton_steps and res.factorizations <= factorizations
-    assert res.factorizations == 1 + res.newton_steps + res.trace_points
+    assert res.factorizations == 1 + res.newton_steps
     assert res.failed_solves == 0
     # a fold-search start interpolates between the bracket ends: the first,
-    # across the last s-step, takes 2 Newton steps, every later one at most 1
+    # across the last s-step, takes 2 Newton steps, every later one exactly
+    # 1, the least a bordered solve takes
     fold = [it for _, it in main[steps:]]
     assert (len(fold) > 0) == (N <= 8)
-    assert all(it <= (2 if k == 0 else 1) for k, it in enumerate(fold))
+    assert all(it == (2 if k == 0 else 1) for k, it in enumerate(fold))
+
+
+def test_bordered_solves_hold_u0_at_the_given_s_bit_for_bit(monkeypatch):
+    # dx_0 = a_0 + dlambda b_0 is zero only up to rounding; left so, u(0)
+    # drifted by an ulp, and at N = 11, M = 2048 the solve at s = tau = 0.999
+    # returned u(0) = 0.9989999999999999, so the trace took one more solve
+    drift = []
+
+    def spy(s, x, lam):
+        out = solve(s, x, lam)
+        drift.append(out[0][1] - x[1])
+        return out
+
+    solve = branch._bordered_solve
+    monkeypatch.setattr(branch, "_bordered_solve", spy)
+    res = sweep_branch(ContinuationConfig(N=11, M=2048))
+    assert len(drift) > res.trace_points and not any(drift)
+    assert res.points[-1].s == 1.0 - 1e-3 and res.points[-2].s < 0.9
+    assert res.trace_points == 7
 
 
 @pytest.mark.parametrize("N, bracket", [
@@ -324,20 +348,65 @@ def test_fold_search_converges_on_fine_grids(N, bracket):
     assert hi - lo <= 1e-10 * lo
 
 
-def test_bordered_solve_converges_just_past_the_fold():
-    # tangent predictors from the N = 5, M = 4096 point nearest the fold, a
-    # few 1e-9 off in lambda: J is nearly singular, a and b share a huge
-    # null component, and block elimination alone stalls above the residual
-    # floor for some of them; with the refinement step each one converges
-    s = _ClampedSolver(build_grid(5, 4096, 2.0), BoundaryData(0.0, 0.0))
+@pytest.mark.parametrize("N, M", [(3, 512), (4, 512), (4, 4096)])
+def test_the_fold_bracket_holds_the_golden_section_maximum_of_lambda(N, M):
+    # an oracle for the fold search: golden-section search for the maximum
+    # of lambda_h(s) within 1e-3 of the largest-lambda point, each lambda_h(s)
+    # a bordered solve from that point's tangent line with lambda 1e-6 off,
+    # so that it takes at least one Newton step (a start accepted without a
+    # step keeps the predictor's lambda, which was 3.8e-10 off at N = 4,
+    # M = 4096)
+    s = _ClampedSolver(build_grid(N, M, 2.0), BoundaryData(0.0, 0.0))
     trace = branch._trace(s, 1.0 - 1e-3)
     a = max(trace.points, key=lambda p: p.lam)
-    target = a.s + 1.6365e-4
+    solved = []
+
+    def lam_at(t):
+        x = a.x + (t - a.s) * a.tangent
+        x[1] = t
+        lam_line = a.lam + (t - a.s) * a.slope
+        _, lam, steps, _ = branch._bordered_solve(s, x, lam_line * (1 + 1e-6))
+        assert steps >= 1
+        solved.append((lam, t))
+        return lam
+
+    h, g = 1e-3, (math.sqrt(5.0) - 1.0) / 2.0
+    lo, hi = a.s - h, a.s + h
+    c, d = hi - g * (hi - lo), lo + g * (hi - lo)
+    fc, fd = lam_at(c), lam_at(d)
+    for _ in range(30):
+        if fc > fd:
+            hi, d, fd = d, c, fc
+            c = hi - g * (hi - lo)
+            fc = lam_at(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + g * (hi - lo)
+            fd = lam_at(d)
+    lam_max, s_max = max(solved)
+    assert abs(s_max - a.s) < 0.9 * h  # an interior maximum
+    bracket_lo, bracket_hi = trace.bracket
+    assert bracket_lo * (1 - 1e-11) <= lam_max <= bracket_hi * (1 + 1e-11)
+
+
+def test_bordered_solve_converges_just_past_the_fold():
+    # tangent predictors at s = 0.68341805, 2e-8 past the N = 5, M = 4096
+    # fold, from the trace's first fold-search point 1.6e-4 before it, and a
+    # few 1e-9 off in lambda: J is nearly singular, a and b share a huge
+    # null component, and the block-elimination step alone can fail to
+    # lower the residual; the refinement step then replaces it, and each
+    # solve converges
+    s = _ClampedSolver(build_grid(5, 4096, 2.0), BoundaryData(0.0, 0.0))
+    trace = branch._trace(s, 1.0 - 1e-3)
+    a = next(p for p in trace.points if p.s > trace.seed.s)
+    target = 0.68341805
+    refined = s.refinements
     for dlam in (-3e-9, 1e-9, 1e-8):
         x = a.x + (target - a.s) * a.tangent
         x[1] = target
-        _, lam, steps = branch._bordered_solve(s, x, a.lam + dlam + (target - a.s) * a.slope)
+        _, lam, steps, _ = branch._bordered_solve(s, x, a.lam + dlam + (target - a.s) * a.slope)
         assert steps <= 3 and lam == pytest.approx(trace.lam_star, rel=1e-10)
+    assert s.refinements > refined
 
 
 @pytest.mark.parametrize("N", [3, 4])
@@ -433,9 +502,8 @@ def test_a_start_past_the_coarse_fold_falls_back_to_the_lift():
     a = lift.seed
     x = a.x + (0.75 - a.s) * a.tangent
     start = x, a.lam + (0.75 - a.s) * a.slope
-    s = coarse()
-    y, lam, _ = branch._bordered_solve(s, x.copy(), start[1])
-    assert y[1] == 0.75 and s._solve(s.factor_jacobian(y[1::2], lam), s.load(y[1::2]))[1] < 0
+    y, _, _, b = branch._bordered_solve(coarse(), x.copy(), start[1])
+    assert y[1] == 0.75 and b[1] < 0  # dlambda/ds = 1 / b_0
     assert _same_trace(branch._trace(coarse(), _TAU, start=start), lift)
 
 

@@ -311,9 +311,10 @@ def test_branch_outputs(tmp_path):
     assert lo <= doc["lambda_star"] <= hi and doc["fold"] is True
     counters = doc["counters"]
     assert set(counters) == {"factorizations", "failed_solves", "points", "newton_steps",
-                             "halvings", "fold_secant_steps"}
-    # one factorization per Newton step and one per point's tangent, plus the operator
-    assert counters["factorizations"] == 1 + counters["newton_steps"] + counters["points"]
+                             "halvings", "refinements", "fold_secant_steps"}
+    # one factorization per Newton step, plus the operator's: each point's
+    # tangent comes from its last step's Jacobian
+    assert counters["factorizations"] == 1 + counters["newton_steps"]
     # the trace solves past the fold and keeps only the minimal-branch points
     assert counters["points"] > len(doc["points"])
     assert counters["failed_solves"] == 0 and counters["fold_secant_steps"] > 0

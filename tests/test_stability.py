@@ -279,7 +279,8 @@ def test_a_zero_pivot_on_the_shifted_factor_keeps_the_unshifted_one(monkeypatch,
 
 
 def test_each_mu1_adds_its_factorizations_to_the_sweep_counters(monkeypatch):
-    # the trace's Jacobian is reused, so each mu1 makes exactly its shifted factor
+    # each mu1 factors the Jacobian and its shifted matrix; the trace itself
+    # is the same with and without mu1
     results = []
 
     def spy(*args, **kwargs):
@@ -292,8 +293,10 @@ def test_each_mu1_adds_its_factorizations_to_the_sweep_counters(monkeypatch):
     plain = sweep_branch(config)
     traced = sweep_branch(replace(config, compute_mu1=True))
     assert len(results) == sum(p.mu1 is not None for p in traced.points) > 0
-    assert all(r.factorizations == 1 for r in results)
-    assert traced.factorizations == plain.factorizations + len(results)
+    assert all(r.factorizations == 2 for r in results)
+    assert traced.factorizations == plain.factorizations + 2 * len(results)
+    assert [p.s for p in traced.points] == [p.s for p in plain.points]
+    assert traced.newton_steps == plain.newton_steps
 
 
 def test_nu1_has_no_origin_mode_on_coarse_grids():
