@@ -191,7 +191,10 @@ class _ClampedSolver:
     1/h^2 where those of the composed operator scale like 1/h^4.  The
     operator is factored once; a Newton Jacobian differs from it only on the
     u diagonal and is factored once per step, and Newton measures its
-    residual on the same mixed rows.  A known-solution probe at construction
+    residual on the same mixed rows.  The band stores A's rows in `order`,
+    each (v, u) pair swapped, and `_solve` puts every right-hand side in
+    that order; A, the unknowns and the right-hand-side layout are A's own.
+    A known-solution probe at construction
     measures the achievable solve accuracy (`solve_accuracy`) and raises
     instead of returning garbage when it is too poor.  `factorizations`,
     `newton_steps`, `halvings` and `refinements` count the banded LU
@@ -210,11 +213,24 @@ class _ClampedSolver:
         self.factorizations = self.newton_steps = self.halvings = self.refinements = 0
         A, o1 = mixed_bilaplacian(grid, bc)
         self.A, self.absA = A, abs(A)
-        self.ku, self.kl = int(A.offsets[0]), -int(A.offsets[-1])
+        # the band holds A with rows 2i and 2i+1 swapped, so the L2 row, with
+        # the Jacobian's u diagonal on its superdiagonal, leads each pair.  In
+        # A's own order dgbtrf's partial pivoting swapped nearly every pair
+        # back (a unit v diagonal above 1/h^2 entries); in this one the
+        # operator and the Jacobians short of touchdown factor with at most
+        # one swap on graded grids, in a (2, 4) band instead of (3, 5), or
+        # (2, 2) instead of (3, 3) at N = 1
+        n = A.shape[0]
+        self.order = np.arange(n)
+        self.order[:-1] ^= 1
+        coo = A.tocoo()
+        rows = self.order[coo.row]
+        self.kl, self.ku = int(np.max(rows - coo.col)), int(np.max(coo.col - rows))
         # dgbtrf wants kl spare rows on top for the pivoting fill-in; it
         # factors in place, in Fortran order, so each factor gets its own copy
-        self.ab = np.asfortranarray(np.vstack([np.zeros((self.kl, A.shape[0])), A.data]))
-        self.b0 = np.zeros(A.shape[0])
+        self.ab = np.zeros((2 * self.kl + self.ku + 1, n), order="F")
+        self.ab[self.kl + self.ku + rows - coo.col, coo.col] = coo.data
+        self.b0 = np.zeros(n)
         self.b0[0::2] = o1
         self.lu = self._factor(self.ab.copy(order="F"))
         self.phi = phi_lift(bc, grid.r[:-1])
@@ -232,8 +248,11 @@ class _ClampedSolver:
         return lu, piv
 
     def _solve(self, lu, b: np.ndarray) -> np.ndarray:
-        """Interleaved mixed solution [v0, u0, v1, ...] for the right-hand side(s) b."""
-        return dgbtrs(lu[0], self.kl, self.ku, b, lu[1])[0]
+        """Interleaved mixed solution [v0, u0, v1, ...] for the right-hand side(s) b.
+
+        b is laid out like A's rows; it is put in the band's row order here.
+        """
+        return dgbtrs(lu[0], self.kl, self.ku, b[self.order], lu[1])[0]
 
     def _probe(self, A) -> float:
         """Max solve error of the homogeneous mixed system A for u = (1 - r^2)^2."""
@@ -252,9 +271,9 @@ class _ClampedSolver:
         return self._solve(self.lu, b)[1::2]
 
     def factor_shifted(self, d: np.ndarray):
-        """LU of the mixed band minus diag(d) on the u rows."""
+        """LU of the mixed band minus diag(d) on the u rows (the band's superdiagonal)."""
         ab = self.ab.copy(order="F")
-        ab[self.kl + self.ku, 1::2] -= d
+        ab[self.kl + self.ku - 1, 1::2] -= d
         return self._factor(ab)
 
     def jacobian_solve(self, u: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:

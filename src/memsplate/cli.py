@@ -283,7 +283,7 @@ def cmd_certify(args) -> int:
     return EXIT_OK
 
 
-def _hr_checks(variant: str, N: int, seed: int) -> list[dict]:
+def _hr_checks(variant: str, N: int) -> list[dict]:
     checks = []
     weight = hr_weight(variant, N)
     if variant in ("HR1", "HR2"):
@@ -295,10 +295,10 @@ def _hr_checks(variant: str, N: int, seed: int) -> list[dict]:
     margin, _ = sampled_min(weight.num, weight.den)
     checks.append({"name": "weight_nonnegative", "margin": margin,
                    "method": "interval", "passed": _prove_expr_nonneg(weight).proved})
-    form = discrete_form_check(variant, N, trials=200, seed=seed)
+    form = discrete_form_check(weight, N)
     checks.append({"name": "discrete_form_inequality",
                    "margin": form.min_relative_gap, "method": "discrete-form",
-                   "passed": form.passed})
+                   "residual": form.residual, "passed": form.passed})
     return checks
 
 
@@ -306,7 +306,7 @@ def cmd_hr(args) -> int:
     out = _outdir(args)
     variant = args.variant.upper()
     N = args.dim
-    checks = _hr_checks(variant, N, args.seed)
+    checks = _hr_checks(variant, N)
     verdict = "Pass" if all(c["passed"] for c in checks) else "Fail"
     doc = {"variant": variant, "N": N, "checks": checks, "verdict": verdict}
     _write_json(out / f"hr_{variant.lower()}_N{N}.json", doc)
@@ -402,7 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--rigor", choices=["interval"], default="interval",
                    help="the only tier, kept for existing scripts")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="unused, kept for existing scripts")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_hr)
 

@@ -22,7 +22,7 @@ from memsplate.grid import BoundaryData, build_grid
 from memsplate.hardy import (BesselPairSpec, _phi_expr, _prove_expr_nonneg,
                              _psi_expr, bessel_ode_positive,
                              discrete_form_check, hr2_leading_identity,
-                             pq_functions)
+                             hr_weight, pq_functions)
 from memsplate.operators import bilaplacian_clamped, lambda_bar
 from memsplate.stability import (beam_eigenvalue_1d, disk_eigenvalue_2d, nu1)
 
@@ -158,10 +158,11 @@ def test_criterion_8_hardy_rellich_suite():
         # (c) exact leading-coefficient identity
         for n in range(5, 51):
             assert hr2_leading_identity(n)
-        # (d) discrete form checks, 1000 random clamped profiles each
+        # (d) discrete form checks, the exact minimum over the clamped
+        # polynomial profiles, each with its minimizer's residual
         for variant, n in (("HR1", 17), ("HR2", 12), ("HR3", 9)):
-            frep = discrete_form_check(variant, n, trials=1000, seed=0)
-            assert frep.passed, (variant, n, frep)
+            frep = discrete_form_check(hr_weight(variant, n), n)
+            assert frep.passed and frep.residual < 1e-8, (variant, n, frep)
         assert time.perf_counter() - t0 < 120.0
 
 

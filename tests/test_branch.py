@@ -246,6 +246,38 @@ def test_trace_stays_on_the_minimal_branch(N, M, pick, tol):
         assert np.max(np.abs(p.profile.values - ref.values)) <= tol
 
 
+def _row_swaps(lu) -> int:
+    piv = lu[1]
+    return int(np.count_nonzero(piv != np.arange(piv.size)))
+
+
+def test_band_order_keeps_partial_pivoting_from_swapping_rows(monkeypatch):
+    # the band leads each row pair with the L2 row.  The operator's factor
+    # on each grid of a singular sweep, and every Jacobian factor whose u
+    # shift stays below 1e6 (every point before touchdown), swap at most one
+    # row; in A's own order they swapped one row per pair.  The Jacobians at
+    # s = tau, with shifts near 7e11, still swap, but fewer rows than there
+    # are pairs
+    factor_shifted, factors = _ClampedSolver.factor_shifted, []
+
+    def recording(self, d):
+        lu = factor_shifted(self, d)
+        factors.append((self.grid.M, float(np.max(d)), _row_swaps(lu)))
+        return lu
+
+    monkeypatch.setattr(_ClampedSolver, "factor_shifted", recording)
+    res = sweep_branch(ContinuationConfig(N=9, M=2048))
+    assert not res.fold and {M for M, _, _ in factors} == {512, 1024, 2048}
+    for M in (512, 1024, 2048):
+        s = _ClampedSolver(build_grid(9, M, 2.0), BoundaryData(0.0, 0.0))
+        assert (s.kl, s.ku) == (2, 4) and _row_swaps(s.lu) <= 1
+    s = _ClampedSolver(build_grid(1, 64, 1.0), BoundaryData(0.0, 0.0))
+    assert (s.kl, s.ku) == (2, 2)
+    small = [swaps for _, shift, swaps in factors if shift < 1e6]
+    assert len(small) >= 10 and max(small) <= 1
+    assert all(swaps < M - 1 for M, _, swaps in factors)
+
+
 def test_zero_pivot_is_a_failed_newton_solve(monkeypatch):
     cfg = ContinuationConfig(N=3, M=512)
     g = build_grid(3, 512, cfg.gamma)

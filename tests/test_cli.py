@@ -9,6 +9,7 @@ import pytest
 import memsplate
 import memsplate.certificates as certificates
 import memsplate.cli as cli
+import memsplate.hardy as hardy
 import memsplate.verify as verify
 from memsplate.cli import _hr_checks, _parse_dims, main
 from memsplate.grid import InvalidArgument
@@ -272,7 +273,7 @@ def test_hr_weight_margin_is_one_sampled_minimum_at_both_tiers(tmp_path, capsys,
         return sampled_mins(pairs, *args)
 
     monkeypatch.setattr(verify, "sampled_mins", spy)
-    check, = (c for c in _hr_checks("HR2", 12, 0) if c["name"] == "weight_nonnegative")
+    check, = (c for c in _hr_checks("HR2", 12) if c["name"] == "weight_nonnegative")
     assert calls == [1] and check["method"] == "interval" and check["passed"]
     assert check["margin"] == float.fromhex("0x1.8bcd8d2c1ec16p+11")
     for rigor, code in (("sampled", 3), ("interval", 0)):
@@ -284,13 +285,39 @@ def test_hr_weight_margin_is_one_sampled_minimum_at_both_tiers(tmp_path, capsys,
 def test_hr_report_keeps_each_checks_verdict(tmp_path, monkeypatch):
     # a failing discrete form check: the report says which check failed
     monkeypatch.setattr(cli, "discrete_form_check", lambda *args, **kwargs:
-                        SimpleNamespace(min_relative_gap=-1.0, passed=False))
+                        SimpleNamespace(min_relative_gap=-1.0, residual=0.0,
+                                        passed=False))
     assert run(tmp_path, "hr", "--variant", "hr2", "--dim", "12") == 0
     doc = json.loads((tmp_path / "hr_hr2_N12.json").read_text())
     assert doc["verdict"] == "Fail"
     assert {c["name"]: c["passed"] for c in doc["checks"]} == {
         "leading_coefficient_identity": True, "weight_nonnegative": True,
         "discrete_form_inequality": False}
+
+
+def test_hr_builds_its_weight_once_and_ignores_the_seed(tmp_path, monkeypatch):
+    # the form check reuses the weight of the other checks, and --seed,
+    # kept for existing scripts, changes only the manifest
+    built = []
+    hr_weight = cli.hr_weight
+
+    def spy(variant, N):
+        built.append((variant, N))
+        return hr_weight(variant, N)
+
+    monkeypatch.setattr(cli, "hr_weight", spy)
+    monkeypatch.setattr(hardy, "hr_weight", spy)
+    docs = []
+    for seed in ("0", "7"):
+        out = tmp_path / seed
+        assert run(out, "hr", "--variant", "hr3", "--dim", "9", "--seed", seed) == 0
+        docs.append((out / "hr_hr3_N9.json").read_bytes())
+    assert built == [("HR3", 9)] * 2
+    assert docs[0] == docs[1]
+    check, = (c for c in json.loads(docs[0])["checks"]
+              if c["name"] == "discrete_form_inequality")
+    assert check["passed"] and check["residual"] < 1e-8
+    assert check["margin"] == float.fromhex("0x1.a04e2c2edb3bcp+9")
 
 
 def test_table1_markdown(tmp_path):

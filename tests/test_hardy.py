@@ -13,7 +13,7 @@ from memsplate.hardy import (BesselPairSpec, _prove_expr_nonneg,
                              hr_weight, pq_functions, radial_laplacian,
                              supersolution_check, _phi_expr, _psi_expr)
 from memsplate.intervals import ProofReport
-from memsplate.operators import hardy_rellich_constant
+from memsplate.operators import bilaplacian_form, hardy_rellich_constant
 
 
 def test_radial_laplacian_of_quadratic():
@@ -199,26 +199,107 @@ def test_gm3_psi_supersolution():
     assert rep.confirmed
 
 
+#: the `hr` command's three weights
+HR_WEIGHTS = (("HR3", 9), ("HR2", 12), ("HR1", 17))
+
+
+def _form_data(weight, N):
+    """(A, m, m W, r) of `discrete_form_check` on its default grid."""
+    grid = build_grid(N, 512, 2.0)
+    A, m = bilaplacian_form(grid)
+    r = grid.r[: len(m)]
+    mw = np.zeros_like(r)
+    mw[1:] = m[1:] * np.asarray(weight(r[1:]), dtype=float)
+    return A, m, mw, r
+
+
+def _random_trial_minimum(weight, N, trials, seed):
+    """The smallest gap over random phi = (1-r)^2 sum c_k r^k, c_k standard normal.
+
+    The check's former definition: it bounds the exact minimum from above.
+    """
+    A, m, mw, r = _form_data(weight, N)
+    powers = [r ** k for k in range(7)]
+    rng = np.random.default_rng(seed)
+    gaps = []
+    for _ in range(trials):
+        phi = (1.0 - r) ** 2 * sum(c * pw for c, pw in zip(rng.standard_normal(7), powers))
+        gaps.append((float(phi @ (A @ phi)) - float(np.sum(mw * phi ** 2)))
+                    / float(np.sum(m * phi ** 2)))
+    return min(gaps)
+
+
 @pytest.mark.parametrize("variant,N", [("HR1", 17), ("HR2", 12), ("HR3", 9)])
 def test_discrete_form_inequality(variant, N):
     g = build_grid(N, 256, 2.0)
-    rep = discrete_form_check(variant, N, grid=g, trials=50, seed=0)
+    rep = discrete_form_check(hr_weight(variant, N), N, grid=g)
     assert rep.passed
     assert rep.min_relative_gap > -rep.tol
+    assert rep.residual < 1e-8
 
 
-def test_discrete_form_seeds_agree():
-    g = build_grid(17, 256, 2.0)
-    for seed in (1, 2, 3):
-        assert discrete_form_check("HR1", 17, grid=g, trials=25, seed=seed).passed
+def test_discrete_form_check_is_deterministic():
+    # no seed: two checks on separately built grids agree bit for bit
+    w = hr_weight("HR1", 17)
+    a = discrete_form_check(w, 17, grid=build_grid(17, 256, 2.0))
+    b = discrete_form_check(w, 17, grid=build_grid(17, 256, 2.0))
+    assert a.min_relative_gap == b.min_relative_gap and a.residual == b.residual
+    assert np.array_equal(a.coefficients, b.coefficients)
 
 
 def test_discrete_form_gaps_are_frozen():
-    # frozen as float hex: the default grid and 200 trials of the `hr`
-    # command's three weights, whose profiles share their powers of r
-    frozen = {("HR3", 9): "0x1.30ea38b434847p+10",
+    # frozen as float hex: the exact minima on the default grid of the `hr`
+    # command's three weights; each carries its minimizer, whose directly
+    # evaluated gap agrees with the eigenvalue to 1e-8
+    frozen = {("HR3", 9): "0x1.a04e2c2edb3bcp+9",
+              ("HR2", 12): "0x1.c078a0d3c54fcp+10",
+              ("HR1", 17): "0x1.806528ebfbe90p+12"}
+    for (variant, N), gap in frozen.items():
+        rep = discrete_form_check(hr_weight(variant, N), N)
+        assert rep.min_relative_gap.hex() == gap and rep.passed
+        assert rep.residual < 1e-8 and rep.coefficients.shape == (7,)
+
+
+def test_discrete_form_minimum_is_below_every_random_trial_minimum():
+    # the former check, 200 random profiles per seed, bounds the exact
+    # minimum from above; at seed 0 it reproduces its frozen gaps
+    former = {("HR3", 9): "0x1.30ea38b434847p+10",
               ("HR2", 12): "0x1.626e5f3bf3320p+11",
               ("HR1", 17): "0x1.3390ef7ff6b2ap+13"}
-    for (variant, N), gap in frozen.items():
-        rep = discrete_form_check(variant, N, trials=200, seed=0)
-        assert rep.min_relative_gap.hex() == gap and rep.passed
+    for variant, N in HR_WEIGHTS:
+        w = hr_weight(variant, N)
+        exact = discrete_form_check(w, N).min_relative_gap
+        sampled = [_random_trial_minimum(w, N, 200, seed) for seed in range(10)]
+        assert sampled[0].hex() == former[variant, N]
+        assert exact <= min(sampled)
+
+
+def test_discrete_form_minimum_matches_a_30_digit_solve():
+    # the same float64 data, HR3 at N = 9 on the default grid, solved in
+    # 30-digit arithmetic: the pencil (B^T (A - diag(m W)) B, B^T diag(m) B)
+    # on the monomial basis, its smallest eigenvalue by Cholesky and eigsy.
+    # A is symmetric only to rounding, so the whole product is symmetrized.
+    mp = pytest.importorskip("mpmath").mp
+    w = hr_weight("HR3", 9)
+    A, m, mw, r = _form_data(w, 9)
+    B = ((1.0 - r) ** 2)[:, None] * r[:, None] ** np.arange(7)
+    n = len(r)
+    with mp.workdps(30):
+        Bm = [[mp.mpf(float(x)) for x in row] for row in B]
+        AB = [[mp.mpf(0)] * 7 for _ in range(n)]
+        coo = A.tocoo()
+        for i, j, a in zip(coo.row, coo.col, coo.data):
+            a = mp.mpf(float(a))
+            AB[i] = [s + a * b for s, b in zip(AB[i], Bm[j])]
+        mpm = [mp.mpf(float(x)) for x in m]
+        mpw = [mp.mpf(float(x)) for x in mw]
+        G, K = mp.matrix(7, 7), mp.matrix(7, 7)
+        for k in range(7):
+            for l in range(7):
+                G[k, l] = mp.fsum(Bm[i][k] * (AB[i][l] - mpw[i] * Bm[i][l]) for i in range(n))
+                K[k, l] = mp.fsum(mpm[i] * Bm[i][k] * Bm[i][l] for i in range(n))
+        G = (G + G.T) / 2
+        Li = mp.inverse(mp.cholesky(K))
+        oracle = float(min(mp.eigsy(Li * G * Li.T, eigvals_only=True)))
+    assert abs(oracle - 832.610724) < 1e-6
+    assert abs(discrete_form_check(w, 9).min_relative_gap - oracle) <= 1e-8 * oracle
