@@ -188,19 +188,18 @@ class _ClampedSolver:
 
     Every solve is one float64 LAPACK banded LU solve of the mixed system
     v = Delta u, Delta v = f (`mixed_bilaplacian`), whose rows scale like
-    1/h^2 where those of the composed operator scale like 1/h^4.  The
-    operator is factored once; a Newton Jacobian differs from it only on the
-    u diagonal and is factored once per step, and Newton measures its
-    residual on the same mixed rows.  The band stores A's rows in `order`,
-    each (v, u) pair swapped, and `_solve` puts every right-hand side in
-    that order; A, the unknowns and the right-hand-side layout are A's own.
-    A known-solution probe at construction
-    measures the achievable solve accuracy (`solve_accuracy`) and raises
-    instead of returning garbage when it is too poor.  `factorizations`,
-    `newton_steps`, `halvings` and `refinements` count the banded LU
-    factorizations, the Newton steps, the halved Newton steps and the
-    bordered steps replaced by their refinement (see `_bordered_solve`)
-    made so far.
+    1/h^2 where those of the composed operator scale like 1/h^4.  Its band,
+    the operator's only form, is factored once; a Newton Jacobian differs
+    from it only on the u diagonal and is factored once per step, and Newton
+    measures its residual with `matvec` on the same band.  The band stores
+    A's rows in `order`, each (v, u) pair swapped; `_solve` and `matvec`
+    translate, so the unknowns and the right-hand-side layout are A's own.  A
+    known-solution probe at construction measures the achievable solve
+    accuracy (`solve_accuracy`) and raises instead of returning garbage
+    when it is too poor.  `factorizations`, `newton_steps`, `halvings` and
+    `refinements` count the banded LU factorizations, the Newton steps, the
+    halved Newton steps and the bordered steps replaced by their refinement
+    (see `_bordered_solve`) made so far.
     """
 
     _PROBE_LIMIT = 1e-2
@@ -211,36 +210,44 @@ class _ClampedSolver:
         self.grid = grid
         self.bc = bc
         self.factorizations = self.newton_steps = self.halvings = self.refinements = 0
-        A, o1 = mixed_bilaplacian(grid, bc)
-        self.A, self.absA = A, abs(A)
-        # the band holds A with rows 2i and 2i+1 swapped, so the L2 row, with
-        # the Jacobian's u diagonal on its superdiagonal, leads each pair.  In
-        # A's own order dgbtrf's partial pivoting swapped nearly every pair
-        # back (a unit v diagonal above 1/h^2 entries); in this one the
-        # operator and the Jacobians short of touchdown factor with at most
-        # one swap on graded grids, in a (2, 4) band instead of (3, 5), or
-        # (2, 2) instead of (3, 3) at N = 1
-        n = A.shape[0]
+        self.band, (self.kl, self.ku), o1 = mixed_bilaplacian(grid, bc)
+        n = self.band.shape[1]
         self.order = np.arange(n)
         self.order[:-1] ^= 1
-        coo = A.tocoo()
-        rows = self.order[coo.row]
-        self.kl, self.ku = int(np.max(rows - coo.col)), int(np.max(coo.col - rows))
-        # dgbtrf wants kl spare rows on top for the pivoting fill-in; it
-        # factors in place, in Fortran order, so each factor gets its own copy
-        self.ab = np.zeros((2 * self.kl + self.ku + 1, n), order="F")
-        self.ab[self.kl + self.ku + rows - coo.col, coo.col] = coo.data
         self.b0 = np.zeros(n)
         self.b0[0::2] = o1
-        self.lu = self._factor(self.ab.copy(order="F"))
+        self.lu = self._factor()
         self.phi = phi_lift(bc, grid.r[:-1])
-        self.solve_accuracy = self._probe(A)
+        self.solve_accuracy = self._probe()
         if not self.solve_accuracy <= self._PROBE_LIMIT:
             raise InvalidArgument(
                 "clamped bilaplacian too ill-conditioned for this grid "
                 f"(probe error {self.solve_accuracy:.1e}); lower gamma or M")
 
-    def _factor(self, ab: np.ndarray):
+    def matvec(self, x: np.ndarray, absolute: bool = False) -> np.ndarray:
+        """A @ x, or |A| @ |x| when `absolute` (|a x| is |a| |x| exactly), in A's row order.
+
+        Each diagonal's products, the band's top row first, are added into
+        zeros as scipy.sparse adds them for a matrix stored by diagonals, so
+        every sum rounds as it does there."""
+        z = np.abs(self.band * x) if absolute else self.band * x
+        n = x.size
+        y = np.zeros(n)
+        for d, products in enumerate(z):
+            k = self.ku - d  # row i of the band holds column i + k on this diagonal
+            i, j = max(0, -k), max(0, k)
+            y[i:n - j] += products[j:n - i]
+        return y[self.order]
+
+    def factor_shifted(self, d: np.ndarray):
+        """LU of the mixed band minus diag(d) on the u rows (the band's superdiagonal)."""
+        return self._factor(d)
+
+    def _factor(self, d=0.0):
+        """`factor_shifted`'s LU, and the operator's at d = 0, on a copy for dgbtrf to overwrite."""
+        ab = np.zeros((2 * self.kl + self.ku + 1, self.band.shape[1]), order="F")
+        ab[self.kl:] = self.band
+        ab[self.kl + self.ku - 1, 1::2] -= d
         self.factorizations += 1
         lu, piv, info = dgbtrf(ab, self.kl, self.ku)
         if info > 0:
@@ -248,20 +255,18 @@ class _ClampedSolver:
         return lu, piv
 
     def _solve(self, lu, b: np.ndarray) -> np.ndarray:
-        """Interleaved mixed solution [v0, u0, v1, ...] for the right-hand side(s) b.
-
-        b is laid out like A's rows; it is put in the band's row order here.
-        """
+        """Interleaved mixed solution [v0, u0, v1, ...] for the right-hand side(s) b,
+        laid out like A's rows; they are put in the band's row order here."""
         return dgbtrs(lu[0], self.kl, self.ku, b[self.order], lu[1])[0]
 
-    def _probe(self, A) -> float:
+    def _probe(self) -> float:
         """Max solve error of the homogeneous mixed system A for u = (1 - r^2)^2."""
         v = (1.0 - self.grid.r[:-1] ** 2) ** 2
-        x = np.zeros(A.shape[0])
+        x = np.zeros(self.b0.size)
         x[1::2] = v
-        x[0::2] = -(A @ x)[0::2]  # Delta u = L1 @ u
+        x[0::2] = -self.matvec(x)[0::2]  # Delta u = L1 @ u
         b = np.zeros_like(x)
-        b[1::2] = (A @ x)[1::2]  # L2 @ (L1 @ u)
+        b[1::2] = self.matvec(x)[1::2]  # L2 @ (L1 @ u)
         return float(np.max(np.abs(self._solve(self.lu, b)[1::2] - v)))
 
     def solve_rhs(self, f: np.ndarray) -> np.ndarray:
@@ -269,12 +274,6 @@ class _ClampedSolver:
         b = self.b0.copy()
         b[1::2] = f
         return self._solve(self.lu, b)[1::2]
-
-    def factor_shifted(self, d: np.ndarray):
-        """LU of the mixed band minus diag(d) on the u rows (the band's superdiagonal)."""
-        ab = self.ab.copy(order="F")
-        ab[self.kl + self.ku - 1, 1::2] -= d
-        return self._factor(ab)
 
     def jacobian_solve(self, u: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
         """Solve J dx = rhs, J the mixed band minus 2 lam/(1-u)^3 on the u diagonal.
@@ -284,17 +283,11 @@ class _ClampedSolver:
         """
         return self._solve(self.factor_shifted(2.0 * lam / (1.0 - u) ** 3), rhs)
 
-    def load(self, u: np.ndarray) -> np.ndarray:
-        """dF/dlambda with the sign flipped: (1-u)^-2 on the u rows, 0 on the v rows."""
-        g = np.zeros_like(self.b0)
-        g[1::2] = 1.0 / (1.0 - u) ** 2
-        return g
-
     def mixed_state(self, u: np.ndarray) -> np.ndarray:
         """Interleaved [v0, u0, v1, ...] with v = Delta u from the even rows."""
         x = np.zeros_like(self.b0)
         x[1::2] = u
-        x[0::2] = self.b0[0::2] - (self.A @ x)[0::2]
+        x[0::2] = self.b0[0::2] - self.matvec(x)[0::2]
         return x
 
     def residual(self, x: np.ndarray, lam: float):
@@ -310,8 +303,8 @@ class _ClampedSolver:
         """
         b = self.b0.copy()
         b[1::2] = lam / (1.0 - x[1::2]) ** 2
-        F = self.A @ x - b
-        scale = self.absA @ np.abs(x) + np.abs(b) + 1.0
+        F = self.matvec(x) - b
+        scale = self.matvec(x, absolute=True) + np.abs(b) + 1.0
         scale[1::2] += 2.0 * np.abs(b[1::2] * x[1::2]) / (1.0 - x[1::2])
         return F, float(np.max(np.abs(F) / scale))
 
@@ -443,7 +436,8 @@ def _bordered_solve(s: _ClampedSolver, x: np.ndarray, lam: float):
         nonlocal b_last
         w = 2.0 * lam / (1.0 - x[1::2]) ** 3
         lu = s.factor_shifted(w)
-        g = s.load(x[1::2])
+        g = np.zeros_like(x)  # -dF/dlambda
+        g[1::2] = 1.0 / (1.0 - x[1::2]) ** 2
         a, b = s._solve(lu, np.column_stack([-F, g])).T
         b_last = b
 
@@ -456,7 +450,7 @@ def _bordered_solve(s: _ClampedSolver, x: np.ndarray, lam: float):
         dx, dlam = eliminate(a)
 
         def refine():
-            r = -F - (s.A @ dx) + dlam * g
+            r = -F - s.matvec(dx) + dlam * g
             r[1::2] += w * dx[1::2]
             dx2, dlam2 = eliminate(s._solve(lu, r))
             return dx + dx2, dlam + dlam2

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -351,6 +352,7 @@ def _add_grid_flags(p):
                    help="grid grading exponent (default: 2.0, uniform for N=1)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="memsplate", description=__doc__,
                  formatter_class=argparse.RawDescriptionHelpFormatter)

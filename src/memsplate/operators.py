@@ -19,10 +19,10 @@ local quadratic fitting on the nonuniform graded grid.  Two closures:
 
 The bilaplacian is the composition of two such Laplacians sharing these
 closures, which keeps the quadratic form integral (Delta phi)^2 natural.
-Every operator is a float64 sparse matrix plus a float64 offset vector; the
-solvers and eigensolves use the mixed split v = Delta u (`mixed_bilaplacian`).
-Each builder imports scipy.sparse itself, so commands that build no operator
-never load it.
+Every operator is float64 plus a float64 offset vector.  The solvers and
+eigensolves use the mixed split v = Delta u (`mixed_bilaplacian`), one
+LAPACK band; the others are scipy.sparse matrices, and each of their
+builders imports it, so commands that build none of them never load it.
 """
 
 from __future__ import annotations
@@ -157,28 +157,32 @@ def bilaplacian_clamped(grid: RadialGrid, bc: BoundaryData):
 
 
 def mixed_bilaplacian(grid: RadialGrid, bc: BoundaryData):
-    """(A, o1): `bilaplacian_clamped` split into v = Delta u, Delta v = f, banded.
+    """(ab, (kl, ku), o1): `bilaplacian_clamped` split into v = Delta u, Delta v = f, banded.
 
     The 2M-1 unknowns interleave as [v0, u0, v1, u1, ..., v_{M-2}, u_{M-2},
-    v_{M-1}], v being Delta u at all M nodes.  Row 2i holds
-    v_i - (L1 @ u)_i = o1_i and row 2i+1 holds (L2 @ v)_i = f_i, so with o1
-    on the even rows and f on the odd ones the u entries solve K @ u + o = f
-    for (K, o) = bilaplacian_clamped(grid, bc) in exact arithmetic, while
-    every row scales like 1/h^2 instead of 1/h^4.  A is a `dia_matrix` with
-    offsets u, u-1, ..., -l, so A.data is LAPACK band storage; (l, u) =
-    (3, 5), or (3, 3) at N = 1.  The stencil triplets go straight into it.
+    v_{M-1}], v being Delta u at all M nodes.  The mixed matrix A has row 2i
+    v_i - (L1 @ u)_i = o1_i and row 2i+1 (L2 @ v)_i = f_i, so with o1 on the
+    even rows and f on the odd ones the u entries solve K @ u + o = f for
+    (K, o) = bilaplacian_clamped(grid, bc) in exact arithmetic, while every
+    row scales like 1/h^2 instead of 1/h^4.  `ab` is A in float64 LAPACK band
+    storage, each row pair swapped: ab[ku + i - j, j] = A[order[i], j] with
+    order = 1, 0, 3, 2, ..., 2M-2.  The L2 row, with a Jacobian's u diagonal
+    on its superdiagonal, then leads each pair, and dgbtrf's partial
+    pivoting swaps at most one row of the operator and of the Jacobians
+    short of touchdown on graded grids, where in A's order it swapped nearly
+    every pair back.  (kl, ku) = (2, 4), or (2, 2) at N = 1, against (3, 5)
+    and (3, 3) in A's order.  The stencil triplets go straight into it.
     """
-    import scipy.sparse as sp
     (w1, (r1, c1)), o1, (w2, (r2, c2)) = _clamped_laplacians(grid, bc)
     M = grid.M
     rows = np.concatenate([2 * np.arange(M), 2 * r1, 2 * r2 + 1])
+    rows[rows < 2 * M - 2] ^= 1  # swap each row pair; row 2M-2 has no partner
     cols = np.concatenate([2 * np.arange(M), 2 * c1 + 1, 2 * c2])
     vals = np.concatenate([np.ones(M), -w1, w2])
-    lo, up = int(np.max(rows - cols)), int(np.max(cols - rows))
-    ab = np.zeros((lo + up + 1, 2 * M - 1))
-    ab[up + rows - cols, cols] = vals
-    A = sp.dia_matrix((ab, np.arange(up, -lo - 1, -1)), shape=(2 * M - 1, 2 * M - 1))
-    return A, o1
+    kl, ku = int(np.max(rows - cols)), int(np.max(cols - rows))
+    ab = np.zeros((kl + ku + 1, 2 * M - 1))
+    ab[ku + rows - cols, cols] = vals
+    return ab, (kl, ku), o1
 
 
 def bilaplacian_form(grid: RadialGrid):

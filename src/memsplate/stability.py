@@ -7,13 +7,13 @@ lambda = 0 case `nu1_discrete`, are eigenvalues of the mixed pencil
 J x = mu B x on the interleaved
 unknown x = [v0, u0, v1, u1, ...] of the branch solver
 (`branch._ClampedSolver`).  J is the mixed clamped bilaplacian of
-`operators.mixed_bilaplacian` (rows v - Delta u and Delta v) minus
-2 lambda/(1-u)^3 on the u diagonal; B is the identity on the u rows and
-zero on the v rows.  So the u entries of an eigenvector solve
-(Delta^2 - 2 lambda/(1-u)^3) phi = mu phi with homogeneous clamped data.
-Both come from inverse iteration
-x <- (J - sigma B)^(-1) B x on float64 LAPACK banded LUs, O(M) per step, and
-an eigensolve uses two factors.  The first is J itself (sigma = 0); it
+`operators.mixed_bilaplacian` (rows v - Delta u and Delta v), held as the
+solver's one float64 LAPACK band, minus 2 lambda/(1-u)^3 on the u
+diagonal; B is the identity on the u rows and zero on the v rows.  So the
+u entries of an eigenvector solve (Delta^2 - 2 lambda/(1-u)^3) phi = mu phi
+with homogeneous clamped data.  Both come from inverse iteration
+x <- (J - sigma B)^(-1) B x on LUs of that band, O(M) per step, and an
+eigensolve uses two factors.  The first is J itself (sigma = 0); it
 gives the eigenvalue nearest 0 and the sign of det J; `nu1_discrete` takes
 it from the solver's own factorization, and mu1 factors it.  Once two
 consecutive estimates agree to `_SETTLE_TOL`, the iteration factors
@@ -162,9 +162,9 @@ def _pencil_eigen(solver: _ClampedSolver, weight: np.ndarray, method: str,
                                             weight, shift)
         iterations += more
     grid, u = solver.grid, x[1::2]
-    r = solver.A @ x
+    r = solver.matvec(x)
     r[1::2] -= (weight + value) * u
-    scale = solver.absA @ np.abs(x)
+    scale = solver.matvec(x, absolute=True)
     scale[1::2] += (np.abs(weight) + abs(value)) * np.abs(u)
     residual = float(np.max(np.abs(r) / scale))
     # normalize to integral_B phi^2 = 1, including the sphere area

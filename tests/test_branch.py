@@ -11,8 +11,10 @@ from memsplate.branch import (CURVE_SAMPLES, NEWTON_FLOOR, ContinuationConfig,
                               sweep_branch)
 from memsplate.grid import (BoundaryData, InvalidArgument, RadialField,
                             build_grid, phi_lift)
-from memsplate.operators import bilaplacian_clamped, lambda_bar, mixed_bilaplacian
+from memsplate.operators import (_clamped_laplacians, bilaplacian_clamped, lambda_bar,
+                                 mixed_bilaplacian)
 from memsplate.stability import nu1
+from test_operators import mixed_dense
 
 
 def test_zero_load_homogeneous():
@@ -146,12 +148,46 @@ def test_newton_stops_at_the_mixed_residual_floor(N, M, lam, monkeypatch):
     x = seen[-1]  # the iterate Newton returned
     assert np.array_equal(prof.values[:-1], x[1::2])
     # the row-scaled residual, recomputed from the assembled mixed system
-    A, o1 = mixed_bilaplacian(g, bc)
+    A, o1 = mixed_dense(g, bc)
     b = np.zeros_like(x)
     b[0::2], b[1::2] = o1, lam / (1.0 - x[1::2]) ** 2
-    scaled = np.abs(A @ x - b) / (abs(A) @ np.abs(x) + np.abs(b) + 1.0)
+    scaled = np.abs(A @ x - b) / (np.abs(A) @ np.abs(x) + np.abs(b) + 1.0)
     assert np.max(scaled) <= NEWTON_FLOOR == 8.0 * np.finfo(np.float64).eps
     assert it <= 5  # quadratic convergence from a nearby start
+
+
+@pytest.mark.parametrize("N, band", [(1, (2, 2)), (9, (2, 4))])
+def test_the_band_is_the_swapped_mixed_matrix_and_its_matvec_is_dia_order(N, band):
+    import scipy.sparse as sp
+    g = build_grid(N, 64, 2.0)
+    bc = BoundaryData(0.3, -0.7)
+    ab, (kl, ku), o1 = mixed_bilaplacian(g, bc)
+    assert (kl, ku) == band and ab.dtype == np.float64
+    # the mixed matrix assembled densely from the stencil triplets: row 2i
+    # v_i - (L1 u)_i, row 2i+1 (L2 v)_i, then each row pair swapped
+    (w1, (r1, c1)), o, (w2, (r2, c2)) = _clamped_laplacians(g, bc)
+    n = 2 * g.M - 1
+    A = np.zeros((n, n))
+    A[np.arange(0, n, 2), np.arange(0, n, 2)] = 1.0
+    A[2 * r1, 2 * c1 + 1] = -w1
+    A[2 * r2 + 1, 2 * c2] = w2
+    order = np.arange(n)
+    order[:-1] ^= 1
+    swapped = A[order]
+    expected = np.zeros_like(ab)
+    for d in range(kl + ku + 1):
+        k = ku - d
+        expected[d, max(0, k):n + min(0, k)] = np.diagonal(swapped, k)
+    assert np.count_nonzero(swapped) == np.count_nonzero(ab)  # nothing outside the band
+    assert np.array_equal(ab, expected) and np.array_equal(o1, o)
+    # the solver's band products are scipy's diagonal-storage products, bit for bit
+    s = _ClampedSolver(g, bc)
+    dia = sp.dia_matrix((ab, np.arange(ku, -kl - 1, -1)), shape=(n, n))
+    rng = np.random.default_rng(N)
+    for _ in range(10):
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-6, 6, n)
+        assert np.array_equal(s.matvec(x), (dia @ x)[order])
+        assert np.array_equal(s.matvec(x, absolute=True), (abs(dia) @ np.abs(x))[order])
 
 
 def _spy(monkeypatch, name, calls):

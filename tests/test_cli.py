@@ -44,18 +44,41 @@ with tempfile.TemporaryDirectory() as d:
     seen["certificates"] = loaded()
     assert memsplate.cli.main(["branch", "--dim", "3", "--M", "64", "--out", d]) == 0
     seen["branch"] = loaded()
+    assert memsplate.cli.main(["pullin", "--dim", "5", "--M", "64", "--out", d]) == 0
+    seen["pullin"] = loaded()
 print(json.dumps(seen))
 """
 
 
-def test_certificate_commands_never_load_scipy_linalg_or_sparse(tmp_path):
+def test_certificates_load_no_scipy_submodule_and_solves_only_linalg(tmp_path):
     src = Path(memsplate.__file__).parents[1]
     proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY_PROBE, str(src)],
                           cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["import"] == [] and seen["certificates"] == []
-    assert "scipy.linalg" in seen["branch"]
+    # the solver's operator is one LAPACK band: no scipy.sparse on the way
+    assert seen["branch"] == seen["pullin"] == ["scipy.linalg"]
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch):
+    built = []
+
+    class Counting(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counting)
+    cli.build_parser.cache_clear()
+    try:
+        assert run(tmp_path, "threshold", "--to", "6") == 0
+        first = len(built)
+        assert run(tmp_path, "threshold", "--to", "7") == 0
+    finally:
+        cli.build_parser.cache_clear()  # drop the counting parser
+    assert built.count("memsplate") == 1 and len(built) == first
+    assert json.loads((tmp_path / "threshold.json").read_text())[-1]["N"] == 7
 
 
 def test_parse_dims():

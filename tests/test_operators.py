@@ -9,6 +9,24 @@ from memsplate.operators import (_quad_fit_weights, bilaplacian_clamped,
                                  mixed_bilaplacian, power_bilaplacian_coeff)
 
 
+def mixed_dense(grid, bc):
+    """(A, o1): `mixed_bilaplacian`'s band as a dense matrix in A's own row order.
+
+    The band stores row i of A at position order[i], each (v, u) row pair
+    swapped and the last row unpaired; order is its own inverse.
+    """
+    ab, (kl, ku), o1 = mixed_bilaplacian(grid, bc)
+    n = ab.shape[1]
+    A = np.zeros((n, n))
+    for d in range(kl + ku + 1):
+        k = ku - d
+        i = np.arange(max(0, -k), n - max(0, k))
+        A[i, i + k] = ab[d, i + k]
+    order = np.arange(n)
+    order[:-1] ^= 1
+    return A[order], o1
+
+
 def test_exact_coefficients():
     assert power_bilaplacian_coeff(4, 3) == 4 * 2 * 5 * 3
     assert power_bilaplacian_coeff(2, 7) == 0         # r^2 is biharmonic-free
@@ -117,6 +135,7 @@ def test_operators_are_float64():
     for N in (1, 3):
         g = build_grid(N, 64, 2.0)
         bc = BoundaryData(0.3, -0.7)
-        for L, o in (laplacian_with_bc(g, bc), bilaplacian_clamped(g, bc),
-                     mixed_bilaplacian(g, bc), bilaplacian_form(g)):
+        ab, _, o1 = mixed_bilaplacian(g, bc)
+        for L, o in (laplacian_with_bc(g, bc), bilaplacian_clamped(g, bc), (ab, o1),
+                     bilaplacian_form(g)):
             assert L.dtype == np.float64 and o.dtype == np.float64, N

@@ -12,9 +12,10 @@ import memsplate
 from memsplate import branch, stability
 from memsplate.branch import ContinuationConfig, _ClampedSolver, sweep_branch
 from memsplate.grid import BoundaryData, RadialField, build_grid
-from memsplate.operators import bilaplacian_form, mixed_bilaplacian
+from memsplate.operators import bilaplacian_form
 from memsplate.stability import (_inverse_iteration, beam_eigenvalue_1d,
                                  disk_eigenvalue_2d, mu1, nu1, nu1_discrete)
+from test_operators import mixed_dense
 
 
 def test_beam_eigenvalue_oracle():
@@ -146,8 +147,7 @@ def _pencil_spectrum(profile, lam):
     and B the identity on the u rows; B is singular, so the v rows give
     infinite eigenvalues, which are dropped.  Sorted by real part.
     """
-    A, _ = mixed_bilaplacian(profile.grid, BoundaryData(0.0, 0.0))
-    J = A.toarray()
+    J, _ = mixed_dense(profile.grid, BoundaryData(0.0, 0.0))
     B = np.zeros_like(J)
     u_rows = np.arange(1, J.shape[0], 2)
     J[u_rows, u_rows] -= 2.0 * lam / (1.0 - profile.values[:-1]) ** 3
