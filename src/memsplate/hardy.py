@@ -1,11 +1,12 @@
 """Hardy-Rellich machinery: Bessel pairs, improved weights, and form checks.
 
-A Bessel pair (V, W) on (0, 1) is a pair of radial weights for which the ODE
+A Bessel pair (V, W) on (0, 1) is a pair of radial weights for which the
+weighted Hardy inequality int V |grad phi|^2 >= int W phi^2 holds; it does
+exactly when the ODE
 
     y'' + ((N-1)/r + V'/V) y' + (W/V) y = 0
 
-has a positive solution; it encodes the weighted Hardy inequality
-int V |grad phi|^2 >= int W phi^2.  This module constructs the three
+has a positive supersolution.  This module constructs the three
 fourth-order weights used by the certificates module,
 
 * HR1: H_N / r^4 with H_N = N^2 (N-4)^2 / 16,
@@ -14,9 +15,10 @@ fourth-order weights used by the certificates module,
 * HR3 (N = 9 only): Q(r) (P(r) + (N-1)/r^2) built from explicit auxiliary
   functions phi and psi,
 
-and provides ODE-level and discrete quadratic-form verification tools.  The
-discrete check is the exact minimum of the form gap over a 7-dimensional
-space of clamped polynomial profiles, a 7 x 7 symmetric eigensolve.
+and provides proved supersolution and side-condition checks and a discrete
+quadratic-form check.  The discrete check is the exact minimum of the form
+gap over a 7-dimensional space of clamped polynomial profiles, a 7 x 7
+symmetric eigensolve.
 
 `_prove_expr_nonneg`, under the supersolution, side-condition and `hr` weight
 checks, refutes a negative exact endpoint limit in no boxes or returns the
@@ -25,8 +27,7 @@ checks, refutes a negative exact endpoint limit in no boxes or returns the
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -96,7 +97,7 @@ def pq_functions() -> tuple[Ratio, Ratio]:
 
 
 # --------------------------------------------------------------------------
-# Bessel-pair ODE
+# Bessel pairs
 
 
 @dataclass(frozen=True)
@@ -106,136 +107,6 @@ class BesselPairSpec:
     V: Ratio
     W: Ratio
     N: int
-
-
-@dataclass
-class PositivityReport:
-    """Outcome of integrating the Bessel-pair ODE and tracking the sign of y."""
-
-    positive_on_interval: bool
-    first_zero: float | None
-    start_radius: float
-    start_description: str
-    reached: float
-    seed_residual: float | None = None
-    notes: list = field(default_factory=list)
-
-
-#: `bessel_ode_positive` integrates from this radius to r = 1 with this
-#: relative tolerance, in at most this many right-hand-side calls
-_ODE_START = 1e-6
-_ODE_RTOL = 1e-10
-_ODE_MAX_CALLS = 10_000
-
-
-class _CallsSpent(Exception):
-    """Raised by the Pruefer right-hand side once `_ODE_MAX_CALLS` are made."""
-
-
-def bessel_ode_positive(spec: BesselPairSpec,
-                        y0_behavior: Ratio | None = None) -> PositivityReport:
-    """Track sign changes of solutions of y'' + ((N-1)/r + V'/V) y' + (W/V) y = 0.
-
-    Initial data at r0 = `_ODE_START` comes from `y0_behavior` when given
-    (a candidate solution); otherwise from the dominant root of the
-    indicial equation of the regular singular point at 0.  When W/V decays
-    faster than r^(-2), the origin is irregular and no Frobenius start
-    exists; a flat start is used and noted.
-
-    The integration uses the Pruefer phase theta (y = rho sin theta,
-    y' = rho cos theta), whose equation
-    theta' = cos^2 + p sin cos + q sin^2 is scalar and magnitude-free:
-    direct (y, y') integration loses the sign of solutions that decay many
-    orders of magnitude (e.g. r^(1-N/2) over (1e-6, 1)).  Zeros of y are
-    upward crossings of theta through multiples of pi.
-
-    The integration makes at most `_ODE_MAX_CALLS` right-hand-side calls.
-    One that spends them is not positive: `reached` is the last radius
-    evaluated, and a note names it and the call count.
-    """
-    from scipy.integrate import solve_ivp
-
-    V, W, N = spec.V, spec.W, spec.N
-    r0 = _ODE_START
-    Vr = V.diff()
-    notes = []
-
-    seed_residual = None
-    if y0_behavior is not None:
-        y = y0_behavior
-        yp = y.diff()
-        theta0 = math.atan2(float(y(r0)), float(yp(r0)))
-        desc = "seeded from candidate solution"
-        # residual of the candidate along the trajectory, relative to the
-        # magnitude of the individual ODE terms
-        rr = np.linspace(max(r0, 1e-4), 1.0 - 1e-4, 400)
-        t1 = np.asarray(yp.diff()(rr), dtype=float)
-        t2 = ((N - 1) / rr + np.asarray(Vr(rr), float) / np.asarray(V(rr), float)) * np.asarray(yp(rr), float)
-        t3 = np.asarray(W(rr), float) / np.asarray(V(rr), float) * np.asarray(y(rr), float)
-        seed_residual = float(np.max(np.abs(t1 + t2 + t3) / (np.abs(t1) + np.abs(t2) + np.abs(t3) + 1.0)))
-    else:
-        pv, _ = V.leading()
-        pq, w0 = (W / V).leading()
-        a = N - 1 + pv
-        if pq < -2:
-            notes.append("irregular singular point at r=0 (W/V stronger than r^-2); flat start")
-            theta0, desc = 0.5 * math.pi, "flat start y=1"
-        else:
-            c = w0 if pq == -2 else Fraction(0)
-            # indicial equation s(s-1) + a s + c = 0
-            disc = float((a - 1) ** 2) / 4.0 - float(c)
-            if disc < 0:
-                notes.append("complex indicial roots: oscillatory near r=0")
-                theta0, desc = 0.5 * math.pi, "flat start y=1 (oscillatory indicial)"
-            else:
-                s = (1.0 - float(a)) / 2.0 + math.sqrt(disc)
-                theta0 = math.atan2(r0 ** s, s * r0 ** (s - 1.0)) if s != 0 else 0.5 * math.pi
-                desc = f"Frobenius branch r^{s:.6g}"
-
-    calls, last_r = 0, r0
-
-    def rhs(r, th):
-        nonlocal calls, last_r
-        if calls == _ODE_MAX_CALLS:
-            raise _CallsSpent
-        calls, last_r = calls + 1, r
-        sn, cs = math.sin(th[0]), math.cos(th[0])
-        v = float(V(r))  # once for p = (N-1)/r + V'/V and q = W/V
-        p = (N - 1) / r + float(Vr(r)) / v
-        return [cs * cs + p * sn * cs + float(W(r)) / v * sn * sn]
-
-    # theta starts inside (k pi, (k+1) pi); y vanishes when theta reaches the
-    # next multiple of pi (theta' = 1 there, so crossings are upward)
-    k = math.floor(theta0 / math.pi)
-    target = (k + 1) * math.pi
-
-    crossing = lambda r, th: th[0] - target
-    crossing.terminal = True
-    crossing.direction = 1.0
-    try:
-        sol = solve_ivp(rhs, (r0, 1.0), [theta0], method="LSODA", rtol=_ODE_RTOL,
-                        atol=1e-12, events=crossing)
-    except _CallsSpent:
-        notes.append(f"integrator stopped at r={last_r!r}: "
-                     f"{_ODE_MAX_CALLS} right-hand-side calls spent")
-        return PositivityReport(positive_on_interval=False, first_zero=None,
-                                start_radius=r0, start_description=desc,
-                                reached=float(last_r), seed_residual=seed_residual,
-                                notes=notes)
-    zeros = sol.t_events[0]
-    first_zero = float(zeros[0]) if len(zeros) else None
-    if not sol.success and sol.status != 1:
-        notes.append(f"integrator stopped at r={sol.t[-1]:.6g}: {sol.message}")
-    positive = first_zero is None or first_zero >= 1 - 1e-9
-    return PositivityReport(
-        positive_on_interval=bool(positive and (sol.success or sol.status == 1)),
-        first_zero=first_zero,
-        start_radius=r0,
-        start_description=desc,
-        reached=float(sol.t[-1]),
-        seed_residual=seed_residual,
-        notes=notes,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -273,12 +144,18 @@ class SupersolutionReport:
 
 
 def supersolution_check(y: Ratio, spec: BesselPairSpec) -> SupersolutionReport:
-    """Verify y is a positive supersolution: y > 0 and L[y] <= 0 on (0,1)."""
+    """Verify y is a positive supersolution: y > 0 and L[y] <= 0 on (0,1).
+
+    Positivity is proved as y >= 0 with y not identically zero (the strong
+    maximum principle then makes y > 0 on (0,1)); y = 0 solves every L[y] = 0
+    and decides nothing.
+    """
     V, W, N = spec.V, spec.W, spec.N
     yp = y.diff()
     L = yp.diff() + (Ratio.term(N - 1, -1) + V.diff() / V) * yp + W / V * y
     return SupersolutionReport(
-        positivity=_prove_expr_nonneg(y),
+        positivity=(_prove_expr_nonneg(y) if y.num
+                    else ProofReport(False, reason="identically zero")),
         inequality=_prove_expr_nonneg(-L),
     )
 

@@ -20,9 +20,9 @@ from memsplate.cli import main as cli_main
 from memsplate.exprs import Ratio
 from memsplate.grid import BoundaryData, build_grid
 from memsplate.hardy import (BesselPairSpec, _phi_expr, _prove_expr_nonneg,
-                             _psi_expr, bessel_ode_positive,
-                             discrete_form_check, hr2_leading_identity,
-                             hr_weight, pq_functions)
+                             _psi_expr, discrete_form_check,
+                             hr2_leading_identity, hr_weight, pq_functions,
+                             supersolution_check)
 from memsplate.operators import bilaplacian_clamped, lambda_bar
 from memsplate.stability import (beam_eigenvalue_1d, disk_eigenvalue_2d, nu1)
 
@@ -138,14 +138,13 @@ def test_criterion_7_threshold_relation():
 def test_criterion_8_hardy_rellich_suite():
     with criterion("criterion 8 (weighted-inequality suite)"):
         t0 = time.perf_counter()
-        # (a) exact seeded solution of a known pair: residual enclosure < 1e-9
+        # (a) a known pair proved by its exact solution: y > 0, and L[y]
+        # is identically zero
         N, a = 10, Fraction(99, 100)
         W = Fraction((N - 2) ** 2, 4) / (Ratio.term(1, 2) - Ratio.term(a, Fraction(N, 2) + 1))
-        seed = Ratio.term(1, Fraction(2 - N, 2)) - a
-        rep = bessel_ode_positive(BesselPairSpec(V=Ratio(1), W=W, N=N),
-                                  y0_behavior=seed)
-        assert rep.seed_residual is not None and rep.seed_residual < 1e-9
-        assert rep.positive_on_interval
+        y = Ratio.term(1, Fraction(2 - N, 2)) - a
+        rep = supersolution_check(y, BesselPairSpec(V=Ratio(1), W=W, N=N))
+        assert rep.confirmed and rep.inequality.reason == "identically zero"
         # (b) interval verification of the pointwise claims behind the
         # dimension-nine weight
         P, Q = pq_functions()

@@ -24,41 +24,56 @@ def run(tmp_path, *argv):
         return exc.code
 
 
-# Run in a fresh interpreter: this one has imported scipy already.  Prints,
-# as its last line, which of scipy.linalg and scipy.sparse are loaded after
-# the import and after each group of commands.
+# Run in a fresh interpreter: this one has imported scipy already.  Runs the
+# groups of commands named after the source path, in order, and prints, as
+# its last line, which of scipy.integrate, scipy.linalg and scipy.sparse are
+# loaded after the import and after each group.
 _LAZY_SCIPY_PROBE = """
 import json, sys, tempfile
 sys.path.insert(0, sys.argv[1])
 import memsplate.cli
 memsplate.cli.build_parser()
 
+GROUPS = {
+    "certificates": [["table1", "--rigor", "interval", "--dims", "40"],
+                     ["certify", "--dim", "17"], ["threshold"]],
+    "branch": [["branch", "--dim", "3", "--M", "64"]],
+    "pullin": [["pullin", "--dim", "5", "--M", "64"]],
+    "hr": [["hr", "--variant", "hr3", "--dim", "9"]],
+}
+
 def loaded():
-    return [m for m in ("scipy.linalg", "scipy.sparse") if m in sys.modules]
+    return [m for m in ("scipy.integrate", "scipy.linalg", "scipy.sparse")
+            if m in sys.modules]
 
 seen = {"import": loaded()}
 with tempfile.TemporaryDirectory() as d:
-    for argv in (["table1", "--rigor", "interval", "--dims", "40"],
-                 ["certify", "--dim", "17"], ["threshold"]):
-        assert memsplate.cli.main([*argv, "--out", d]) == 0
-    seen["certificates"] = loaded()
-    assert memsplate.cli.main(["branch", "--dim", "3", "--M", "64", "--out", d]) == 0
-    seen["branch"] = loaded()
-    assert memsplate.cli.main(["pullin", "--dim", "5", "--M", "64", "--out", d]) == 0
-    seen["pullin"] = loaded()
+    for group in sys.argv[2:]:
+        for argv in GROUPS[group]:
+            assert memsplate.cli.main([*argv, "--out", d]) == 0
+        seen[group] = loaded()
 print(json.dumps(seen))
 """
 
 
-def test_certificates_load_no_scipy_submodule_and_solves_only_linalg(tmp_path):
+def _probe(tmp_path, *groups):
     src = Path(memsplate.__file__).parents[1]
-    proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY_PROBE, str(src)],
+    proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY_PROBE, str(src), *groups],
                           cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_certificates_load_no_scipy_submodule_and_solves_only_linalg(tmp_path):
+    seen = _probe(tmp_path, "certificates", "branch", "pullin")
+    # hr runs in an interpreter of its own, after the import only
+    seen["hr"] = _probe(tmp_path, "hr")["hr"]
+    assert not any("scipy.integrate" in mods for mods in seen.values())
     assert seen["import"] == [] and seen["certificates"] == []
     # the solver's operator is one LAPACK band: no scipy.sparse on the way
     assert seen["branch"] == seen["pullin"] == ["scipy.linalg"]
+    # hr's discrete form check reads the plate form of `bilaplacian_form`
+    assert seen["hr"] == ["scipy.sparse"]
 
 
 def test_main_builds_the_parser_once(tmp_path, monkeypatch):

@@ -3,15 +3,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import memsplate.hardy as hardy
 import memsplate.verify as verify
 from memsplate.exprs import Ratio, Signomial
 from memsplate.grid import InvalidArgument, build_grid
 from memsplate.hardy import (BesselPairSpec, _prove_expr_nonneg,
-                             bessel_ode_positive, discrete_form_check,
-                             gm1_side_conditions, hr2_leading_identity,
-                             hr_weight, pq_functions, radial_laplacian,
-                             supersolution_check, _phi_expr, _psi_expr)
+                             discrete_form_check, gm1_side_conditions,
+                             hr2_leading_identity, hr_weight, pq_functions,
+                             radial_laplacian, supersolution_check, _phi_expr,
+                             _psi_expr)
 from memsplate.intervals import ProofReport
 from memsplate.operators import bilaplacian_form, hardy_rellich_constant
 
@@ -110,51 +109,6 @@ def test_sign_checks_do_not_sample(monkeypatch):
     assert calls == []
 
 
-def test_bessel_positive_closed_form():
-    # V = 1, W = 1 in dimension 3: y = sin(r)/r, first zero at pi > 1
-    rep = bessel_ode_positive(BesselPairSpec(V=Ratio(1), W=Ratio(1), N=3))
-    assert rep.positive_on_interval
-    assert rep.first_zero is None
-
-
-def test_bessel_negative_above_principal_eigenvalue():
-    # V = 1, W = c with c far above the principal Dirichlet eigenvalue: a zero
-    rep = bessel_ode_positive(BesselPairSpec(V=Ratio(1), W=Ratio(60), N=3))
-    assert not rep.positive_on_interval
-    assert rep.first_zero is not None and rep.first_zero < 1.0
-
-
-def test_bessel_exact_seeded_solution():
-    # y = r^(1-N/2) - a solves the pair (1, ((N-2)^2/4)/(r^2 - a r^(N/2+1)))
-    N, a = 10, Fraction(99, 100)
-    W = Fraction((N - 2) ** 2, 4) / (Ratio.term(1, 2) - Ratio.term(a, Fraction(N, 2) + 1))
-    seed = Ratio.term(1, Fraction(2 - N, 2)) - a
-    rep = bessel_ode_positive(BesselPairSpec(V=Ratio(1), W=W, N=N), y0_behavior=seed)
-    assert rep.seed_residual is not None and rep.seed_residual < 1e-9
-    assert rep.positive_on_interval
-
-
-def test_bessel_oscillatory_pair_is_reported():
-    # (1, H_9/r^4) is not a valid pair: solutions oscillate near the origin
-    # (Sturm comparison with the Euler equation); the first zero shows up
-    # essentially at the integration start and is reported honestly
-    W = Ratio.term(hardy_rellich_constant(9), -4)
-    rep = bessel_ode_positive(BesselPairSpec(V=Ratio(1), W=W, N=9))
-    assert not rep.positive_on_interval
-    assert rep.first_zero is not None and rep.first_zero < 1e-4
-
-
-def test_an_integration_that_spends_its_calls_is_not_positive():
-    # the N = 9 pair (P, PQ): W = PQ grows like 0.24/(1 - r), the integration
-    # crawls near r = 1, and only the cap on right-hand-side calls ends it
-    P, Q = pq_functions()
-    rep = bessel_ode_positive(BesselPairSpec(V=P, W=P * Q, N=9))
-    assert not rep.positive_on_interval and rep.first_zero is None
-    assert 1.0 - 1e-9 < rep.reached < 1.0
-    assert rep.notes == [f"integrator stopped at r={rep.reached!r}: "
-                         f"{hardy._ODE_MAX_CALLS} right-hand-side calls spent"]
-
-
 def test_gm1_side_conditions_for_pq():
     P, _ = pq_functions()
     rep = gm1_side_conditions(BesselPairSpec(V=Ratio(1), W=P, N=9))
@@ -185,18 +139,63 @@ def _gm2_pair(N, a):
     return V, W1
 
 
-def test_gm2_supersolution():
-    N, a = 10, Fraction(99, 100)
+def _exact_pair(N, a):
+    # y = r^(1-N/2) - a solves the pair (1, ((N-2)^2/4)/(r^2 - a r^(N/2+1)))
+    W = Fraction((N - 2) ** 2, 4) / (Ratio.term(1, 2) - Ratio.term(a, Fraction(N, 2) + 1))
+    return Ratio.term(1, Fraction(2 - N, 2)) - a, BesselPairSpec(V=Ratio(1), W=W, N=N)
+
+
+def _gm2_case(N, a):
     V, W1 = _gm2_pair(N, a)
-    y = Ratio.term(1, Fraction(4 - N, 2)) - 1
-    rep = supersolution_check(y, BesselPairSpec(V=V, W=W1, N=N))
+    return Ratio.term(1, Fraction(4 - N, 2)) - 1, BesselPairSpec(V=V, W=W1, N=N)
+
+
+@pytest.mark.parametrize("y,spec,boxes", [
+    pytest.param(*_gm2_case(10, Fraction(99, 100)), None, id="gm2-N10"),
+    # V = W = 1 in dimension 3: y = 1 - r^2/6 > 0 with L[y] = -r^2/6
+    pytest.param(1 - Ratio.term(Fraction(1, 6), 2),
+                 BesselPairSpec(V=Ratio(1), W=Ratio(1), N=3), (2, 2), id="one-one-N3"),
+    # an exact solution: L[y] is identically zero, decided in no boxes
+    pytest.param(*_exact_pair(10, Fraction(99, 100)), (2, 0), id="exact-N10"),
+])
+def test_gm2_supersolution(y, spec, boxes):
+    rep = supersolution_check(y, spec)
     assert rep.confirmed
+    if boxes is not None:
+        assert (rep.positivity.boxes, rep.inequality.boxes) == boxes
 
 
 def test_gm3_psi_supersolution():
     P, Q = pq_functions()
     rep = supersolution_check(_psi_expr(), BesselPairSpec(V=P, W=P * Q, N=9))
     assert rep.confirmed
+
+
+def _integral(sig: Signomial) -> Fraction:
+    """int_0^1 sig dr, exactly: every power is above -1."""
+    assert all(p > -1 for p in sig.terms)
+    return sum((c / (p + 1) for p, c in sig.terms.items()), Fraction(0))
+
+
+@pytest.mark.parametrize("spec,dirichlet,weighted", [
+    (BesselPairSpec(V=Ratio(1), W=Ratio(60), N=3), Fraction(4, 5), Fraction(32, 7)),
+    (BesselPairSpec(V=Ratio(1), W=Ratio.term(hardy_rellich_constant(9), -4), N=9),
+     Fraction(4, 11), Fraction(45, 14)),
+], ids=["W60-N3", "H9-N9"])
+def test_a_rayleigh_quotient_below_one_refutes_a_pair(spec, dirichlet, weighted):
+    # a Bessel pair gives int V |grad u|^2 >= int W u^2 for every admissible
+    # u; u = 1 - r^2 breaks it exactly, with both radial integrals over
+    # (0, 1) summed term by term in rationals
+    u = Signomial.constant(1) - Signomial.term(1, 2)
+    rn = Signomial.term(1, spec.N - 1)
+    assert spec.V.den == spec.W.den == Signomial.constant(1)
+    lhs = _integral(rn * spec.V.num * u.diff() ** 2)
+    rhs = _integral(rn * spec.W.num * u ** 2)
+    assert (lhs, rhs) == (dirichlet, weighted) and lhs < rhs
+    # y = 0 solves L[y] = 0 but is no positive supersolution
+    rep = supersolution_check(Ratio(0), spec)
+    assert not rep.positivity.proved and rep.inequality.proved
+    assert not rep.confirmed
 
 
 #: the `hr` command's three weights
