@@ -49,9 +49,11 @@ def dgbtrf(ab, kl, ku):
 
 
 def dgbtrs(ab, kl, ku, b, ipiv):
-    """Solve with a `dgbtrf` factorization, `scipy.linalg.lapack.dgbtrs`."""
+    """Solve with a `dgbtrf` factorization, `scipy.linalg.lapack.dgbtrs`.
+
+    The solution overwrites b when b is a Fortran-ordered float64 array."""
     from scipy.linalg.lapack import dgbtrs
-    return dgbtrs(ab, kl, ku, b, ipiv)
+    return dgbtrs(ab, kl, ku, b, ipiv, overwrite_b=1)
 
 
 class NonConvergence(Exception):
@@ -190,16 +192,19 @@ class _ClampedSolver:
     v = Delta u, Delta v = f (`mixed_bilaplacian`), whose rows scale like
     1/h^2 where those of the composed operator scale like 1/h^4.  Its band,
     the operator's only form, is factored once; a Newton Jacobian differs
-    from it only on the u diagonal and is factored once per step, and Newton
-    measures its residual with `matvec` on the same band.  The band stores
-    A's rows in `order`, each (v, u) pair swapped; `_solve` and `matvec`
-    translate, so the unknowns and the right-hand-side layout are A's own.  A
-    known-solution probe at construction measures the achievable solve
-    accuracy (`solve_accuracy`) and raises instead of returning garbage
-    when it is too poor.  `factorizations`, `newton_steps`, `halvings` and
-    `refinements` count the banded LU factorizations, the Newton steps, the
-    halved Newton steps and the bordered steps replaced by their refinement
-    (see `_bordered_solve`) made so far.
+    from it only on the u diagonal and is factored once per step.  The band
+    stores A's rows in `order`, each (v, u) pair swapped; `_solve` and
+    `matvec` translate, so the unknowns and the right-hand-side layout are
+    A's own.  The band is kept twice: under `kl` spare rows in Fortran order,
+    the layout `dgbtrf` factors in place, and row-aligned for the products
+    A x and |A||x| (`matvec`, `matvec_pair`), with which Newton measures its
+    residual.  A known-solution probe at construction measures the
+    achievable solve accuracy (`solve_accuracy`) and raises instead of
+    returning garbage when it is too poor.  `factorizations`,
+    `newton_steps`, `halvings` and `refinements` count the banded LU
+    factorizations, the Newton steps, the halved Newton steps and the
+    bordered steps replaced by their refinement (see `_bordered_solve`)
+    made so far.
     """
 
     _PROBE_LIMIT = 1e-2
@@ -210,8 +215,24 @@ class _ClampedSolver:
         self.grid = grid
         self.bc = bc
         self.factorizations = self.newton_steps = self.halvings = self.refinements = 0
-        self.band, (self.kl, self.ku), o1 = mixed_bilaplacian(grid, bc)
-        n = self.band.shape[1]
+        band, (self.kl, self.ku), o1 = mixed_bilaplacian(grid, bc)
+        D, n = band.shape
+        # dgbtrf's workspace, copied whole for each factorization; LAPACK
+        # documents the kl spare rows on top as "need not be set", and
+        # dgbtf2 zeroes the fill-in there itself
+        self._ab = np.empty((self.kl + D, n), order="F")
+        self._ab[self.kl:] = band
+        # _aligned[d, i] = band[d, i + k] for the diagonal k = ku - d: A's
+        # entry in band row i and column i + k, zero where that column is off
+        # the matrix.  Row d of the view _shifted is x[i + k], zero off the
+        # ends, once _products writes x into _xpad[kl:kl + n]
+        self._aligned = np.zeros_like(band)
+        for d in range(D):
+            k = self.ku - d
+            i, j = max(0, -k), max(0, k)
+            self._aligned[d, i:n - j] = band[d, j:n - i]
+        self._xpad = np.zeros(n + D - 1)
+        self._shifted = np.lib.stride_tricks.sliding_window_view(self._xpad, n)[::-1]
         self.order = np.arange(n)
         self.order[:-1] ^= 1
         self.b0 = np.zeros(n)
@@ -224,20 +245,27 @@ class _ClampedSolver:
                 "clamped bilaplacian too ill-conditioned for this grid "
                 f"(probe error {self.solve_accuracy:.1e}); lower gamma or M")
 
-    def matvec(self, x: np.ndarray, absolute: bool = False) -> np.ndarray:
-        """A @ x, or |A| @ |x| when `absolute` (|a x| is |a| |x| exactly), in A's row order.
+    def _products(self, x: np.ndarray) -> np.ndarray:
+        """The band's products with x, (D, n): row d holds band[d, i + k] x[i + k]."""
+        self._xpad[self.kl:self.kl + x.size] = x
+        return self._aligned * self._shifted
 
-        Each diagonal's products, the band's top row first, are added into
-        zeros as scipy.sparse adds them for a matrix stored by diagonals, so
-        every sum rounds as it does there."""
-        z = np.abs(self.band * x) if absolute else self.band * x
-        n = x.size
-        y = np.zeros(n)
-        for d, products in enumerate(z):
-            k = self.ku - d  # row i of the band holds column i + k on this diagonal
-            i, j = max(0, -k), max(0, k)
-            y[i:n - j] += products[j:n - i]
-        return y[self.order]
+    def _sum(self, z: np.ndarray) -> np.ndarray:
+        """Column sums of band products, the top row first, added into +0.0, in A's row order.
+
+        That is how scipy.sparse adds the diagonals of a matrix stored by
+        diagonals, so every sum rounds as it does there, signed zeros too."""
+        return np.add.reduce(z, axis=0, initial=0.0)[self.order]
+
+    def matvec(self, x: np.ndarray, absolute: bool = False) -> np.ndarray:
+        """A @ x, or |A| @ |x| when `absolute` (|a x| is |a| |x| exactly), in A's row order."""
+        z = self._products(x)
+        return self._sum(np.abs(z, out=z) if absolute else z)
+
+    def matvec_pair(self, x: np.ndarray):
+        """(A @ x, |A| @ |x|) from one set of band products; each equals its `matvec`."""
+        z = self._products(x)
+        return self._sum(z), self._sum(np.abs(z, out=z))
 
     def factor_shifted(self, d: np.ndarray):
         """LU of the mixed band minus diag(d) on the u rows (the band's superdiagonal)."""
@@ -245,8 +273,7 @@ class _ClampedSolver:
 
     def _factor(self, d=0.0):
         """`factor_shifted`'s LU, and the operator's at d = 0, on a copy for dgbtrf to overwrite."""
-        ab = np.zeros((2 * self.kl + self.ku + 1, self.band.shape[1]), order="F")
-        ab[self.kl:] = self.band
+        ab = self._ab.copy(order="F")
         ab[self.kl + self.ku - 1, 1::2] -= d
         self.factorizations += 1
         lu, piv, info = dgbtrf(ab, self.kl, self.ku)
@@ -299,13 +326,18 @@ class _ClampedSolver:
         scaled residual of the correctly rounded solution is a few eps.  The
         last term is the change of b under a one-ulp change of u; near
         touchdown on coarse grids it exceeds the others, and without it no
-        float iterate reaches `NEWTON_FLOOR` there.
+        float iterate reaches `NEWTON_FLOOR` there.  A x and |A||x| come from
+        one set of band products (`matvec_pair`).
         """
+        u = x[1::2]
+        gap = 1.0 - u
         b = self.b0.copy()
-        b[1::2] = lam / (1.0 - x[1::2]) ** 2
-        F = self.matvec(x) - b
-        scale = self.matvec(x, absolute=True) + np.abs(b) + 1.0
-        scale[1::2] += 2.0 * np.abs(b[1::2] * x[1::2]) / (1.0 - x[1::2])
+        b[1::2] = lam / gap ** 2
+        F, scale = self.matvec_pair(x)
+        F -= b
+        scale += np.abs(b)
+        scale += 1.0
+        scale[1::2] += 2.0 * np.abs(b[1::2] * u) / gap
         return F, float(np.max(np.abs(F) / scale))
 
     def field(self, u_int: np.ndarray) -> RadialField:
@@ -434,11 +466,16 @@ def _bordered_solve(s: _ClampedSolver, x: np.ndarray, lam: float):
 
     def direction(x, lam, F):
         nonlocal b_last
-        w = 2.0 * lam / (1.0 - x[1::2]) ** 3
+        gap = 1.0 - x[1::2]
+        w = 2.0 * lam / gap ** 3
         lu = s.factor_shifted(w)
-        g = np.zeros_like(x)  # -dF/dlambda
-        g[1::2] = 1.0 / (1.0 - x[1::2]) ** 2
-        a, b = s._solve(lu, np.column_stack([-F, g])).T
+        g_u = 1.0 / gap ** 2  # -dF/dlambda on the u rows; zero on the v rows
+        # the columns -F and g in the band's row order, whose even rows but
+        # the last are A's u rows
+        rhs = np.zeros((x.size, 2), order="F")
+        rhs[:, 0] = -F[s.order]
+        rhs[:-1:2, 1] = g_u
+        a, b = dgbtrs(lu[0], s.kl, s.ku, rhs, lu[1])[0].T
         b_last = b
 
         def eliminate(a):
@@ -450,6 +487,8 @@ def _bordered_solve(s: _ClampedSolver, x: np.ndarray, lam: float):
         dx, dlam = eliminate(a)
 
         def refine():
+            g = np.zeros_like(x)
+            g[1::2] = g_u
             r = -F - s.matvec(dx) + dlam * g
             r[1::2] += w * dx[1::2]
             dx2, dlam2 = eliminate(s._solve(lu, r))

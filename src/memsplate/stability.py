@@ -162,9 +162,8 @@ def _pencil_eigen(solver: _ClampedSolver, weight: np.ndarray, method: str,
                                             weight, shift)
         iterations += more
     grid, u = solver.grid, x[1::2]
-    r = solver.matvec(x)
+    r, scale = solver.matvec_pair(x)
     r[1::2] -= (weight + value) * u
-    scale = solver.matvec(x, absolute=True)
     scale[1::2] += (np.abs(weight) + abs(value)) * np.abs(u)
     residual = float(np.max(np.abs(r) / scale))
     # normalize to integral_B phi^2 = 1, including the sphere area

@@ -156,6 +156,32 @@ def test_newton_stops_at_the_mixed_residual_floor(N, M, lam, monkeypatch):
     assert it <= 5  # quadratic convergence from a nearby start
 
 
+@pytest.mark.parametrize("N, bc", [(1, (0.0, 0.0)), (9, (0.1, -0.1))])
+def test_the_residual_is_its_two_product_definition_bit_for_bit(N, bc):
+    # residual takes A x and |A||x| from one set of band products; the
+    # definition forms each with its own matvec.  N = 1 has 5 diagonals
+    s = _ClampedSolver(build_grid(N, 256, 2.0), BoundaryData(*bc))
+    n = s.b0.size
+    rng = np.random.default_rng(N)
+    for lam in (0.0, 7.5, 300.0):
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-5, 5, n)
+        x[rng.choice(n, 8, replace=False)] = 0.0
+        x[rng.choice(n, 8, replace=False)] = -0.0
+        # band row 50's products are all -0.0; its sum is +0.0, as scipy's is
+        cols = 50 + s.ku - np.arange(s.kl + s.ku + 1)
+        x[cols] = np.where(s._aligned[:, 50] >= 0.0, -0.0, 0.0)
+        assert not np.signbit(s.matvec(x)[s.order[50]])
+        F, norm = s.residual(x, lam)
+        b = s.b0.copy()
+        b[1::2] = lam / (1.0 - x[1::2]) ** 2
+        expected = s.matvec(x) - b
+        scale = s.matvec(x, absolute=True) + np.abs(b) + 1.0
+        scale[1::2] += 2.0 * np.abs(b[1::2] * x[1::2]) / (1.0 - x[1::2])
+        assert np.array_equal(F, expected)
+        assert np.array_equal(np.signbit(F), np.signbit(expected))
+        assert norm == float(np.max(np.abs(expected) / scale))
+
+
 @pytest.mark.parametrize("N, band", [(1, (2, 2)), (9, (2, 4))])
 def test_the_band_is_the_swapped_mixed_matrix_and_its_matvec_is_dia_order(N, band):
     import scipy.sparse as sp
@@ -312,6 +338,35 @@ def test_band_order_keeps_partial_pivoting_from_swapping_rows(monkeypatch):
     small = [swaps for _, shift, swaps in factors if shift < 1e6]
     assert len(small) >= 10 and max(small) <= 1
     assert all(swaps < M - 1 for M, _, swaps in factors)
+
+
+@pytest.mark.parametrize("touchdown", [False, True])
+def test_dgbtrf_never_reads_the_spare_rows_of_its_workspace(touchdown):
+    # LAPACK documents dgbtrf's top kl rows as "need not be set", so the
+    # solver leaves them unset: NaN there gives the factors of zeros, bit
+    # for bit, for the operator and for a Jacobian at touchdown, whose shift
+    # near 1e12 makes partial pivoting swap many rows.  Entries of the
+    # workspace that stand for no matrix entry (its top-left corner) are
+    # never written, and dgbtrs never reads them
+    s = _ClampedSolver(build_grid(9, 2048, 2.0), BoundaryData(0.0, 0.0))
+    d = 0.0
+    if touchdown:
+        p = sweep_branch(ContinuationConfig(N=9, M=2048)).points[-1]
+        d = 2.0 * p.lam / (1.0 - p.profile.values[:-1]) ** 3
+        assert 1e11 < np.max(d) < 1e13
+    factors = []
+    for spare in (np.nan, 0.0):
+        s._ab[:s.kl] = spare
+        factors.append(s.factor_shifted(d))
+    (lu, piv), (lu0, piv0) = factors
+    r, j = np.indices(lu.shape)
+    row = j + r - (s.kl + s.ku)  # the matrix row that each entry stands for
+    inside = (0 <= row) & (row < lu.shape[1])
+    assert not np.isnan(lu[inside]).any()
+    assert np.array_equal(lu[inside].view(np.int64), lu0[inside].view(np.int64))
+    assert np.array_equal(piv, piv0)
+    if touchdown:
+        assert _row_swaps(factors[0]) > 1000
 
 
 def test_zero_pivot_is_a_failed_newton_solve(monkeypatch):
