@@ -134,7 +134,10 @@ class BranchResult:
     steps, solves at secant roots of dlambda/ds, banded factorizations, and
     failed solves, each followed by a halved s-step.  A sweep makes one
     factorization per Newton step plus the operator's, and with
-    `compute_mu1` the factors of each mu1.
+    `compute_mu1` the factors of each mu1.  `mu1_iterations` counts the
+    inverse-iteration steps of the mu1 solves and `mu1_fallbacks` the seeded
+    mu1 solves refused (see `stability.mu1`); both are 0 without
+    `compute_mu1`.
     """
 
     points: tuple
@@ -154,6 +157,8 @@ class BranchResult:
     halvings: int
     refinements: int
     fold_secant_steps: int
+    mu1_iterations: int
+    mu1_fallbacks: int
     warnings: tuple = ()
 
     def curve(self):
@@ -520,6 +525,8 @@ class _Trace:
     converged: int  # every converged bordered solve, past the fold included
     secant_steps: int
     failed: int
+    mu1_iterations: int  # inverse-iteration steps of the trace's mu1 solves
+    mu1_fallbacks: int  # seeded mu1 solves refused
     seed: _TracePoint  # the last stepping point with dlambda/ds > 0
     seeded: bool  # the trace started from a given state, not from the lift
 
@@ -552,9 +559,11 @@ def _trace(s: _ClampedSolver, tau: float, mu1=None, start=None) -> _Trace:
 
     Each point is a `_bordered_solve`; its tangent comes from the Jacobian
     of the solve's last Newton step, so a point costs no factorization of
-    its own; `mu1` (when given) factors its own.  A stepping solve starts
-    from the cubic Hermite curve through the last two points (`_hermite`,
-    extrapolated), the first one after the start from
+    its own; `mu1` (when given) factors its own, and each mu1 is seeded with
+    the one solved before it (at the first point, with nu1(N); see
+    `stability.mu1`).  A stepping solve starts from the cubic Hermite curve
+    through the last two points (`_hermite`, extrapolated), the first one
+    after the start from
     the last point's tangent line.  The s-step is sized so that the tangent
     line misses the solved u by about `_PREDICTOR_TOL`, whichever start the
     solve had, so the s values are nearly those of tangent-started solves; a
@@ -569,14 +578,23 @@ def _trace(s: _ClampedSolver, tau: float, mu1=None, start=None) -> _Trace:
     or above tau, whose solve fails or which lands at dlambda/ds <= 0 (past
     this grid's fold) is dropped, and the trace starts from the lift.
     """
-    failed = secant_steps = 0
-    trace = []
+    failed = secant_steps = mu1_iterations = mu1_fallbacks = 0
+    trace, eig_seed = [], None
+    if mu1 is not None:
+        from .stability import nu1  # stability builds on _ClampedSolver
+
+        eig_seed = (nu1(s.grid.N), None)
 
     def converge(x, lam):
+        nonlocal eig_seed, mu1_iterations, mu1_fallbacks
         x, lam, it, b = _bordered_solve(s, x, lam)
         slope = 1.0 / b[1]
-        mu = (mu1(s.field(x[1::2]), lam, _solver=s).value
-              if mu1 is not None and slope > 0 else None)
+        mu = None
+        if mu1 is not None and slope > 0:
+            eig = mu1(s.field(x[1::2]), lam, _solver=s, _seed=eig_seed)
+            mu, eig_seed = eig.value, (eig.value, eig.eigenfunction.values[:-1])
+            mu1_iterations += eig.iterations
+            mu1_fallbacks += eig.fallbacks
         trace.append(_TracePoint(x[1], lam, x, b * slope, slope, it, mu))
         return trace[-1]
 
@@ -621,7 +639,8 @@ def _trace(s: _ClampedSolver, tau: float, mu1=None, start=None) -> _Trace:
         prev, p = p, q
     if p.slope > 0:
         return _Trace(trace, False, p.lam, (p.lam, p.lam + (1.0 - p.s) * p.slope),
-                      len(trace), 0, failed, p, start is not None)
+                      len(trace), 0, failed, mu1_iterations, mu1_fallbacks, p,
+                      start is not None)
 
     # fold: dlambda/ds > 0 at a, <= 0 at b
     a, b = trace[-2], trace[-1]
@@ -650,7 +669,7 @@ def _trace(s: _ClampedSolver, tau: float, mu1=None, start=None) -> _Trace:
             side = -1
     points = sorted((p for p in trace if p.slope > 0), key=lambda p: p.s)
     return _Trace(points, True, 0.5 * (lo + hi), (lo, hi), len(trace), secant_steps, failed,
-                  seed, start is not None)
+                  mu1_iterations, mu1_fallbacks, seed, start is not None)
 
 
 def _touchdown_fit(profile: RadialField):
@@ -741,6 +760,8 @@ def sweep_branch(config: ContinuationConfig) -> BranchResult:
         halvings=solver.halvings,
         refinements=solver.refinements,
         fold_secant_steps=main.secant_steps,
+        mu1_iterations=main.mu1_iterations,
+        mu1_fallbacks=main.mu1_fallbacks,
         warnings=tuple(warnings),
     )
 

@@ -164,7 +164,9 @@ def cmd_branch(args) -> int:
                          "newton_steps": res.newton_steps,
                          "halvings": res.halvings,
                          "refinements": res.refinements,
-                         "fold_secant_steps": res.fold_secant_steps},
+                         "fold_secant_steps": res.fold_secant_steps,
+                         "mu1_iterations": res.mu1_iterations,
+                         "mu1_fallbacks": res.mu1_fallbacks},
         }
         if N >= 9 and res.classification == "Singular" and bc == BoundaryData():
             sw = sandwich_check(res.extremal_profile, res.lam_star_estimate)

@@ -13,15 +13,20 @@ diagonal; B is the identity on the u rows and zero on the v rows.  So the
 u entries of an eigenvector solve (Delta^2 - 2 lambda/(1-u)^3) phi = mu phi
 with homogeneous clamped data.  Both come from inverse iteration
 x <- (J - sigma B)^(-1) B x on LUs of that band, O(M) per step, and an
-eigensolve uses two factors.  The first is J itself (sigma = 0); it
-gives the eigenvalue nearest 0 and the sign of det J; `nu1_discrete` takes
-it from the solver's own factorization, and mu1 factors it.  Once two
+eigensolve uses two factors.  Unseeded, the first is J itself (sigma = 0);
+it gives the eigenvalue nearest 0 and the sign of det J; `nu1_discrete`
+takes it from the solver's own factorization, and mu1 factors it.  Once two
 consecutive estimates agree to `_SETTLE_TOL`, the iteration factors
 J - sigma B once at sigma = that estimate and goes on with the second
 factor.  The unshifted iteration converges at the rate |mu1| / |mu2|, the
 shifted one at |mu1 - sigma| / |mu2 - sigma|, which is far smaller once
 the estimate has settled.  A `nu1_discrete` seed that has already settled
-starts the solve on the shifted factor.
+starts the solve on the shifted factor.  Along a branch trace each mu1
+starts from the one before it: its first factor is shifted to the previous
+mu1 (at the lift, to the exact `nu1(N)`), its start vector is the previous
+eigenfunction, and the iteration settles once more at its own estimate.
+A seeded result counts only when it is positive with a u part of one sign;
+otherwise the unseeded solve runs.
 
 The pencil is the operator the branch solver inverts.  The plate form
 L^T diag(w r^(N-1)) L of `operators.bilaplacian_form` is not: it breaks the
@@ -53,9 +58,11 @@ class EigenResult:
     (discrete, including the sphere-area factor).  `residual` is the
     row-scaled backward error max |J x - mu B x| / (|J||x| + |mu||B x|),
     the scale Newton measures its residual on; `iterations` is the number
-    of inverse-iteration steps it took to converge, and `factorizations` the
-    banded LU factorizations it made: the shifted factors, and the factor of
-    J when none was passed in.
+    of inverse-iteration steps it took to converge, the refused seeded solve's
+    included, `factorizations` the banded LU factorizations it made: the
+    shifted factors, and the factor of J when none was passed in, and
+    `fallbacks` is 1 when a seeded solve was refused and the unseeded one
+    ran, else 0.
     """
 
     value: float
@@ -64,6 +71,7 @@ class EigenResult:
     method: str
     iterations: int
     factorizations: int
+    fallbacks: int
 
 
 #: inverse iteration stops once the eigenvalue estimate changes by at most
@@ -79,7 +87,7 @@ _EPS = 2.0 ** -52
 
 
 def _inverse_iteration(solver: _ClampedSolver, lu, weight: np.ndarray, shift: float = 0.0,
-                       seed: float | None = None):
+                       seed: float | None = None, start: np.ndarray | None = None):
     """Eigenvalue of the pencil nearest `shift`; returns (value, x, iterations).
 
     J is the mixed band minus diag(weight) on the u rows and `lu` factors
@@ -90,8 +98,9 @@ def _inverse_iteration(solver: _ClampedSolver, lu, weight: np.ndarray, shift: fl
     goes on with that factor.  A `seed` is an estimate that has already
     settled; sigma starts there.  If the shifted factor has a zero pivot
     (sigma is an eigenvalue to working precision), the iteration keeps the
-    factor it has.  The start vector is positive on the u rows, where the
-    ground state has one sign.  Reaching `_MAX_ITER` raises RuntimeError.
+    factor it has.  The start vector's u rows are `start`, by default ones,
+    positive where the ground state has one sign; only they enter B x.
+    Reaching `_MAX_ITER` raises RuntimeError.
     """
 
     def settle(lu, sigma, estimate):
@@ -104,7 +113,7 @@ def _inverse_iteration(solver: _ClampedSolver, lu, weight: np.ndarray, shift: fl
     if settled:
         lu, sigma = settle(lu, sigma, seed)
     x = np.zeros(solver.b0.size)
-    x[1::2] = 1.0
+    x[1::2] = 1.0 if start is None else start
     theta_prev = np.inf
     for it in range(1, _MAX_ITER + 1):
         Bx = np.zeros_like(x)
@@ -121,7 +130,8 @@ def _inverse_iteration(solver: _ClampedSolver, lu, weight: np.ndarray, shift: fl
             lu, new = settle(lu, sigma, sigma + theta)
             theta_prev += sigma - new
             sigma = new
-    raise RuntimeError(f"inverse iteration did not converge in {_MAX_ITER} steps at shift {shift}")
+    raise RuntimeError(f"inverse iteration did not converge in {_MAX_ITER} steps "
+                       f"(called with shift {shift}, ended on sigma {sigma})")
 
 
 def _det_sign(solver: _ClampedSolver, lu) -> float:
@@ -132,35 +142,50 @@ def _det_sign(solver: _ClampedSolver, lu) -> float:
 
 
 def _pencil_eigen(solver: _ClampedSolver, weight: np.ndarray, method: str,
-                  lu=None, seed: float | None = None) -> EigenResult:
+                  lu=None, seeded=None) -> EigenResult:
     """Smallest eigenvalue of the pencil with J = mixed band - diag(weight) on the u rows.
 
-    The iteration runs unshifted first, on `lu` when given (the factored J),
-    and finds the eigenvalue nearest 0.  That is the smallest one unless it
-    is negative, or the determinant of J and of the mixed band (whose
-    eigenvalues are nu_k > 0) differ in sign, which counts an odd number of
-    negative eigenvalues.  Then it runs again with the shift -max(weight),
-    which lies below mu1 >= nu1 - max(weight).  Both tests read the
-    unshifted factor.  A `seed` starts the first run shifted to it; its
-    result counts only within `_SETTLE_TOL` of the seed and with a u part of
-    one sign, and otherwise the unseeded run replaces it.  The sign test
-    refuses a seed that sits on a higher eigenvalue: by Boggio's principle
-    the clamped ball's ground state is positive, and every higher radial
-    mode changes sign.
+    `seeded`, when given, runs first: a function of no arguments that
+    returns `_inverse_iteration`'s (value, x, iterations) from a seed.  Its
+    result is kept when the value is positive and the u part of x has one
+    sign: by Boggio's principle the clamped ball's ground state is positive,
+    and every higher radial mode changes sign.  Any other result, a zero
+    pivot on its first factor (NonConvergence) or no convergence
+    (RuntimeError) is refused, counts in `fallbacks`, and the unseeded solve
+    below runs as it would alone.
+
+    Unseeded, the iteration runs unshifted first, on `lu` when given (the
+    factored J), and finds the eigenvalue nearest 0.  That is the smallest
+    one unless it is negative, or the determinant of J and of the mixed band
+    (whose eigenvalues are nu_k > 0) differ in sign, which counts an odd
+    number of negative eigenvalues.  Then it runs again with the shift
+    -max(weight), which lies below mu1 >= nu1 - max(weight).  Both tests
+    read the unshifted factor.
     """
     made = solver.factorizations
-    if lu is None:
-        lu = solver.factor_shifted(weight)
-    value, x, iterations = _inverse_iteration(solver, lu, weight, seed=seed)
-    if seed is not None and not (abs(value - seed) <= _SETTLE_TOL * abs(seed)
-                                 and (np.all(x[1::2] > 0) or np.all(x[1::2] < 0))):
+    found, iterations = None, 0
+    if seeded is not None:
+        try:
+            found = seeded()
+        except NonConvergence:
+            pass
+        except RuntimeError:
+            iterations = _MAX_ITER
+        if found is not None:
+            value, x, iterations = found
+            if not (value > 0 and (np.all(x[1::2] > 0) or np.all(x[1::2] < 0))):
+                found = None
+    fallbacks = int(seeded is not None and found is None)
+    if found is None:
+        if lu is None:
+            lu = solver.factor_shifted(weight)
         value, x, more = _inverse_iteration(solver, lu, weight)
         iterations += more
-    if value < 0 or _det_sign(solver, lu) != _det_sign(solver, solver.lu):
-        shift = -float(np.max(weight))
-        value, x, more = _inverse_iteration(solver, solver.factor_shifted(weight + shift),
-                                            weight, shift)
-        iterations += more
+        if value < 0 or _det_sign(solver, lu) != _det_sign(solver, solver.lu):
+            shift = -float(np.max(weight))
+            value, x, more = _inverse_iteration(solver, solver.factor_shifted(weight + shift),
+                                                weight, shift)
+            iterations += more
     grid, u = solver.grid, x[1::2]
     r, scale = solver.matvec_pair(x)
     r[1::2] -= (weight + value) * u
@@ -173,7 +198,7 @@ def _pencil_eigen(solver: _ClampedSolver, weight: np.ndarray, method: str,
         u = -u
     return EigenResult(value=value, eigenfunction=RadialField(grid, np.concatenate([u, [0.0]])),
                        residual=residual, method=method, iterations=iterations,
-                       factorizations=solver.factorizations - made)
+                       factorizations=solver.factorizations - made, fallbacks=fallbacks)
 
 
 def nu1_discrete(grid: RadialGrid, _seed: float | None = None) -> EigenResult:
@@ -181,12 +206,16 @@ def nu1_discrete(grid: RadialGrid, _seed: float | None = None) -> EigenResult:
 
     The mixed pencil at lambda = 0, on the solver's own factorization of the
     mixed band; it converges at second order in 1/M at every N, to
-    :func:`nu1`.  A `_seed` (a coarser grid's value) starts the iteration
-    shifted to it (see :func:`_pencil_eigen`).
+    :func:`nu1`.  A `_seed` (a coarser grid's value) has settled already:
+    the iteration starts shifted to it and does not settle again (see
+    :func:`_pencil_eigen` for when its result is kept).
     """
     solver = _ClampedSolver(grid, BoundaryData(0.0, 0.0))
-    return _pencil_eigen(solver, np.zeros(grid.M - 1), "inverse iteration, mixed pencil",
-                         lu=solver.lu, seed=_seed)
+    weight = np.zeros(grid.M - 1)
+    seeded = None if _seed is None else (
+        lambda: _inverse_iteration(solver, solver.lu, weight, seed=_seed))
+    return _pencil_eigen(solver, weight, "inverse iteration, mixed pencil", lu=solver.lu,
+                         seeded=seeded)
 
 
 def _clamped_series(x: float, nu: float) -> float:
@@ -255,21 +284,36 @@ def nu1(N: int) -> float:
     return 8.0 * (a + b)
 
 
-def mu1(profile: RadialField, lam: float, _solver: _ClampedSolver | None = None) -> EigenResult:
+def mu1(profile: RadialField, lam: float, _solver: _ClampedSolver | None = None,
+        _seed: tuple | None = None) -> EigenResult:
     """Smallest eigenvalue of the linearization at `profile` and voltage `lam`.
 
     That is the smallest mu of Delta^2 phi - 2 lam phi / (1-u)^3 = mu phi on
     radial phi with homogeneous clamped data, from the mixed pencil (see
     :func:`_pencil_eigen`), which factors J and then its shifted matrix.  A
-    branch trace passes its solver, whose counters then include them.
+    branch trace passes its solver, whose counters then include them, and
+    as `_seed` the (value, interior eigenfunction values) of the mu1 solved
+    before this one, or (nu1(N), None) at the lift.  The seeded solve factors
+    J - value B, starts from that eigenfunction (from ones when None) and
+    settles once at its own estimate, so it too makes two factorizations
+    when it is kept.
     """
     u = profile.values
     if np.max(u) >= 1.0:
         raise InvalidArgument("profile touches the ceiling: the form is undefined")
     solver = _solver if _solver is not None else _ClampedSolver(profile.grid,
                                                                 BoundaryData(0.0, 0.0))
-    return _pencil_eigen(solver, 2.0 * lam / (1.0 - u[:-1]) ** 3,
-                         "inverse iteration, linearized mixed pencil")
+    weight = 2.0 * lam / (1.0 - u[:-1]) ** 3
+    seeded = None
+    if _seed is not None:
+        shift, start = _seed
+
+        def seeded():
+            return _inverse_iteration(solver, solver.factor_shifted(weight + shift), weight,
+                                      shift, start=start)
+
+    return _pencil_eigen(solver, weight, "inverse iteration, linearized mixed pencil",
+                         seeded=seeded)
 
 
 def _bisect_root(f, lo: float, hi: float) -> float:

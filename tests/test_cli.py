@@ -376,7 +376,9 @@ def test_branch_outputs(tmp_path):
     assert lo <= doc["lambda_star"] <= hi and doc["fold"] is True
     counters = doc["counters"]
     assert set(counters) == {"factorizations", "failed_solves", "points", "newton_steps",
-                             "halvings", "refinements", "fold_secant_steps"}
+                             "halvings", "refinements", "fold_secant_steps",
+                             "mu1_iterations", "mu1_fallbacks"}
+    assert counters["mu1_iterations"] == counters["mu1_fallbacks"] == 0  # no mu1 solved
     # one factorization per Newton step, plus the operator's: each point's
     # tangent comes from its last step's Jacobian
     assert counters["factorizations"] == 1 + counters["newton_steps"]

@@ -237,14 +237,15 @@ def test_seeded_richardson_over_two_grids_agrees_with_nu1(N):
 
 
 def test_a_seed_that_has_not_settled_falls_back_to_the_unseeded_solve():
-    # seeded at 0.8 nu2, the shifted iteration converges to nu2, more than the
-    # settle tolerance off the seed; that result is refused and the unseeded
+    # seeded at 0.8 nu2, the shifted iteration converges to nu2, whose
+    # eigenvector changes sign; that result is refused and the unseeded
     # iteration returns nu1
     g = build_grid(2, 128, 1.0)
     nu = _pencil_spectrum(RadialField(g, np.zeros(g.M)), 0.0).real
     res = nu1_discrete(g, _seed=0.8 * nu[1])
     assert res.value == pytest.approx(nu[0], rel=1e-9)
     assert res.iterations > nu1_discrete(g).iterations
+    assert res.fallbacks == 1
 
 
 def test_a_seed_on_a_higher_eigenvalue_falls_back_to_the_unseeded_solve():
@@ -257,6 +258,51 @@ def test_a_seed_on_a_higher_eigenvalue_falls_back_to_the_unseeded_solve():
     res = nu1_discrete(g, _seed=1580.9)
     assert res.value == pytest.approx(nu[0], rel=1e-9)
     assert np.all(res.eigenfunction.values[:-1] > 0)
+
+
+def test_a_mu1_seeded_on_a_higher_eigenvalue_falls_back_to_the_unseeded_solve():
+    # a trace seed at nu2 with nu2's own sign-changing eigenvector as the
+    # start: the seeded solve stays on mu2 = nu2 - 2 lam, which is refused,
+    # and the unseeded solve runs exactly as it does without a seed
+    g = build_grid(2, 128, 1.0)
+    zero = RadialField(g, np.zeros(g.M))
+    nu = _pencil_spectrum(zero, 0.0).real
+    assert nu[1] == pytest.approx(1580.9, rel=1e-4)
+    solver = _ClampedSolver(g, BoundaryData(0.0, 0.0))
+    weight = np.zeros(g.M - 1)
+    _, x, _ = _inverse_iteration(solver, solver.factor_shifted(weight + 1580.9), weight, 1580.9)
+    start = x[1::2]
+    assert np.any(start > 0) and np.any(start < 0)
+    lam = 5.0
+    res = mu1(zero, lam, _seed=(1580.9, start))
+    plain = mu1(zero, lam)
+    assert res.fallbacks == 1 and plain.fallbacks == 0
+    assert res.value == plain.value and res.value == pytest.approx(nu[0] - 2 * lam, rel=1e-9)
+    assert np.array_equal(res.eigenfunction.values, plain.eigenfunction.values)
+    assert res.residual == plain.residual
+    assert res.iterations > plain.iterations
+    assert res.factorizations > plain.factorizations
+
+
+def test_a_mu1_seed_whose_factor_has_a_zero_pivot_falls_back_to_the_unseeded_solve():
+    # the seeded solve's first factor, J - seed B, is singular when the seed
+    # is an eigenvalue to working precision; the unseeded solve then runs
+    g = build_grid(2, 128, 1.0)
+    zero = RadialField(g, np.zeros(g.M))
+    solver = _ClampedSolver(g, BoundaryData(0.0, 0.0))
+    real, calls = solver.factor_shifted, []
+
+    def factor_shifted(d):
+        calls.append(d)
+        if len(calls) == 1:  # the seeded solve's first factor
+            raise branch.NonConvergence("singular banded matrix (zero pivot at 1)")
+        return real(d)
+
+    solver.factor_shifted = factor_shifted
+    res = mu1(zero, 5.0, _solver=solver, _seed=(nu1(2), None))
+    plain = mu1(zero, 5.0)
+    assert res.fallbacks == 1
+    assert res.value == plain.value and res.iterations == plain.iterations
 
 
 @pytest.mark.parametrize("seeded", [False, True])
@@ -299,6 +345,31 @@ def test_each_mu1_adds_its_factorizations_to_the_sweep_counters(monkeypatch):
     assert traced.newton_steps == plain.newton_steps
 
 
+def test_a_trace_counts_its_mu1_steps_and_refused_seeds(monkeypatch):
+    # the first mu1 (lambda = 0) is seeded on nu2 with nu2's sign-changing
+    # eigenvector instead of nu1(N): that solve is refused and counted, and
+    # every later mu1, seeded from the one before it, is kept
+    config = ContinuationConfig(N=2, M=256, compute_mu1=True)
+    solver = _ClampedSolver(build_grid(2, 256, config.gamma), BoundaryData(0.0, 0.0))
+    weight = np.zeros(solver.grid.M - 1)
+    nu2, x, _ = _inverse_iteration(solver, solver.factor_shifted(weight + 1580.9), weight, 1580.9)
+    results = []
+
+    def spy(profile, lam, _solver=None, _seed=None):
+        if not results:
+            _seed = (nu2, x[1::2])
+        results.append(real(profile, lam, _solver=_solver, _seed=_seed))
+        return results[-1]
+
+    real = stability.mu1
+    monkeypatch.setattr(stability, "mu1", spy)
+    res = sweep_branch(config)
+    assert [r.fallbacks for r in results] == [1] + [0] * (len(results) - 1)
+    assert results[0].value == pytest.approx(nu1_discrete(solver.grid).value, rel=1e-10)
+    assert res.mu1_fallbacks == 1
+    assert res.mu1_iterations == sum(r.iterations for r in results)
+
+
 def test_nu1_has_no_origin_mode_on_coarse_grids():
     # the plate form gave 5715 here, a spurious mode at the origin nodes
     assert nu1_discrete(build_grid(16, 128, 1.0)).value == pytest.approx(19615.715, rel=1e-2)
@@ -310,9 +381,13 @@ def test_mu1_positive_along_singular_traces(N):
     assert res.classification == "Singular" and res.points[-1].s == pytest.approx(1.0 - 1e-3)
     mus = [p.mu1 for p in res.points]
     assert all(m > 0 for m in mus)
-    # the pencil reused at the last point agrees with a fresh solve there
-    last = res.points[-1]
-    assert mu1(last.profile, last.lam).value == pytest.approx(mus[-1], rel=1e-8)
+    # every seeded mu1 agrees with a fresh unseeded solve at its point, in
+    # fewer steps overall; no seeded solve is refused
+    fresh = [mu1(p.profile, p.lam) for p in res.points]
+    for m, f in zip(mus, fresh):
+        assert m == pytest.approx(f.value, rel=1e-10)
+    assert res.mu1_fallbacks == 0
+    assert res.mu1_iterations < sum(f.iterations for f in fresh)
 
 
 def test_nu1_discrete_three_grid_observed_order():
