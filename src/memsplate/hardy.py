@@ -35,7 +35,7 @@ import numpy as np
 from .exprs import Ratio
 from .grid import InvalidArgument, RadialGrid, build_grid
 from .intervals import ProofReport
-from .operators import bilaplacian_form, hardy_rellich_constant
+from .operators import band_product, hardy_rellich_constant, plate_form
 from .verify import prove_signomial_nonneg
 
 
@@ -256,20 +256,22 @@ def discrete_form_check(weight: Ratio, N: int,
     up to 6 %.  The report carries the minimizer and the residual of its
     directly evaluated gap.
 
-    The first term is the plate form phi^T A phi of `bilaplacian_form`.
-    That form breaks the discrete Rellich inequality near the origin: with
-    node 0 eliminated, the smallest theta of A phi = theta H_N diag(m/r^4) phi
-    at M = 256 is 5.7e-8, 1.5e-11 and 5.2e-11 at N = 9, 12 and 16 on gamma = 2
-    grids, where the continuum value is 1.  The check stays meaningful
-    because its profiles are smooth polynomials and never excite the origin
-    nodes; widen the trial space only with measured evidence.  The stability
-    eigenvalues use the mixed pencil instead.
+    The first term is the plate form phi^T A phi of `plate_form`, a float64
+    band: A @ C and A @ phi are `band_product`s, so the check loads no
+    scipy module.  That form breaks the discrete Rellich inequality near the
+    origin: with node 0 eliminated, the smallest theta of
+    A phi = theta H_N diag(m/r^4) phi at M = 256 is 5.7e-8, 1.5e-11 and
+    5.2e-11 at N = 9, 12 and 16 on gamma = 2 grids, where the continuum value
+    is 1.  The check stays meaningful because its profiles are smooth
+    polynomials and never excite the origin nodes; widen the trial space only
+    with measured evidence.  The stability eigenvalues use the mixed pencil
+    instead.
     """
     if grid is None:
         grid = build_grid(N, 512, 2.0)
     if grid.N != N:
         raise InvalidArgument("grid dimension does not match N")
-    A, m = bilaplacian_form(grid)
+    ab, m = plate_form(grid)
     r = grid.r[: len(m)]
     mw = np.zeros_like(r)
     mw[1:] = m[1:] * np.asarray(weight(r[1:]), dtype=float)
@@ -277,13 +279,13 @@ def discrete_form_check(weight: Ratio, N: int,
     B = ((1.0 - r) ** 2)[:, None] * r[:, None] ** np.arange(_FORM_TERMS)
     R = np.linalg.qr(np.sqrt(m)[:, None] * B, mode="r")
     C = np.linalg.solve(R.T, B.T).T
-    H = C.T @ (A @ C) - C.T @ (mw[:, None] * C)
+    H = C.T @ band_product(ab, C) - C.T @ (mw[:, None] * C)
     values, vectors = np.linalg.eigh(0.5 * (H + H.T))
     value, v = float(values[0]), vectors[:, 0]
     phi = C @ v
     if phi[np.argmax(np.abs(phi))] < 0:
         v, phi = -v, -phi
-    gap = (float(phi @ (A @ phi)) - float(mw @ phi ** 2)) / float(m @ phi ** 2)
+    gap = (float(phi @ band_product(ab, phi)) - float(mw @ phi ** 2)) / float(m @ phi ** 2)
     return FormCheckReport(N=N, min_relative_gap=value,
                            coefficients=np.linalg.solve(R, v),
                            residual=abs(gap - value) / max(1.0, abs(value)))

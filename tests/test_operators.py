@@ -3,10 +3,11 @@ import pytest
 from fractions import Fraction
 
 from memsplate.grid import BoundaryData, build_grid
-from memsplate.operators import (_quad_fit_weights, bilaplacian_clamped,
-                                 bilaplacian_form, hardy_rellich_constant,
-                                 lambda_bar, laplacian_with_bc,
-                                 mixed_bilaplacian, power_bilaplacian_coeff)
+from memsplate.operators import (_quad_fit_weights, band_product,
+                                 bilaplacian_clamped, bilaplacian_form,
+                                 hardy_rellich_constant, lambda_bar,
+                                 laplacian_with_bc, mixed_bilaplacian,
+                                 plate_form, power_bilaplacian_coeff)
 
 
 def mixed_dense(grid, bc):
@@ -139,3 +140,37 @@ def test_operators_are_float64():
         for L, o in (laplacian_with_bc(g, bc), bilaplacian_clamped(g, bc), (ab, o1),
                      bilaplacian_form(g)):
             assert L.dtype == np.float64 and o.dtype == np.float64, N
+
+
+def _bits(x):
+    return x.view(np.int64)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 9, 12, 17, 30])
+def test_plate_form_band_is_the_sparse_composition_bit_for_bit(N):
+    # the oracle is the composition the form was assembled by before it was
+    # banded; entries, products and the CSR view must not move by one ulp
+    import scipy.sparse as sp
+    for M in (16, 64, 512, 1024):
+        g = build_grid(N, M, 2.0)
+        L, _ = laplacian_with_bc(g, BoundaryData(0.0, 0.0))
+        q = g.quad_weights() * g.r ** (N - 1)
+        oracle = (L.T @ sp.diags(q) @ L).tocsr()
+        ab, m = plate_form(g)
+        n = M - 1
+        assert ab.shape == (5, n) and ab.dtype == np.float64
+        assert np.array_equal(_bits(m), _bits(q[:-1]))
+        coo = oracle.tocoo()
+        assert coo.nnz == 5 * n - 6
+        band_entries = ab[2 + coo.row - coo.col, coo.col]
+        assert np.array_equal(_bits(band_entries), _bits(coo.data)), (N, M)
+        # 1-D and (n, 7) operands spanning ten decades
+        rng = np.random.default_rng(N * 10000 + M)
+        for shape in ((n,), (n, 7)):
+            x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-5, 5, shape)
+            assert np.array_equal(_bits(band_product(ab, x)), _bits(oracle @ x)), (N, M)
+        A, m_view = bilaplacian_form(g)
+        assert np.array_equal(A.indptr, oracle.indptr)
+        assert np.array_equal(A.indices, oracle.indices)
+        assert np.array_equal(_bits(A.data), _bits(oracle.data))
+        assert np.array_equal(_bits(m_view), _bits(m))
