@@ -27,9 +27,14 @@ dimension as regular; reaching tau with the touchdown profile
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
 
@@ -37,23 +42,55 @@ from .grid import BoundaryData, InvalidArgument, RadialField, RadialGrid, build_
 # bilaplacian_clamped is unused here; perfbench/test_harness.py's BINDINGS lists it
 from .operators import bilaplacian_clamped, lambda_bar, mixed_bilaplacian  # noqa: F401
 
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _flapack_spec():
+    """The import spec of scipy's compiled LAPACK extension in scipy's `linalg` folder, or None."""
+    import scipy
+    finder = FileFinder(os.path.join(scipy.__path__[0], "linalg"),
+                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    return finder.find_spec(_FLAPACK)
+
+
+@functools.cache
+def _lapack():
+    """scipy's compiled LAPACK module, `scipy.linalg._flapack`, loaded on its own.
+
+    Importing `scipy.linalg.lapack` runs the whole `scipy.linalg` package
+    init, which costs about 27 MB of RSS and 0.2 s; the extension alone costs
+    under 3 MB.  A module already in `sys.modules` is reused.  Otherwise the
+    extension is executed from its file and registered under its own name,
+    so a later `import scipy.linalg` reuses this module object.  Without the
+    file, the routines come from `scipy.linalg.lapack`, the same Fortran code.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is None:
+        spec = _flapack_spec()
+        if spec is None:
+            from scipy.linalg import lapack as module
+        else:
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_FLAPACK] = module
+            spec.loader.exec_module(module)
+    return module
+
 
 def dgbtrf(ab, kl, ku):
     """LAPACK banded LU, `scipy.linalg.lapack.dgbtrf`, in place: the factors overwrite `ab`.
 
-    `ab` must be a Fortran-ordered float64 band the caller owns; scipy.linalg
-    loads at the first call.
+    `ab` must be a Fortran-ordered float64 band the caller owns.  The LAPACK
+    extension, not the `scipy.linalg` package, loads at the first call (see
+    `_lapack`).
     """
-    from scipy.linalg.lapack import dgbtrf
-    return dgbtrf(ab, kl, ku, overwrite_ab=1)
+    return _lapack().dgbtrf(ab, kl, ku, overwrite_ab=1)
 
 
 def dgbtrs(ab, kl, ku, b, ipiv):
     """Solve with a `dgbtrf` factorization, `scipy.linalg.lapack.dgbtrs`.
 
     The solution overwrites b when b is a Fortran-ordered float64 array."""
-    from scipy.linalg.lapack import dgbtrs
-    return dgbtrs(ab, kl, ku, b, ipiv, overwrite_b=1)
+    return _lapack().dgbtrs(ab, kl, ku, b, ipiv, overwrite_b=1)
 
 
 class NonConvergence(Exception):

@@ -22,10 +22,10 @@ closures, which keeps the quadratic form integral (Delta phi)^2 natural.
 Every operator is float64 plus a float64 offset vector.  The solvers and
 eigensolves use the mixed split v = Delta u (`mixed_bilaplacian`), one
 LAPACK band, and the form check uses the plate form L^T diag(q) L
-(`plate_form`), another, with `band_product`.  `laplacian_with_bc`,
-`bilaplacian_clamped` and `bilaplacian_form` (a CSR view of `plate_form`)
-return scipy.sparse matrices for the tests; each imports scipy.sparse
-itself, and no command calls them, so no command loads it.
+(`plate_form`), another, with `band_product`.  `bilaplacian_clamped` and
+`bilaplacian_form` (a CSR view of `plate_form`) return scipy.sparse matrices
+for the tests; each imports scipy.sparse itself, and no command calls them,
+so no command loads it.
 """
 
 from __future__ import annotations
@@ -133,17 +133,6 @@ def _clamped_laplacians(grid: RadialGrid, bc: BoundaryData):
     L1 = (np.append(weights[:-1], w_last),
           (np.append(rows[:-1], M - 1), np.append(cols[:-1], M - 2)))
     return L1, o1, (weights, (rows, cols))
-
-
-def laplacian_with_bc(grid: RadialGrid, bc: BoundaryData):
-    """(L, o) with Delta_N u = L @ u_interior + o, evaluated at all M nodes.
-
-    u_interior are the M-1 unknowns at nodes 0..M-2; the boundary value
-    alpha and the ghost reflection carrying beta enter through o.
-    """
-    import scipy.sparse as sp
-    L1, o, _ = _clamped_laplacians(grid, bc)
-    return sp.csr_matrix(L1, shape=(grid.M, grid.M - 1)), o
 
 
 def bilaplacian_clamped(grid: RadialGrid, bc: BoundaryData):

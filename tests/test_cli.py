@@ -26,8 +26,10 @@ def run(tmp_path, *argv):
 
 # Run in a fresh interpreter: this one has imported scipy already.  Runs the
 # groups of commands named after the source path, in order, and prints, as
-# its last line, which of scipy.integrate, scipy.linalg and scipy.sparse are
-# loaded after the import and after each group.
+# its last line, which of scipy.integrate, scipy.linalg, scipy.sparse,
+# scipy._lib._array_api (which scipy.linalg's package init loads) and the
+# LAPACK extension scipy.linalg._flapack are loaded after the import and
+# after each group.
 _LAZY_SCIPY_PROBE = """
 import json, sys, tempfile
 sys.path.insert(0, sys.argv[1])
@@ -43,7 +45,8 @@ GROUPS = {
 }
 
 def loaded():
-    return [m for m in ("scipy.integrate", "scipy.linalg", "scipy.sparse")
+    return [m for m in ("scipy.integrate", "scipy.linalg", "scipy.sparse",
+                        "scipy._lib._array_api", "scipy.linalg._flapack")
             if m in sys.modules]
 
 seen = {"import": loaded()}
@@ -70,8 +73,9 @@ def test_certificates_load_no_scipy_submodule_and_solves_only_linalg(tmp_path):
     seen["hr"] = _probe(tmp_path, "hr")["hr"]
     assert not any("scipy.integrate" in mods for mods in seen.values())
     assert seen["import"] == [] and seen["certificates"] == []
-    # the solver's operator is one LAPACK band: no scipy.sparse on the way
-    assert seen["branch"] == seen["pullin"] == ["scipy.linalg"]
+    # the solver's operator is one LAPACK band: no scipy.sparse on the way,
+    # and its LU loads the LAPACK extension alone, not the scipy.linalg package
+    assert seen["branch"] == seen["pullin"] == ["scipy.linalg._flapack"]
     # hr's discrete form check multiplies by the plate form as a numpy band
     assert seen["hr"] == []
 

@@ -3,11 +3,22 @@ import pytest
 from fractions import Fraction
 
 from memsplate.grid import BoundaryData, build_grid
-from memsplate.operators import (_quad_fit_weights, band_product,
+from memsplate.operators import (_clamped_laplacians, _quad_fit_weights, band_product,
                                  bilaplacian_clamped, bilaplacian_form,
-                                 hardy_rellich_constant, lambda_bar,
-                                 laplacian_with_bc, mixed_bilaplacian,
+                                 hardy_rellich_constant, lambda_bar, mixed_bilaplacian,
                                  plate_form, power_bilaplacian_coeff)
+
+
+def laplacian_with_bc(grid, bc):
+    """(L, o) with Delta_N u = L @ u_interior + o, evaluated at all M nodes.
+
+    u_interior are the M-1 unknowns at nodes 0..M-2; the boundary value
+    alpha and the ghost reflection carrying beta enter through o.  L is a
+    scipy.sparse CSR matrix of `_clamped_laplacians`' L1.
+    """
+    import scipy.sparse as sp
+    L1, o, _ = _clamped_laplacians(grid, bc)
+    return sp.csr_matrix(L1, shape=(grid.M, grid.M - 1)), o
 
 
 def mixed_dense(grid, bc):
