@@ -20,8 +20,14 @@ curve's smaller miss, the steps grew enough to jump over the fold to tau,
 and N = 6 and 7 came out singular.
 The trace stops at the fold of the minimal branch, the root of dlambda/ds,
 where lambda* is a maximum of lambda(s), or at the touchdown threshold
-s = tau, where it reports lambda(tau).  A fold before tau classifies the
-dimension as regular; reaching tau with the touchdown profile
+s = tau, where it reports lambda(tau).  Once dlambda/ds changes sign, each
+fold-search solve sits where the cubic Hermite model of lambda(s) through
+the bracket ends (their lambda and dlambda/ds) turns (`_hermite_root`):
+regula falsi on dlambda/ds alone took 12 solves at N = 8, where dlambda/ds
+is far from linear, and this takes 5.  Illinois regula falsi is the
+safeguard: it takes the step after two updates of the same bracket end, or
+when no turning point lies strictly inside.  A fold before tau classifies
+the dimension as regular; reaching tau with the touchdown profile
 1 - C0 r^(4/3) as singular.
 """
 
@@ -168,9 +174,10 @@ class BranchResult:
     extension to touchdown, lambda(tau) + (1 - tau) dlambda/ds.  The
     counters cover the sweep's own grid: converged bordered solves
     (`trace_points`), Newton steps, halved Newton steps, refined Newton
-    steps, solves at secant roots of dlambda/ds, banded factorizations, and
-    failed solves, each followed by a halved s-step.  A sweep makes one
-    factorization per Newton step plus the operator's, and with
+    steps, fold-search solves (`fold_secant_steps`: at Hermite-model roots
+    of lambda(s) or Illinois steps on dlambda/ds, see `_trace`), banded
+    factorizations, and failed solves, each followed by a halved s-step.  A
+    sweep makes one factorization per Newton step plus the operator's, and with
     `compute_mu1` the factors of each mu1.  `mu1_iterations` counts the
     inverse-iteration steps of the mu1 solves and `mu1_fallbacks` the seeded
     mu1 solves refused (see `stability.mu1`); both are 0 without
@@ -225,6 +232,27 @@ def _hermite(t, h, y0, dy0, y1, dy1):
     """
     return ((2 * t ** 3 - 3 * t ** 2 + 1) * y0 + (t ** 3 - 2 * t ** 2 + t) * h * dy0
             + (3 * t ** 2 - 2 * t ** 3) * y1 + (t ** 3 - t ** 2) * h * dy1)
+
+
+def _hermite_root(h, y0, dy0, y1, dy1):
+    """The t in (0, 1) where `_hermite`'s curve turns, for dy0 > 0 >= dy1; None if none is.
+
+    Its derivative in t is q(t) = 3 (d0 + d1 - 2 D) t^2 + (6 D - 4 d0 - 2 d1) t
+    + d0 with d0 = h dy0, d1 = h dy1 and D = y1 - y0.  Since q(0) = d0 > 0 >=
+    d1 = q(1), exactly one root lies in (0, 1], the one at which q falls
+    through zero, (-B - r) / (2 A) for q = A t^2 + B t + d0 and
+    r = sqrt(B^2 - 4 A d0), whatever the sign of A.  It is formed so that
+    nothing cancels: as 2 d0 / (r - B) when B < 0, and when B >= 0, which
+    makes A = d1 - d0 - B negative, as is.
+    """
+    d0, d1, D = h * dy0, h * dy1, y1 - y0
+    A, B = 3.0 * (d0 + d1 - 2.0 * D), 6.0 * D - 4.0 * d0 - 2.0 * d1
+    disc = B * B - 4.0 * A * d0
+    if not disc >= 0.0:
+        return None
+    r = math.sqrt(disc)
+    t = 2.0 * d0 / (r - B) if B < 0 else (B + r) / (-2.0 * A) if A < 0 else math.nan
+    return t if 0.0 < t < 1.0 else None
 
 
 class _ClampedSolver:
@@ -560,7 +588,7 @@ class _Trace:
     lam_star: float
     bracket: tuple
     converged: int  # every converged bordered solve, past the fold included
-    secant_steps: int
+    fold_steps: int  # fold-search solves
     failed: int
     mu1_iterations: int  # inverse-iteration steps of the trace's mu1 solves
     mu1_fallbacks: int  # seeded mu1 solves refused
@@ -605,17 +633,25 @@ def _trace(s: _ClampedSolver, tau: float, mu1=None, start=None) -> _Trace:
     line misses the solved u by about `_PREDICTOR_TOL`, whichever start the
     solve had, so the s values are nearly those of tangent-started solves; a
     failed solve halves the s-step.  After the first point with
-    dlambda/ds <= 0, the fold is sought by regula falsi (Illinois) on
-    dlambda/ds over the s-bracket, each solve started from the Hermite curve
-    between the bracket ends, until the bracket between the largest lambda
-    solved and the meeting point of the end tangents is `_FOLD_RTOL`
-    narrow; lambda*_h is its midpoint.
+    dlambda/ds <= 0, the fold is sought in the s-bracket (a, b), dlambda/ds
+    > 0 at a and <= 0 at b.  Each new s is the turning point of the cubic
+    Hermite curve of lambda(s) through a and b (`_hermite_root`), which uses
+    the lambda values of the ends as well as their slopes.  When the last
+    update replaced the same end as the one before it, or no turning point
+    lies strictly inside, it is instead the Illinois step: the regula falsi
+    root of dlambda/ds, whose value at the end kept is halved each time the
+    other end is replaced twice in a row.  Each solve starts from the
+    Hermite curve between the bracket ends, and the search stops when the
+    bracket between the largest lambda solved and the meeting point of the
+    end tangents is `_FOLD_RTOL` narrow; lambda*_h is its midpoint.
     The first point is the lift's discrete solution at lambda = 0, or, with
-    `start = (x, lam)`, the bordered solve from that predictor.  A start at
-    or above tau, whose solve fails or which lands at dlambda/ds <= 0 (past
-    this grid's fold) is dropped, and the trace starts from the lift.
+    `start = (x, lam)`, the bordered solve from that predictor.  A lift
+    whose u(0) is already at or above tau raises InvalidArgument: the trace
+    would have no step to take.  A start at or above tau, whose solve fails
+    or which lands at dlambda/ds <= 0 (past this grid's fold) is dropped,
+    and the trace starts from the lift.
     """
-    failed = secant_steps = mu1_iterations = mu1_fallbacks = 0
+    failed = fold_steps = mu1_iterations = mu1_fallbacks = 0
     trace, eig_seed = [], None
     if mu1 is not None:
         from .stability import nu1  # stability builds on _ClampedSolver
@@ -650,7 +686,11 @@ def _trace(s: _ClampedSolver, tau: float, mu1=None, start=None) -> _Trace:
         return x, lam
 
     if start is None:
-        p = converge(s.mixed_state(s.solve_rhs(np.zeros_like(s.phi))), 0.0)
+        x = s.mixed_state(s.solve_rhs(np.zeros_like(s.phi)))
+        if x[1] >= tau:
+            raise InvalidArgument(f"the biharmonic lift already reaches the touchdown threshold: "
+                                  f"u(0) = {x[1]:.6g} >= tau = {tau:.6g}")
+        p = converge(x, 0.0)
     else:
         try:
             p = converge(*start) if start[0][1] < tau else None
@@ -681,31 +721,34 @@ def _trace(s: _ClampedSolver, tau: float, mu1=None, start=None) -> _Trace:
 
     # fold: dlambda/ds > 0 at a, <= 0 at b
     a, b = trace[-2], trace[-1]
-    seed = a  # not an Illinois point: those can lie past a coarser grid's fold
-    fa, fb, side = a.slope, b.slope, 0
+    seed = a  # not a fold-search point: those can lie past a coarser grid's fold
+    fa, fb, side, halved = a.slope, b.slope, 0, False
     while True:
         lo = max(a.lam, b.lam)
         s_meet = (b.lam - a.lam + a.slope * a.s - b.slope * b.s) / (a.slope - b.slope)
         hi = max(a.lam + a.slope * (s_meet - a.s), np.nextafter(lo, np.inf))
         if hi - lo <= _FOLD_RTOL * lo:
             break
-        if secant_steps == _FOLD_MAX_STEPS:
+        if fold_steps == _FOLD_MAX_STEPS:
             raise NonConvergence(f"fold search stalled at lambda in ({lo}, {hi})")
-        s_new = (a.s * fb - b.s * fa) / (fb - fa)
-        secant_steps += 1
+        # the turning point of the Hermite model of lambda(s); the Illinois
+        # step after two updates of one end, or when no turning point is inside
+        t = None if halved else _hermite_root(b.s - a.s, a.lam, a.slope, b.lam, b.slope)
+        s_new = (a.s * fb - b.s * fa) / (fb - fa) if t is None else a.s + t * (b.s - a.s)
+        fold_steps += 1
         c = converge(*predict(a, s_new, b))
         if c.slope > 0:
-            a, fa = c, c.slope
-            if side == 1:
+            a, fa, halved = c, c.slope, side == 1
+            if halved:
                 fb *= 0.5
             side = 1
         else:
-            b, fb = c, c.slope
-            if side == -1:
+            b, fb, halved = c, c.slope, side == -1
+            if halved:
                 fa *= 0.5
             side = -1
     points = sorted((p for p in trace if p.slope > 0), key=lambda p: p.s)
-    return _Trace(points, True, 0.5 * (lo + hi), (lo, hi), len(trace), secant_steps, failed,
+    return _Trace(points, True, 0.5 * (lo + hi), (lo, hi), len(trace), fold_steps, failed,
                   mu1_iterations, mu1_fallbacks, seed, start is not None)
 
 
@@ -731,7 +774,7 @@ def sweep_branch(config: ContinuationConfig) -> BranchResult:
     evidence for lambda*_h, on the grids with M/2 and M/4 cells.  The graded
     grids nest, so each coarse trace starts from the finer trace's last
     stepping point with dlambda/ds > 0, restricted to the shared nodes
-    (`_restrict`); an Illinois point is never used, as it can lie past the
+    (`_restrict`); a fold-search point is never used, as it can lie past the
     coarse fold.  When M is odd (or M/2 for the M/4 grid) the grids do not
     nest and the coarse trace starts from the lift, as it does when the
     start fails (see `_trace`).  The
@@ -739,7 +782,9 @@ def sweep_branch(config: ContinuationConfig) -> BranchResult:
     touchdown fit of the last profile has exponent within 0.15 of 4/3, else
     Regular.  A coarse grid that turns at a fold when the sweep's grid does
     not, or the reverse, is reported in `warnings`; so are a coarse trace
-    that fails and an observed order that is None or below 1.  With `compute_mu1`, mu1 is evaluated at every point.
+    that fails and an observed order that is None or below 1.  With
+    `compute_mu1`, mu1 is evaluated at every point.  Boundary data whose
+    lift already has u(0) >= tau raise InvalidArgument.
     """
     from .stability import mu1  # stability builds on _ClampedSolver
 
@@ -796,7 +841,7 @@ def sweep_branch(config: ContinuationConfig) -> BranchResult:
         newton_steps=solver.newton_steps,
         halvings=solver.halvings,
         refinements=solver.refinements,
-        fold_secant_steps=main.secant_steps,
+        fold_secant_steps=main.fold_steps,
         mu1_iterations=main.mu1_iterations,
         mu1_fallbacks=main.mu1_fallbacks,
         warnings=tuple(warnings),

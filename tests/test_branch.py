@@ -465,13 +465,50 @@ def test_fold_search_converges_on_fine_grids(N, bracket):
     # the fold search on the finest matrix grid; brackets as in
     # test_sweep_reproduces_frozen_brackets, from the M = 4096 sweeps
     res = sweep_branch(ContinuationConfig(N=N, M=4096))
-    assert res.fold and res.failed_solves == 0 and res.fold_secant_steps >= 3
+    assert res.fold and res.failed_solves == 0 and res.fold_secant_steps > 0
     assert bracket[0] < res.lam_star_estimate < bracket[1]
     lo, hi = res.lam_star_bracket
     assert hi - lo <= 1e-10 * lo
 
 
-@pytest.mark.parametrize("N, M", [(3, 512), (4, 512), (4, 4096)])
+def test_the_n8_fold_search_takes_at_most_6_solves():
+    # at N = 8 the trace steps over the fold at s ~ 0.96 to s near tau, where
+    # dlambda/ds is far from linear: regula falsi on dlambda/ds alone took 12
+    # solves there, the root of the Hermite model of lambda(s) takes 5
+    res = sweep_branch(ContinuationConfig(N=8, M=1024))
+    assert res.fold and res.failed_solves == 0 and 0 < res.fold_secant_steps <= 6
+    lo, hi = res.lam_star_bracket
+    assert lo <= res.lam_star_estimate <= hi and hi - lo <= 1e-10 * lo
+
+
+def test_the_illinois_safeguard_steps_and_the_search_converges(monkeypatch):
+    # a step after two updates of the same bracket end is Illinois's, with
+    # the other end's slope halved, and asks for no Hermite root; at N = 8
+    # two of the 5 steps are.  With no Hermite root inside the bracket every
+    # step is Illinois's, and the search is the earlier regula falsi: it
+    # converges to the same lambda*_h in its 12 solves
+    roots = []
+
+    def spy(*args):
+        roots.append(root(*args))
+        return roots[-1]
+
+    root = branch._hermite_root
+    monkeypatch.setattr(branch, "_hermite_root", spy)
+    grid = build_grid(8, 1024, 2.0)
+    trace = branch._trace(_ClampedSolver(grid, BoundaryData(0.0, 0.0)), _TAU)
+    hermite = sum(t is not None for t in roots)
+    assert trace.fold and 0 < hermite < trace.fold_steps
+    monkeypatch.setattr(branch, "_hermite_root", lambda *args: None)
+    illinois = branch._trace(_ClampedSolver(grid, BoundaryData(0.0, 0.0)), _TAU)
+    assert illinois.fold and illinois.fold_steps == 12
+    assert illinois.lam_star == pytest.approx(trace.lam_star, rel=1e-10)
+    for t in (trace, illinois):
+        lo, hi = t.bracket
+        assert hi - lo <= 1e-10 * lo
+
+
+@pytest.mark.parametrize("N, M", [(3, 512), (4, 512), (4, 4096), (8, 1024)])
 def test_the_fold_bracket_holds_the_golden_section_maximum_of_lambda(N, M):
     # an oracle for the fold search: golden-section search for the maximum
     # of lambda_h(s) within 1e-3 of the largest-lambda point, each lambda_h(s)
@@ -514,20 +551,26 @@ def test_the_fold_bracket_holds_the_golden_section_maximum_of_lambda(N, M):
 
 def test_bordered_solve_converges_just_past_the_fold():
     # tangent predictors at s = 0.68341805, 2e-8 past the N = 5, M = 4096
-    # fold, from the trace's first fold-search point 1.6e-4 before it, and a
-    # few 1e-9 off in lambda: J is nearly singular, a and b share a huge
-    # null component, and the block-elimination step alone can fail to
-    # lower the residual; the refinement step then replaces it, and each
-    # solve converges
+    # fold, from the point a at s_a, 1.6e-4 before it, and a few 1e-9 off
+    # in lambda: J is nearly singular, a and b share a huge null component,
+    # and the block-elimination step alone can fail to lower the residual;
+    # the refinement step then replaces it, and each solve converges.  s_a
+    # is pinned (the first point of the earlier Illinois fold search), and
+    # a is solved there from the tangent line of the trace's seed
     s = _ClampedSolver(build_grid(5, 4096, 2.0), BoundaryData(0.0, 0.0))
     trace = branch._trace(s, 1.0 - 1e-3)
-    a = next(p for p in trace.points if p.s > trace.seed.s)
+    seed, s_a = trace.seed, 0.6832542534532648
+    x = seed.x + (s_a - seed.s) * seed.tangent
+    x[1] = s_a
+    xa, lam_a, _, b = branch._bordered_solve(s, x, seed.lam + (s_a - seed.s) * seed.slope)
+    slope = 1.0 / b[1]
+    assert xa[1] == s_a and slope > 0
     target = 0.68341805
     refined = s.refinements
     for dlam in (-3e-9, 1e-9, 1e-8):
-        x = a.x + (target - a.s) * a.tangent
+        x = xa + (target - s_a) * b * slope
         x[1] = target
-        _, lam, steps, _ = branch._bordered_solve(s, x, a.lam + dlam + (target - a.s) * a.slope)
+        _, lam, steps, _ = branch._bordered_solve(s, x, lam_a + dlam + (target - s_a) * slope)
         assert steps <= 3 and lam == pytest.approx(trace.lam_star, rel=1e-10)
     assert s.refinements > refined
 
@@ -602,9 +645,9 @@ def _coarse_traces(N, M, start_of=lambda seed: (branch._restrict(seed.x), seed.l
 
 
 def _same_trace(a, b):
-    return ((a.lam_star, a.bracket, a.fold, a.converged, a.secant_steps, a.failed,
+    return ((a.lam_star, a.bracket, a.fold, a.converged, a.fold_steps, a.failed,
              [p.s for p in a.points], a.seeded)
-            == (b.lam_star, b.bracket, b.fold, b.converged, b.secant_steps, b.failed,
+            == (b.lam_star, b.bracket, b.fold, b.converged, b.fold_steps, b.failed,
                 [p.s for p in b.points], b.seeded))
 
 

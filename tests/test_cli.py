@@ -277,6 +277,18 @@ def test_bad_grid_is_config_error(tmp_path, capsys):
     assert "touchdown fit window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["0.9995", "0.999"])
+def test_a_lift_already_at_tau_exits_config(tmp_path, capsys, alpha):
+    # admissible data (beta <= 0, alpha - beta/2 < 1) whose biharmonic lift
+    # has u(0) = alpha, already at or above tau = 0.999: the trace would be
+    # that one point, with a bracket of rounding noise and a curve of NaN
+    assert run(tmp_path, "branch", "--dim", "9", "--M", "512", "--alpha", alpha) == 3
+    err = capsys.readouterr().err
+    assert err == ("configuration error: the biharmonic lift already reaches the touchdown "
+                   f"threshold: u(0) = {alpha} >= tau = 0.999\n")
+    assert not list(tmp_path.iterdir())
+
+
 def test_hr_report(tmp_path):
     assert run(tmp_path, "hr", "--variant", "hr2", "--dim", "12") == 0
     doc = json.loads((tmp_path / "hr_hr2_N12.json").read_text())
