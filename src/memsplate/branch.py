@@ -782,7 +782,9 @@ def sweep_branch(config: ContinuationConfig) -> BranchResult:
     touchdown fit of the last profile has exponent within 0.15 of 4/3, else
     Regular.  A coarse grid that turns at a fold when the sweep's grid does
     not, or the reverse, is reported in `warnings`; so are a coarse trace
-    that fails and an observed order that is None or below 1.  With
+    that fails, an observed order that is None or below 1, and a trace that
+    reaches tau without a fold or that exponent, whose lambda(tau) is then
+    no pull-in voltage.  With
     `compute_mu1`, mu1 is evaluated at every point.  Boundary data whose
     lift already has u(0) >= tau raise InvalidArgument.
     """
@@ -819,6 +821,10 @@ def sweep_branch(config: ContinuationConfig) -> BranchResult:
     extremal = solver.field(last.x[1::2])
     C0_fit, exponent_fit = _touchdown_fit(extremal)
     singular = not main.fold and abs(exponent_fit - 4.0 / 3.0) <= 0.15
+    if not main.fold and not singular:
+        warnings.append(f"touchdown warning: the trace reached s = tau without a fold and "
+                        f"its touchdown exponent {exponent_fit:.3g} is not within 0.15 of "
+                        "4/3; lambda(tau) is not a pull-in voltage")
     points = []
     for p in main.points:
         profile = solver.field(p.x[1::2])

@@ -33,9 +33,9 @@ from fractions import Fraction
 import numpy as np
 
 from .exprs import Ratio
-from .grid import InvalidArgument, RadialGrid, build_grid
+from .grid import BoundaryData, InvalidArgument, RadialGrid, build_grid
 from .intervals import ProofReport
-from .operators import band_product, hardy_rellich_constant, plate_form
+from .operators import _clamped_laplacians, hardy_rellich_constant
 from .verify import prove_signomial_nonneg
 
 
@@ -250,42 +250,50 @@ def discrete_form_check(weight: Ratio, N: int,
 
     The monomial basis B is ill-conditioned (cond(B^T diag(m) B) is 1e11 to
     6e12), so it is orthonormalized in the mass m first: R from the QR of
-    diag(sqrt m) B, C = B R^-1 and H = C^T (A - diag(m W)) C.  C is formed
-    from B, not as Q / sqrt(m): m ~ r^(N-1) is tiny at the origin nodes, and
-    that division multiplies Q's rounding there, which moved the minimum by
-    up to 6 %.  The report carries the minimizer and the residual of its
-    directly evaluated gap.
+    diag(sqrt m) B, C = B R^-1 and H = (LC)^T diag(q) LC - C^T diag(m W) C.
+    C is formed from B, not as Q / sqrt(m): m ~ r^(N-1) is tiny at the origin
+    nodes, and that division multiplies Q's rounding there, which moved the
+    minimum by up to 6 %.
 
-    The first term is the plate form phi^T A phi of `plate_form`, a float64
-    band: A @ C and A @ phi are `band_product`s, so the check loads no
-    scipy module.  That form breaks the discrete Rellich inequality near the
-    origin: with node 0 eliminated, the smallest theta of
-    A phi = theta H_N diag(m/r^4) phi at M = 256 is 5.7e-8, 1.5e-11 and
-    5.2e-11 at N = 9, 12 and 16 on gamma = 2 grids, where the continuum value
-    is 1.  The check stays meaningful because its profiles are smooth
-    polynomials and never excite the origin nodes; widen the trial space only
-    with measured evidence.  The stability eigenvalues use the mixed pencil
-    instead.
+    The first term is a sum of squares, q the quadrature weights times
+    r^(N-1) at all M nodes and LC = L C summed straight from the stencil
+    triplets of L, the homogeneous clamped Laplacian, so the check loads no
+    scipy module.  It avoids the cancellation of the plate form
+    A = L^T diag(q) L, whose C^T A C moved the minima by 1e-10 to 4e-9
+    relative to an exact solve of the same float64 data.  The report carries
+    the minimizer and its `residual`, the eigensolve checked against the
+    same form evaluated directly on it, not against that form's rounding.
+
+    The plate form breaks the discrete Rellich inequality near the origin:
+    with node 0 eliminated, the smallest theta of A phi = theta H_N
+    diag(m/r^4) phi at M = 256 is 5.7e-8, 1.5e-11 and 5.2e-11 at N = 9, 12
+    and 16 on gamma = 2 grids, where the continuum value is 1.  The check
+    stays meaningful because its profiles are smooth polynomials and never
+    excite the origin nodes; widen the trial space only with measured
+    evidence.  The stability eigenvalues use the mixed pencil instead.
     """
     if grid is None:
         grid = build_grid(N, 512, 2.0)
     if grid.N != N:
         raise InvalidArgument("grid dimension does not match N")
-    ab, m = plate_form(grid)
-    r = grid.r[: len(m)]
+    (w, (rows, cols)), _, _ = _clamped_laplacians(grid, BoundaryData(0.0, 0.0))
+    q = grid.quad_weights() * grid.r ** (N - 1)
+    m, r = q[:-1], grid.r[:-1]
     mw = np.zeros_like(r)
     mw[1:] = m[1:] * np.asarray(weight(r[1:]), dtype=float)
 
     B = ((1.0 - r) ** 2)[:, None] * r[:, None] ** np.arange(_FORM_TERMS)
     R = np.linalg.qr(np.sqrt(m)[:, None] * B, mode="r")
     C = np.linalg.solve(R.T, B.T).T
-    H = C.T @ band_product(ab, C) - C.T @ (mw[:, None] * C)
+    LC = np.zeros((grid.M, _FORM_TERMS))
+    np.add.at(LC, rows, w[:, None] * C[cols])
+    H = LC.T @ (q[:, None] * LC) - C.T @ (mw[:, None] * C)
     values, vectors = np.linalg.eigh(0.5 * (H + H.T))
     value, v = float(values[0]), vectors[:, 0]
     phi = C @ v
     if phi[np.argmax(np.abs(phi))] < 0:
         v, phi = -v, -phi
-    gap = (float(phi @ band_product(ab, phi)) - float(mw @ phi ** 2)) / float(m @ phi ** 2)
+    gap = (float(q @ (LC @ v) ** 2) - float(mw @ phi ** 2)) / float(m @ phi ** 2)
     return FormCheckReport(N=N, min_relative_gap=value,
                            coefficients=np.linalg.solve(R, v),
                            residual=abs(gap - value) / max(1.0, abs(value)))

@@ -21,11 +21,10 @@ The bilaplacian is the composition of two such Laplacians sharing these
 closures, which keeps the quadratic form integral (Delta phi)^2 natural.
 Every operator is float64 plus a float64 offset vector.  The solvers and
 eigensolves use the mixed split v = Delta u (`mixed_bilaplacian`), one
-LAPACK band, and the form check uses the plate form L^T diag(q) L
-(`plate_form`), another, with `band_product`.  `bilaplacian_clamped` and
-`bilaplacian_form` (a CSR view of `plate_form`) return scipy.sparse matrices
-for the tests; each imports scipy.sparse itself, and no command calls them,
-so no command loads it.
+LAPACK band.  `bilaplacian_clamped` and the plate form L^T diag(q) L
+(`bilaplacian_form`) return scipy.sparse matrices for the tests; each
+imports scipy.sparse itself, and no command calls them, so no command loads
+it.
 """
 
 from __future__ import annotations
@@ -177,62 +176,16 @@ def mixed_bilaplacian(grid: RadialGrid, bc: BoundaryData):
     return ab, (kl, ku), o1
 
 
-def plate_form(grid: RadialGrid):
-    """(ab, m): quadratic form of integral (Delta phi)^2 r^(N-1) dr, banded, and L^2 mass.
-
-    A = L^T diag(q) L, q = w r^(N-1), with L the homogeneous-clamped
-    Laplacian, so A is symmetric up to rounding and positive definite; m is
-    the diagonal mass q at the interior unknowns.  Both omit the sphere-area
-    factor, which cancels in every Rayleigh quotient.  `ab` is A in float64
-    LAPACK band storage, ab[2 + i - j, j] = A[i, j], shape (5, M-1).
-
-    Each entry is sum_k fl(L_ki q_k) L_kj over ascending k from 0.0, the
-    order in which scipy.sparse forms L^T @ diags(q) @ L, so `ab` holds that
-    product's entries bit for bit.
-    """
-    (w, (rows, cols)), _, _ = _clamped_laplacians(grid, BoundaryData(0.0, 0.0))
-    q = grid.quad_weights() * grid.r ** (grid.N - 1)
-    M, n = grid.M, grid.M - 1
-    # Lb[t + 1, k] = L[k, k + t]: row k reaches columns k-1..k+1, and k+2 at
-    # the origin row; the empty slots add +0.0, which changes no sum
-    Lb = np.zeros((4, M))
-    Lb[cols - rows + 1, rows] = w
-    Lq = Lb * q
-    ab = np.zeros((5, n))
-    for t in (2, 1, 0, -1):  # A[i, j] takes row k = i - t: ascending k
-        for u in range(max(-1, t - 2), min(2, t + 2) + 1):  # j = k + u
-            k = np.arange(max(0, -t, -u), min(M, n - t, n - u))
-            ab[2 + t - u, k + u] += Lq[t + 1, k] * Lb[u + 1, k]
-    return ab, q[:-1]
-
-
-def band_product(ab, x):
-    """A @ x for A in `plate_form`'s (5, n) band, x a vector or an (n, k) block.
-
-    Each row sums its five diagonals in ascending column order from 0.0, as
-    scipy.sparse does for a CSR matrix, so the result is that of
-    `bilaplacian_form(grid)[0] @ x` bit for bit.
-    """
-    n = ab.shape[1]
-    y = np.zeros(x.shape)
-    for d in range(-2, 3):  # column i + d
-        lo, hi = max(0, -d), n - max(0, d)
-        a = ab[2 - d, lo + d:hi + d]
-        y[lo:hi] += (a if x.ndim == 1 else a[:, None]) * x[lo + d:hi + d]
-    return y
-
-
 def bilaplacian_form(grid: RadialGrid):
-    """(A, m): `plate_form` with A as a scipy.sparse CSR matrix of the same band.
+    """(A, m): the plate form A = L^T diag(q) L of int (Delta phi)^2 r^(N-1) dr, and the mass.
 
-    Rows hold their columns in ascending order; the entries are `plate_form`'s
-    bit for bit.
+    L is the homogeneous-clamped Laplacian at all M nodes, q = w r^(N-1) its
+    quadrature weights, and m = q at the M-1 interior unknowns.  Both omit the
+    sphere-area factor, which cancels in every Rayleigh quotient.  A is a
+    scipy.sparse CSR matrix, symmetric up to rounding and positive definite.
     """
     import scipy.sparse as sp
-    ab, m = plate_form(grid)
-    n = len(m)
-    i = np.repeat(np.arange(n), 5)
-    j = i + np.tile(np.arange(-2, 3), n)
-    keep = (j >= 0) & (j < n)
-    i, j = i[keep], j[keep]
-    return sp.csr_matrix((ab[2 + i - j, j], (i, j)), shape=(n, n)), m
+    (w, (rows, cols)), _, _ = _clamped_laplacians(grid, BoundaryData(0.0, 0.0))
+    L = sp.csr_matrix((w, (rows, cols)), shape=(grid.M, grid.M - 1))
+    q = grid.quad_weights() * grid.r ** (grid.N - 1)
+    return (L.T @ sp.diags(q) @ L).tocsr(), q[:-1]

@@ -29,11 +29,12 @@ A seeded result counts only when it is positive with a u part of one sign;
 otherwise the unseeded solve runs.
 
 The pencil is the operator the branch solver inverts.  The plate form
-L^T diag(w r^(N-1)) L of `operators.bilaplacian_form` is not: it breaks the
-discrete Rellich inequality near the origin, which gave it a spurious low
-mode (5715 against nu1 = 19616 at N = 16, M = 128) and a negative mu1 near
-touchdown.  The pencil is not symmetric, and eigenvalues at the top of its
-spectrum can be complex; the smallest one was real in every case measured.
+L^T diag(w r^(N-1)) L (`operators.bilaplacian_form`, which only the tests
+build) is not: it breaks the discrete Rellich inequality near the origin,
+which gave it a spurious low mode (5715 against nu1 = 19616 at N = 16,
+M = 128) and a negative mu1 near touchdown.  The pencil is not symmetric,
+and eigenvalues at the top of its spectrum can be complex; the smallest one
+was real in every case measured.
 Only radial test functions are used; minimal solutions are radial, so this
 matches the certificates, but whether the unrestricted infimum coincides is
 recorded as a limitation, not assumed.

@@ -76,7 +76,7 @@ def test_certificates_load_no_scipy_submodule_and_solves_only_linalg(tmp_path):
     # the solver's operator is one LAPACK band: no scipy.sparse on the way,
     # and its LU loads the LAPACK extension alone, not the scipy.linalg package
     assert seen["branch"] == seen["pullin"] == ["scipy.linalg._flapack"]
-    # hr's discrete form check multiplies by the plate form as a numpy band
+    # hr's discrete form check sums the stencil triplets with numpy
     assert seen["hr"] == []
 
 
@@ -289,6 +289,19 @@ def test_a_lift_already_at_tau_exits_config(tmp_path, capsys, alpha):
     assert not list(tmp_path.iterdir())
 
 
+def test_a_foldless_trace_off_the_touchdown_profile_warns(tmp_path):
+    # the lift has u(0) = 0.998, just below tau = 0.999: the trace reaches
+    # tau in two points without a fold, and its last profile is not the 4/3
+    # touchdown profile, so lambda(tau) is no pull-in voltage
+    assert run(tmp_path, "branch", "--dim", "9", "--M", "512", "--alpha", "0.998") == 0
+    doc = json.loads((tmp_path / "branch_N9.json").read_text())
+    assert doc["fold"] is False and doc["classification"] == "Regular"
+    assert abs(doc["exponent_fit"] - 4 / 3) > 0.15
+    assert doc["warnings"] == [
+        f"touchdown warning: the trace reached s = tau without a fold and its touchdown "
+        f"exponent {doc['exponent_fit']:.3g} is not within 0.15 of 4/3; lambda(tau) is "
+        "not a pull-in voltage"]
+
 def test_hr_report(tmp_path):
     assert run(tmp_path, "hr", "--variant", "hr2", "--dim", "12") == 0
     doc = json.loads((tmp_path / "hr_hr2_N12.json").read_text())
@@ -371,7 +384,7 @@ def test_hr_builds_its_weight_once_and_ignores_the_seed(tmp_path, monkeypatch):
     check, = (c for c in json.loads(docs[0])["checks"]
               if c["name"] == "discrete_form_inequality")
     assert check["passed"] and check["residual"] < 1e-8
-    assert check["margin"] == float.fromhex("0x1.a04e2c2edb3bcp+9")
+    assert check["margin"] == float.fromhex("0x1.a04e2c2ca0601p+9")
 
 
 def test_table1_markdown(tmp_path):

@@ -5,14 +5,15 @@ import pytest
 
 import memsplate.verify as verify
 from memsplate.exprs import Ratio, Signomial
-from memsplate.grid import InvalidArgument, build_grid
+from memsplate.grid import BoundaryData, InvalidArgument, build_grid
 from memsplate.hardy import (BesselPairSpec, _prove_expr_nonneg,
                              discrete_form_check, gm1_side_conditions,
                              hr2_leading_identity, hr_weight, pq_functions,
                              radial_laplacian, supersolution_check, _phi_expr,
                              _psi_expr)
 from memsplate.intervals import ProofReport
-from memsplate.operators import bilaplacian_form, hardy_rellich_constant
+from memsplate.operators import (_clamped_laplacians, bilaplacian_form,
+                                 hardy_rellich_constant)
 
 
 def test_radial_laplacian_of_quadratic():
@@ -250,9 +251,9 @@ def test_discrete_form_gaps_are_frozen():
     # frozen as float hex: the exact minima on the default grid of the `hr`
     # command's three weights; each carries its minimizer, whose directly
     # evaluated gap agrees with the eigenvalue to 1e-8
-    frozen = {("HR3", 9): "0x1.a04e2c2edb3bcp+9",
-              ("HR2", 12): "0x1.c078a0d3c54fcp+10",
-              ("HR1", 17): "0x1.806528ebfbe90p+12"}
+    frozen = {("HR3", 9): "0x1.a04e2c2ca0601p+9",
+              ("HR2", 12): "0x1.c078a0d77f9ffp+10",
+              ("HR1", 17): "0x1.806528ece2e4dp+12"}
     for (variant, N), gap in frozen.items():
         rep = discrete_form_check(hr_weight(variant, N), N)
         assert rep.min_relative_gap.hex() == gap and rep.passed
@@ -273,32 +274,39 @@ def test_discrete_form_minimum_is_below_every_random_trial_minimum():
         assert exact <= min(sampled)
 
 
-def test_discrete_form_minimum_matches_a_30_digit_solve():
-    # the same float64 data, HR3 at N = 9 on the default grid, solved in
-    # 30-digit arithmetic: the pencil (B^T (A - diag(m W)) B, B^T diag(m) B)
-    # on the monomial basis, its smallest eigenvalue by Cholesky and eigsy.
-    # A is symmetric only to rounding, so the whole product is symmetrized.
+@pytest.mark.parametrize("variant,N", [("HR3", 9), ("HR2", 12), ("HR1", 17), ("HR1", 5),
+                                       ("HR2", 30)], ids=str)
+def test_discrete_form_minimum_matches_a_40_digit_solve(variant, N):
+    # the same float64 data on the default grid (the Laplacian's stencil
+    # triplets, q, the orthonormalized basis C and m W) summed in 40-digit
+    # arithmetic: LC = L C, the exact H = LC^T diag(q) LC - C^T diag(m W) C
+    # and its smallest eigenvalue by eigsy.  Forming the plate form
+    # L^T diag(q) L first missed these by 6.5e-12 to 3.7e-9 relative.
     mp = pytest.importorskip("mpmath").mp
-    w = hr_weight("HR3", 9)
-    A, m, mw, r = _form_data(w, 9)
+    w = hr_weight(variant, N)
+    grid = build_grid(N, 512, 2.0)
+    (lw, (rows, cols)), _, _ = _clamped_laplacians(grid, BoundaryData(0.0, 0.0))
+    q = grid.quad_weights() * grid.r ** (N - 1)
+    m, r = q[:-1], grid.r[:-1]
+    mw = np.zeros_like(r)
+    mw[1:] = m[1:] * np.asarray(w(r[1:]), dtype=float)
     B = ((1.0 - r) ** 2)[:, None] * r[:, None] ** np.arange(7)
-    n = len(r)
-    with mp.workdps(30):
-        Bm = [[mp.mpf(float(x)) for x in row] for row in B]
-        AB = [[mp.mpf(0)] * 7 for _ in range(n)]
-        coo = A.tocoo()
-        for i, j, a in zip(coo.row, coo.col, coo.data):
+    R = np.linalg.qr(np.sqrt(m)[:, None] * B, mode="r")
+    C = np.linalg.solve(R.T, B.T).T
+    with mp.workdps(40):
+        Cm = [[mp.mpf(float(x)) for x in row] for row in C]
+        LC = [[mp.mpf(0)] * 7 for _ in range(grid.M)]
+        for i, j, a in zip(rows, cols, lw):
             a = mp.mpf(float(a))
-            AB[i] = [s + a * b for s, b in zip(AB[i], Bm[j])]
-        mpm = [mp.mpf(float(x)) for x in m]
-        mpw = [mp.mpf(float(x)) for x in mw]
-        G, K = mp.matrix(7, 7), mp.matrix(7, 7)
+            LC[i] = [s + a * c for s, c in zip(LC[i], Cm[j])]
+        qm = [mp.mpf(float(x)) for x in q]
+        mwm = [mp.mpf(float(x)) for x in mw]
+        H = mp.matrix(7, 7)
         for k in range(7):
             for l in range(7):
-                G[k, l] = mp.fsum(Bm[i][k] * (AB[i][l] - mpw[i] * Bm[i][l]) for i in range(n))
-                K[k, l] = mp.fsum(mpm[i] * Bm[i][k] * Bm[i][l] for i in range(n))
-        G = (G + G.T) / 2
-        Li = mp.inverse(mp.cholesky(K))
-        oracle = float(min(mp.eigsy(Li * G * Li.T, eigvals_only=True)))
-    assert abs(oracle - 832.610724) < 1e-6
-    assert abs(discrete_form_check(w, 9).min_relative_gap - oracle) <= 1e-8 * oracle
+                H[k, l] = (mp.fsum(qi * row[k] * row[l] for qi, row in zip(qm, LC))
+                           - mp.fsum(wi * row[k] * row[l] for wi, row in zip(mwm, Cm)))
+        oracle = float(min(mp.eigsy(H, eigvals_only=True)))
+    if (variant, N) == ("HR3", 9):
+        assert abs(oracle - 832.610724) < 1e-6
+    assert abs(discrete_form_check(w, N).min_relative_gap - oracle) <= 1e-12 * oracle
