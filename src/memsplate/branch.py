@@ -146,9 +146,11 @@ class GridEvidence:
     M/2 and M/4; None when the differences change sign.  An order that is
     None or below 1 means the three grids are outside the asymptotic range,
     so they back no extrapolation; `sweep_branch` then adds a warning.
-    `points` counts the converged bordered solves of each grid's trace, and
+    `points` counts the converged bordered solves of each grid's trace,
     `seeded` tells whether that trace started from the finer grid's trace
-    (see `sweep_branch`) rather than from the lift.
+    (see `sweep_branch`) rather than from the lift, and `newton_steps`
+    counts the Newton steps made on each grid, those of a start near the
+    fold that found no bracket included.
     """
 
     M: tuple
@@ -156,6 +158,7 @@ class GridEvidence:
     observed_order: float | None
     points: tuple
     seeded: tuple
+    newton_steps: tuple
 
 
 #: values of s at which `BranchResult.curve` samples the branch
@@ -594,6 +597,7 @@ class _Trace:
     mu1_fallbacks: int  # seeded mu1 solves refused
     seed: _TracePoint  # the last stepping point with dlambda/ds > 0
     seeded: bool  # the trace started from a given state, not from the lift
+    curvature: float | None  # d2lambda/ds2 across the final fold bracket; None without a fold
 
 
 #: first s-step of a trace
@@ -605,6 +609,10 @@ _DS_MIN = 1e-9
 #: the fold search stops when its lambda bracket is this narrow, relative
 _FOLD_RTOL = 1e-10
 _FOLD_MAX_STEPS = 50
+#: a start near the fold brackets it in at most this many doubling s-steps ...
+_NEAR_FOLD_STEPS = 8
+#: ... of which the first is at least this long
+_NEAR_FOLD_DS_MIN = 1e-7
 
 
 def _restrict(x: np.ndarray) -> np.ndarray:
@@ -619,7 +627,7 @@ def _restrict(x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _trace(s: _ClampedSolver, tau: float, mu1=None, start=None) -> _Trace:
+def _trace(s: _ClampedSolver, tau: float, mu1=None, start=None, near_fold=None) -> _Trace:
     """Trace the minimal branch in s = u(0) from the lift to the fold or s = tau.
 
     Each point is a `_bordered_solve`; its tangent comes from the Jacobian
@@ -643,13 +651,25 @@ def _trace(s: _ClampedSolver, tau: float, mu1=None, start=None) -> _Trace:
     other end is replaced twice in a row.  Each solve starts from the
     Hermite curve between the bracket ends, and the search stops when the
     bracket between the largest lambda solved and the meeting point of the
-    end tangents is `_FOLD_RTOL` narrow; lambda*_h is its midpoint.
+    end tangents is `_FOLD_RTOL` narrow; lambda*_h is its midpoint.  End
+    tangents that meet more than `_FOLD_RTOL` below the largest lambda bound
+    nothing (lambda is not concave over the bracket), and the search goes
+    on.  The trace records d2lambda/ds2 across its final bracket,
+    (dlambda/ds(b) - dlambda/ds(a)) / (b - a), as `curvature`.
     The first point is the lift's discrete solution at lambda = 0, or, with
     `start = (x, lam)`, the bordered solve from that predictor.  A lift
     whose u(0) is already at or above tau raises InvalidArgument: the trace
     would have no step to take.  A start at or above tau, whose solve fails
     or which lands at dlambda/ds <= 0 (past this grid's fold) is dropped,
     and the trace starts from the lift.
+    With `near_fold = (x, lam, curvature)`, a predictor near this grid's
+    fold and d2lambda/ds2 there, the trace steps to the fold instead: it
+    solves the start, then steps s toward the sign of dlambda/ds from
+    tangent-line predictors, the first step 2 |dlambda/ds / curvature| (at
+    least `_NEAR_FOLD_DS_MIN`) and each later one twice the last, until
+    dlambda/ds changes sign; the fold search then runs on that bracket.
+    When `_NEAR_FOLD_STEPS` steps find no sign change, a step leaves
+    (0, tau) or a solve fails, the trace is the one from `start` instead.
     """
     failed = fold_steps = mu1_iterations = mu1_fallbacks = 0
     trace, eig_seed = [], None
@@ -685,49 +705,77 @@ def _trace(s: _ClampedSolver, tau: float, mu1=None, start=None) -> _Trace:
             raise NonConvergence("predictor crosses the ceiling")
         return x, lam
 
-    if start is None:
-        x = s.mixed_state(s.solve_rhs(np.zeros_like(s.phi)))
-        if x[1] >= tau:
-            raise InvalidArgument(f"the biharmonic lift already reaches the touchdown threshold: "
-                                  f"u(0) = {x[1]:.6g} >= tau = {tau:.6g}")
-        p = converge(x, 0.0)
+    def bracket_fold(x, lam, curvature):
+        """(a, b) around the fold, stepped to from the start (x, lam); None if not found.
+
+        None also when a step leaves (0, tau) or a solve fails."""
+        try:
+            p = converge(x, lam)
+            ds = max(2.0 * abs(p.slope / curvature), _NEAR_FOLD_DS_MIN)
+            for _ in range(_NEAR_FOLD_STEPS):
+                s_new = p.s + (ds if p.slope > 0 else -ds)
+                if not 0.0 < s_new < tau:
+                    return None
+                q = converge(*predict(p, s_new))
+                if (q.slope > 0) != (p.slope > 0):
+                    return (p, q) if p.slope > 0 else (q, p)
+                p, ds = q, 2.0 * ds
+        except NonConvergence:
+            pass
+        return None
+
+    if near_fold is not None:
+        ab = bracket_fold(*near_fold)
+        if ab is None:
+            return _trace(s, tau, mu1, start)
+        a, b = ab
     else:
-        try:
-            p = converge(*start) if start[0][1] < tau else None
-        except NonConvergence:
-            p = None
-        if p is None or p.slope <= 0:
-            return _trace(s, tau, mu1)
-    prev, ds = None, _DS0
-    while p.slope > 0 and p.s < tau:
-        s_new = min(p.s + ds, tau)
-        try:
-            line, lam = predict(p, s_new)
-            q = converge(*(predict(prev, s_new, p) if prev is not None else (line, lam)))
-        except NonConvergence:
-            failed += 1
-            ds = 0.5 * (s_new - p.s)
-            if ds < _DS_MIN:
-                raise NonConvergence(f"s-step fell below {_DS_MIN} at s = {p.s}") from None
-            continue
-        # the tangent line's miss, not the solve's start, sizes the step
-        miss = float(np.max(np.abs(q.x[1::2] - line[1::2])))
-        ds = (s_new - p.s) * min(2.0, max(0.5, math.sqrt(_PREDICTOR_TOL / max(miss, 1e-300))))
-        prev, p = p, q
-    if p.slope > 0:
-        return _Trace(trace, False, p.lam, (p.lam, p.lam + (1.0 - p.s) * p.slope),
-                      len(trace), 0, failed, mu1_iterations, mu1_fallbacks, p,
-                      start is not None)
+        if start is None:
+            x = s.mixed_state(s.solve_rhs(np.zeros_like(s.phi)))
+            if x[1] >= tau:
+                raise InvalidArgument(f"the biharmonic lift already reaches the touchdown "
+                                      f"threshold: u(0) = {x[1]:.6g} >= tau = {tau:.6g}")
+            p = converge(x, 0.0)
+        else:
+            try:
+                p = converge(*start) if start[0][1] < tau else None
+            except NonConvergence:
+                p = None
+            if p is None or p.slope <= 0:
+                return _trace(s, tau, mu1)
+        prev, ds = None, _DS0
+        while p.slope > 0 and p.s < tau:
+            s_new = min(p.s + ds, tau)
+            try:
+                line, lam = predict(p, s_new)
+                q = converge(*(predict(prev, s_new, p) if prev is not None else (line, lam)))
+            except NonConvergence:
+                failed += 1
+                ds = 0.5 * (s_new - p.s)
+                if ds < _DS_MIN:
+                    raise NonConvergence(f"s-step fell below {_DS_MIN} at s = {p.s}") from None
+                continue
+            # the tangent line's miss, not the solve's start, sizes the step
+            miss = float(np.max(np.abs(q.x[1::2] - line[1::2])))
+            ds = (s_new - p.s) * min(2.0, max(0.5, math.sqrt(_PREDICTOR_TOL / max(miss, 1e-300))))
+            prev, p = p, q
+        if p.slope > 0:
+            return _Trace(trace, False, p.lam, (p.lam, p.lam + (1.0 - p.s) * p.slope),
+                          len(trace), 0, failed, mu1_iterations, mu1_fallbacks, p,
+                          start is not None, None)
+        a, b = trace[-2], trace[-1]
 
     # fold: dlambda/ds > 0 at a, <= 0 at b
-    a, b = trace[-2], trace[-1]
     seed = a  # not a fold-search point: those can lie past a coarser grid's fold
     fa, fb, side, halved = a.slope, b.slope, 0, False
     while True:
         lo = max(a.lam, b.lam)
         s_meet = (b.lam - a.lam + a.slope * a.s - b.slope * b.s) / (a.slope - b.slope)
-        hi = max(a.lam + a.slope * (s_meet - a.s), np.nextafter(lo, np.inf))
-        if hi - lo <= _FOLD_RTOL * lo:
+        meet = a.lam + a.slope * (s_meet - a.s)
+        hi = max(meet, np.nextafter(lo, np.inf))
+        # end tangents that meet below lo bound nothing (lambda is not concave
+        # over [a, b]), so the search goes on
+        if hi - lo <= _FOLD_RTOL * lo and meet >= lo - _FOLD_RTOL * lo:
             break
         if fold_steps == _FOLD_MAX_STEPS:
             raise NonConvergence(f"fold search stalled at lambda in ({lo}, {hi})")
@@ -749,7 +797,8 @@ def _trace(s: _ClampedSolver, tau: float, mu1=None, start=None) -> _Trace:
             side = -1
     points = sorted((p for p in trace if p.slope > 0), key=lambda p: p.s)
     return _Trace(points, True, 0.5 * (lo + hi), (lo, hi), len(trace), fold_steps, failed,
-                  mu1_iterations, mu1_fallbacks, seed, start is not None)
+                  mu1_iterations, mu1_fallbacks, seed, start is not None,
+                  (b.slope - a.slope) / (b.s - a.s))
 
 
 def _touchdown_fit(profile: RadialField):
@@ -772,12 +821,16 @@ def sweep_branch(config: ContinuationConfig) -> BranchResult:
 
     The trace (see `_trace`) runs on the grid of `config` and, as grid
     evidence for lambda*_h, on the grids with M/2 and M/4 cells.  The graded
-    grids nest, so each coarse trace starts from the finer trace's last
-    stepping point with dlambda/ds > 0, restricted to the shared nodes
-    (`_restrict`); a fold-search point is never used, as it can lie past the
-    coarse fold.  When M is odd (or M/2 for the M/4 grid) the grids do not
-    nest and the coarse trace starts from the lift, as it does when the
-    start fails (see `_trace`).  The
+    grids nest, so each coarse trace starts from the finer trace, restricted
+    to the shared nodes (`_restrict`).  When the finer trace turned at a
+    fold, the coarse trace steps to its own fold from the finer trace's
+    largest-lambda point, with the finer trace's `curvature` sizing the
+    steps (`_trace`'s `near_fold`).  Otherwise, or when that finds no fold
+    bracket, it starts from the finer trace's last stepping point with
+    dlambda/ds > 0; a fold-search point is not used there, as it can lie
+    past the coarse fold.  When M is odd (or M/2 for the M/4 grid) the
+    grids do not nest and the coarse trace starts from the lift, as it does
+    when the start fails (see `_trace`).  The
     sweep is Singular when its trace reaches s = tau without a fold and the
     touchdown fit of the last profile has exponent within 0.15 of 4/3, else
     Regular.  A coarse grid that turns at a fold when the sweep's grid does
@@ -792,13 +845,18 @@ def sweep_branch(config: ContinuationConfig) -> BranchResult:
 
     solver = _ClampedSolver(build_grid(config.N, config.M, config.gamma), config.bc)
     main = _trace(solver, config.tau, mu1 if config.compute_mu1 else None)
-    traces, warnings = [main], []
+    traces, solvers, warnings = [main], [solver], []
     try:
         for fine_M, M in ((config.M, config.M // 2), (config.M // 2, config.M // 4)):
             coarse = _ClampedSolver(build_grid(config.N, M, config.gamma), config.bc)
-            seed = traces[-1].seed
-            start = (_restrict(seed.x), seed.lam) if fine_M == 2 * M else None
-            traces.append(_trace(coarse, config.tau, start=start))
+            solvers.append(coarse)
+            fine, start, near_fold = traces[-1], None, None
+            if fine_M == 2 * M:
+                start = (_restrict(fine.seed.x), fine.seed.lam)
+                if fine.fold:
+                    top = max(fine.points, key=lambda p: p.lam)
+                    near_fold = (_restrict(top.x), top.lam, fine.curvature)
+            traces.append(_trace(coarse, config.tau, start=start, near_fold=near_fold))
     except (InvalidArgument, NonConvergence) as exc:
         warnings.append(f"no grid evidence for lambda*: {exc}")
     evidence = None
@@ -808,7 +866,8 @@ def sweep_branch(config: ContinuationConfig) -> BranchResult:
         evidence = GridEvidence((config.M, config.M // 2, config.M // 4), (l1, l2, l4),
                                 math.log2(ratio) if ratio > 0 else None,
                                 tuple(t.converged for t in traces),
-                                tuple(t.seeded for t in traces))
+                                tuple(t.seeded for t in traces),
+                                tuple(s.newton_steps for s in solvers))
         order = evidence.observed_order
         if order is None or order < 1:
             shown = "is undefined" if order is None else f"{order:.3g} is below 1"

@@ -149,7 +149,8 @@ def cmd_branch(args) -> int:
             "grid_evidence": None if ev is None else {
                 "M": list(ev.M), "lambda_star": list(ev.lam_star),
                 "observed_order": ev.observed_order,
-                "points": list(ev.points), "seeded": list(ev.seeded)},
+                "points": list(ev.points), "seeded": list(ev.seeded),
+                "newton_steps": list(ev.newton_steps)},
             "points": [{"s": p.s, "lambda": p.lam, "sup_norm": p.sup_norm, "mu1": p.mu1}
                        for p in res.points],
             "classification": res.classification,

@@ -549,6 +549,32 @@ def test_the_fold_bracket_holds_the_golden_section_maximum_of_lambda(N, M):
     assert bracket_lo * (1 - 1e-11) <= lam_max <= bracket_hi * (1 + 1e-11)
 
 
+@pytest.mark.parametrize("M", [128, 512])
+def test_end_tangents_that_meet_below_the_largest_lambda_do_not_stop_the_fold_search(
+        monkeypatch, M):
+    # at N = 6 with u(1) = 0.2, lambda(s) is not concave over the first fold
+    # bracket (a, b) = (0.55, 0.72): dlambda/ds is 2.96 at a and -8.47 at b
+    # on M = 512, and the end tangents meet at s = 0.51, left of a and below
+    # lambda(a).  The search once took that meeting value, raised to an ulp
+    # above lambda(a), as its upper bound and stopped there without a solve,
+    # 2.4e-4 below the fold
+    roots = []
+
+    def spy(*args):
+        roots.append(args)
+        return root(*args)
+
+    root = branch._hermite_root
+    monkeypatch.setattr(branch, "_hermite_root", spy)
+    s = _ClampedSolver(build_grid(6, M, 2.0), BoundaryData(0.2, 0.0))
+    trace = branch._trace(s, _TAU)
+    h, lam_a, slope_a, lam_b, slope_b = roots[0]
+    assert (lam_b - lam_a - slope_b * h) / (slope_a - slope_b) < 0  # s_meet - a.s
+    assert trace.fold and trace.fold_steps > 0
+    lo, hi = trace.bracket
+    assert hi - lo <= 1e-10 * lo and lo > max(lam_a, lam_b) * (1 + 1e-6)
+
+
 def test_bordered_solve_converges_just_past_the_fold():
     # tangent predictors at s = 0.68341805, 2e-8 past the N = 5, M = 4096
     # fold, from the point a at s_a, 1.6e-4 before it, and a few 1e-9 off
@@ -595,12 +621,14 @@ def test_coarse_singular_traces_reach_tau(N):
 
 
 def test_grid_evidence_outside_the_asymptotic_range_is_flagged():
-    # at N = 8, M = 256 the three fold values do not converge monotonically
+    # at N = 8, M = 256 the three fold values do not converge monotonically:
+    # lambda*_h on M = 64 lies above those on M = 128 and 256
     res = sweep_branch(ContinuationConfig(N=8, M=256))
-    order = res.grid_evidence.observed_order
-    assert order is not None and order < 1
-    assert res.warnings == (f"grid-evidence warning: observed order {order:.3g} is "
-                            "below 1; the grids are outside the asymptotic range",)
+    l1, l2, l4 = res.grid_evidence.lam_star
+    assert l2 < l1 < l4
+    assert res.grid_evidence.observed_order is None
+    assert res.warnings == ("grid-evidence warning: observed order is undefined; "
+                            "the grids are outside the asymptotic range",)
 
 
 def test_a_failed_coarse_trace_leaves_the_sweep_without_grid_evidence(monkeypatch):
@@ -710,6 +738,56 @@ def test_grids_that_do_not_nest_trace_from_the_lift(M, seeded):
         if not was_seeded:
             lift = branch._trace(_ClampedSolver(build_grid(3, coarse_M, 2.0), bc), _TAU)
             assert lam == lift.lam_star
+
+
+@pytest.mark.parametrize("N, M, bc", [(8, 256, (0.0, 0.0)), (6, 512, (0.2, 0.0)),
+                                      (3, 512, (0.0, 0.0)), (1, 1024, (0.0, 0.0))])
+def test_a_coarse_lambda_star_is_its_own_grids_lambda_star(N, M, bc):
+    # each coarse trace brackets its fold by stepping from the finer trace's
+    # fold (see sweep_branch) and finds the fold that a trace from the lift
+    # finds on that grid
+    cfg = ContinuationConfig(N=N, M=M, bc=BoundaryData(*bc))
+    ev = sweep_branch(cfg).grid_evidence
+    assert ev.seeded == (False, True, True)
+    for coarse_M, lam in zip(ev.M[1:], ev.lam_star[1:]):
+        lift = branch._trace(_ClampedSolver(build_grid(N, coarse_M, cfg.gamma), cfg.bc), cfg.tau)
+        assert lam == pytest.approx(lift.lam_star, rel=1e-10)
+
+
+def test_a_near_fold_start_that_brackets_no_fold_falls_back_to_the_seeded_trace(monkeypatch):
+    # the steps from a start near the fold double from 2 |dlambda/ds / kappa|;
+    # with kappa infinite they start at the 1e-7 floor, and at N = 5 on
+    # M = 256 the 8 steps (2.6e-5 in s) find no sign change of dlambda/ds.
+    # The trace is then the one seeded from the finer trace's last stepping
+    # point, after the start's solve and those 8
+    bc = BoundaryData(0.0, 0.0)
+    fine = branch._trace(_ClampedSolver(build_grid(5, 512, 2.0), bc), _TAU)
+    top = max(fine.points, key=lambda p: p.lam)
+    start = branch._restrict(fine.seed.x), fine.seed.lam
+    coarse = functools.partial(_ClampedSolver, build_grid(5, 256, 2.0), bc)
+    seeded = branch._trace(coarse(), _TAU, start=start)
+    solves = []
+
+    def spy(*args):
+        solves.append(args[0])
+        return solve(*args)
+
+    solve = branch._bordered_solve
+    monkeypatch.setattr(branch, "_bordered_solve", spy)
+    near = branch._trace(coarse(), _TAU, start=start,
+                         near_fold=(branch._restrict(top.x), top.lam, math.inf))
+    assert _same_trace(near, seeded) and seeded.seeded and seeded.failed == 0
+    assert len(solves) == 1 + branch._NEAR_FOLD_STEPS + seeded.converged
+    # a sweep whose near-fold starts all fall back reports the same lambda*_h
+    # on every grid, in more Newton steps on the coarse ones
+    monkeypatch.setattr(branch, "_bordered_solve", solve)
+    ev = sweep_branch(ContinuationConfig(N=5, M=512)).grid_evidence
+    monkeypatch.setattr(branch, "_NEAR_FOLD_STEPS", 0)
+    fallback = sweep_branch(ContinuationConfig(N=5, M=512)).grid_evidence
+    assert fallback.lam_star[0] == ev.lam_star[0]
+    assert fallback.lam_star == pytest.approx(ev.lam_star, rel=1e-10)
+    assert fallback.newton_steps[0] == ev.newton_steps[0]
+    assert all(f > n for f, n in zip(fallback.newton_steps[1:], ev.newton_steps[1:]))
 
 
 def test_curve_is_sampled_on_s():

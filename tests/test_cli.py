@@ -417,10 +417,11 @@ def test_branch_outputs(tmp_path):
     ev = doc["grid_evidence"]
     assert ev["M"] == [256, 128, 64] and ev["lambda_star"][0] == doc["lambda_star"]
     assert ev["observed_order"] > 1.5
-    # each coarse trace starts from the finer trace's last stepping point and
-    # takes fewer points than the sweep's own
+    # each coarse trace steps to its fold from the finer trace's fold and
+    # takes fewer points and Newton steps than the sweep's own
     assert ev["seeded"] == [False, True, True]
     assert ev["points"][0] == counters["points"] > max(ev["points"][1:]) >= 2
+    assert ev["newton_steps"][0] == counters["newton_steps"] > max(ev["newton_steps"][1:])
     # the counters are deterministic: a rerun writes the same bytes
     again = tmp_path / "again"
     again.mkdir()
