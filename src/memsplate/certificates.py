@@ -115,6 +115,8 @@ class CondReport:
     boxes: int | None
     levels: int            # level proofs of the enclosure search
     sampled_points: int    # grid points the sampling pass evaluated
+    den_boxes: int         # boxes of the denominator's sign proof
+    level_boxes: int       # boxes of all level proofs of the enclosure search
     notes: list = field(default_factory=list)
 
 
@@ -159,7 +161,8 @@ def _check_inf(label: str, claim: Signomial, slack_den: Signomial,
     num - level*den = (num - lo*den) + (lo - level)*den: it is proved in no
     boxes of its own, and a note names lo and level.  Otherwise the claim
     gets its own proof.  An enclosure with no proved level has the lower
-    bound -inf and says so in a note.
+    bound -inf and says so in a note.  The report counts the boxes of each
+    proof apart: the denominator's, the level search's and the claim's.
     """
     _require_floats(label, claim, slack_den, num, den)
     mins = sampled_mins([(claim, slack_den), (num, den)])
@@ -168,7 +171,7 @@ def _check_inf(label: str, claim: Signomial, slack_den: Signomial,
     if end is not None:
         sharp = min(sharp, float(end))
     notes = []
-    enc, boxes, levels = None, None, 0
+    enc, boxes, levels, level_boxes = None, None, 0, 0
     dpos = prove_signomial_nonneg(den)
     if not dpos.proved:
         proved = False
@@ -176,7 +179,8 @@ def _check_inf(label: str, claim: Signomial, slack_den: Signomial,
                   f"{label} sharpest value not enclosed: no level is proved "
                   "without the denominator sign"]
     else:
-        lo, hi, _, levels = inf_enclosure(num, den, argmin=arg_sharp, limit=end)
+        lo, hi, _, levels, level_boxes = inf_enclosure(num, den, argmin=arg_sharp,
+                                                       limit=end)
         enc = (lo, hi)
         if lo > -np.inf and Fraction(lo) >= level:
             proved, boxes = True, 0
@@ -193,7 +197,8 @@ def _check_inf(label: str, claim: Signomial, slack_den: Signomial,
             notes.append(f"{label} sharpest value unbounded: no level was proved")
     return CondReport(margin=margin, argmin=argmin, sharpest=sharp,
                       sharpest_enclosure=enc, proved=proved, boxes=boxes,
-                      levels=levels, sampled_points=mins.points, notes=notes)
+                      levels=levels, sampled_points=mins.points,
+                      den_boxes=dpos.boxes, level_boxes=level_boxes, notes=notes)
 
 
 def check_cond1(candidate: CandidateW) -> CondReport:

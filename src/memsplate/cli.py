@@ -245,7 +245,8 @@ def cmd_table1(args) -> int:
 def _cond_doc(c) -> dict:
     return {"margin": c.margin, "argmin": c.argmin, "proved": c.proved,
             "sharpest_enclosure": c.sharpest_enclosure, "boxes": c.boxes,
-            "levels": c.levels, "sampled_points": c.sampled_points, "notes": c.notes}
+            "levels": c.levels, "sampled_points": c.sampled_points,
+            "den_boxes": c.den_boxes, "level_boxes": c.level_boxes, "notes": c.notes}
 
 
 def cmd_certify(args) -> int:
@@ -297,8 +298,9 @@ def _hr_checks(variant: str, N: int) -> list[dict]:
                        "passed": ok})
     # the sampled minimum is the weight's margin; the proof alone decides
     margin, _ = sampled_min(weight.num, weight.den)
+    proof = _prove_expr_nonneg(weight)
     checks.append({"name": "weight_nonnegative", "margin": margin,
-                   "method": "interval", "passed": _prove_expr_nonneg(weight).proved})
+                   "method": "interval", "passed": proof.proved, "boxes": proof.boxes})
     form = discrete_form_check(weight, N)
     checks.append({"name": "discrete_form_inequality",
                    "margin": form.min_relative_gap, "method": "discrete-form",

@@ -25,10 +25,11 @@ up to `_MAX_ROWS` points.  A bisection, whose boxes end where earlier boxes
 ended or were centred, thus computes each power once.  The row at r = 0
 multiplies the exact powers 0**p by the coefficient bounds instead.  A box
 enclosure is the directed sum of the termwise hull of its two endpoint rows,
-intersected with the centred form; it is computed on float pairs, with the
-rounding of `Interval`'s operators, and one `Interval` is built at the end.
-The result is bit-identical to the term-by-term
-`frac_bounds`/`pow_bounds`/`Interval` evaluation.
+intersected with the centred form; where that leaves the sign undecided, it
+is intersected with the second-order Taylor form as well.  It is computed on
+float pairs, with the rounding of `Interval`'s operators, and one `Interval`
+is built at the end.  The result is bit-identical to the same forms
+evaluated term by term with `frac_bounds`, `pow_bounds` and `Interval`.
 """
 
 from __future__ import annotations
@@ -239,12 +240,21 @@ class Signomial:
         form f(c) + f'([a,b]) ([a,b] - c): the latter is far tighter where f
         sits on a small plateau whose value is below the coefficient scale
         (termwise width scales with sum |c_k p_k| (b-a); the centered width
-        with the actual |f'| (b-a)/2).  The arithmetic runs on float pairs
-        with the rounding of `Interval`'s operators, and one `Interval` is
-        built at the end.  No pair can be unordered: a row's lows are below
-        inf and its highs above -inf (`nextafter` steps an infinite product
-        to the largest float), so no sum meets inf + -inf.  A NaN endpoint
-        raises `ValueError`, as the `Interval` of the half-width did.
+        with the actual |f'| (b-a)/2).  When that enclosure neither is
+        nonnegative nor lies below 0, it is intersected with the Taylor form
+        f(c) + f'(c) [-h, h] + f''([a,b]) [0, h^2/2] too, with h^2/2 rounded
+        up: near a minimum the termwise hull of f' spans both signs by far
+        more than |f'|, and f'(c) does not.  An enclosure that decides the
+        sign is returned as it is, so the second derivative's rows are
+        computed only on the boxes a bisection would split; no box's
+        enclosure is wider than the first-order one.  The arithmetic runs on
+        float pairs with the rounding of `Interval`'s operators, and one
+        `Interval` is built at the end.  No pair can be unordered: a row's
+        lows are below inf and its highs above -inf (`nextafter` steps an
+        infinite product to the largest float), and each product with
+        [-h, h] or [0, h^2/2] has a low at most 0 and a high at least 0, so
+        no sum meets inf + -inf.  A NaN endpoint raises `ValueError`, as the
+        `Interval` of the half-width did.
         """
         if not self.terms:
             return Interval(0.0, 0.0)
@@ -261,7 +271,22 @@ class Signomial:
             raise ValueError(f"invalid interval [{-h}, {h}]")
         ml, mh = mul_bounds(dl, dh, -h, h)
         cen_lo, cen_hi = max(lo, down(pl + ml)), min(hi, up(ph + mh))
-        return Interval(cen_lo, cen_hi) if cen_lo <= cen_hi else Interval(lo, hi)
+        if cen_lo <= cen_hi:
+            lo, hi = cen_lo, cen_hi
+        if lo >= 0.0 or hi < 0.0:  # the sign is decided
+            return Interval(lo, hi)
+        # undecided: the second-order Taylor form
+        # f(c) + f'(c) [-h, h] + f''([a, b]) [0, h^2/2]
+        d = self._diff
+        if d._diff is None:
+            d._diff = d.diff()
+        sl, sh = d._termwise(c, c)
+        ql, qh = d._diff._termwise(a, b)
+        m1l, m1h = mul_bounds(sl, sh, -h, h)
+        m2l, m2h = mul_bounds(ql, qh, 0.0, up(0.5 * up(h * h)))
+        tay_lo = max(lo, down(down(pl + m1l) + m2l))
+        tay_hi = min(hi, up(up(ph + m1h) + m2h))
+        return Interval(tay_lo, tay_hi) if tay_lo <= tay_hi else Interval(lo, hi)
 
 
 # --------------------------------------------------------------------------

@@ -22,7 +22,8 @@ symmetric eigensolve.
 
 `_prove_expr_nonneg`, under the supersolution, side-condition and `hr` weight
 checks, refutes a negative exact endpoint limit in no boxes or returns the
-`intervals.ProofReport` of its numerator's proof; it does not sample.
+`intervals.ProofReport` of its numerator's proof, with the boxes of the
+denominator's sign proof added; it does not sample.
 """
 
 from __future__ import annotations
@@ -123,10 +124,14 @@ def _prove_expr_nonneg(expr: Ratio) -> ProofReport:
         return ProofReport(False, reason="negative limit at r=1")
     pos = prove_signomial_nonneg(den)
     if pos.proved:
-        return prove_signomial_nonneg(num)
+        rep = prove_signomial_nonneg(num)
+        rep.boxes += pos.boxes
+        return rep
     neg = prove_signomial_nonneg(-den)
     if neg.proved:
-        return prove_signomial_nonneg(-num)
+        rep = prove_signomial_nonneg(-num)
+        rep.boxes += pos.boxes + neg.boxes
+        return rep
     return ProofReport(False, boxes=pos.boxes + neg.boxes,
                        reason="denominator sign undetermined")
 

@@ -119,7 +119,7 @@ _DERIVATIVE_DEPTH = 4
 _MIN_WIDTH = 1e-12
 #: `inf_enclosure`'s bracket width relative to the point value, and the box
 #: budget of its whole level search (the largest search of a `table1` pass,
-#: N = 9 cond2, takes 547 boxes)
+#: N = 9 cond2, takes 99 boxes)
 _LEVEL_REL_TOL = 1e-5
 _LEVEL_MAX_BOXES = 50_000
 
@@ -424,7 +424,7 @@ def sampled_min(num: Signomial, den: Signomial | None, n: int = SAMPLES):
 
 def inf_enclosure(num: Signomial, den: Signomial | None = None,
                   argmin: float | None = None, limit: Fraction | None = None):
-    """Certified enclosure (lo, hi, argmin, levels) of inf over (0,1) of num/den.
+    """Certified enclosure (lo, hi, argmin, levels, boxes) of inf over (0,1) of num/den.
 
     Requires den > 0 on (0,1).  `limit`, an exact limit of num/den at an
     endpoint, caps hi and is the first level tried; when it is proved, its
@@ -436,20 +436,21 @@ def inf_enclosure(num: Signomial, den: Signomial | None = None,
     expression the first anchor point - _LEVEL_REL_TOL * scale is built
     from, so a proved first anchor ends the search.  When the point value
     is unbounded, or no level is provable, lo is -inf.  `levels` counts
-    the level proofs run, the limit's included.
+    the level proofs run, the limit's included, and `boxes` the boxes they
+    evaluated.
 
     The level proofs share one budget of `_LEVEL_MAX_BOXES` boxes, each
     getting what the earlier ones left.  Once it is spent no level proof
     starts, and lo is the last proved level, or -inf if none was proved.
     """
     denom = den if den is not None else Signomial.constant(1)
-    left, levels = _LEVEL_MAX_BOXES, 0
+    spent, levels = 0, 0
 
     def provable(c) -> bool:
-        nonlocal left, levels
+        nonlocal spent, levels
         claim = num - Signomial.constant(_frac(c)) * denom
-        rep = prove_signomial_nonneg(claim, max_boxes=left)
-        left -= rep.boxes
+        rep = prove_signomial_nonneg(claim, max_boxes=_LEVEL_MAX_BOXES - spent)
+        spent += rep.boxes
         levels += 1
         return rep.proved
 
@@ -460,31 +461,31 @@ def inf_enclosure(num: Signomial, den: Signomial | None = None,
         cl, ch = frac_bounds(limit)
         hi = min(point, ch)
         if provable(limit):
-            return cl, hi, r_hat, levels
+            return cl, hi, r_hat, levels, spent
     if not math.isfinite(point):
-        return -math.inf, hi, r_hat, levels
+        return -math.inf, hi, r_hat, levels, spent
 
     # find a provable anchor below the sampled minimum
     scale = abs(point) if point != 0.0 else 1.0
     step = _LEVEL_REL_TOL * scale
     for _ in range(60):
         lo = point - step
-        if lo == -math.inf or left <= 0:
+        if lo == -math.inf or spent >= _LEVEL_MAX_BOXES:
             # point is near -DBL_MAX, so no float level is left below it, or
             # the budget is spent
-            return -math.inf, hi, r_hat, levels
+            return -math.inf, hi, r_hat, levels, spent
         if provable(lo):
             break
         step *= 4.0
     else:
-        return -math.inf, hi, r_hat, levels
+        return -math.inf, hi, r_hat, levels, spent
 
     # bisect the level between the provable anchor and the point value
     bad = point
-    while lo < bad - _LEVEL_REL_TOL * scale and left > 0:
+    while lo < bad - _LEVEL_REL_TOL * scale and spent < _LEVEL_MAX_BOXES:
         mid = 0.5 * (lo + bad)
         if provable(mid):
             lo = mid
         else:
             bad = mid
-    return lo, hi, r_hat, levels
+    return lo, hi, r_hat, levels, spent

@@ -127,15 +127,15 @@ def test_n9_cleared_claim_box_counts(claims):
     # boxes narrower than min_width included; the same counts show that the
     # enclosures walk the same bisection tree.  The enclosure searches'
     # proved levels imply both cleared claims, so the reports count no boxes
-    # for them; proved by themselves they take 24 and 366
+    # for them; proved by themselves they take 12 and 78
     cand = table_candidate(9)
     assert check_cond1(cand).boxes == 0
     assert check_cond2(cand).boxes == 0
-    assert [prove_signomial_nonneg(claim).boxes for _, claim, *_ in claims] == [24, 366]
+    assert [prove_signomial_nonneg(claim).boxes for _, claim, *_ in claims] == [12, 78]
     _, den = _cond2_parts(cand, hr_weight(cand.hr_variant, 9))
     rep = prove_signomial_nonneg(den)
     assert rep.proved and rep.reason.startswith("non-increasing collar")
-    assert rep.boxes == 50
+    assert rep.boxes == 22
 
 
 def test_each_point_evaluates_each_term_power_once(monkeypatch):
@@ -162,7 +162,7 @@ def test_each_point_evaluates_each_term_power_once(monkeypatch):
     monkeypatch.setattr(exprs, "term_bounds", kernel_spy)
     monkeypatch.setattr(Signomial, "_termwise", termwise_spy)
     rep = prove_signomial_nonneg(claim)
-    assert rep.proved and rep.boxes == 366
+    assert rep.proved and rep.boxes == 78
     assert len(rows) == len(set(rows))
     assert set(rows) == {(id(sig._table), x) for sig, points in met.values()
                          for x in points if x != 0.0}
@@ -176,50 +176,50 @@ _FROZEN_INTERVAL_ANSWERS = [
     # table dimensions keep the ids they had before `sampled` was pinned
     pytest.param(9, check_cond1, ("0x1.95964c255f3ccp+1", "0x1.da402877d3c8cp-2"),
                  "0x1.6cf48f8423893p+8",
-                 ("0x1.6cf48f8423880p+8", "0x1.6cf57eb17af35p+8"), (0, 24),
+                 ("0x1.6cf48f8423880p+8", "0x1.6cf57eb17af35p+8"), (0, 12),
                  id="9-check_cond1-0x1.6cf48f8423893p+8-enclosure0-24"),
     pytest.param(9, check_cond2, ("0x1.9e867d575c487p-2", "0x1.01ffd4bf25ee6p-1"),
                  "0x1.6ee7a19f55d76p+8",
-                 ("0x1.6ee6b12aec436p+8", "0x1.6ee7a19f55db4p+8"), (0, 366),
+                 ("0x1.6ee6b12aec436p+8", "0x1.6ee7a19f55db4p+8"), (0, 78),
                  id="9-check_cond2-0x1.6ee7a19f55d76p+8-enclosure1-366"),
     pytest.param(12, check_cond1, ("0x1.e3f07e93f7936p+3", "0x1.3892a7e363c52p-1"),
                  "0x1.4fd7b2551d848p+9",
-                 ("0x1.4fd7b2551d835p+9", "0x1.4fd88e6e25d74p+9"), (0, 18),
+                 ("0x1.4fd7b2551d835p+9", "0x1.4fd88e6e25d74p+9"), (0, 8),
                  id="12-check_cond1-0x1.4fd7b2551d848p+9-enclosure2-18"),
     pytest.param(12, check_cond2, ("0x1.56125916adadap-1", "0x1.5022876843e40p-1"),
                  "0x1.0beac24b22d5bp+10",
-                 ("0x1.0bea12b61e25fp+10", "0x1.0beac24b22d8ap+10"), (0, 79),
+                 ("0x1.0bea12b61e25fp+10", "0x1.0beac24b22d8ap+10"), (0, 31),
                  id="12-check_cond2-0x1.0beac24b22d5bp+10-enclosure3-155"),
     # off-table candidates; cond2 refutes beta = 737/2 at N = 9
     pytest.param(CandidateW(Fraction(14, 5), 9, 366, Fraction(737, 2), "HR3"),
                  check_cond1, ("0x1.95964c255f3ccp+1", "0x1.da402877d3c8cp-2"),
                  "0x1.6cf48f8423893p+8",
-                 ("0x1.6cf48f8423880p+8", "0x1.6cf57eb17af35p+8"), (0, 24),
+                 ("0x1.6cf48f8423880p+8", "0x1.6cf57eb17af35p+8"), (0, 12),
                  id="9-beta737/2-check_cond1"),
     pytest.param(CandidateW(Fraction(14, 5), 9, 366, Fraction(737, 2), "HR3"),
                  check_cond2, ("-0x1.985e60aa28b29p+0", "0x1.01ffd4bf25ee6p-1"),
                  "0x1.6ee7a19f55d76p+8",
-                 ("0x1.6ee6b12aec436p+8", "0x1.6ee7a19f55db4p+8"), (336, 336),
+                 ("0x1.6ee6b12aec436p+8", "0x1.6ee7a19f55db4p+8"), (112, 112),
                  id="9-beta737/2-check_cond2"),
     pytest.param(CandidateW(3, 12, 1071, 680, "HR2"), check_cond1,
                  ("0x1.f60f60f2e982fp+8", "0x1.b522d80408d65p-1"),
                  "0x1.4fd7b2551d848p+9",
-                 ("0x1.4fd7b2551d835p+9", "0x1.4fd88e6e25d74p+9"), (0, 4),
+                 ("0x1.4fd7b2551d835p+9", "0x1.4fd88e6e25d74p+9"), (0, 2),
                  id="12-lam1071-beta680-check_cond1"),
     pytest.param(CandidateW(3, 12, 1071, 680, "HR2"), check_cond2,
                  ("0x1.87ab092c8b569p+8", "0x1.5022876843e40p-1"),
                  "0x1.0beac24b22d5bp+10",
-                 ("0x1.0bea12b61e25fp+10", "0x1.0beac24b22d8ap+10"), (0, 31),
+                 ("0x1.0bea12b61e25fp+10", "0x1.0beac24b22d8ap+10"), (0, 17),
                  id="12-lam1071-beta680-check_cond2"),
     pytest.param(CandidateW(3, 10, 600, 487, "HR2"), check_cond1,
                  ("0x1.94c32e7c3895bp+7", "0x1.9b380ba72b3c5p-1"),
                  "0x1.c0d033496300bp+8",
-                 ("0x1.c0d0334962ff4p+8", "0x1.c0d1596bc2b42p+8"), (0, 6),
+                 ("0x1.c0d0334962ff4p+8", "0x1.c0d1596bc2b42p+8"), (0, 4),
                  id="10-lam600-beta487-check_cond1"),
     pytest.param(CandidateW(3, 10, 600, 487, "HR2"), check_cond2,
                  ("0x1.74f179074619ap-2", "0x1.2c50d2d1aac21p-1"),
                  "0x1.e75d3c5e41d16p+8",
-                 ("0x1.e75bfcf81cbb8p+8", "0x1.e75d3c5e41d67p+8"), (0, 83),
+                 ("0x1.e75bfcf81cbb8p+8", "0x1.e75d3c5e41d67p+8"), (0, 31),
                  id="10-lam600-beta487-check_cond2"),
 ]
 
@@ -289,7 +289,7 @@ def test_frozen_enclosures_hold_at_exact_values(N, check, sampled, sharpest, enc
 
 def test_sampled_enclosures_of_a_frozen_proof_hold_at_exact_values(monkeypatch):
     # an oracle outside the prover: a fixed-seed sample of the box
-    # enclosures that the N = 9 cond2 claim proof evaluates (frozen at 366
+    # enclosures that the N = 9 cond2 claim proof evaluates (frozen at 78
     # boxes, one enclosure each), and the collar boxes at r = 0, contain the
     # exact values at each box's ends and midpoint
     cand = table_candidate(9)
@@ -304,7 +304,7 @@ def test_sampled_enclosures_of_a_frozen_proof_hold_at_exact_values(monkeypatch):
         return enc
 
     monkeypatch.setattr(Signomial, "enclosure", spy)
-    assert prove_signomial_nonneg(claim).boxes == len(seen) == 366
+    assert prove_signomial_nonneg(claim).boxes == len(seen) == 78
     monkeypatch.undo()
     collar = [call for call in seen if call[1] == 0.0]
     assert len(collar) == 3
@@ -370,6 +370,19 @@ def test_implied_claims_are_the_cleared_claims_and_hold(claims):
     assert implied == 24
 
 
+def test_a_condition_counts_every_box_it_spends_and_repeats_them():
+    # N = 9 cond2: the denominator's sign proof, the level search and the
+    # claim's own proof (none: a proved level implies it) are counted apart,
+    # and a second run gives the same counters
+    def counters(rep):
+        return rep.den_boxes, rep.level_boxes, rep.boxes, rep.levels, rep.sampled_points
+
+    cand = table_candidate(9)
+    first = counters(check_cond2(cand))
+    assert first == counters(check_cond2(cand))
+    assert first[:4] == (22, 99, 0, 2)
+
+
 def test_a_claim_below_the_proved_level_gets_its_own_proof():
     # N = 31 cond1: lambda' = 27 lbar is the exact limit of F at r -> 0, and
     # the search proves that limit; but its lower bound on -F is the limit's
@@ -385,11 +398,11 @@ def test_a_claim_below_the_proved_level_gets_its_own_proof():
 
 def test_a_claim_with_no_proved_level_gets_its_own_proof(monkeypatch):
     # with no box for the level search no level is proved, and the N = 9
-    # cond2 claim is proved by its own bisection, in its frozen 366 boxes
+    # cond2 claim is proved by its own bisection, in its frozen 78 boxes
     monkeypatch.setattr(verify, "_LEVEL_MAX_BOXES", 0)
     rep = check_cond2(table_candidate(9))
     assert rep.sharpest_enclosure[0] == -np.inf
-    assert rep.proved and rep.boxes == 366
+    assert rep.proved and rep.boxes == 78
     assert rep.notes == ["cond2 sharpest value unbounded: no level was proved"]
 
 
@@ -493,7 +506,7 @@ def test_table1_interval_pass_fails_no_derivative_window(monkeypatch):
     # frozen counts of one `table1 --rigor interval` pass: each zero at r = 1
     # tries the narrow collar first, so no derivative window at any depth
     # fails, and the 73 sign proofs (the denominators, the enclosures' level
-    # proofs and the claims) take 2,490 boxes
+    # proofs and the claims) take 940 boxes
     failed_windows, proof_boxes = [], []
     real_upper, real_proof = verify._prove_upper, verify.prove_signomial_nonneg
 
@@ -514,7 +527,7 @@ def test_table1_interval_pass_fails_no_derivative_window(monkeypatch):
     rows = table1_rows()
     assert [r["verdict"] for r in rows] == ["Pass"] * 13
     assert failed_windows == []
-    assert (len(proof_boxes), sum(proof_boxes)) == (73, 2490)
+    assert (len(proof_boxes), sum(proof_boxes)) == (73, 940)
 
 
 def test_table1_sampled_values_are_frozen():

@@ -165,7 +165,8 @@ def test_certify_default_candidate(tmp_path, capsys):
 def test_certify_interval_writes_enclosures_and_boxes(tmp_path, monkeypatch):
     # at N = 20 a proved level of each enclosure search implies its cleared
     # claim, so the claims take no boxes of their own and say why; proved by
-    # themselves they take 4 and 11 boxes
+    # themselves they take 2 and 7 boxes.  The boxes of the denominator's
+    # sign proof and of the level search are written apart
     claims = {}
     real = certificates._check_inf
 
@@ -177,11 +178,12 @@ def test_certify_interval_writes_enclosures_and_boxes(tmp_path, monkeypatch):
     assert run(tmp_path, "certify", "--dim", "20", "--rigor", "interval") == 0
     doc = json.loads((tmp_path / "certify_N20.json").read_text())
     assert doc["verdict"] == "Pass"
-    for cond, sharpest, own_boxes in (("cond1", "sharpest_lambda_prime", 4),
-                                      ("cond2", "sharpest_beta", 11)):
+    for cond, sharpest, own_boxes, spent in (("cond1", "sharpest_lambda_prime", 2, (2, 29)),
+                                             ("cond2", "sharpest_beta", 7, (2, 7))):
         lo, hi = doc[cond]["sharpest_enclosure"]
         assert lo <= doc[sharpest] <= hi
         assert doc[cond]["boxes"] == 0 and doc[cond]["levels"] > 0
+        assert (doc[cond]["den_boxes"], doc[cond]["level_boxes"]) == spent
         [note] = doc[cond]["notes"]
         assert note.startswith(f"{cond} claim implied by the proved level ")
         rep = prove_signomial_nonneg(claims[cond])
@@ -312,13 +314,14 @@ def test_hr_report(tmp_path):
     assert doc["verdict"] == "Pass"
 
 
-@pytest.mark.parametrize("variant,N,margin", [
-    ("hr3", 9, "0x1.aadf6263f37e5p+9"),
-    ("hr2", 12, "0x1.8bcd8d2c1ec16p+11"),
+@pytest.mark.parametrize("variant,N,margin,boxes", [
+    pytest.param("hr3", 9, "0x1.aadf6263f37e5p+9", 38, id="hr3-9-0x1.aadf6263f37e5p+9"),
+    pytest.param("hr2", 12, "0x1.8bcd8d2c1ec16p+11", 26, id="hr2-12-0x1.8bcd8d2c1ec16p+11"),
 ])
-def test_hr_interval_report(tmp_path, variant, N, margin):
+def test_hr_interval_report(tmp_path, variant, N, margin, boxes):
     # the weight's sampled margin is that of its cleared (num, den) pair,
-    # frozen bit for bit
+    # frozen bit for bit; its boxes are those of both sign proofs, the
+    # denominator's and the numerator's
     assert run(tmp_path, "hr", "--variant", variant, "--dim", str(N),
                "--rigor", "interval") == 0
     doc = json.loads((tmp_path / f"hr_{variant}_N{N}.json").read_text())
@@ -326,6 +329,7 @@ def test_hr_interval_report(tmp_path, variant, N, margin):
     check, = (c for c in doc["checks"] if c["name"] == "weight_nonnegative")
     assert check["method"] == "interval"
     assert check["margin"] == float.fromhex(margin)
+    assert check["boxes"] == boxes
 
 
 def test_hr_weight_margin_is_one_sampled_minimum_at_both_tiers(tmp_path, capsys,

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ import memsplate.exprs as exprs
 from memsplate.exprs import Ratio, Signomial, _dirsum
 from memsplate.intervals import (Interval, exponent_rounding, frac_bounds,
                                  pow_bounds, up)
+from test_certificates import _exact_value
 
 
 def test_signomial_merge_and_zero():
@@ -165,7 +167,8 @@ def _reference_termwise(sig, a, b):
     return Interval(_dirsum(los, -1), _dirsum(his, +1))
 
 
-def _reference_enclosure(sig, a, b):
+def _first_order_enclosure(sig, a, b):
+    """The natural form intersected with the mean-value form."""
     nat = _reference_termwise(sig, a, b)
     if a == b or a <= 0.0:
         return nat
@@ -175,6 +178,23 @@ def _reference_enclosure(sig, a, b):
            + _reference_termwise(sig.diff(), a, b) * Interval(-h, h))
     lo, hi = max(nat.lo, cen.lo), min(nat.hi, cen.hi)
     return Interval(lo, hi) if lo <= hi else nat
+
+
+def _reference_enclosure(sig, a, b):
+    """The first-order enclosure; where it leaves the sign undecided, also
+    intersected with f(c) + f'(c) [-h, h] + f''([a, b]) [0, h^2/2]."""
+    first = _first_order_enclosure(sig, a, b)
+    if a == b or a <= 0.0 or first.lo >= 0.0 or first.hi < 0.0:
+        return first
+    c = 0.5 * (a + b)
+    h = up(max(c - a, b - c))
+    half_h2 = (Interval(h, h) * Interval(h, h) * Interval(0.5, 0.5)).hi
+    d = sig.diff()
+    tay = (_reference_termwise(sig, c, c)
+           + _reference_termwise(d, c, c) * Interval(-h, h)
+           + _reference_termwise(d.diff(), a, b) * Interval(0.0, half_h2))
+    lo, hi = max(first.lo, tay.lo), min(first.hi, tay.hi)
+    return Interval(lo, hi) if lo <= hi else first
 
 
 # +-400: x ** pf underflows to 0 (lower bound -5e-324) or overflows on (0, 1)
@@ -287,6 +307,32 @@ def test_each_kernel_branch_is_bit_identical_to_termwise_definition(terms, box,
     for sub in _bisection_walk(*box) + [(box[0], box[0])]:
         assert _bits(sig._termwise, *sub) == _bits(_reference_termwise, sig, *sub)
         assert _bits(sig.enclosure, *sub) == _bits(_reference_enclosure, sig, *sub)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_EXPONENTS, _COEFFS, min_size=1, max_size=6),
+       _boxes().filter(lambda box: 0.0 < box[0] < box[1]))
+def test_the_taylor_form_only_narrows_the_first_order_enclosure(terms, box):
+    # on a box in (0, 1] the enclosure lies inside the first-order one and
+    # holds the 50-digit values at the box's ends and midpoint; where the
+    # first-order form decides the sign, the bits are the first-order ones
+    sig = Signomial(terms)
+    a, b = box
+    enc, first = sig.enclosure(a, b), _first_order_enclosure(sig, a, b)
+    assert first.lo <= enc.lo <= enc.hi <= first.hi
+    for x in (a, 0.5 * (a + b), b):
+        assert Decimal(enc.lo) <= _exact_value(sig, x) <= Decimal(enc.hi), x
+    if first.lo >= 0.0 or first.hi < 0.0:
+        assert _bits(sig.enclosure, a, b) == _bits(_first_order_enclosure, sig, a, b)
+
+
+def test_the_taylor_form_decides_a_plateau_the_first_order_form_does_not():
+    # 1000 (r - 1/2)^2 + 1/1000 on a box around its minimum: the mean-value
+    # form's f'([a, b]) spans both signs, the second-order term does not
+    sig = Signomial({2: 1000, 1: -1000, 0: Fraction(250001, 1000)})
+    a, b = 0.49, 0.51
+    assert _first_order_enclosure(sig, a, b).lo < 0.0
+    assert sig.enclosure(a, b).lo >= 0.0
 
 
 def test_a_nan_endpoint_is_rejected():

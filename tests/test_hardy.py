@@ -89,7 +89,18 @@ def test_a_denominator_that_changes_sign_is_undetermined():
     rep = _prove_expr_nonneg(Ratio(1) / den)
     assert not rep.proved
     assert rep.reason == "denominator sign undetermined"
-    assert rep.counterexample is None and rep.boxes == 63
+    assert rep.counterexample is None and rep.boxes == 61
+
+
+def test_a_weight_proof_counts_the_boxes_of_its_denominator_proof():
+    # the HR3 N = 9 weight: the report holds the boxes of the denominator's
+    # sign proof as well as those of the numerator's own proof
+    weight = hr_weight("HR3", 9)
+    den = verify.prove_signomial_nonneg(weight.den)
+    num = verify.prove_signomial_nonneg(weight.num)
+    assert den.proved and num.proved and den.boxes > 0
+    rep = _prove_expr_nonneg(weight)
+    assert rep.proved and rep.boxes == den.boxes + num.boxes
 
 
 def test_a_negative_limit_at_one_is_refuted_in_no_boxes():
@@ -153,11 +164,13 @@ def _gm2_case(N, a):
 
 @pytest.mark.parametrize("y,spec,boxes", [
     pytest.param(*_gm2_case(10, Fraction(99, 100)), None, id="gm2-N10"),
-    # V = W = 1 in dimension 3: y = 1 - r^2/6 > 0 with L[y] = -r^2/6
+    # V = W = 1 in dimension 3: y = 1 - r^2/6 > 0 with L[y] = -r^2/6; each
+    # count holds the 2 boxes of its denominator's sign proof
     pytest.param(1 - Ratio.term(Fraction(1, 6), 2),
-                 BesselPairSpec(V=Ratio(1), W=Ratio(1), N=3), (2, 2), id="one-one-N3"),
-    # an exact solution: L[y] is identically zero, decided in no boxes
-    pytest.param(*_exact_pair(10, Fraction(99, 100)), (2, 0), id="exact-N10"),
+                 BesselPairSpec(V=Ratio(1), W=Ratio(1), N=3), (4, 4), id="one-one-N3"),
+    # an exact solution: L[y] is identically zero, decided in no boxes, so
+    # the inequality counts only its denominator's 2
+    pytest.param(*_exact_pair(10, Fraction(99, 100)), (4, 2), id="exact-N10"),
 ])
 def test_gm2_supersolution(y, spec, boxes):
     rep = supersolution_check(y, spec)

@@ -81,7 +81,7 @@ def test_inf_enclosure_brackets_true_min():
     # num/den = (1 + r)/(1 + r^2): minimum on (0,1) is 1 (limit r -> 0)
     num = Signomial({0: 1, 1: 1})
     den = Signomial({0: 1, 2: 1})
-    lo, hi, arg, _ = inf_enclosure(num, den)
+    lo, hi, arg, _, _ = inf_enclosure(num, den)
     assert lo <= 1.0 <= hi + 1e-9
     assert hi - lo < 1e-4
 
@@ -89,7 +89,7 @@ def test_inf_enclosure_brackets_true_min():
 def test_inf_enclosure_of_the_negation_brackets_true_max():
     # sup of r(1-r)*4 on (0,1) is 1 at r = 1/2, so inf of its negation is -1
     num = Signomial({1: 4, 2: -4})
-    lo, hi, arg, _ = inf_enclosure(-num, None)
+    lo, hi, arg, _, _ = inf_enclosure(-num, None)
     assert lo <= -1.0 <= hi
     assert hi - lo < 1e-4
     assert arg == pytest.approx(0.5, abs=1e-3)
@@ -112,7 +112,7 @@ def test_a_proved_limit_is_the_only_level(monkeypatch):
     # = r (1 - r) >= 0 is provable, so no other level is tried
     claims = _level_spy(monkeypatch)
     num, den = Signomial({0: 1, 1: 1}), Signomial({0: 1, 2: 1})
-    lo, hi, _, levels = inf_enclosure(num, den, limit=Fraction(1))
+    lo, hi, _, levels, _ = inf_enclosure(num, den, limit=Fraction(1))
     assert lo == 1.0 and hi == 1.0
     assert claims == [num - Signomial.constant(1) * den] and levels == 1
 
@@ -122,7 +122,7 @@ def test_an_unprovable_limit_falls_back_to_the_level_search(monkeypatch):
     # limit level fails, and the level search brackets the interior minimum
     claims = _level_spy(monkeypatch)
     g = Signomial({0: 2, 1: -4, 2: 4})
-    lo, hi, arg, levels = inf_enclosure(g, limit=Fraction(2))
+    lo, hi, arg, levels, _ = inf_enclosure(g, limit=Fraction(2))
     assert claims[0] == g - Signomial.constant(2) * Signomial.constant(1)
     assert levels == len(claims) > 1
     assert lo <= 1.0 <= hi and hi - lo < 1e-4
@@ -166,7 +166,7 @@ def test_a_window_search_shrinks_the_collar_until_it_proves(monkeypatch):
         Fraction(1, 10**6))
     rep = prove_signomial_nonneg(Signomial({0: 1, 1: -1}) * dip)
     assert windows == [(0.99, False), (0.995, False), (0.9975, False), (0.99875, True)]
-    assert rep.proved and rep.boxes == 600
+    assert rep.proved and rep.boxes == 226
     assert rep.reason == "non-increasing collar + bisection"
 
 
@@ -220,7 +220,7 @@ def test_a_spent_level_budget_starts_no_further_level_proof(monkeypatch, budget)
     monkeypatch.setattr(verify, "_LEVEL_MAX_BOXES", budget)
     calls = _budget_spy(monkeypatch)
     g = Signomial({0: 2, 1: -4, 2: 4})
-    lo, hi, _, _ = inf_enclosure(g, argmin=0.6)
+    lo, hi, _, _, _ = inf_enclosure(g, argmin=0.6)
     spent, proved = 0, []  # the proved levels c, from their claims g - c
     for max_boxes, claim, rep in calls:
         assert spent < budget and max_boxes == budget - spent
@@ -237,7 +237,7 @@ def test_a_spent_level_budget_starts_no_further_level_proof(monkeypatch, budget)
 
 def test_enclosure_orders():
     num = Signomial({0: 2, 1: 1})
-    lo, hi, _, _ = inf_enclosure(num, None)
+    lo, hi, _, _, _ = inf_enclosure(num, None)
     assert lo <= hi
     assert lo <= 2.0 <= hi + 1e-6
 
@@ -427,9 +427,9 @@ def test_unbounded_point_enclosure_gives_an_uninformative_bound():
     # so the verified point enclosure there is unbounded
     p400 = Signomial({400: 1})
     with np.errstate(all="ignore"):
-        lo, hi, _, _ = inf_enclosure(p400, p400)
+        lo, hi, _, _, _ = inf_enclosure(p400, p400)
         assert lo == -np.inf and hi >= 1.0
-        lo, hi, _, _ = inf_enclosure(-Signomial({0: 1, 400: 1}), p400)
+        lo, hi, _, _, _ = inf_enclosure(-Signomial({0: 1, 400: 1}), p400)
         assert lo == -np.inf
 
 
@@ -438,6 +438,6 @@ def test_overflowing_point_enclosure_gives_an_infinite_lower_bound():
     # overflows, so the verified upper bound is about -DBL_MAX and no finite
     # level lies below it
     with np.errstate(over="ignore"):
-        lo, hi, arg, _ = inf_enclosure(-Signomial({-400: 1}))
+        lo, hi, arg, _, _ = inf_enclosure(-Signomial({-400: 1}))
     assert lo == -np.inf
     assert hi <= -1e308 and arg == pytest.approx(1e-9)
