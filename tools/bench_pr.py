@@ -18,14 +18,18 @@ side that goes first alternates from seed to seed and, within a seed, from
 pass to pass (ABBA), so that the fast and slow spells of a shared machine,
 which last seconds, meet both sides alike.  A pair is a seed: each side's
 median pass.  Per workload and side the file holds the median and quartiles
-over the seeds, in wall and CPU seconds, the peak RSS of the interpreter, and
-the number of pairs in which the change was faster.
+over the seeds, in wall and CPU seconds, and the peak RSS of the interpreter;
+per workload, the number of pairs in which the change was faster and the
+median and quartiles of the pairs' relative change in wall time.  The seeds'
+own spread holds the machine's slow and fast spells, which both sides of a
+pair share, so the paired change is the sharper reading.
 
 The per-layer counters are those the outputs carry: `counters` and
 `grid_evidence.newton_steps` of `branch_N<N>.json` and the `boxes` of the `hr`
 checks; `table1` writes none.  Nothing is wrapped or patched.  The record
-names the machine, Python, numpy, scipy and the BLAS thread count, pinned to
-1 as `perfbench/run.py` pins it, and each side's git HEAD and a hash of its
+names the machine, Python, numpy, scipy and the BLAS thread count, pinned by
+importing `perfbench/run.py` (whose `WORKLOADS` this script runs), and each
+side's git HEAD, whether its `src` differs from that HEAD, and a hash of its
 package sources.  The script exits 1 when a job failed its check or raised.
 """
 
@@ -35,7 +39,6 @@ import argparse
 import contextlib
 import hashlib
 import json
-import os
 import statistics
 import subprocess
 import sys
@@ -47,9 +50,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
-WORKLOADS = ("sweep_regular", "sweep_singular", "certify_interval", "stability")
-BLAS_ENV = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                 "MKL_NUM_THREADS")}
 
 
 def read_counters(out: Path) -> Counter:
@@ -119,8 +119,8 @@ def run_seed(trees: dict, workload: str, seed: int, passes: int, warmup: int,
     """Both sides' records of one seed, their passes taken in turns."""
     procs = {side: subprocess.Popen(
         [sys.executable, __file__, "--worker", str(tree), workload, str(seed)],
-        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
-        env={**os.environ, **BLAS_ENV}) for side, tree in trees.items()}
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        for side, tree in trees.items()}
 
     def reply(side: str) -> str:
         line = procs[side].stdout.readline()
@@ -164,14 +164,20 @@ def spread(values: list) -> dict:
 
 
 def describe(tree: Path) -> dict:
-    """The tree's git HEAD (None outside git) and a SHA-256 of its package
-    sources, which names the code measured even when it is not committed."""
-    proc = subprocess.run(["git", "-C", str(tree), "rev-parse", "HEAD"],
-                          capture_output=True, text=True)
+    """The tree's git HEAD (None outside git), whether its `src` has changes
+    that HEAD does not hold, and a SHA-256 of its package sources, which names
+    the code measured even when it is not committed."""
+    def git(*args: str) -> str:
+        return subprocess.run(["git", "-C", str(tree), *args],
+                              capture_output=True, text=True).stdout.strip()
+
+    commit = git("rev-parse", "HEAD") or None
     digest = hashlib.sha256()
     for path in sorted((tree / "src").rglob("*.py")):
         digest.update(str(path.relative_to(tree)).encode() + b"\0" + path.read_bytes())
-    return {"commit": proc.stdout.strip() or None, "src_sha256": digest.hexdigest()}
+    return {"commit": commit,
+            "dirty": bool(git("status", "--porcelain", "--", "src")) if commit else None,
+            "src_sha256": digest.hexdigest()}
 
 
 def main(argv=None) -> int:
@@ -182,13 +188,15 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", default="1,2,3,4,5", help="comma-separated seeds")
     ap.add_argument("--passes", type=int, default=5, help="timed passes per side and seed")
     ap.add_argument("--warmup", type=int, default=1, help="untimed passes before them")
-    ap.add_argument("--workloads", default=",".join(WORKLOADS))
     ap.add_argument("--out", type=Path, help="output file (default: BENCH_<PR>.json)")
     args = ap.parse_args(argv)
+    sys.path.append(str(PERFBENCH))
+    # importing run pins the BLAS threads in os.environ, which the workers inherit
+    from run import WORKLOADS
     seeds = [int(s) for s in args.seeds.split(",")]
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
-    runs = {w: {side: [] for side in trees} for w in args.workloads.split(",")}
+    runs = {w: {side: [] for side in trees} for w in WORKLOADS}
     machine = None
     for i, seed in enumerate(seeds):
         first = "parent" if i % 2 == 0 else "change"
@@ -201,8 +209,7 @@ def main(argv=None) -> int:
                       f" wall, {len(rec['failures'])} failed", file=sys.stderr)
 
     doc = {"pr": args.pr, "script": "tools/bench_pr.py", "machine": machine,
-           "settings": {"seeds": seeds, "passes": args.passes, "warmup": args.warmup,
-                        "blas_env": BLAS_ENV},
+           "settings": {"seeds": seeds, "passes": args.passes, "warmup": args.warmup},
            "sides": {side: describe(t) for side, t in trees.items()},
            "workloads": {}}
     failed = 0
@@ -223,17 +230,19 @@ def main(argv=None) -> int:
         entry["pairs"] = len(pairs)
         entry["wall_median_rel_change"] = (entry["change"]["wall_s"]["median"]
                                            / entry["parent"]["wall_s"]["median"] - 1.0)
+        entry["pair_wall_rel_change"] = spread([c / p - 1.0 for c, p in pairs])
         doc["workloads"][w] = entry
     doc["failed_jobs"] = failed
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(doc, indent=1) + "\n")
     for w, e in doc["workloads"].items():
-        p, c = e["parent"]["wall_s"], e["change"]["wall_s"]
+        p, c, r = e["parent"]["wall_s"], e["change"]["wall_s"], e["pair_wall_rel_change"]
         print(f"{w}: parent {p['median']:.3f} s [{p['q1']:.3f}, {p['q3']:.3f}], change "
               f"{c['median']:.3f} s [{c['q1']:.3f}, {c['q3']:.3f}], "
-              f"{e['wall_median_rel_change']:+.1%}, change faster in "
-              f"{e['change_faster_pairs']}/{e['pairs']} pairs")
+              f"{e['wall_median_rel_change']:+.1%}; pairs {r['median']:+.1%} "
+              f"[{r['q1']:+.1%}, {r['q3']:+.1%}], change faster in "
+              f"{e['change_faster_pairs']}/{e['pairs']}")
     print(f"wrote {out} ({failed} failed jobs)")
     return 1 if failed else 0
 
